@@ -72,20 +72,21 @@ int main() {
   mopts.num_vertices = 1000;
   const auto trace = GenerateMsrSearchTrace(mopts, rng);
   // Snapshot: first 100 vertices, induced subgraph.
-  Graph g;
+  CsrGraphBuilder builder;
   std::vector<VertexIndex> map(1000, -1);
   for (int v = 0; v < 100; ++v) {
     const auto& c = trace.workload.containers[static_cast<std::size_t>(v)];
-    map[static_cast<std::size_t>(v)] = g.AddVertex(c.demand, 1.0);
+    map[static_cast<std::size_t>(v)] = builder.AddVertex(c.demand, 1.0);
   }
   int kept_edges = 0;
   for (const auto& e : trace.workload.edges) {
     if (e.a.value() < 100 && e.b.value() < 100) {
-      g.AddEdge(map[static_cast<std::size_t>(e.a.value())],
-                map[static_cast<std::size_t>(e.b.value())], e.flows);
+      builder.AddEdge(map[static_cast<std::size_t>(e.a.value())],
+                      map[static_cast<std::size_t>(e.b.value())], e.flows);
       ++kept_edges;
     }
   }
+  const CsrGraph g = builder.Build();
   const auto kway = KWayPartition(g, 5, {});
   std::vector<int> sizes(5, 0);
   for (const int gi : kway.group_of) ++sizes[static_cast<std::size_t>(gi)];

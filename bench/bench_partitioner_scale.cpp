@@ -33,11 +33,11 @@
 namespace gl {
 namespace {
 
-Graph MakeWorkloadLikeGraph(int n, std::uint64_t seed) {
+CsrGraph MakeWorkloadLikeGraph(int n, std::uint64_t seed) {
   // Clustered graph shaped like a container graph: services of ~8 with
   // heavy intra edges, sparse light inter-service edges.
   Rng rng(seed);
-  Graph g;
+  CsrGraphBuilder g;
   for (int i = 0; i < n; ++i) {
     g.AddVertex(Resource{.cpu = rng.Uniform(20, 60), .mem_gb = 4,
                          .net_mbps = rng.Uniform(5, 50)},
@@ -54,12 +54,12 @@ Graph MakeWorkloadLikeGraph(int n, std::uint64_t seed) {
     const auto b = static_cast<VertexIndex>(rng.NextBelow(n));
     if (a != b) g.AddEdge(a, b, rng.Uniform(1, 50));
   }
-  return g;
+  return g.Build();
 }
 
 void BM_Bisect(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
-  const Graph g = MakeWorkloadLikeGraph(n, 42);
+  const CsrGraph g = MakeWorkloadLikeGraph(n, 42);
   for (auto _ : state) {
     auto b = Bisect(g, {});
     benchmark::DoNotOptimize(b.cut_weight);
@@ -70,7 +70,7 @@ BENCHMARK(BM_Bisect)->Arg(1000)->Arg(10000)->Arg(50000)->Complexity();
 
 void BM_RecursivePartitionToServers(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
-  const Graph g = MakeWorkloadLikeGraph(n, 7);
+  const CsrGraph g = MakeWorkloadLikeGraph(n, 7);
   const Resource ceiling{.cpu = 2240, .mem_gb = 57, .net_mbps = 700};
   for (auto _ : state) {
     auto r = RecursivePartition(
@@ -86,7 +86,7 @@ BENCHMARK(BM_RecursivePartitionToServers)
     ->Complexity();
 
 void BM_KWayPartition(benchmark::State& state) {
-  const Graph g = MakeWorkloadLikeGraph(5000, 3);
+  const CsrGraph g = MakeWorkloadLikeGraph(5000, 3);
   const int k = static_cast<int>(state.range(0));
   for (auto _ : state) {
     auto r = KWayPartition(g, k, {});
@@ -98,7 +98,7 @@ BENCHMARK(BM_KWayPartition)->Arg(2)->Arg(8)->Arg(32);
 void BM_CoarseningOnly(benchmark::State& state) {
   // Proxy for per-epoch incremental cost: one bisection on an already
   // service-clustered graph at testbed scale.
-  const Graph g = MakeWorkloadLikeGraph(224, 11);
+  const CsrGraph g = MakeWorkloadLikeGraph(224, 11);
   for (auto _ : state) {
     auto b = Bisect(g, {});
     benchmark::DoNotOptimize(b.side.data());
@@ -134,7 +134,7 @@ bool RunThreadScalingSweep(const char* json_path, int repeat,
   const auto fits = [&](const Resource& d, int) { return d.FitsIn(ceiling); };
   std::vector<bench::ScaleRecord> records;
   for (const int n : {2000, 10000, 50000}) {
-    const Graph g = MakeWorkloadLikeGraph(n, 7);
+    const CsrGraph g = MakeWorkloadLikeGraph(n, 7);
     const std::vector<int> widths =
         n >= 50000 ? std::vector<int>{1, 8} : std::vector<int>{1, 2, 4, 8};
     for (const int threads : widths) {

@@ -437,7 +437,8 @@ void InvariantAuditor::AuditReplicaDomains(const Placement& placement,
   }
 }
 
-void InvariantAuditor::AuditGraph(const Graph& graph, AuditReport& out) const {
+void InvariantAuditor::AuditGraph(const CsrGraph& graph,
+                                  AuditReport& out) const {
   Collector add(out, opts_.max_findings_per_class);
   const VertexIndex n = graph.num_vertices();
   for (VertexIndex v = 0; v < n; ++v) {
@@ -451,41 +452,43 @@ void InvariantAuditor::AuditGraph(const Graph& graph, AuditReport& out) const {
       add.Add(AuditSeverity::kError, AuditClass::kGraph, "graph",
               "vertex balance weight is negative or non-finite", {v});
     }
-    for (const auto& e : graph.neighbors(v)) {
-      if (e.to < 0 || e.to >= n) {
+    const auto [to, ws] = graph.arc_range(v);
+    for (std::size_t i = 0; i < to.size(); ++i) {
+      const VertexIndex u = to[i];
+      const double w = ws[i];
+      if (u < 0 || u >= n) {
         add.Add(AuditSeverity::kError, AuditClass::kGraph, "graph",
                 "edge references a nonexistent vertex", {v});
         continue;
       }
-      if (e.to == v) {
+      if (u == v) {
         add.Add(AuditSeverity::kError, AuditClass::kGraph, "graph",
                 "self-loop edge", {v});
         continue;
       }
-      if (!std::isfinite(e.weight)) {
+      if (!std::isfinite(w)) {
         add.Add(AuditSeverity::kError, AuditClass::kGraph, "graph",
-                "edge weight is non-finite", {v, e.to});
-      } else if (!opts_.allow_negative_edges && e.weight < 0.0) {
+                "edge weight is non-finite", {v, u});
+      } else if (!opts_.allow_negative_edges && w < 0.0) {
         add.Add(AuditSeverity::kError, AuditClass::kGraph, "graph",
-                Format("negative edge weight %.3f (limit %.0f)", e.weight,
-                       0.0),
-                {v, e.to});
+                Format("negative edge weight %.3f (limit %.0f)", w, 0.0),
+                {v, u});
       }
-      // Symmetry: the reverse edge must exist with the same weight. Only
-      // checked for v < e.to so each pair is reported once.
-      if (v < e.to) {
+      // Symmetry: the reverse arc must exist with the same weight. Only
+      // checked for v < u so each pair is reported once.
+      if (v < u) {
         bool matched = false;
-        for (const auto& back : graph.neighbors(e.to)) {
-          if (back.to != v) continue;
-          matched = std::isfinite(back.weight) == std::isfinite(e.weight) &&
-                    (!std::isfinite(e.weight) ||
-                     ApproxEq(back.weight, e.weight));
+        const auto [back_to, back_ws] = graph.arc_range(u);
+        for (std::size_t j = 0; j < back_to.size(); ++j) {
+          if (back_to[j] != v) continue;
+          matched = std::isfinite(back_ws[j]) == std::isfinite(w) &&
+                    (!std::isfinite(w) || ApproxEq(back_ws[j], w));
           break;
         }
         if (!matched) {
           add.Add(AuditSeverity::kError, AuditClass::kGraph, "graph",
                   "edge has no matching reverse edge of equal weight",
-                  {v, e.to});
+                  {v, u});
         }
       }
     }

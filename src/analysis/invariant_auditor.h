@@ -51,7 +51,7 @@
 
 #include "common/ids.h"
 #include "common/resource.h"
-#include "graph/graph.h"
+#include "graph/csr.h"
 #include "power/server_power.h"
 #include "schedulers/placement.h"
 #include "topology/topology.h"
@@ -133,7 +133,7 @@ struct SystemView {
   std::span<const Resource> demands;      // indexed by ContainerId value
   std::span<const std::uint8_t> active;   // indexed by ContainerId value
   const Placement* placement = nullptr;
-  const Graph* container_graph = nullptr;
+  const CsrGraph* container_graph = nullptr;
   const ServerPowerModel* server_power = nullptr;
 };
 
@@ -155,7 +155,7 @@ class InvariantAuditor {
   void AuditReplicaDomains(const Placement& placement,
                            const Workload& workload, const Topology& topo,
                            AuditReport& out) const;
-  void AuditGraph(const Graph& graph, AuditReport& out) const;
+  void AuditGraph(const CsrGraph& graph, AuditReport& out) const;
   void AuditPowerModel(const ServerPowerModel& model, AuditReport& out) const;
   // Power-curve form of the model audit: samples `power_at_utilization`
   // over [0, 1] and checks finiteness, non-negativity, the `max_watts`

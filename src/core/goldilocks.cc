@@ -360,7 +360,7 @@ std::vector<std::vector<ContainerId>> GoldilocksScheduler::PartitionContainers(
       verts.push_back(
           cg.container_to_vertex[static_cast<std::size_t>(c.value())]);
     }
-    const Graph sub = cg.graph.InducedSubgraph(verts);
+    const CsrGraph sub = InducedSubgraph(cg.graph, verts);
     PartitionOptions popts = opts_.partition;
     popts.seed ^= 0x9e3779b97f4a7c15ULL + gi;
     // Carve off one ceiling-full per split so the survivor fills a server.

@@ -21,13 +21,14 @@ ContainerGraph BuildContainerGraph(const Workload& workload,
                       static_cast<std::int64_t>(workload.containers.size()));
   ContainerGraph cg;
   cg.container_to_vertex.assign(workload.containers.size(), -1);
-  cg.graph.Reserve(static_cast<VertexIndex>(workload.containers.size()));
+  CsrGraphBuilder graph;
+  graph.Reserve(static_cast<VertexIndex>(workload.containers.size()));
   cg.vertex_to_container.reserve(workload.containers.size());
 
   for (const auto& c : workload.containers) {
     const auto i = static_cast<std::size_t>(c.id.value());
     if (!active[i]) continue;
-    const VertexIndex v = cg.graph.AddVertex(
+    const VertexIndex v = graph.AddVertex(
         demands[i], demands[i].NormalizedL1(reference_capacity));
     cg.container_to_vertex[i] = v;
     cg.vertex_to_container.push_back(c.id);
@@ -38,7 +39,7 @@ ContainerGraph BuildContainerGraph(const Workload& workload,
         cg.container_to_vertex[static_cast<std::size_t>(e.a.value())];
     const auto vb =
         cg.container_to_vertex[static_cast<std::size_t>(e.b.value())];
-    if (va >= 0 && vb >= 0) cg.graph.AddEdge(va, vb, e.flows);
+    if (va >= 0 && vb >= 0) graph.AddEdge(va, vb, e.flows);
   }
 
   // Replica anti-affinity: one negative clique per replica set. Flat
@@ -66,13 +67,14 @@ ContainerGraph BuildContainerGraph(const Workload& workload,
     }
     for (std::size_t i = lo; i < hi; ++i) {
       for (std::size_t j = i + 1; j < hi; ++j) {
-        cg.graph.AddEdge(replica_members[i].second, replica_members[j].second,
-                         opts.replica_anti_affinity);
+        graph.AddEdge(replica_members[i].second, replica_members[j].second,
+                      opts.replica_anti_affinity);
         ++anti_affinity_edges;
       }
     }
     lo = hi;
   }
+  cg.graph = graph.Build();
   static obs::Counter& vertices = obs::MetricsRegistry::Global().GetCounter(
       "graph.vertices_built", obs::MetricKind::kDeterministic);
   static obs::Counter& edges = obs::MetricsRegistry::Global().GetCounter(
@@ -82,8 +84,8 @@ ContainerGraph BuildContainerGraph(const Workload& workload,
   return cg;
 }
 
-Graph BuildCapacityGraph(const Topology& topo) {
-  Graph g;
+CsrGraph BuildCapacityGraph(const Topology& topo) {
+  CsrGraphBuilder g;
   for (int s = 0; s < topo.num_servers(); ++s) {
     const auto& cap = topo.server_capacity(ServerId{s});
     g.AddVertex(cap, 1.0);
@@ -95,7 +97,7 @@ Graph BuildCapacityGraph(const Topology& topo) {
                                                      ServerId{b})));
     }
   }
-  return g;
+  return g.Build();
 }
 
 }  // namespace gl

@@ -15,15 +15,15 @@
 #include <span>
 #include <vector>
 
-#include "graph/graph.h"
+#include "graph/csr.h"
 #include "topology/topology.h"
 #include "workload/container.h"
 
 namespace gl {
 
 struct ContainerGraph {
-  Graph graph;
-  // Graph vertex index → ContainerId.
+  CsrGraph graph;
+  // Vertex index → ContainerId.
   std::vector<ContainerId> vertex_to_container;
   // ContainerId value → vertex index, -1 if inactive.
   std::vector<VertexIndex> container_to_vertex;
@@ -43,6 +43,6 @@ ContainerGraph BuildContainerGraph(const Workload& workload,
 
 // Capacity graph over all servers; edge weight = hop distance. Quadratic in
 // the number of servers — intended for testbed-scale analysis (Fig. 4).
-Graph BuildCapacityGraph(const Topology& topo);
+CsrGraph BuildCapacityGraph(const Topology& topo);
 
 }  // namespace gl

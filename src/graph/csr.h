@@ -1,22 +1,29 @@
-// Flat compressed-sparse-row graph kernel (DESIGN.md §11).
+// Weighted undirected graph in flat compressed-sparse-row form (DESIGN.md
+// §11) — the one graph type, used for both graphs of Sec. III-A.
 //
-// The multilevel partitioner is the placement loop's hot path, and on
-// `Graph`'s vector-of-vectors adjacency it is memory-bound: every neighbor
-// scan chases a pointer per row and every coarsening level / recursion split
-// used to materialize a fresh Graph (per-row heap allocations, per-edge
-// merge scans). CsrGraph is the flat replacement: one offsets array, one
-// target array, one weight array — neighbor scans are contiguous streams,
-// and all storage is reusable, so a warm scratch arena (graph/scratch.h)
-// rebuilds levels and subgraph views without touching the allocator.
+// Vertices carry a scalar balance weight (the partitioner's balance
+// constraint) and, when built by CsrGraphBuilder, the Resource demand vector
+// of the paper's multi-dimensional vertex weight. Edges carry a double
+// weight: flow counts for the container graph, path lengths for the
+// capacity graph. Edge weights may be *negative* to express replica
+// anti-affinity (Sec. IV-C): min-cut then prefers to separate the endpoints.
 //
-// An "arc" is one direction of an undirected edge; every edge appears in
-// both endpoint rows. BuildFrom(Graph) preserves the Graph's per-vertex
-// neighbor order exactly, so iteration-order-sensitive tie-breaking behaves
-// identically on either representation (verified by tests/csr_test.cc).
+// Storage is one offsets array, one target array, one weight array —
+// neighbor scans are contiguous streams, and all storage is reusable, so a
+// warm scratch arena (graph/scratch.h) rebuilds coarse levels and subgraph
+// views without touching the allocator. An "arc" is one direction of an
+// undirected edge; every edge appears in both endpoint rows.
 //
-// CsrGraph carries what refinement needs — topology, arc weights, scalar
-// balance weights. Resource demands stay on the originating Graph: the
-// recursion sums them per index range only when emitting groups.
+// Three ways to fill one:
+//   * CsrGraphBuilder — vertices and edges in any order, for graphs built
+//     from data (container and capacity graphs, induced subgraphs, tests);
+//   * streaming BeginBuild/BeginRow/PushArc/EndBuild — rows in index order
+//     (range views in the recursion);
+//   * indexed BeginIndexedBuild/Set*/EndIndexedBuild — rows filled
+//     concurrently (parallel contraction, graph/coarsen.cc).
+// Only the builder fills demands. Coarse levels and range views leave the
+// demand column empty: the recursion sums the original graph's demands per
+// index range when it emits groups.
 #pragma once
 
 #include <cstdint>
@@ -25,10 +32,12 @@
 #include <vector>
 
 #include "common/check.h"
-#include "graph/graph.h"
+#include "common/resource.h"
 #include "obs/memory.h"
 
 namespace gl {
+
+using VertexIndex = std::int32_t;
 
 class CsrGraph {
  public:
@@ -41,7 +50,9 @@ class CsrGraph {
     w_.clear();
     balance_.clear();
     deg_.clear();
+    demand_.clear();
     total_balance_ = 0.0;
+    total_demand_ = {};
   }
 
   // Streaming build: BeginBuild, then one BeginRow per vertex in index
@@ -134,20 +145,12 @@ class CsrGraph {
     }
   }
 
-  // Snapshot of `g`, preserving its adjacency-list neighbor order.
-  void BuildFrom(const Graph& g) {
-    BeginBuild(g.num_vertices(), 2 * g.num_edges());
-    for (VertexIndex v = 0; v < g.num_vertices(); ++v) {
-      BeginRow(g.balance_weight(v));
-      for (const auto& e : g.neighbors(v)) PushArc(e.to, e.weight);
-    }
-    EndBuild();
-  }
-
   [[nodiscard]] VertexIndex num_vertices() const {
     return static_cast<VertexIndex>(balance_.size());
   }
   [[nodiscard]] std::size_t num_arcs() const { return col_.size(); }
+  // Undirected edges: every edge is two arcs and no row holds a self-loop.
+  [[nodiscard]] std::size_t num_edges() const { return col_.size() / 2; }
 
   [[nodiscard]] std::span<const VertexIndex> arcs(VertexIndex v) const {
     const auto s = Checked(v);
@@ -175,38 +178,41 @@ class CsrGraph {
   }
   [[nodiscard]] double total_balance_weight() const { return total_balance_; }
 
+  // Resource demand; only graphs from CsrGraphBuilder carry demands.
+  [[nodiscard]] const Resource& demand(VertexIndex v) const {
+    const auto s = Checked(v);
+    GOLDILOCKS_CHECK_LT(s, demand_.size());
+    return demand_[s];
+  }
+  [[nodiscard]] Resource total_demand() const { return total_demand_; }
+
   // Signed degree (sum of incident arc weights), cached at EndBuild.
   [[nodiscard]] double degree_weight(VertexIndex v) const {
     return deg_[Checked(v)];
   }
 
-  // Cut weight of a 2-way assignment; iterates arcs with to > v so each
-  // undirected edge contributes once, in the same order Graph::CutWeight
-  // visits it.
-  [[nodiscard]] double CutWeight(std::span<const std::uint8_t> side) const {
-    GOLDILOCKS_CHECK_EQ(side.size(), balance_.size());
-    double cut = 0.0;
+  // Sum of positive edge weights; the min-cut objective upper bound.
+  [[nodiscard]] double total_positive_edge_weight() const {
+    double s = 0.0;
     for (VertexIndex v = 0; v < num_vertices(); ++v) {
-      const auto to = arcs(v);
-      const auto ws = arc_weights(v);
+      const auto [to, ws] = arc_range(v);
       for (std::size_t i = 0; i < to.size(); ++i) {
-        if (to[i] > v && side[static_cast<std::size_t>(v)] !=
-                             side[static_cast<std::size_t>(to[i])]) {
-          cut += ws[i];
-        }
+        if (to[i] > v && ws[i] > 0.0) s += ws[i];
       }
     }
-    return cut;
+    return s;
   }
 
-  // Total balance weight on side 0, summed in vertex order.
-  [[nodiscard]] double SideWeight0(std::span<const std::uint8_t> side) const {
-    GOLDILOCKS_CHECK_EQ(side.size(), balance_.size());
-    double w0 = 0.0;
-    for (std::size_t v = 0; v < balance_.size(); ++v) {
-      if (side[v] == 0) w0 += balance_[v];
-    }
-    return w0;
+  // Cut weight of a 2-way assignment (side[v] in {0,1}); iterates arcs with
+  // to > v so each undirected edge contributes once, in row order.
+  [[nodiscard]] double CutWeight(std::span<const std::uint8_t> side) const {
+    return CrossingWeight(side);
+  }
+
+  // Cut weight of a k-way assignment (sum of weights of edges whose
+  // endpoints are in different groups), in the same order as CutWeight.
+  [[nodiscard]] double CutWeightKWay(std::span<const int> group) const {
+    return CrossingWeight(group);
   }
 
   // Storage identity, for arena-reuse tests: the arc array's address only
@@ -220,14 +226,33 @@ class CsrGraph {
     return obs::VectorFootprintBytes(row_) + obs::VectorFootprintBytes(col_) +
            obs::VectorFootprintBytes(w_) +
            obs::VectorFootprintBytes(balance_) +
-           obs::VectorFootprintBytes(deg_);
+           obs::VectorFootprintBytes(deg_) +
+           obs::VectorFootprintBytes(demand_);
   }
 
  private:
+  friend class CsrGraphBuilder;  // merges repeats, fills the demand column
+
   [[nodiscard]] std::size_t Checked(VertexIndex v) const {
     GOLDILOCKS_CHECK_GE(v, 0);
     GOLDILOCKS_CHECK_LT(v, num_vertices());
     return static_cast<std::size_t>(v);
+  }
+
+  template <typename Label>
+  [[nodiscard]] double CrossingWeight(std::span<const Label> label) const {
+    GOLDILOCKS_CHECK_EQ(label.size(), balance_.size());
+    double cut = 0.0;
+    for (VertexIndex v = 0; v < num_vertices(); ++v) {
+      const auto [to, ws] = arc_range(v);
+      for (std::size_t i = 0; i < to.size(); ++i) {
+        if (to[i] > v && label[static_cast<std::size_t>(v)] !=
+                             label[static_cast<std::size_t>(to[i])]) {
+          cut += ws[i];
+        }
+      }
+    }
+    return cut;
   }
 
   std::vector<std::size_t> row_;  // n+1 offsets into col_/w_ once built
@@ -235,7 +260,63 @@ class CsrGraph {
   std::vector<double> w_;
   std::vector<double> balance_;
   std::vector<double> deg_;  // per-vertex signed degree, filled by EndBuild
+  std::vector<Resource> demand_;  // per vertex, or empty (see header)
   double total_balance_ = 0.0;
+  Resource total_demand_;
 };
+
+// Edge-list builder: add vertices and edges in any order, then Build() once.
+//
+// Order contract: row v lists its neighbors in the order their edge with v
+// was *first* added, in either orientation. A repeated edge merges into that
+// first slot, its weights summed left to right in call order. Self-loops are
+// dropped. Matching and FM break ties in adjacency order, so the partition
+// (and with it cut, power and TCT) depends on this order: Build() must never
+// sort rows by target.
+class CsrGraphBuilder {
+ public:
+  // Pre-sizes the per-vertex arrays for `expected_vertices` AddVertex calls.
+  void Reserve(VertexIndex expected_vertices);
+
+  // Adds a vertex and returns its index. `balance_weight` defaults to 1
+  // (uniform vertices); callers with multi-resource demands should pass a
+  // normalized scalar (see NormalizedL1).
+  VertexIndex AddVertex(const Resource& demand,
+                        double balance_weight GL_UNITS(dimensionless) = 1.0);
+
+  // Adds an undirected edge u–v with the given weight. Parallel edges are
+  // merged (weights summed). Self-loops are ignored.
+  void AddEdge(VertexIndex u, VertexIndex v, double weight);
+
+  [[nodiscard]] VertexIndex num_vertices() const {
+    return static_cast<VertexIndex>(balance_.size());
+  }
+
+  // Buckets the arcs by row, merges repeats per the order contract and
+  // emits the CSR. Leaves the builder empty.
+  [[nodiscard]] CsrGraph Build();
+
+ private:
+  struct Edge {
+    VertexIndex u = -1;
+    VertexIndex v = -1;
+    double w = 0.0;
+  };
+
+  std::vector<Resource> demand_;
+  std::vector<double> balance_;
+  Resource total_demand_;
+  std::vector<Edge> edges_;  // call order, self-loops already dropped
+};
+
+// Induced subgraph of a builder-made graph over `vertices` (new index i is
+// vertices[i]); `old_to_new` (optional out) maps original index → new index
+// or -1. Edges are re-added in row order of `vertices`, each once from its
+// smaller original endpoint, so the result is a pure function of the input
+// order. Materializes a copy: the partitioner's recursion uses zero-copy
+// range views instead.
+[[nodiscard]] CsrGraph InducedSubgraph(
+    const CsrGraph& g, std::span<const VertexIndex> vertices,
+    std::vector<VertexIndex>* old_to_new = nullptr);
 
 }  // namespace gl

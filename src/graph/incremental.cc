@@ -25,7 +25,7 @@ struct State {
     return static_cast<int>(demand.size()) - 1;
   }
 
-  void Assign(const Graph& g, VertexIndex v, int to) {
+  void Assign(const CsrGraph& g, VertexIndex v, int to) {
     const int from = group_of[static_cast<std::size_t>(v)];
     if (from == to) return;
     if (from >= 0) {
@@ -48,18 +48,19 @@ struct State {
 // first candidate seen, so the iteration order is part of the algorithm —
 // first-touch order follows the adjacency list, which is deterministic by
 // construction.
-void AccumulateNeighborGroups(const Graph& g, const State& s, VertexIndex v,
-                              GroupAccumulator& acc) {
+void AccumulateNeighborGroups(const CsrGraph& g, const State& s,
+                              VertexIndex v, GroupAccumulator& acc) {
   acc.Reset(s.demand.size());
-  for (const auto& e : g.neighbors(v)) {
-    const int ng = s.group_of[static_cast<std::size_t>(e.to)];
-    if (ng >= 0) acc.Add(ng, e.weight);
+  const auto [to, ws] = g.arc_range(v);
+  for (std::size_t i = 0; i < to.size(); ++i) {
+    const int ng = s.group_of[static_cast<std::size_t>(to[i])];
+    if (ng >= 0) acc.Add(ng, ws[i]);
   }
 }
 
 }  // namespace
 
-IncrementalResult IncrementalRepartition(const Graph& g,
+IncrementalResult IncrementalRepartition(const CsrGraph& g,
                                          std::span<const int> previous,
                                          const FitPredicate& fits,
                                          const IncrementalOptions& opts) {
@@ -156,7 +157,7 @@ IncrementalResult IncrementalRepartition(const Graph& g,
           members.push_back(v);
         }
       }
-      const Graph sub = g.InducedSubgraph(members);
+      const CsrGraph sub = InducedSubgraph(g, members);
       PartitionOptions popts = opts.partition;
       popts.seed = rng.NextU64();
       const Bisection bis = Bisect(sub, popts);

@@ -46,7 +46,7 @@ struct IncrementalResult {
 // `previous[v]` is v's old group id, or -1 for vertices that did not exist
 // last epoch. Group ids need not be dense. The fit predicate and capacity
 // units follow RecursivePartition's semantics.
-IncrementalResult IncrementalRepartition(const Graph& g,
+IncrementalResult IncrementalRepartition(const CsrGraph& g,
                                          std::span<const int> previous,
                                          const FitPredicate& fits,
                                          const IncrementalOptions& opts);

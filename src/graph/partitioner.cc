@@ -50,7 +50,7 @@ obs::Counter& DegenerateSplitsCounter() {
 }
 
 // Zero-copy subgraph views extracted into scratch (one per recursion split);
-// the recursion path builds no Graph objects at all, which the arena test
+// the recursion path never calls InducedSubgraph, which the arena test
 // checks against graph.induced_subgraph_builds.
 obs::Counter& SubgraphViewsCounter() {
   static obs::Counter& c = obs::MetricsRegistry::Global().GetCounter(
@@ -131,7 +131,7 @@ struct BalanceBounds {
 // the eventual cut, until side 0 reaches its target weight.
 // ---------------------------------------------------------------------------
 // Reports the grown region's balance weight through `w0_out` (summed in
-// absorption order), so callers skip an O(n) SideWeight0 rescan per trial.
+// absorption order), so callers skip an O(n) rescan per trial.
 void GrowInitialPartition(const CsrGraph& g, const BalanceBounds& bounds,
                           Rng& rng, PartitionScratch& s,
                           std::vector<std::uint8_t>& side, double* w0_out) {
@@ -646,7 +646,7 @@ CsrBisection BisectCsr(const CsrGraph& g, const PartitionOptions& opts,
 
 }  // namespace
 
-Bisection Bisect(const Graph& g, const PartitionOptions& opts,
+Bisection Bisect(const CsrGraph& g, const PartitionOptions& opts,
                  double target_fraction) {
   GOLDILOCKS_CHECK(target_fraction > 0.0 && target_fraction < 1.0);
   Bisection result;
@@ -658,8 +658,6 @@ Bisection Bisect(const Graph& g, const PartitionOptions& opts,
     return result;
   }
 
-  CsrGraph csr;
-  csr.BuildFrom(g);
   PartitionScratch scratch;
   CsrBisection bis;
   if (opts.threads > 1) {
@@ -667,11 +665,10 @@ Bisection Bisect(const Graph& g, const PartitionOptions& opts,
     // theirs through instead. Identical results either way — the pool only
     // changes scheduling, never output (DESIGN.md §9).
     ThreadPool pool(opts.threads);
-    bis = BisectCsr(csr, opts, target_fraction, &pool, scratch, result.side);
+    bis = BisectCsr(g, opts, target_fraction, &pool, scratch, result.side);
     PublishPoolStats(pool.Stats());
   } else {
-    bis = BisectCsr(csr, opts, target_fraction, nullptr, scratch,
-                    result.side);
+    bis = BisectCsr(g, opts, target_fraction, nullptr, scratch, result.side);
   }
   result.cut_weight = bis.cut_weight;
   result.side_weight[0] = bis.w0;
@@ -688,8 +685,8 @@ namespace {
 // `perm` maps position → vertex id and `where` maps vertex id → position;
 // a sub-problem is a contiguous position range [lo, hi). Splitting a range
 // stable-partitions its slice of `perm` by bisection side, so a child range
-// preserves its parent's relative order — the same vertex order the old
-// InducedSubgraph chain produced. CSR views of a range are extracted into
+// preserves its parent's relative order, exactly as an induced subgraph of
+// the parent's view would number it. CSR views of a range are extracted into
 // scratch only for the bisection itself and recycled immediately.
 //
 // `where` is the one array read across range boundaries (the membership
@@ -701,8 +698,7 @@ namespace {
 // thread count (DESIGN.md §9).
 // ---------------------------------------------------------------------------
 struct RangeCtx {
-  const Graph* g = nullptr;       // demands for leaf emission
-  const CsrGraph* csr = nullptr;  // topology for everything else
+  const CsrGraph* g = nullptr;
   const PartitionOptions* opts = nullptr;
   const FitPredicate* fits = nullptr;
   const CapacityUnitsFn* units = nullptr;
@@ -721,7 +717,7 @@ struct RangeCtx {
 };
 
 // CSR view of a position range, extracted into scratch. Local id = position
-// - lo, so local order is the range's (stable) order. No Graph objects, no
+// - lo, so local order is the range's (stable) order. No demand column, no
 // per-row allocations once the arena is warm.
 void ExtractSub(const RangeCtx& ctx, std::size_t lo, std::size_t hi,
                 CsrGraph& sub) {
@@ -729,8 +725,8 @@ void ExtractSub(const RangeCtx& ctx, std::size_t lo, std::size_t hi,
   sub.BeginBuild(static_cast<VertexIndex>(hi - lo), 0);
   for (std::size_t pos = lo; pos < hi; ++pos) {
     const auto v = ctx.perm[pos];
-    sub.BeginRow(ctx.csr->balance_weight(v));
-    const auto [to, ws] = ctx.csr->arc_range(v);
+    sub.BeginRow(ctx.g->balance_weight(v));
+    const auto [to, ws] = ctx.g->arc_range(v);
     for (std::size_t i = 0; i < to.size(); ++i) {
       const auto p = static_cast<std::size_t>(ctx.PositionOf(to[i]));
       if (p >= lo && p < hi) {
@@ -758,7 +754,7 @@ bool HasNegativeInternalEdge(const RangeCtx& ctx, std::size_t lo,
                              std::size_t hi) {
   for (std::size_t pos = lo; pos < hi; ++pos) {
     const auto v = ctx.perm[pos];
-    const auto [to, ws] = ctx.csr->arc_range(v);
+    const auto [to, ws] = ctx.g->arc_range(v);
     for (std::size_t i = 0; i < to.size(); ++i) {
       if (ws[i] >= 0.0) continue;
       const auto p = static_cast<std::size_t>(ctx.PositionOf(to[i]));
@@ -882,7 +878,7 @@ void FitRecurse(RangeCtx& ctx, std::size_t lo, std::size_t hi,
 RecursivePartitionResult RecursivePartitionParallel(
     RangeCtx& ctx, const Resource& root_demand,
     RecursivePartitionResult out) {
-  const auto n = static_cast<std::size_t>(ctx.csr->num_vertices());
+  const auto n = static_cast<std::size_t>(ctx.g->num_vertices());
   obs::TraceSpan span("partition.parallel", static_cast<std::int64_t>(n));
   const PartitionOptions& opts = *ctx.opts;
   struct ExpandNode {
@@ -1072,10 +1068,9 @@ RecursivePartitionResult RecursivePartitionParallel(
   return out;
 }
 
-void InitRangeCtx(RangeCtx& ctx, const Graph& g, const CsrGraph& csr,
+void InitRangeCtx(RangeCtx& ctx, const CsrGraph& g,
                   const PartitionOptions& opts) {
   ctx.g = &g;
-  ctx.csr = &csr;
   ctx.opts = &opts;
   const auto n = static_cast<std::size_t>(g.num_vertices());
   ctx.perm.resize(n);
@@ -1126,15 +1121,14 @@ void KWayRecurse(RangeCtx& ctx, std::size_t lo, std::size_t hi, int k,
 
 }  // namespace
 
-KWayResult KWayPartition(const Graph& g, int k, const PartitionOptions& opts) {
+KWayResult KWayPartition(const CsrGraph& g, int k,
+                         const PartitionOptions& opts) {
   GOLDILOCKS_CHECK_GE(k, 1);
   KWayResult out;
   out.num_groups = k;
   out.group_of.assign(static_cast<std::size_t>(g.num_vertices()), 0);
-  CsrGraph csr;
-  csr.BuildFrom(g);
   RangeCtx ctx;
-  InitRangeCtx(ctx, g, csr, opts);
+  InitRangeCtx(ctx, g, opts);
   PartitionScratch scratch;
   KWayRecurse(ctx, 0, static_cast<std::size_t>(g.num_vertices()), k, 0,
               opts.seed, scratch, out);
@@ -1145,14 +1139,11 @@ KWayResult KWayPartition(const Graph& g, int k, const PartitionOptions& opts) {
   return out;
 }
 
-double RefineKWay(const Graph& g, std::vector<int>& group_of, int k,
+double RefineKWay(const CsrGraph& g, std::vector<int>& group_of, int k,
                   const PartitionOptions& opts) {
   GOLDILOCKS_CHECK(group_of.size() ==
                    static_cast<std::size_t>(g.num_vertices()));
   if (k <= 1 || g.num_vertices() == 0) return 0.0;
-
-  CsrGraph csr;
-  csr.BuildFrom(g);
 
   // Balance bookkeeping: each group may carry up to (1 + tol) of its
   // proportional share, and no move may empty a group.
@@ -1161,16 +1152,16 @@ double RefineKWay(const Graph& g, std::vector<int>& group_of, int k,
   for (VertexIndex v = 0; v < g.num_vertices(); ++v) {
     const int gid = group_of[static_cast<std::size_t>(v)];
     GOLDILOCKS_CHECK(gid >= 0 && gid < k);
-    weight[static_cast<std::size_t>(gid)] += csr.balance_weight(v);
+    weight[static_cast<std::size_t>(gid)] += g.balance_weight(v);
     ++count[static_cast<std::size_t>(gid)];
   }
   double max_bw = 0.0;
   for (VertexIndex v = 0; v < g.num_vertices(); ++v) {
-    max_bw = std::max(max_bw, csr.balance_weight(v));
+    max_bw = std::max(max_bw, g.balance_weight(v));
   }
   // One-vertex slack on top of the tolerance: without it, greedy single
   // moves can never perform the two-step swaps FM achieves via rollback.
-  const double cap = csr.total_balance_weight() / k *
+  const double cap = g.total_balance_weight() / k *
                          (1.0 + opts.balance_tolerance) +
                      max_bw;
 
@@ -1191,7 +1182,7 @@ double RefineKWay(const Graph& g, std::vector<int>& group_of, int k,
       const int own = group_of[static_cast<std::size_t>(v)];
       if (count[static_cast<std::size_t>(own)] <= 1) continue;
       attach.Reset(static_cast<std::size_t>(k));
-      const auto [to, ws] = csr.arc_range(v);
+      const auto [to, ws] = g.arc_range(v);
       for (std::size_t i = 0; i < to.size(); ++i) {
         attach.Add(group_of[static_cast<std::size_t>(to[i])], ws[i]);
       }
@@ -1202,7 +1193,7 @@ double RefineKWay(const Graph& g, std::vector<int>& group_of, int k,
         if (ng == own) continue;
         const double gain = attach.Get(ng) - own_w;
         if (gain > best_gain &&
-            weight[static_cast<std::size_t>(ng)] + csr.balance_weight(v) <=
+            weight[static_cast<std::size_t>(ng)] + g.balance_weight(v) <=
                 cap) {
           best = ng;
           best_gain = gain;
@@ -1210,8 +1201,8 @@ double RefineKWay(const Graph& g, std::vector<int>& group_of, int k,
       }
       if (best >= 0) {
         group_of[static_cast<std::size_t>(v)] = best;
-        weight[static_cast<std::size_t>(own)] -= csr.balance_weight(v);
-        weight[static_cast<std::size_t>(best)] += csr.balance_weight(v);
+        weight[static_cast<std::size_t>(own)] -= g.balance_weight(v);
+        weight[static_cast<std::size_t>(best)] += g.balance_weight(v);
         --count[static_cast<std::size_t>(own)];
         ++count[static_cast<std::size_t>(best)];
         improvement += best_gain;
@@ -1223,7 +1214,7 @@ double RefineKWay(const Graph& g, std::vector<int>& group_of, int k,
   return improvement;
 }
 
-RecursivePartitionResult RecursivePartition(const Graph& g,
+RecursivePartitionResult RecursivePartition(const CsrGraph& g,
                                             const FitPredicate& fits,
                                             const PartitionOptions& opts,
                                             const CapacityUnitsFn& units) {
@@ -1234,10 +1225,8 @@ RecursivePartitionResult RecursivePartition(const Graph& g,
   out.group_of.assign(n, -1);
   if (n == 0) return out;
 
-  CsrGraph csr;
-  csr.BuildFrom(g);
   RangeCtx ctx;
-  InitRangeCtx(ctx, g, csr, opts);
+  InitRangeCtx(ctx, g, opts);
   ctx.fits = &fits;
   ctx.units = &units;
 

@@ -9,8 +9,9 @@
 //   * Bisect            — one balanced 2-way split (the paper's building
 //                         block, Fig. 6).
 //   * KWayPartition     — k balanced groups via recursive bisection with
-//                         proportional targets (used for fault domains and
-//                         the Fig. 7 visualisations).
+//                         proportional targets (the Fig. 7 visualisations
+//                         and the partitioner scale bench; no placement
+//                         path calls it).
 //   * RecursivePartition— the paper's Sec. III-B loop: keep bisecting until
 //                         every group's aggregate Resource demand satisfies a
 //                         caller-provided fit predicate (e.g. "fits in one
@@ -27,7 +28,7 @@
 #include <string>
 #include <vector>
 
-#include "graph/graph.h"
+#include "graph/csr.h"
 
 namespace gl {
 
@@ -75,7 +76,7 @@ struct Bisection {
 // Balanced 2-way partition. `target_fraction` is the share of the total
 // balance weight that side 0 should receive (0.5 for an even split; other
 // values drive non-power-of-two k-way splits).
-Bisection Bisect(const Graph& g, const PartitionOptions& opts,
+Bisection Bisect(const CsrGraph& g, const PartitionOptions& opts,
                  double target_fraction = 0.5);
 
 struct KWayResult {
@@ -88,12 +89,13 @@ struct KWayResult {
 // when `opts.kway_refine_passes > 0`, a direct k-way boundary refinement
 // (greedy best-gain moves across any group pair — the kMETIS idea) that
 // repairs the cuts recursive bisection cannot see across its sub-problems.
-KWayResult KWayPartition(const Graph& g, int k, const PartitionOptions& opts);
+KWayResult KWayPartition(const CsrGraph& g, int k,
+                         const PartitionOptions& opts);
 
 // Direct k-way refinement: improves `group_of` in place by moving boundary
 // vertices to the neighbouring group with the highest positive cut gain,
 // subject to the balance tolerance. Returns the cut improvement (≥ 0).
-double RefineKWay(const Graph& g, std::vector<int>& group_of, int k,
+double RefineKWay(const CsrGraph& g, std::vector<int>& group_of, int k,
                   const PartitionOptions& opts);
 
 // Predicate deciding whether a container group with the given aggregate
@@ -124,7 +126,7 @@ struct RecursivePartitionResult {
 using CapacityUnitsFn = std::function<double(const Resource& demand)>;
 
 RecursivePartitionResult RecursivePartition(
-    const Graph& g, const FitPredicate& fits, const PartitionOptions& opts,
+    const CsrGraph& g, const FitPredicate& fits, const PartitionOptions& opts,
     const CapacityUnitsFn& units = nullptr);
 
 // Groups ordered by recursion path; adjacent entries are locality siblings.

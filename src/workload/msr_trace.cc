@@ -92,8 +92,9 @@ MsrTrace GenerateMsrSearchTrace(const MsrTraceOptions& opts, Rng& rng) {
   }
 
   // --- edges ------------------------------------------------------------------
-  // Pair stubs; Graph-level dedup happens later (AddEdge merges), here we
-  // merge duplicates ourselves so the edge count is honest.
+  // Pair stubs and drop duplicate pairs here, so the workload's edge count
+  // is the number of distinct communicating pairs. (The graph builder would
+  // merge repeats too, but only after the edge list was already counted.)
   std::vector<std::pair<int, int>> pairs;
   for (std::size_t i = 0; i + 1 < stubs.size(); i += 2) {
     int a = stubs[i], b = stubs[i + 1];

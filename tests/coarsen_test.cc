@@ -13,7 +13,6 @@
 #include "common/thread_pool.h"
 #include "graph/coarsen.h"
 #include "graph/csr.h"
-#include "graph/graph.h"
 #include "graph/scratch.h"
 
 namespace gl {
@@ -25,30 +24,24 @@ namespace {
 // covers separately.
 CsrGraph RandomCsr(int n, std::uint64_t seed) {
   Rng rng(seed);
-  Graph g;
+  CsrGraphBuilder builder;
   for (int i = 0; i < n; ++i) {
-    g.AddVertex(Resource{.cpu = 10, .mem_gb = 1, .net_mbps = 1},
-                1.0 + static_cast<double>(rng.NextBelow(3)));
+    builder.AddVertex(Resource{.cpu = 10, .mem_gb = 1, .net_mbps = 1},
+                      1.0 + static_cast<double>(rng.NextBelow(3)));
   }
   for (int s = 0; s + 4 <= n; s += 4) {
     for (int i = 1; i < 4; ++i) {
-      g.AddEdge(s, s + i, static_cast<double>(1 + rng.NextBelow(9)));
+      builder.AddEdge(s, s + i, static_cast<double>(1 + rng.NextBelow(9)));
     }
   }
   for (int e = 0; e < n; ++e) {
     const auto a = static_cast<VertexIndex>(rng.NextBelow(n));
     const auto b = static_cast<VertexIndex>(rng.NextBelow(n));
-    if (a != b) g.AddEdge(a, b, static_cast<double>(1 + rng.NextBelow(5)));
+    if (a != b) {
+      builder.AddEdge(a, b, static_cast<double>(1 + rng.NextBelow(5)));
+    }
   }
-  CsrGraph csr;
-  csr.BuildFrom(g);
-  return csr;
-}
-
-CsrGraph FromGraph(const Graph& g) {
-  CsrGraph csr;
-  csr.BuildFrom(g);
-  return csr;
+  return builder.Build();
 }
 
 // Runs matching + contraction with a fresh Rng(seed) on `threads` workers
@@ -198,13 +191,13 @@ TEST(CoarsenTest, DifferentSeedsDecorrelateTheMatching) {
 TEST(CoarsenTest, StarCollapsesToOneCoarseVertexViaAbsorption) {
   // Hub + 16 leaves: pairwise matching strands 15 leaves; absorption must
   // fold them all into the hub's cluster in this single level.
-  Graph g;
+  CsrGraphBuilder builder;
   constexpr int kLeaves = 16;
   for (int i = 0; i <= kLeaves; ++i) {
-    g.AddVertex(Resource{.cpu = 1, .mem_gb = 1, .net_mbps = 1}, 1.0);
+    builder.AddVertex(Resource{.cpu = 1, .mem_gb = 1, .net_mbps = 1}, 1.0);
   }
-  for (int leaf = 1; leaf <= kLeaves; ++leaf) g.AddEdge(0, leaf, 10.0);
-  const CsrGraph csr = FromGraph(g);
+  for (int leaf = 1; leaf <= kLeaves; ++leaf) builder.AddEdge(0, leaf, 10.0);
+  const CsrGraph csr = builder.Build();
   for (const int threads : {1, 8}) {
     const CoarsenRun run = RunCoarsen(csr, threads, 7);
     CheckMatchingInvariants(csr, run);
@@ -217,15 +210,15 @@ TEST(CoarsenTest, StarCollapsesToOneCoarseVertexViaAbsorption) {
 }
 
 TEST(CoarsenTest, PathMatchesOnlyAdjacentPairs) {
-  Graph g;
+  CsrGraphBuilder builder;
   constexpr int kN = 33;  // odd: at least one singleton/absorbee
   for (int i = 0; i < kN; ++i) {
-    g.AddVertex(Resource{.cpu = 1, .mem_gb = 1, .net_mbps = 1}, 1.0);
+    builder.AddVertex(Resource{.cpu = 1, .mem_gb = 1, .net_mbps = 1}, 1.0);
   }
   for (int i = 0; i + 1 < kN; ++i) {
-    g.AddEdge(i, i + 1, static_cast<double>(1 + (i % 3)));
+    builder.AddEdge(i, i + 1, static_cast<double>(1 + (i % 3)));
   }
-  const CsrGraph csr = FromGraph(g);
+  const CsrGraph csr = builder.Build();
   const CoarsenRun run = RunCoarsen(csr, 1, 11);
   CheckMatchingInvariants(csr, run);
   CheckContractionFaithful(csr, run);
@@ -242,14 +235,14 @@ TEST(CoarsenTest, PathMatchesOnlyAdjacentPairs) {
 
 TEST(CoarsenTest, CliquesMatchPerfectlyEvenAndAbsorbTheOddVertex) {
   for (const int kN : {8, 7}) {
-    Graph g;
+    CsrGraphBuilder builder;
     for (int i = 0; i < kN; ++i) {
-      g.AddVertex(Resource{.cpu = 1, .mem_gb = 1, .net_mbps = 1}, 1.0);
+      builder.AddVertex(Resource{.cpu = 1, .mem_gb = 1, .net_mbps = 1}, 1.0);
     }
     for (int a = 0; a < kN; ++a) {
-      for (int b = a + 1; b < kN; ++b) g.AddEdge(a, b, 5.0);
+      for (int b = a + 1; b < kN; ++b) builder.AddEdge(a, b, 5.0);
     }
-    const CsrGraph csr = FromGraph(g);
+    const CsrGraph csr = builder.Build();
     const CoarsenRun run = RunCoarsen(csr, 1, 3);
     CheckMatchingInvariants(csr, run);
     CheckContractionFaithful(csr, run);
@@ -263,14 +256,14 @@ TEST(CoarsenTest, CliquesMatchPerfectlyEvenAndAbsorbTheOddVertex) {
 TEST(CoarsenTest, MatchingSkipsNegativeEdges) {
   // Two anti-affine replicas bridged by negative weight: they must never
   // merge, even though the negative edge is their heaviest in magnitude.
-  Graph g;
+  CsrGraphBuilder builder;
   for (int i = 0; i < 4; ++i) {
-    g.AddVertex(Resource{.cpu = 1, .mem_gb = 1, .net_mbps = 1}, 1.0);
+    builder.AddVertex(Resource{.cpu = 1, .mem_gb = 1, .net_mbps = 1}, 1.0);
   }
-  g.AddEdge(0, 1, -100.0);  // replicas
-  g.AddEdge(0, 2, 1.0);
-  g.AddEdge(1, 3, 1.0);
-  const CsrGraph csr = FromGraph(g);
+  builder.AddEdge(0, 1, -100.0);  // replicas
+  builder.AddEdge(0, 2, 1.0);
+  builder.AddEdge(1, 3, 1.0);
+  const CsrGraph csr = builder.Build();
   const CoarsenRun run = RunCoarsen(csr, 1, 17);
   CheckMatchingInvariants(csr, run);
   CheckContractionFaithful(csr, run);

@@ -1,16 +1,17 @@
-// Tests for the flat CSR partitioning kernel (DESIGN.md §11): CsrGraph
-// equivalence against Graph, arena storage reuse, the lazy-deletion heap,
-// the FM incremental-gain engine, and the zero-copy recursion contract
-// (no InducedSubgraph materialization on the partitioning path).
+// Tests for the CSR graph (DESIGN.md §11): the edge-list builder's order
+// contract against a naive adjacency-list reference, graph accounting and
+// induced subgraphs, arena storage reuse, the lazy-deletion heap, the FM
+// incremental-gain engine, and the zero-copy recursion contract (no
+// InducedSubgraph materialization on the partitioning path).
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
 #include "graph/csr.h"
 #include "graph/fm.h"
-#include "graph/graph.h"
 #include "graph/partitioner.h"
 #include "graph/scratch.h"
 #include "obs/metrics.h"
@@ -21,9 +22,9 @@ namespace {
 // Random graph with clusters, sparse inter-cluster edges, and a sprinkle of
 // negative (anti-affinity) edges. Integer weights so FM's delta updates are
 // exact and the equivalence checks below can use exact comparisons.
-Graph RandomGraph(int n, std::uint64_t seed, bool with_negative) {
+CsrGraph RandomGraph(int n, std::uint64_t seed, bool with_negative) {
   Rng rng(seed);
-  Graph g;
+  CsrGraphBuilder g;
   for (int i = 0; i < n; ++i) {
     g.AddVertex(Resource{.cpu = 10, .mem_gb = 1, .net_mbps = 1},
                 1.0 + static_cast<double>(rng.NextBelow(3)));
@@ -41,7 +42,7 @@ Graph RandomGraph(int n, std::uint64_t seed, bool with_negative) {
     if (with_negative && rng.NextBelow(4) == 0) w = -w;
     g.AddEdge(a, b, w);
   }
-  return g;
+  return g.Build();
 }
 
 std::vector<std::uint8_t> RandomSide(VertexIndex n, std::uint64_t seed) {
@@ -51,60 +52,241 @@ std::vector<std::uint8_t> RandomSide(VertexIndex n, std::uint64_t seed) {
   return side;
 }
 
-// --- CsrGraph vs Graph equivalence ----------------------------------------
+// --- Builder order contract --------------------------------------------------
 
-TEST(CsrGraphTest, BuildFromMatchesGraphExactly) {
-  for (const bool with_negative : {false, true}) {
-    for (std::uint64_t seed = 1; seed <= 5; ++seed) {
-      const Graph g = RandomGraph(64, seed, with_negative);
-      CsrGraph csr;
-      csr.BuildFrom(g);
+// Naive adjacency-list reference for CsrGraphBuilder's contract: a neighbor
+// is appended on its first edge with the vertex, in either orientation, and
+// repeats add into that first slot in call order. Self-loops are dropped.
+struct NaiveAdjacency {
+  std::vector<std::vector<std::pair<VertexIndex, double>>> adj;
+  std::size_t edges = 0;
 
-      ASSERT_EQ(csr.num_vertices(), g.num_vertices());
-      ASSERT_EQ(csr.num_arcs(), 2 * g.num_edges());
-      EXPECT_DOUBLE_EQ(csr.total_balance_weight(), g.total_balance_weight());
-
-      for (VertexIndex v = 0; v < g.num_vertices(); ++v) {
-        EXPECT_DOUBLE_EQ(csr.balance_weight(v), g.balance_weight(v));
-        EXPECT_DOUBLE_EQ(csr.degree_weight(v), g.degree_weight(v));
-        // Neighbor order must match the Graph adjacency list exactly:
-        // tie-breaking in matching and refinement follows iteration order.
-        const auto nbrs = g.neighbors(v);
-        const auto [to, ws] = csr.arc_range(v);
-        ASSERT_EQ(to.size(), nbrs.size());
-        for (std::size_t i = 0; i < nbrs.size(); ++i) {
-          EXPECT_EQ(to[i], nbrs[i].to);
-          EXPECT_DOUBLE_EQ(ws[i], nbrs[i].weight);
-        }
+  void AddEdge(VertexIndex u, VertexIndex v, double w) {
+    if (u == v) return;
+    auto& row_u = adj[static_cast<std::size_t>(u)];
+    auto& row_v = adj[static_cast<std::size_t>(v)];
+    for (auto& [to, sum] : row_u) {
+      if (to != v) continue;
+      sum += w;
+      for (auto& [back, back_sum] : row_v) {
+        if (back == u) back_sum += w;
       }
+      return;
+    }
+    row_u.emplace_back(v, w);
+    row_v.emplace_back(u, w);
+    ++edges;
+  }
+};
 
-      const auto side = RandomSide(g.num_vertices(), seed ^ 0xABCD);
-      EXPECT_DOUBLE_EQ(csr.CutWeight(side), g.CutWeight(side));
-      double w0 = 0.0;
-      for (VertexIndex v = 0; v < g.num_vertices(); ++v) {
-        if (side[static_cast<std::size_t>(v)] == 0) w0 += g.balance_weight(v);
+TEST(CsrGraphTest, BuilderMatchesNaiveAdjacencyReference) {
+  constexpr int kN = 32;
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    Rng rng(seed);
+    CsrGraphBuilder builder;
+    NaiveAdjacency ref;
+    ref.adj.resize(kN);
+    for (int i = 0; i < kN; ++i) builder.AddVertex({}, 1.0);
+    // Targets within ±4 of the source: pairs recur many times in both
+    // orientations, offset 0 is a self-loop, and signed non-integer weights
+    // make every merged sum depend on its summation order.
+    for (int e = 0; e < 8 * kN; ++e) {
+      const auto a = static_cast<VertexIndex>(rng.NextBelow(kN));
+      const auto b = static_cast<VertexIndex>(
+          (static_cast<std::uint64_t>(a) + kN - 4 + rng.NextBelow(9)) % kN);
+      const double w = rng.Uniform(-5.0, 10.0);
+      builder.AddEdge(a, b, w);
+      ref.AddEdge(a, b, w);
+    }
+    const CsrGraph g = builder.Build();
+
+    ASSERT_EQ(g.num_vertices(), kN);
+    ASSERT_EQ(g.num_edges(), ref.edges);
+    ASSERT_EQ(g.num_arcs(), 2 * ref.edges);
+    for (VertexIndex v = 0; v < kN; ++v) {
+      const auto& want = ref.adj[static_cast<std::size_t>(v)];
+      // Exact neighbor order and bit-equal weights: tie-breaking in
+      // matching and refinement follows row order.
+      const auto [to, ws] = g.arc_range(v);
+      ASSERT_EQ(to.size(), want.size()) << "v=" << v;
+      double degree = 0.0;
+      for (std::size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(to[i], want[i].first) << "v=" << v << " i=" << i;
+        EXPECT_EQ(ws[i], want[i].second) << "v=" << v << " i=" << i;
+        degree += want[i].second;
       }
-      EXPECT_DOUBLE_EQ(csr.SideWeight0(side), w0);
+      EXPECT_EQ(g.degree_weight(v), degree) << "v=" << v;
     }
   }
 }
 
+// Streams `g` into `out` through BeginBuild/BeginRow/PushArc/EndBuild.
+void StreamCopy(const CsrGraph& g, CsrGraph& out) {
+  out.BeginBuild(g.num_vertices(), g.num_arcs());
+  for (VertexIndex v = 0; v < g.num_vertices(); ++v) {
+    out.BeginRow(g.balance_weight(v));
+    const auto [to, ws] = g.arc_range(v);
+    for (std::size_t i = 0; i < to.size(); ++i) out.PushArc(to[i], ws[i]);
+  }
+  out.EndBuild();
+}
+
 TEST(CsrGraphTest, ArenaReuseKeepsStorageAndResults) {
-  const Graph g = RandomGraph(128, 7, true);
+  const CsrGraph g = RandomGraph(128, 7, true);
   CsrGraph csr;
-  csr.BuildFrom(g);
+  StreamCopy(g, csr);
   const auto side = RandomSide(g.num_vertices(), 99);
   const double first_cut = csr.CutWeight(side);
+  EXPECT_DOUBLE_EQ(first_cut, g.CutWeight(side));
   const VertexIndex* storage = csr.arc_data();
 
   // Clear + rebuild of an equal-or-smaller graph must reuse the arc array
   // (no allocation) and reproduce bit-identical results.
   for (int round = 0; round < 3; ++round) {
     csr.Clear();
-    csr.BuildFrom(g);
+    StreamCopy(g, csr);
     EXPECT_EQ(csr.arc_data(), storage);
     EXPECT_DOUBLE_EQ(csr.CutWeight(side), first_cut);
   }
+}
+
+TEST(CsrGraphTest, InducedSubgraphRowOrder) {
+  CsrGraphBuilder builder;
+  for (int i = 0; i < 5; ++i) {
+    builder.AddVertex(Resource{.cpu = 10.0 * (i + 1), .mem_gb = 1,
+                               .net_mbps = 1},
+                      1.0 + i);
+  }
+  // Row 0 = [4, 2, 3, 1], row 2 = [0, 3], row 3 = [0, 2].
+  builder.AddEdge(0, 4, 1.0);
+  builder.AddEdge(2, 0, 2.0);
+  builder.AddEdge(3, 0, 3.0);
+  builder.AddEdge(2, 3, 4.0);
+  builder.AddEdge(0, 1, 5.0);
+  const CsrGraph g = builder.Build();
+
+  // New ids follow the given order: 3 → 0, 0 → 1, 2 → 2. Edges are re-added
+  // walking the new rows in that order, each from its smaller original
+  // endpoint: 0–2 (w 2) and 0–3 (w 3) from row 0, then 2–3 (w 4) from row 2.
+  const std::vector<VertexIndex> keep{3, 0, 2};
+  std::vector<VertexIndex> map;
+  const CsrGraph sub = InducedSubgraph(g, keep, &map);
+  EXPECT_EQ(map, (std::vector<VertexIndex>{1, -1, 2, 0, -1}));
+  ASSERT_EQ(sub.num_vertices(), 3);
+  EXPECT_EQ(sub.num_edges(), 3u);
+  EXPECT_DOUBLE_EQ(sub.demand(0).cpu, 40.0);
+  EXPECT_DOUBLE_EQ(sub.balance_weight(0), 4.0);
+  const auto row = [&](VertexIndex v) {
+    const auto [to, ws] = sub.arc_range(v);
+    std::vector<std::pair<VertexIndex, double>> r;
+    for (std::size_t i = 0; i < to.size(); ++i) r.emplace_back(to[i], ws[i]);
+    return r;
+  };
+  using Row = std::vector<std::pair<VertexIndex, double>>;
+  EXPECT_EQ(row(0), (Row{{1, 3.0}, {2, 4.0}}));
+  EXPECT_EQ(row(1), (Row{{2, 2.0}, {0, 3.0}}));
+  EXPECT_EQ(row(2), (Row{{1, 2.0}, {0, 4.0}}));
+}
+
+// --- Graph accounting ----------------------------------------------------------
+
+CsrGraph TriangleWithTail() {
+  // 0-1-2 triangle (weights 1,2,3) with a tail 2-3 (weight 0.5).
+  CsrGraphBuilder g;
+  for (int i = 0; i < 4; ++i) {
+    g.AddVertex(Resource{.cpu = 10.0 * (i + 1), .mem_gb = 1, .net_mbps = 5},
+                1.0);
+  }
+  g.AddEdge(0, 1, 1.0);
+  g.AddEdge(1, 2, 2.0);
+  g.AddEdge(0, 2, 3.0);
+  g.AddEdge(2, 3, 0.5);
+  return g.Build();
+}
+
+TEST(GraphTest, VertexAccounting) {
+  const CsrGraph g = TriangleWithTail();
+  EXPECT_EQ(g.num_vertices(), 4);
+  EXPECT_EQ(g.num_edges(), 4u);
+  EXPECT_DOUBLE_EQ(g.total_demand().cpu, 100.0);
+  EXPECT_DOUBLE_EQ(g.total_balance_weight(), 4.0);
+  EXPECT_DOUBLE_EQ(g.demand(2).cpu, 30.0);
+}
+
+TEST(GraphTest, NeighborsAndDegree) {
+  const CsrGraph g = TriangleWithTail();
+  EXPECT_EQ(g.arcs(2).size(), 3u);
+  EXPECT_DOUBLE_EQ(g.degree_weight(2), 5.5);
+  EXPECT_DOUBLE_EQ(g.degree_weight(3), 0.5);
+}
+
+TEST(GraphTest, ParallelEdgesMerge) {
+  CsrGraphBuilder builder;
+  builder.AddVertex({}, 1.0);
+  builder.AddVertex({}, 1.0);
+  builder.AddEdge(0, 1, 1.0);
+  builder.AddEdge(0, 1, 2.5);
+  const CsrGraph g = builder.Build();
+  EXPECT_EQ(g.num_edges(), 1u);
+  EXPECT_DOUBLE_EQ(g.arc_weights(0)[0], 3.5);
+  EXPECT_DOUBLE_EQ(g.arc_weights(1)[0], 3.5);
+}
+
+TEST(GraphTest, SelfLoopsIgnored) {
+  CsrGraphBuilder builder;
+  builder.AddVertex({}, 1.0);
+  builder.AddEdge(0, 0, 5.0);
+  const CsrGraph g = builder.Build();
+  EXPECT_EQ(g.num_edges(), 0u);
+  EXPECT_TRUE(g.arcs(0).empty());
+}
+
+TEST(GraphTest, TotalPositiveEdgeWeightSkipsNegative) {
+  CsrGraphBuilder builder;
+  for (int i = 0; i < 3; ++i) builder.AddVertex({}, 1.0);
+  builder.AddEdge(0, 1, 4.0);
+  builder.AddEdge(1, 2, -100.0);
+  EXPECT_DOUBLE_EQ(builder.Build().total_positive_edge_weight(), 4.0);
+}
+
+TEST(GraphTest, CutWeightTwoWay) {
+  const CsrGraph g = TriangleWithTail();
+  // Cut {0,1} vs {2,3}: edges 1-2 (2) and 0-2 (3) cross → 5.
+  std::vector<std::uint8_t> side{0, 0, 1, 1};
+  EXPECT_DOUBLE_EQ(g.CutWeight(side), 5.0);
+}
+
+TEST(GraphTest, CutWeightKWay) {
+  const CsrGraph g = TriangleWithTail();
+  std::vector<int> group{0, 1, 2, 2};
+  // Crossing: 0-1 (1), 1-2 (2), 0-2 (3) → 6; 2-3 internal.
+  EXPECT_DOUBLE_EQ(g.CutWeightKWay(group), 6.0);
+}
+
+TEST(GraphTest, InducedSubgraph) {
+  const CsrGraph g = TriangleWithTail();
+  std::vector<VertexIndex> keep{0, 1, 2};
+  std::vector<VertexIndex> map;
+  const CsrGraph sub = InducedSubgraph(g, keep, &map);
+  EXPECT_EQ(sub.num_vertices(), 3);
+  EXPECT_EQ(sub.num_edges(), 3u);  // triangle preserved, tail dropped
+  EXPECT_EQ(map[3], -1);
+  EXPECT_DOUBLE_EQ(sub.total_demand().cpu, 60.0);
+}
+
+TEST(GraphTest, InducedSubgraphPreservesWeights) {
+  const CsrGraph g = TriangleWithTail();
+  std::vector<VertexIndex> keep{0, 2};
+  const CsrGraph sub = InducedSubgraph(g, keep);
+  ASSERT_EQ(sub.num_edges(), 1u);
+  EXPECT_DOUBLE_EQ(sub.arc_weights(0)[0], 3.0);
+}
+
+TEST(GraphTest, EmptyGraph) {
+  const CsrGraph g = CsrGraphBuilder().Build();
+  EXPECT_EQ(g.num_vertices(), 0);
+  EXPECT_EQ(g.num_edges(), 0u);
+  EXPECT_DOUBLE_EQ(g.total_positive_edge_weight(), 0.0);
 }
 
 // --- LazyMaxHeap -----------------------------------------------------------
@@ -154,9 +336,7 @@ TEST(LazyMaxHeapTest, InvalidateRemovesAndResetReuses) {
 // --- FmEngine: incremental gains -------------------------------------------
 
 TEST(FmEngineTest, DeltaGainsMatchFullRecompute) {
-  const Graph g = RandomGraph(48, 11, true);
-  CsrGraph csr;
-  csr.BuildFrom(g);
+  const CsrGraph csr = RandomGraph(48, 11, true);
   auto side = RandomSide(csr.num_vertices(), 3);
   std::vector<double> gain;
   FmEngine engine;
@@ -177,9 +357,7 @@ TEST(FmEngineTest, DeltaGainsMatchFullRecompute) {
 }
 
 TEST(FmEngineTest, ReverseFlipsRollBackToInitialState) {
-  const Graph g = RandomGraph(48, 23, true);
-  CsrGraph csr;
-  csr.BuildFrom(g);
+  const CsrGraph csr = RandomGraph(48, 23, true);
   auto side = RandomSide(csr.num_vertices(), 5);
   const auto side0 = side;
   std::vector<double> gain;
@@ -208,9 +386,7 @@ TEST(FmEngineTest, ReverseFlipsRollBackToInitialState) {
 
 TEST(FmEngineTest, InitialCutMatchesCutWeight) {
   for (std::uint64_t seed = 31; seed <= 35; ++seed) {
-    const Graph g = RandomGraph(64, seed, true);
-    CsrGraph csr;
-    csr.BuildFrom(g);
+    const CsrGraph csr = RandomGraph(64, seed, true);
     auto side = RandomSide(csr.num_vertices(), seed);
     std::vector<double> gain;
     FmEngine engine;
@@ -278,7 +454,7 @@ TEST(CsrRecursionTest, RecursivePartitionBuildsNoInducedSubgraphs) {
   auto& views = obs::MetricsRegistry::Global().GetCounter(
       "partition.subgraph_views", obs::MetricKind::kDeterministic);
 
-  const Graph g = RandomGraph(400, 41, true);
+  const CsrGraph g = RandomGraph(400, 41, true);
   const Resource ceiling{.cpu = 100, .mem_gb = 10, .net_mbps = 10};
   const auto builds_before = builds.value();
   const auto views_before = views.value();
@@ -287,7 +463,7 @@ TEST(CsrRecursionTest, RecursivePartitionBuildsNoInducedSubgraphs) {
   EXPECT_GT(r.num_groups, 1);
 
   // The recursion must run entirely on zero-copy CSR views: many views
-  // extracted, zero Graph copies materialized.
+  // extracted, zero induced subgraphs materialized.
   EXPECT_EQ(builds.value() - builds_before, 0u);
   EXPECT_GT(views.value() - views_before, 0u);
 }

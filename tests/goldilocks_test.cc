@@ -61,9 +61,7 @@ TEST(GraphBuilder, EdgeWeightsAreFlowCounts) {
                                       kCap);
   double max_w = 0.0;
   for (VertexIndex v = 0; v < cg.graph.num_vertices(); ++v) {
-    for (const auto& e : cg.graph.neighbors(v)) {
-      max_w = std::max(max_w, e.weight);
-    }
+    for (const double w : cg.graph.arc_weights(v)) max_w = std::max(max_w, w);
   }
   EXPECT_DOUBLE_EQ(max_w, 4944.0);
 }
@@ -82,19 +80,19 @@ TEST(GraphBuilder, ReplicaAntiAffinityEdges) {
   const auto cg = BuildContainerGraph(w, demands, active, kCap);
   // A negative clique over the 3 replicas.
   EXPECT_EQ(cg.graph.num_edges(), 3u);
-  for (const auto& e : cg.graph.neighbors(0)) EXPECT_LT(e.weight, 0.0);
+  for (const double w : cg.graph.arc_weights(0)) EXPECT_LT(w, 0.0);
 }
 
 TEST(GraphBuilder, CapacityGraphShape) {
   const Topology topo = Topology::FatTree(4, kCap, 1000.0);
-  const Graph g = BuildCapacityGraph(topo);
+  const CsrGraph g = BuildCapacityGraph(topo);
   EXPECT_EQ(g.num_vertices(), 16);
   EXPECT_EQ(g.num_edges(), 16u * 15u / 2u);
   // Same-rack pairs have the shortest edges.
   bool found2 = false, found6 = false;
-  for (const auto& e : g.neighbors(0)) {
-    if (e.weight == 2.0) found2 = true;
-    if (e.weight == 6.0) found6 = true;
+  for (const double w : g.arc_weights(0)) {
+    if (w == 2.0) found2 = true;
+    if (w == 6.0) found6 = true;
   }
   EXPECT_TRUE(found2);
   EXPECT_TRUE(found6);

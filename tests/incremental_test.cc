@@ -9,8 +9,9 @@ namespace gl {
 namespace {
 
 // Clustered graph: `k` cliques of `size`, weak ring between cliques.
-Graph Cliques(int k, int size, double intra = 10.0, double inter = 0.5) {
-  Graph g;
+CsrGraphBuilder Cliques(int k, int size, double intra = 10.0,
+                        double inter = 0.5) {
+  CsrGraphBuilder g;
   for (int c = 0; c < k; ++c) {
     for (int i = 0; i < size; ++i) {
       g.AddVertex(Resource{.cpu = 10, .mem_gb = 1, .net_mbps = 1}, 1.0);
@@ -31,7 +32,7 @@ FitPredicate CpuFit(double limit) {
 }
 
 TEST(Incremental, NoChangeNoMoves) {
-  const Graph g = Cliques(4, 8);  // clique cpu = 80
+  const CsrGraph g = Cliques(4, 8).Build();  // clique cpu = 80
   std::vector<int> previous(32);
   for (int v = 0; v < 32; ++v) previous[static_cast<std::size_t>(v)] = v / 8;
   const auto r = IncrementalRepartition(g, previous, CpuFit(100.0), {});
@@ -41,12 +42,13 @@ TEST(Incremental, NoChangeNoMoves) {
 }
 
 TEST(Incremental, NewVerticesJoinTheirClique) {
-  Graph g = Cliques(2, 6);
+  CsrGraphBuilder b = Cliques(2, 6);
   // Two newcomers, each attached to one clique.
-  const auto n1 = g.AddVertex({.cpu = 10, .mem_gb = 1, .net_mbps = 1}, 1.0);
-  const auto n2 = g.AddVertex({.cpu = 10, .mem_gb = 1, .net_mbps = 1}, 1.0);
-  g.AddEdge(n1, 0, 20.0);
-  g.AddEdge(n2, 6, 20.0);
+  const auto n1 = b.AddVertex({.cpu = 10, .mem_gb = 1, .net_mbps = 1}, 1.0);
+  const auto n2 = b.AddVertex({.cpu = 10, .mem_gb = 1, .net_mbps = 1}, 1.0);
+  b.AddEdge(n1, 0, 20.0);
+  b.AddEdge(n2, 6, 20.0);
+  const CsrGraph g = b.Build();
   std::vector<int> previous(static_cast<std::size_t>(g.num_vertices()), -1);
   for (int v = 0; v < 12; ++v) previous[static_cast<std::size_t>(v)] = v / 6;
   const auto r = IncrementalRepartition(g, previous, CpuFit(100.0), {});
@@ -56,7 +58,7 @@ TEST(Incremental, NewVerticesJoinTheirClique) {
 }
 
 TEST(Incremental, OverfullGroupIsRepaired) {
-  const Graph g = Cliques(2, 8);  // clique cpu 80
+  const CsrGraph g = Cliques(2, 8).Build();  // clique cpu 80
   // Previous assignment crams everything into one group.
   std::vector<int> previous(16, 0);
   const auto r = IncrementalRepartition(g, previous, CpuFit(100.0), {});
@@ -68,7 +70,7 @@ TEST(Incremental, OverfullGroupIsRepaired) {
 
 TEST(Incremental, MovesStayBounded) {
   Rng rng(9);
-  Graph g = Cliques(8, 8);
+  const CsrGraph g = Cliques(8, 8).Build();
   // Previous matches cliques; one group is mildly overfull after a demand
   // bump on two vertices.
   std::vector<int> previous(64);
@@ -83,7 +85,7 @@ TEST(Incremental, MovesStayBounded) {
 }
 
 TEST(Incremental, FarFewerMovesThanFreshPartition) {
-  const Graph g = Cliques(16, 8);
+  const CsrGraph g = Cliques(16, 8).Build();
   std::vector<int> previous(static_cast<std::size_t>(g.num_vertices()));
   for (int v = 0; v < g.num_vertices(); ++v) {
     previous[static_cast<std::size_t>(v)] = v / 8;
@@ -111,7 +113,7 @@ TEST(Incremental, FarFewerMovesThanFreshPartition) {
 }
 
 TEST(Incremental, CutQualityStaysReasonable) {
-  const Graph g = Cliques(8, 8, 10.0, 1.0);
+  const CsrGraph g = Cliques(8, 8, 10.0, 1.0).Build();
   std::vector<int> previous(64);
   for (int v = 0; v < 64; ++v) previous[static_cast<std::size_t>(v)] = v / 8;
   const auto r = IncrementalRepartition(g, previous, CpuFit(90.0), {});
@@ -123,7 +125,7 @@ TEST(Incremental, CutQualityStaysReasonable) {
 TEST(Incremental, RefinementImprovesBadAssignments) {
   // Previous assignment swaps two vertices across cliques; refinement
   // should send them home.
-  const Graph g = Cliques(2, 8);
+  const CsrGraph g = Cliques(2, 8).Build();
   std::vector<int> previous(16);
   for (int v = 0; v < 16; ++v) previous[static_cast<std::size_t>(v)] = v / 8;
   std::swap(previous[0], previous[8]);
@@ -134,7 +136,7 @@ TEST(Incremental, RefinementImprovesBadAssignments) {
 }
 
 TEST(Incremental, SparseOldIdsAreAccepted) {
-  const Graph g = Cliques(2, 4);
+  const CsrGraph g = Cliques(2, 4).Build();
   std::vector<int> previous{7, 7, 7, 7, 1000, 1000, 1000, 1000};
   const auto r = IncrementalRepartition(g, previous, CpuFit(100.0), {});
   EXPECT_EQ(r.num_groups, 2);
@@ -142,7 +144,7 @@ TEST(Incremental, SparseOldIdsAreAccepted) {
 }
 
 TEST(Incremental, AllNewVerticesStillWork) {
-  const Graph g = Cliques(3, 6);
+  const CsrGraph g = Cliques(3, 6).Build();
   std::vector<int> previous(18, -1);
   const auto r = IncrementalRepartition(g, previous, CpuFit(70.0), {});
   EXPECT_EQ(r.infeasible_groups, 0);

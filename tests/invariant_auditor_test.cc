@@ -4,9 +4,9 @@
 // every invariant class the auditor claims to check is actually detected
 // when that class is violated on purpose. Each corruption is injected
 // through public mutation APIs (placement vectors, Topology::Reserve /
-// set_server_capacity, Graph::AddEdge, custom power curves); graph
-// self-loops and asymmetric adjacency cannot be constructed through the
-// Graph API (AddEdge is symmetric and drops self-loops), so those auditor
+// set_server_capacity, CsrGraphBuilder::AddEdge, custom power curves);
+// graph self-loops and asymmetric adjacency cannot be constructed through
+// the builder (AddEdge is symmetric and drops self-loops), so those auditor
 // checks are defense-in-depth and not exercised here.
 #include "analysis/invariant_auditor.h"
 
@@ -232,26 +232,27 @@ TEST(InvariantAuditor, ReplicaDomainLevelControlsGranularity) {
 TEST(InvariantAuditor, DetectsGraphCorruption) {
   const InvariantAuditor auditor;
 
-  Graph nan_edge;
+  CsrGraphBuilder nan_edge;
   const auto a = nan_edge.AddVertex(Resource{1, 1, 1});
   const auto b = nan_edge.AddVertex(Resource{1, 1, 1});
   nan_edge.AddEdge(a, b, std::numeric_limits<double>::quiet_NaN());
   AuditReport r1;
-  auditor.AuditGraph(nan_edge, r1);
+  auditor.AuditGraph(nan_edge.Build(), r1);
   EXPECT_TRUE(r1.Has(AuditClass::kGraph)) << r1.ToString();
 
-  Graph bad_vertex;
+  CsrGraphBuilder bad_vertex;
   bad_vertex.AddVertex(Resource{.cpu = -3.0, .mem_gb = 1.0, .net_mbps = 0.0});
   AuditReport r2;
-  auditor.AuditGraph(bad_vertex, r2);
+  auditor.AuditGraph(bad_vertex.Build(), r2);
   EXPECT_TRUE(r2.Has(AuditClass::kGraph)) << r2.ToString();
 
   // Negative (anti-affinity) edges are legal in container graphs but not in
   // capacity graphs.
-  Graph negative;
-  const auto u = negative.AddVertex(Resource{1, 1, 1});
-  const auto v = negative.AddVertex(Resource{1, 1, 1});
-  negative.AddEdge(u, v, -1.0e5);
+  CsrGraphBuilder negative_builder;
+  const auto u = negative_builder.AddVertex(Resource{1, 1, 1});
+  const auto v = negative_builder.AddVertex(Resource{1, 1, 1});
+  negative_builder.AddEdge(u, v, -1.0e5);
+  const CsrGraph negative = negative_builder.Build();
   AuditReport lax;
   auditor.AuditGraph(negative, lax);
   EXPECT_FALSE(lax.Has(AuditClass::kGraph)) << lax.ToString();

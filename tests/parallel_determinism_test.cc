@@ -112,21 +112,24 @@ TEST(ParallelDeterminism, RecursivePartitionIsExactlyThreadCountInvariant) {
   // Clustered graph shaped like a container graph: services of ~8 with
   // heavy intra edges, sparse light inter-service edges.
   Rng rng(7);
-  Graph g;
+  CsrGraphBuilder builder;
   constexpr int kVertices = 800;
   for (int i = 0; i < kVertices; ++i) {
-    g.AddVertex(Resource{.cpu = rng.Uniform(20, 60), .mem_gb = 4,
-                         .net_mbps = rng.Uniform(5, 50)},
-                1.0);
+    builder.AddVertex(Resource{.cpu = rng.Uniform(20, 60), .mem_gb = 4,
+                               .net_mbps = rng.Uniform(5, 50)},
+                      1.0);
   }
   for (int s = 0; s + 8 <= kVertices; s += 8) {
-    for (int i = 1; i < 8; ++i) g.AddEdge(s, s + i, rng.Uniform(100, 5000));
+    for (int i = 1; i < 8; ++i) {
+      builder.AddEdge(s, s + i, rng.Uniform(100, 5000));
+    }
   }
   for (int e = 0; e < kVertices / 2; ++e) {
     const auto a = static_cast<VertexIndex>(rng.NextBelow(kVertices));
     const auto b = static_cast<VertexIndex>(rng.NextBelow(kVertices));
-    if (a != b) g.AddEdge(a, b, rng.Uniform(1, 50));
+    if (a != b) builder.AddEdge(a, b, rng.Uniform(1, 50));
   }
+  const CsrGraph g = builder.Build();
   const Resource ceiling{.cpu = 2240, .mem_gb = 57, .net_mbps = 700};
   const auto fits = [&](const Resource& demand, int) {
     return demand.FitsIn(ceiling);
@@ -166,21 +169,24 @@ TEST(ParallelDeterminism, RecursivePartitionIsExactlyThreadCountInvariant) {
 // concurrent FM trials hard enough to surface a data race.
 TEST(ParallelDeterminism, LargeBisectionIsExactlyThreadCountInvariant) {
   Rng rng(21);
-  Graph g;
+  CsrGraphBuilder builder;
   constexpr int kVertices = 6000;  // > PartitionOptions::parallel_min_vertices
   for (int i = 0; i < kVertices; ++i) {
-    g.AddVertex(Resource{.cpu = rng.Uniform(20, 60), .mem_gb = 4,
-                         .net_mbps = rng.Uniform(5, 50)},
-                1.0);
+    builder.AddVertex(Resource{.cpu = rng.Uniform(20, 60), .mem_gb = 4,
+                               .net_mbps = rng.Uniform(5, 50)},
+                      1.0);
   }
   for (int s = 0; s + 8 <= kVertices; s += 8) {
-    for (int i = 1; i < 8; ++i) g.AddEdge(s, s + i, rng.Uniform(100, 5000));
+    for (int i = 1; i < 8; ++i) {
+      builder.AddEdge(s, s + i, rng.Uniform(100, 5000));
+    }
   }
   for (int e = 0; e < kVertices / 2; ++e) {
     const auto a = static_cast<VertexIndex>(rng.NextBelow(kVertices));
     const auto b = static_cast<VertexIndex>(rng.NextBelow(kVertices));
-    if (a != b) g.AddEdge(a, b, rng.Uniform(1, 50));
+    if (a != b) builder.AddEdge(a, b, rng.Uniform(1, 50));
   }
+  const CsrGraph g = builder.Build();
 
   PartitionOptions serial_opts;
   ASSERT_LT(serial_opts.parallel_min_vertices, kVertices);

@@ -11,52 +11,52 @@ namespace gl {
 namespace {
 
 // Two dense cliques joined by one weak edge — the canonical min-cut case.
-Graph TwoCliques(int clique_size, double intra_w = 10.0,
-                 double bridge_w = 1.0) {
-  Graph g;
+CsrGraph TwoCliques(int clique_size, double intra_w = 10.0,
+                    double bridge_w = 1.0) {
+  CsrGraphBuilder builder;
   for (int i = 0; i < 2 * clique_size; ++i) {
-    g.AddVertex(Resource{.cpu = 10, .mem_gb = 1, .net_mbps = 1}, 1.0);
+    builder.AddVertex(Resource{.cpu = 10, .mem_gb = 1, .net_mbps = 1}, 1.0);
   }
   for (int c = 0; c < 2; ++c) {
     const int base = c * clique_size;
     for (int i = 0; i < clique_size; ++i) {
       for (int j = i + 1; j < clique_size; ++j) {
-        g.AddEdge(base + i, base + j, intra_w);
+        builder.AddEdge(base + i, base + j, intra_w);
       }
     }
   }
-  g.AddEdge(0, clique_size, bridge_w);
-  return g;
+  builder.AddEdge(0, clique_size, bridge_w);
+  return builder.Build();
 }
 
 // Ring of `n` vertices with unit weights.
-Graph Ring(int n) {
-  Graph g;
+CsrGraph Ring(int n) {
+  CsrGraphBuilder builder;
   for (int i = 0; i < n; ++i) {
-    g.AddVertex(Resource{.cpu = 1, .mem_gb = 1, .net_mbps = 1}, 1.0);
+    builder.AddVertex(Resource{.cpu = 1, .mem_gb = 1, .net_mbps = 1}, 1.0);
   }
-  for (int i = 0; i < n; ++i) g.AddEdge(i, (i + 1) % n, 1.0);
-  return g;
+  for (int i = 0; i < n; ++i) builder.AddEdge(i, (i + 1) % n, 1.0);
+  return builder.Build();
 }
 
-Graph RandomGraph(int n, double degree, std::uint64_t seed) {
+CsrGraph RandomGraph(int n, double degree, std::uint64_t seed) {
   Rng rng(seed);
-  Graph g;
+  CsrGraphBuilder builder;
   for (int i = 0; i < n; ++i) {
-    g.AddVertex(Resource{.cpu = rng.Uniform(1, 20), .mem_gb = 1,
-                         .net_mbps = 1},
-                rng.Uniform(0.5, 2.0));
+    builder.AddVertex(Resource{.cpu = rng.Uniform(1, 20), .mem_gb = 1,
+                               .net_mbps = 1},
+                      rng.Uniform(0.5, 2.0));
   }
   const int edges = static_cast<int>(n * degree / 2);
   for (int e = 0; e < edges; ++e) {
     const auto a = static_cast<VertexIndex>(rng.NextBelow(n));
     const auto b = static_cast<VertexIndex>(rng.NextBelow(n));
-    if (a != b) g.AddEdge(a, b, rng.Uniform(0.5, 5.0));
+    if (a != b) builder.AddEdge(a, b, rng.Uniform(0.5, 5.0));
   }
-  return g;
+  return builder.Build();
 }
 
-[[maybe_unused]] double BalanceRatio(const Bisection& b, const Graph& g) {
+[[maybe_unused]] double BalanceRatio(const Bisection& b, const CsrGraph& g) {
   const double total = g.total_balance_weight();
   return std::max(b.side_weight[0], b.side_weight[1]) / (total / 2.0);
 }
@@ -64,7 +64,7 @@ Graph RandomGraph(int n, double degree, std::uint64_t seed) {
 // --- Bisect --------------------------------------------------------------------
 
 TEST(Bisect, FindsTheObviousCut) {
-  const Graph g = TwoCliques(8);
+  const CsrGraph g = TwoCliques(8);
   const auto b = Bisect(g, {});
   EXPECT_DOUBLE_EQ(b.cut_weight, 1.0);  // only the bridge crosses
   EXPECT_TRUE(b.balanced);
@@ -75,45 +75,47 @@ TEST(Bisect, FindsTheObviousCut) {
 }
 
 TEST(Bisect, RingCutsExactlyTwoEdges) {
-  const Graph g = Ring(32);
+  const CsrGraph g = Ring(32);
   const auto b = Bisect(g, {});
   EXPECT_DOUBLE_EQ(b.cut_weight, 2.0);
   EXPECT_TRUE(b.balanced);
 }
 
 TEST(Bisect, SingleVertex) {
-  Graph g;
-  g.AddVertex({}, 1.0);
+  CsrGraphBuilder builder;
+  builder.AddVertex({}, 1.0);
+  const CsrGraph g = builder.Build();
   const auto b = Bisect(g, {});
   EXPECT_EQ(b.side.size(), 1u);
   EXPECT_DOUBLE_EQ(b.cut_weight, 0.0);
 }
 
 TEST(Bisect, EmptyGraph) {
-  Graph g;
+  const CsrGraph g = CsrGraphBuilder().Build();
   const auto b = Bisect(g, {});
   EXPECT_TRUE(b.side.empty());
   EXPECT_TRUE(b.balanced);
 }
 
 TEST(Bisect, TwoVertices) {
-  Graph g;
-  g.AddVertex({}, 1.0);
-  g.AddVertex({}, 1.0);
-  g.AddEdge(0, 1, 3.0);
+  CsrGraphBuilder builder;
+  builder.AddVertex({}, 1.0);
+  builder.AddVertex({}, 1.0);
+  builder.AddEdge(0, 1, 3.0);
+  const CsrGraph g = builder.Build();
   const auto b = Bisect(g, {});
   EXPECT_NE(b.side[0], b.side[1]);
   EXPECT_DOUBLE_EQ(b.cut_weight, 3.0);
 }
 
 TEST(Bisect, CutMatchesReportedWeight) {
-  const Graph g = RandomGraph(200, 6.0, 99);
+  const CsrGraph g = RandomGraph(200, 6.0, 99);
   const auto b = Bisect(g, {});
   EXPECT_NEAR(g.CutWeight(b.side), b.cut_weight, 1e-9);
 }
 
 TEST(Bisect, DeterministicGivenSeed) {
-  const Graph g = RandomGraph(150, 5.0, 7);
+  const CsrGraph g = RandomGraph(150, 5.0, 7);
   PartitionOptions opts;
   opts.seed = 42;
   const auto b1 = Bisect(g, opts);
@@ -123,7 +125,7 @@ TEST(Bisect, DeterministicGivenSeed) {
 }
 
 TEST(Bisect, AsymmetricTargetFraction) {
-  const Graph g = RandomGraph(300, 4.0, 3);
+  const CsrGraph g = RandomGraph(300, 4.0, 3);
   PartitionOptions opts;
   opts.balance_tolerance = 0.08;
   const auto b = Bisect(g, opts, 0.25);
@@ -133,19 +135,20 @@ TEST(Bisect, AsymmetricTargetFraction) {
 
 TEST(Bisect, NegativeEdgeSeparatesReplicas) {
   // Two hub-and-spoke stars whose hubs are replicas (negative edge).
-  Graph g;
+  CsrGraphBuilder builder;
   for (int i = 0; i < 12; ++i) {
-    g.AddVertex(Resource{.cpu = 1, .mem_gb = 1, .net_mbps = 1}, 1.0);
+    builder.AddVertex(Resource{.cpu = 1, .mem_gb = 1, .net_mbps = 1}, 1.0);
   }
-  for (int i = 1; i < 6; ++i) g.AddEdge(0, i, 5.0);
-  for (int i = 7; i < 12; ++i) g.AddEdge(6, i, 5.0);
-  g.AddEdge(0, 6, -1000.0);
+  for (int i = 1; i < 6; ++i) builder.AddEdge(0, i, 5.0);
+  for (int i = 7; i < 12; ++i) builder.AddEdge(6, i, 5.0);
+  builder.AddEdge(0, 6, -1000.0);
+  const CsrGraph g = builder.Build();
   const auto b = Bisect(g, {});
   EXPECT_NE(b.side[0], b.side[6]);
 }
 
 TEST(Bisect, BetterThanRandomOnStructuredGraph) {
-  const Graph g = TwoCliques(20, 8.0, 2.0);
+  const CsrGraph g = TwoCliques(20, 8.0, 2.0);
   const auto b = Bisect(g, {});
   // A random balanced cut of two 20-cliques crosses ~half the intra edges;
   // the partitioner must find the 2.0 bridge.
@@ -159,7 +162,8 @@ class BisectBalanceTest
 
 TEST_P(BisectBalanceTest, WithinTolerance) {
   const auto [n, tol] = GetParam();
-  const Graph g = RandomGraph(n, 6.0, static_cast<std::uint64_t>(n) * 31 + 1);
+  const CsrGraph g =
+      RandomGraph(n, 6.0, static_cast<std::uint64_t>(n) * 31 + 1);
   PartitionOptions opts;
   opts.balance_tolerance = tol;
   const auto b = Bisect(g, opts);
@@ -182,7 +186,7 @@ INSTANTIATE_TEST_SUITE_P(
 // --- KWayPartition ---------------------------------------------------------------
 
 TEST(KWay, ProducesExactlyKGroups) {
-  const Graph g = RandomGraph(120, 5.0, 11);
+  const CsrGraph g = RandomGraph(120, 5.0, 11);
   for (const int k : {2, 3, 5, 8}) {
     const auto r = KWayPartition(g, k, {});
     std::set<int> groups(r.group_of.begin(), r.group_of.end());
@@ -195,20 +199,20 @@ TEST(KWay, ProducesExactlyKGroups) {
 }
 
 TEST(KWay, CutMatchesAssignment) {
-  const Graph g = RandomGraph(150, 6.0, 13);
+  const CsrGraph g = RandomGraph(150, 6.0, 13);
   const auto r = KWayPartition(g, 4, {});
   EXPECT_NEAR(g.CutWeightKWay(r.group_of), r.cut_weight, 1e-9);
 }
 
 TEST(KWay, KEqualsOneIsWholeGraph) {
-  const Graph g = Ring(10);
+  const CsrGraph g = Ring(10);
   const auto r = KWayPartition(g, 1, {});
   for (const int gi : r.group_of) EXPECT_EQ(gi, 0);
   EXPECT_DOUBLE_EQ(r.cut_weight, 0.0);
 }
 
 TEST(KWay, BalancedAcrossGroups) {
-  const Graph g = RandomGraph(400, 5.0, 17);
+  const CsrGraph g = RandomGraph(400, 5.0, 17);
   const int k = 5;
   const auto r = KWayPartition(g, k, {});
   std::vector<double> weight(static_cast<std::size_t>(k), 0.0);
@@ -226,7 +230,7 @@ TEST(KWay, BalancedAcrossGroups) {
 TEST(KWayRefine, ImprovesASwappedAssignment) {
   // Two cliques assigned correctly except two swapped vertices: refinement
   // must send them home and report the gain.
-  const Graph g = TwoCliques(8);
+  const CsrGraph g = TwoCliques(8);
   std::vector<int> group(16);
   for (int v = 0; v < 16; ++v) group[static_cast<std::size_t>(v)] = v / 8;
   std::swap(group[1], group[9]);
@@ -242,11 +246,12 @@ TEST(KWayRefine, ImprovesASwappedAssignment) {
 TEST(KWayRefine, RespectsBalanceCap) {
   // A star: every leaf wants to join the hub's group, but balance forbids
   // collapsing everything into one side.
-  Graph g;
+  CsrGraphBuilder builder;
   for (int i = 0; i < 16; ++i) {
-    g.AddVertex(Resource{.cpu = 1, .mem_gb = 1, .net_mbps = 1}, 1.0);
+    builder.AddVertex(Resource{.cpu = 1, .mem_gb = 1, .net_mbps = 1}, 1.0);
   }
-  for (int i = 1; i < 16; ++i) g.AddEdge(0, i, 5.0);
+  for (int i = 1; i < 16; ++i) builder.AddEdge(0, i, 5.0);
+  const CsrGraph g = builder.Build();
   std::vector<int> group(16);
   for (int v = 0; v < 16; ++v) group[static_cast<std::size_t>(v)] = v % 2;
   PartitionOptions opts;
@@ -259,14 +264,14 @@ TEST(KWayRefine, RespectsBalanceCap) {
 }
 
 TEST(KWayRefine, NoopOnOptimal) {
-  const Graph g = TwoCliques(8);
+  const CsrGraph g = TwoCliques(8);
   std::vector<int> group(16);
   for (int v = 0; v < 16; ++v) group[static_cast<std::size_t>(v)] = v / 8;
   EXPECT_DOUBLE_EQ(RefineKWay(g, group, 2, {}), 0.0);
 }
 
 TEST(KWayRefine, NeverEmptiesAGroup) {
-  const Graph g = Ring(12);
+  const CsrGraph g = Ring(12);
   std::vector<int> group(12, 0);
   group[5] = 1;  // a lone vertex that refinement would love to absorb
   RefineKWay(g, group, 2, {});
@@ -277,7 +282,7 @@ TEST(KWayRefine, NeverEmptiesAGroup) {
 
 TEST(KWayRefine, KWayPartitionUsesIt) {
   // With refinement on, the k-way cut must be no worse than without.
-  const Graph g = RandomGraph(300, 6.0, 77);
+  const CsrGraph g = RandomGraph(300, 6.0, 77);
   PartitionOptions with;
   PartitionOptions without;
   without.kway_refine_passes = 0;
@@ -289,7 +294,7 @@ TEST(KWayRefine, KWayPartitionUsesIt) {
 // --- RecursivePartition -----------------------------------------------------------
 
 TEST(RecursivePartition, StopsWhenEverythingFits) {
-  const Graph g = Ring(16);
+  const CsrGraph g = Ring(16);
   const auto r = RecursivePartition(
       g, [](const Resource&, int) { return true; }, {});
   EXPECT_EQ(r.num_groups, 1);
@@ -297,7 +302,7 @@ TEST(RecursivePartition, StopsWhenEverythingFits) {
 }
 
 TEST(RecursivePartition, SplitsUntilFit) {
-  const Graph g = Ring(64);  // total cpu 64
+  const CsrGraph g = Ring(64);  // total cpu 64
   const auto r = RecursivePartition(
       g, [](const Resource& d, int) { return d.cpu <= 10.0; }, {});
   EXPECT_GE(r.num_groups, 7);  // 64/10 → at least 7 groups
@@ -308,7 +313,7 @@ TEST(RecursivePartition, SplitsUntilFit) {
 }
 
 TEST(RecursivePartition, EveryVertexAssigned) {
-  const Graph g = RandomGraph(300, 5.0, 23);
+  const CsrGraph g = RandomGraph(300, 5.0, 23);
   const auto r = RecursivePartition(
       g, [](const Resource& d, int) { return d.cpu <= 100.0; }, {});
   for (const int gi : r.group_of) {
@@ -322,7 +327,7 @@ TEST(RecursivePartition, EveryVertexAssigned) {
 }
 
 TEST(RecursivePartition, GroupDemandsConsistent) {
-  const Graph g = RandomGraph(200, 4.0, 29);
+  const CsrGraph g = RandomGraph(200, 4.0, 29);
   const auto r = RecursivePartition(
       g, [](const Resource& d, int) { return d.cpu <= 150.0; }, {});
   std::vector<Resource> recomputed(static_cast<std::size_t>(r.num_groups));
@@ -337,17 +342,18 @@ TEST(RecursivePartition, GroupDemandsConsistent) {
 }
 
 TEST(RecursivePartition, OversizedSingletonFlagged) {
-  Graph g;
-  g.AddVertex(Resource{.cpu = 1000, .mem_gb = 1, .net_mbps = 1}, 1.0);
-  g.AddVertex(Resource{.cpu = 1, .mem_gb = 1, .net_mbps = 1}, 1.0);
-  g.AddEdge(0, 1, 1.0);
+  CsrGraphBuilder builder;
+  builder.AddVertex(Resource{.cpu = 1000, .mem_gb = 1, .net_mbps = 1}, 1.0);
+  builder.AddVertex(Resource{.cpu = 1, .mem_gb = 1, .net_mbps = 1}, 1.0);
+  builder.AddEdge(0, 1, 1.0);
+  const CsrGraph g = builder.Build();
   const auto r = RecursivePartition(
       g, [](const Resource& d, int) { return d.cpu <= 10.0; }, {});
   EXPECT_EQ(r.oversized_groups.size(), 1u);
 }
 
 TEST(RecursivePartition, PathsEncodeHierarchy) {
-  const Graph g = Ring(32);
+  const CsrGraph g = Ring(32);
   const auto r = RecursivePartition(
       g, [](const Resource& d, int) { return d.cpu <= 8.0; }, {});
   EXPECT_EQ(static_cast<int>(r.group_path.size()), r.num_groups);
@@ -365,7 +371,7 @@ TEST(RecursivePartition, PathsEncodeHierarchy) {
 }
 
 TEST(RecursivePartition, LocalityOrderSortsByPath) {
-  const Graph g = Ring(32);
+  const CsrGraph g = Ring(32);
   const auto r = RecursivePartition(
       g, [](const Resource& d, int) { return d.cpu <= 8.0; }, {});
   const auto order = GroupsInLocalityOrder(r);
@@ -379,17 +385,20 @@ TEST(RecursivePartition, LocalityOrderSortsByPath) {
 TEST(RecursivePartition, CliquesStayTogether) {
   // 4 cliques of 8 (cpu 80 each), fit threshold 100: each clique is one
   // group; the weak bridges are the only cut edges.
-  Graph g;
+  CsrGraphBuilder builder;
   for (int c = 0; c < 4; ++c) {
     for (int i = 0; i < 8; ++i) {
-      g.AddVertex(Resource{.cpu = 10, .mem_gb = 1, .net_mbps = 1}, 1.0);
+      builder.AddVertex(Resource{.cpu = 10, .mem_gb = 1, .net_mbps = 1}, 1.0);
     }
     const int base = c * 8;
     for (int i = 0; i < 8; ++i) {
-      for (int j = i + 1; j < 8; ++j) g.AddEdge(base + i, base + j, 10.0);
+      for (int j = i + 1; j < 8; ++j) {
+        builder.AddEdge(base + i, base + j, 10.0);
+      }
     }
   }
-  for (int c = 0; c < 3; ++c) g.AddEdge(c * 8, (c + 1) * 8, 1.0);
+  for (int c = 0; c < 3; ++c) builder.AddEdge(c * 8, (c + 1) * 8, 1.0);
+  const CsrGraph g = builder.Build();
   const auto r = RecursivePartition(
       g, [](const Resource& d, int) { return d.cpu <= 100.0; }, {});
   for (int c = 0; c < 4; ++c) {
@@ -406,7 +415,7 @@ class RecursivePartitionSweep : public ::testing::TestWithParam<int> {};
 
 TEST_P(RecursivePartitionSweep, HandlesSize) {
   const int n = GetParam();
-  const Graph g = RandomGraph(n, 8.0, static_cast<std::uint64_t>(n));
+  const CsrGraph g = RandomGraph(n, 8.0, static_cast<std::uint64_t>(n));
   const double cap = g.total_demand().cpu / 20.0;
   const auto r = RecursivePartition(
       g, [cap](const Resource& d, int) { return d.cpu <= cap; }, {});
@@ -464,19 +473,22 @@ TEST(BisectTest, MultiTrialRefinementNeverLosesToSingleTrial) {
   // the best (violation, cut), so enabling trials can only improve the cut
   // for a feasible result.
   Rng rng(123);
-  Graph g;
+  CsrGraphBuilder builder;
   constexpr int kN = 6000;  // above parallel_min_vertices: trials engage
   for (int i = 0; i < kN; ++i) {
-    g.AddVertex(Resource{.cpu = 10, .mem_gb = 1, .net_mbps = 1}, 1.0);
+    builder.AddVertex(Resource{.cpu = 10, .mem_gb = 1, .net_mbps = 1}, 1.0);
   }
   for (int s = 0; s + 8 <= kN; s += 8) {
-    for (int i = 1; i < 8; ++i) g.AddEdge(s, s + i, rng.Uniform(100, 5000));
+    for (int i = 1; i < 8; ++i) {
+      builder.AddEdge(s, s + i, rng.Uniform(100, 5000));
+    }
   }
   for (int e = 0; e < kN / 2; ++e) {
     const auto a = static_cast<VertexIndex>(rng.NextBelow(kN));
     const auto b = static_cast<VertexIndex>(rng.NextBelow(kN));
-    if (a != b) g.AddEdge(a, b, rng.Uniform(1, 50));
+    if (a != b) builder.AddEdge(a, b, rng.Uniform(1, 50));
   }
+  const CsrGraph g = builder.Build();
   PartitionOptions single;
   single.fm_trials = 1;
   const Bisection base = Bisect(g, single);

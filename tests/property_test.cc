@@ -110,20 +110,21 @@ class PartitionerInvariants : public ::testing::TestWithParam<int> {};
 TEST_P(PartitionerInvariants, Hold) {
   const int seed = GetParam();
   Rng rng(static_cast<std::uint64_t>(seed));
-  Graph g;
+  CsrGraphBuilder builder;
   const int n = 64 + static_cast<int>(rng.NextBelow(400));
   for (int i = 0; i < n; ++i) {
-    g.AddVertex(Resource{.cpu = rng.Uniform(1, 50),
-                         .mem_gb = rng.Uniform(0.5, 8),
-                         .net_mbps = rng.Uniform(1, 40)},
-                rng.Uniform(0.2, 3.0));
+    builder.AddVertex(Resource{.cpu = rng.Uniform(1, 50),
+                               .mem_gb = rng.Uniform(0.5, 8),
+                               .net_mbps = rng.Uniform(1, 40)},
+                      rng.Uniform(0.2, 3.0));
   }
   const int edges = n * 4;
   for (int e = 0; e < edges; ++e) {
     const auto a = static_cast<VertexIndex>(rng.NextBelow(n));
     const auto b = static_cast<VertexIndex>(rng.NextBelow(n));
-    if (a != b) g.AddEdge(a, b, rng.Uniform(0.1, 20.0));
+    if (a != b) builder.AddEdge(a, b, rng.Uniform(0.1, 20.0));
   }
+  const CsrGraph g = builder.Build();
 
   const Resource ceiling{.cpu = g.total_demand().cpu / 7.0,
                          .mem_gb = g.total_demand().mem_gb / 7.0,

@@ -55,7 +55,7 @@ struct CallSite {
 enum class AllocKind {
   kNew,             // new expression
   kAllocCall,       // make_unique / make_shared / malloc family
-  kInducedSubgraph, // materializes a Graph copy (what PR 5 eliminated)
+  kInducedSubgraph, // InducedSubgraph call: copies a vertex subset out
   kLocalInit,       // local owning container constructed with contents
   kLocalGrowth,     // growth call on a local owning container
 };
