@@ -5,8 +5,8 @@
 // GL_GUARDED_BY(some_std_mutex) would be rejected under -Wthread-safety;
 // these thin wrappers attach the attributes without changing behaviour.
 // All concurrent code in the tree uses gl::Mutex / gl::MutexLock /
-// gl::CondVar — gl_lint's GL008 rule enforces that every class holding a
-// mutex names the state it guards with GL_GUARDED_BY.
+// gl::CondVar — gl_analyze's GL011 rule enforces that every class holding
+// a mutex names the state it guards with GL_GUARDED_BY.
 #pragma once
 
 #include <condition_variable>

@@ -7,7 +7,7 @@
 // emitting findings, breaking ties) that ranges over an unordered container
 // can therefore silently change behaviour across standard libraries,
 // compiler versions, or even runs. The determinism contract (DESIGN.md §8)
-// bans such loops in src/; `tools/gl_lint` enforces the ban.
+// bans such loops in src/; gl_analyze's GL001 enforces the ban.
 //
 // This header is the sanctioned escape hatch: keep the unordered container
 // for accumulation, then iterate a sorted snapshot. The snapshot copies keys
@@ -29,7 +29,7 @@ template <typename Container>
     const Container& c) {
   std::vector<typename Container::key_type> keys;
   keys.reserve(c.size());
-  for (const auto& entry : c) {  // gl-lint: allow(unordered-iter)
+  for (const auto& entry : c) {
     if constexpr (requires { entry.first; }) {
       keys.push_back(entry.first);
     } else {
@@ -49,7 +49,7 @@ SortedItems(const Map& m) {
   std::vector<std::pair<typename Map::key_type, typename Map::mapped_type>>
       items;
   items.reserve(m.size());
-  for (const auto& [k, v] : m) {  // gl-lint: allow(unordered-iter)
+  for (const auto& [k, v] : m) {
     items.emplace_back(k, v);
   }
   std::sort(items.begin(), items.end(),

@@ -18,7 +18,7 @@
 // (failures in this codebase abort via GOLDILOCKS_CHECK) and must not call
 // ParallelFor on the same pool re-entrantly; create a nested pool instead.
 //
-// This file is the sanctioned home for raw std::thread (gl_lint GL006):
+// This file is the sanctioned home for raw std::thread (gl_analyze GL006):
 // everything else fans out through a ThreadPool.
 //
 // The pool also keeps per-worker utilization telemetry (busy / queue-wait /

@@ -12,7 +12,7 @@ namespace gl::obs {
 namespace {
 
 // Process-wide slots live behind accessors so no mutable state sits at
-// namespace scope (gl_lint GL007). The active-trace slot is the only thing
+// namespace scope (gl_analyze GL007). The active-trace slot is the only thing
 // a disabled TraceSpan touches: one relaxed load.
 std::atomic<Trace*>& ActiveSlot() {
   static std::atomic<Trace*> slot{nullptr};

@@ -3,8 +3,6 @@
 #include <sys/stat.h>
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -12,9 +10,7 @@
 #include <ostream>
 #include <set>
 #include <sstream>
-#include <thread>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "analyze/cfg.h"
 #include "analyze/dataflow.h"
@@ -22,11 +18,6 @@
 
 namespace gl::analyze {
 namespace {
-
-constexpr char kRuleAlloc[] = "GL010";
-constexpr char kRuleGuard[] = "GL011";
-constexpr char kRuleFold[] = "GL012";
-constexpr char kRuleStale[] = "GL013";
 
 [[nodiscard]] std::string AllocKindLabel(AllocKind kind) {
   switch (kind) {
@@ -58,65 +49,139 @@ constexpr char kRuleStale[] = "GL013";
          longer[longer.size() - shorter.size() - 1] == '/';
 }
 
+[[nodiscard]] Finding MakeFinding(const std::string& rule_id,
+                                  const std::string& path, int line,
+                                  const std::string& line_text,
+                                  std::string message) {
+  Finding fd;
+  fd.rule_id = rule_id;
+  for (const RuleInfo& r : Rules()) {
+    if (rule_id == r.id) fd.rule_name = r.name;
+  }
+  fd.path = path;
+  fd.line = line;
+  fd.line_text = line_text;
+  fd.message = std::move(message);
+  return fd;
+}
+
+[[nodiscard]] std::string Summary(const std::string& rule_id) {
+  for (const RuleInfo& r : Rules()) {
+    if (rule_id == r.id) return r.summary;
+  }
+  return "";
+}
+
+// Hot-root reachability for GL010: BFS over name-matched call edges from
+// the AnalysisOptions roots, recording each function's BFS parent so
+// findings can print the call chain.
+struct HotReach {
+  std::unordered_map<FuncRef, FuncRef, FuncRefHash> parent;  // root: {-1,-1}
+  [[nodiscard]] bool Reached(const FuncRef& r) const {
+    return parent.count(r) > 0;
+  }
+  // "Root -> ... -> fn" display chain for a reached function.
+  [[nodiscard]] std::string Chain(const SymbolIndex& index,
+                                  const FuncRef& r) const;
+};
+
+std::string HotReach::Chain(const SymbolIndex& index, const FuncRef& r) const {
+  std::vector<std::string> chain;
+  FuncRef walk = r;
+  while (walk.file >= 0 && chain.size() < 32) {
+    chain.push_back(index.Display(walk));
+    const auto it = parent.find(walk);
+    if (it == parent.end()) break;
+    walk = it->second;
+  }
+  std::string via;
+  for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
+    if (!via.empty()) via += " -> ";
+    via += *it;
+  }
+  return via;
+}
+
+HotReach ComputeHotReach(const std::vector<FileFacts>& files,
+                         const SymbolIndex& index,
+                         const std::vector<std::string>& roots) {
+  HotReach hr;
+  std::vector<FuncRef> queue;
+  const auto seed = [&](const FuncRef& r) {
+    if (hr.parent.emplace(r, FuncRef{}).second) queue.push_back(r);
+  };
+  for (const std::string& spec : roots) {
+    if (spec.ends_with("::")) {
+      const std::vector<FuncRef>* refs =
+          index.ByClass(spec.substr(0, spec.size() - 2));
+      if (refs != nullptr) {
+        for (const FuncRef& r : *refs) seed(r);
+      }
+    } else {
+      const std::vector<FuncRef>* refs = index.ByName(spec);
+      if (refs != nullptr) {
+        for (const FuncRef& r : *refs) seed(r);
+      }
+    }
+  }
+  for (std::size_t head = 0; head < queue.size(); ++head) {
+    const FuncRef cur = queue[head];
+    const FileFacts& f = files[static_cast<std::size_t>(cur.file)];
+    for (const CallSite& c : f.calls) {
+      if (c.func != cur.func) continue;
+      const std::vector<FuncRef>* targets = index.Resolve(cur, c.callee);
+      if (targets == nullptr) continue;
+      for (const FuncRef& callee : *targets) {
+        if (hr.parent.emplace(callee, cur).second) queue.push_back(callee);
+      }
+    }
+  }
+  return hr;
+}
+
 void AnalyzeHotPath(const std::vector<FileFacts>& files,
                     const SymbolIndex& index, const HotReach& hot,
                     std::vector<Finding>* out) {
-  // Reachability (and the parent chain for messages) comes precomputed from
-  // ComputeHotReach (cfg.cc) — it is shared with GL019.
   for (int fi = 0; fi < static_cast<int>(files.size()); ++fi) {
     const FileFacts& f = files[static_cast<std::size_t>(fi)];
     for (const AllocSite& a : f.allocs) {
       const FuncRef ref{fi, a.func};
       if (!hot.Reached(ref)) continue;
-      const std::string via = hot.Chain(index, ref);
-      Finding fd;
-      fd.rule_id = kRuleAlloc;
-      fd.rule_name = "alloc-in-hot-path";
-      fd.path = f.path;
-      fd.line = a.line;
-      fd.line_text = a.line_text;
-      fd.message = AllocKindLabel(a.kind) + " (" + a.detail +
-                   ") on the hot path: " + via;
-      out->push_back(std::move(fd));
+      out->push_back(MakeFinding("GL010", f.path, a.line, a.line_text,
+                                 AllocKindLabel(a.kind) + " (" + a.detail +
+                                     ") on the hot path: " +
+                                     hot.Chain(index, ref)));
     }
   }
 }
 
-// GL022: a hot-path function whose body spans more than this many source
-// lines should open a TraceSpan, or profiles attribute its whole cost to
-// the nearest instrumented ancestor. Deliberate leaf kernels (the FM inner
-// loops) are blessed in the baseline instead of lowering the threshold.
-constexpr int kSpanCoverageMinBodyLines = 40;
-
-void AnalyzeSpanCoverage(const std::vector<FileFacts>& files,
-                         const SymbolIndex& index, const HotReach& hot,
-                         std::vector<Finding>* out) {
-  for (int fi = 0; fi < static_cast<int>(files.size()); ++fi) {
-    const FileFacts& f = files[static_cast<std::size_t>(fi)];
-    std::set<int> with_span;
-    for (const CallSite& c : f.calls) {
-      if (c.callee == "TraceSpan") with_span.insert(c.func);
+// GL001. A loop over a known unordered local is already a taint seed
+// (facts.cc ScanLoop); every other loop resolves here against the
+// unordered names all files declare, which is how a member declared in a
+// header is caught in its .cc.
+void AnalyzeUnorderedIter(const std::vector<FileFacts>& files,
+                          std::vector<Finding>* out) {
+  std::set<std::pair<char, std::string>> declared;
+  for (const FileFacts& f : files) {
+    for (const UnorderedName& n : f.unordered_names) {
+      declared.insert({n.kind, n.name});
     }
-    for (int fn = 0; fn < static_cast<int>(f.functions.size()); ++fn) {
-      const FunctionDef& d = f.functions[static_cast<std::size_t>(fn)];
-      const int body_lines = d.body_end_line - d.line;
-      if (body_lines <= kSpanCoverageMinBodyLines) continue;
-      const FuncRef ref{fi, fn};
-      if (!hot.Reached(ref)) continue;
-      if (with_span.count(fn) > 0) continue;
-      Finding fd;
-      fd.rule_id = "GL022";
-      fd.rule_name = "missing-span-coverage";
-      fd.path = f.path;
-      fd.line = d.line;
-      fd.line_text = d.line_text;
-      fd.message = "hot-path function '" +
-                   (d.class_name.empty() ? d.name
-                                         : d.class_name + "::" + d.name) +
-                   "' spans " + std::to_string(body_lines) +
-                   " lines with no TraceSpan (" + hot.Chain(index, ref) +
-                   "); open one so profiles can attribute its time";
-      out->push_back(std::move(fd));
+  }
+  for (const FileFacts& f : files) {
+    for (const TaintSeed& s : f.taint_seeds) {
+      if (s.kind != "unordered-iter") continue;
+      out->push_back(MakeFinding(
+          "GL001", f.path, s.line, s.line_text,
+          "loop over a local unordered container: " + Summary("GL001")));
+    }
+    for (const LoopOver& l : f.loops) {
+      if (declared.count({l.element ? 'e' : 'v', l.container}) == 0 &&
+          (l.callee.empty() || declared.count({'f', l.callee}) == 0)) {
+        continue;
+      }
+      out->push_back(MakeFinding(
+          "GL001", f.path, l.line, l.line_text,
+          "loop over unordered '" + l.container + "': " + Summary("GL001")));
     }
   }
 }
@@ -137,24 +202,44 @@ void AnalyzeSpanCoverage(const std::vector<FileFacts>& files,
 
 const std::vector<RuleInfo>& Rules() {
   static const std::vector<RuleInfo> kRules = {
-      {kRuleAlloc, "alloc-in-hot-path",
+      {"GL001", "unordered-iter",
+       "iteration over an unordered container follows hash-bucket order; "
+       "iterate a SortedItems()/SortedKeys() snapshot (common/stable_map.h) "
+       "or use an ordered container (DESIGN.md §8)"},
+      {"GL002", "adhoc-rng",
+       "random-number source other than gl::Rng (common/rng.h): std "
+       "engines, distributions and rand() differ across standard libraries "
+       "and break seed replay (DESIGN.md §8)"},
+      {"GL004", "pointer-key",
+       "associative container keyed on a pointer: its order follows "
+       "allocation addresses, which change from run to run (DESIGN.md §8)"},
+      {"GL005", "float-eq",
+       "raw ==/!= on resource doubles: compare through the epsilon helpers "
+       "in common/resource.h (FitsIn, WithinCap, ApproxEq) (DESIGN.md §8)"},
+      {"GL006", "raw-thread",
+       "raw std::thread/std::async outside common/thread_pool: fan out "
+       "through ThreadPool::ParallelFor so scheduling cannot reorder "
+       "results (DESIGN.md §9)"},
+      {"GL007", "global-state",
+       "mutable namespace-scope state outlives the run, is shared across "
+       "threads and is invisible to seed replay; pass it explicitly or make "
+       "it const (DESIGN.md §9)"},
+      {"GL009", "raw-clock",
+       "clock, timer or process-id read outside obs/clock.h: time through "
+       "obs::WallTimer / obs::MonotonicMicros so timings stay informational "
+       "(DESIGN.md §10)"},
+      {"GL010", "alloc-in-hot-path",
        "allocation reachable from the partitioner hot path (DESIGN.md §11: "
        "zero-allocation steady state)"},
-      {kRuleGuard, "unguarded-shared-member",
+      {"GL011", "unguarded-shared-member",
        "mutable member of a mutex-owning class lacks GL_GUARDED_BY "
        "(DESIGN.md §9)"},
-      {kRuleFold, "nondet-float-fold",
+      {"GL012", "nondet-float-fold",
        "float accumulation inside a ParallelFor body is schedule-dependent "
        "(DESIGN.md §8: fold in canonical index order)"},
-      {kRuleStale, "stale-suppression",
-       "gl-lint allow(...) names a rule that no longer fires on the covered "
-       "lines"},
       {"GL014", "unit-confusion",
        "mixed physical dimensions in arithmetic, comparison, assignment or "
        "argument binding (DESIGN.md §13: GL_UNITS lattice)"},
-      {"GL015", "lock-order-cycle",
-       "two locks are acquired in opposite orders somewhere in the call "
-       "graph: potential deadlock (DESIGN.md §9)"},
       {"GL016", "determinism-taint",
        "nondeterministic value (clock, rand, unordered iteration) flows "
        "into a state hash or deterministic counter (DESIGN.md §8)"},
@@ -164,127 +249,45 @@ const std::vector<RuleInfo>& Rules() {
       {"GL018", "use-after-invalidation",
        "a reference/index obtained from scratch state or a vector is used "
        "after a Clear()/Reset()/growth call on some path (DESIGN.md §14)"},
-      {"GL019", "loop-carried-allocation",
-       "allocation or container growth inside a loop of a hot-path function "
-       "(DESIGN.md §14; sharpens GL010 to per-iteration cost)"},
       {"GL020", "unguarded-narrowing",
        "64-bit value narrowed to a 32-bit vertex-id type with no dominating "
        "bounds check on the path (DESIGN.md §14)"},
       {"GL021", "divergent-parallel-update",
        "deterministic counter or state-hash write guarded by a "
        "thread-varying branch inside a ParallelFor body (DESIGN.md §14)"},
-      {"GL022", "missing-span-coverage",
-       "hot-path function longer than the span-coverage threshold opens no "
-       "TraceSpan, so profiles attribute its time to the caller (DESIGN.md "
-       "§15)"},
   };
   return kRules;
 }
 
-bool ParseRuleFilter(const std::string& spec, std::set<std::string>* ids,
-                     std::string* err) {
-  std::size_t pos = 0;
-  while (pos <= spec.size()) {
-    std::size_t comma = spec.find(',', pos);
-    if (comma == std::string::npos) comma = spec.size();
-    const std::string id = spec.substr(pos, comma - pos);
-    pos = comma + 1;
-    if (id.empty()) continue;
-    const bool known =
-        std::any_of(Rules().begin(), Rules().end(),
-                    [&](const RuleInfo& r) { return id == r.id; });
-    if (!known) {
-      *err = "unknown rule id in --rule=: " + id;
-      return false;
-    }
-    ids->insert(id);
-  }
-  if (ids->empty()) {
-    *err = "--rule= selects no rules";
-    return false;
-  }
-  return true;
-}
-
 std::vector<Finding> Analyze(const std::vector<FileFacts>& files,
-                             const AnalysisOptions& opts) {
-  return Analyze(files, opts, nullptr, nullptr);
-}
-
-std::vector<Finding> Analyze(const std::vector<FileFacts>& files,
-                             const AnalysisOptions& opts,
-                             UnitsReport* units) {
-  return Analyze(files, opts, units, nullptr);
-}
-
-std::vector<Finding> Analyze(const std::vector<FileFacts>& files,
-                             const AnalysisOptions& opts, UnitsReport* units,
-                             AnalyzeTimings* timings) {
-  using Clock = std::chrono::steady_clock;
-  const auto ms = [](Clock::time_point a, Clock::time_point b) {
-    return std::chrono::duration<double, std::milli>(b - a).count();
-  };
+                             const AnalysisOptions& opts, UnitsReport* units) {
   std::vector<Finding> out;
-  const Clock::time_point t0 = Clock::now();
   const SymbolIndex index(files);
-  const HotReach hot = ComputeHotReach(files, index, opts.hot_roots);
-  const Clock::time_point t1 = Clock::now();
-  AnalyzeHotPath(files, index, hot, &out);
-  AnalyzeSpanCoverage(files, index, hot, &out);
+  AnalyzeHotPath(files, index, ComputeHotReach(files, index, opts.hot_roots),
+                 &out);
+  AnalyzeUnorderedIter(files, &out);
   AnalyzeDataflow(files, index, &out, units);
-  const Clock::time_point t2 = Clock::now();
-  AnalyzeCfg(files, index, hot, &out);
-  const Clock::time_point t3 = Clock::now();
-  if (timings != nullptr) {
-    timings->callgraph_ms = ms(t0, t1);
-    timings->dataflow_ms = ms(t1, t2);
-    timings->cfg_ms = ms(t2, t3);
-  }
+  AnalyzeCfg(files, &out);
 
   for (const FileFacts& f : files) {
+    for (const RuleHit& h : f.rule_hits) {
+      out.push_back(MakeFinding(h.rule, f.path, h.line, h.line_text,
+                                "'" + h.detail + "': " + Summary(h.rule)));
+    }
     for (const UnguardedMember& m : f.unguarded) {
-      Finding fd;
-      fd.rule_id = kRuleGuard;
-      fd.rule_name = "unguarded-shared-member";
-      fd.path = f.path;
-      fd.line = m.line;
-      fd.line_text = m.line_text;
-      fd.message = "member '" + m.member + "' of mutex-owning class '" +
-                   m.class_name +
-                   "' has no GL_GUARDED_BY annotation; annotate it or mark "
-                   "why it needs none in the baseline";
-      out.push_back(std::move(fd));
+      out.push_back(MakeFinding(
+          "GL011", f.path, m.line, m.line_text,
+          "member '" + m.member + "' of mutex-owning class '" + m.class_name +
+              "' has no GL_GUARDED_BY annotation; annotate it or mark why it "
+              "needs none in the baseline"));
     }
     for (const FloatFold& x : f.float_folds) {
-      Finding fd;
-      fd.rule_id = kRuleFold;
-      fd.rule_name = "nondet-float-fold";
-      fd.path = f.path;
-      fd.line = x.line;
-      fd.line_text = x.line_text;
-      fd.message = "float accumulation into captured '" + x.var +
-                   "' inside a ParallelFor body in '" + x.function +
-                   "' depends on worker schedule; write per-index slots and "
-                   "fold in canonical order";
-      out.push_back(std::move(fd));
-    }
-    for (const Suppression& s : f.suppressions) {
-      for (const SuppressedRule& r : s.rules) {
-        if (r.known && r.triggered) continue;
-        Finding fd;
-        fd.rule_id = kRuleStale;
-        fd.rule_name = "stale-suppression";
-        fd.path = f.path;
-        fd.line = s.line;
-        fd.line_text = s.line_text;
-        fd.message =
-            r.known
-                ? "suppression for '" + r.rule +
-                      "' is stale: the rule no longer fires on the covered "
-                      "lines; delete the allow() comment"
-                : "suppression names unknown rule '" + r.rule + "'";
-        out.push_back(std::move(fd));
-      }
+      out.push_back(MakeFinding(
+          "GL012", f.path, x.line, x.line_text,
+          "float accumulation into captured '" + x.var +
+              "' inside a ParallelFor body in '" + x.function +
+              "' depends on worker schedule; write per-index slots and fold "
+              "in canonical order"));
     }
   }
 
@@ -340,7 +343,8 @@ bool LoadBaseline(const std::string& path, Baseline* out, std::string* err) {
 }
 
 BaselineResult ApplyBaseline(const std::vector<Finding>& all,
-                             const Baseline& baseline) {
+                             const Baseline& baseline,
+                             const std::vector<std::string>& analyzed) {
   BaselineResult r;
   std::vector<bool> hit(baseline.entries.size(), false);
   for (const Finding& f : all) {
@@ -360,7 +364,13 @@ BaselineResult ApplyBaseline(const std::vector<Finding>& all,
     }
   }
   for (std::size_t i = 0; i < baseline.entries.size(); ++i) {
-    if (!hit[i]) r.stale.push_back(baseline.entries[i]);
+    const Baseline::Entry& e = baseline.entries[i];
+    if (!hit[i] && std::any_of(analyzed.begin(), analyzed.end(),
+                               [&](const std::string& path) {
+                                 return PathSuffixMatch(e.path, path);
+                               })) {
+      r.stale.push_back(e);
+    }
   }
   return r;
 }
@@ -487,14 +497,14 @@ struct CacheEntry {
   return true;
 }
 
-// Cache file format (v4 adds the FunctionDef line_text field and the
-// TraceSpan call-site fact for GL022; older blobs are rejected by the
-// header check and simply re-extracted):
-//   glcache v4 <config hash hex>
+// Cache file format (v5 adds the GL001 name/loop and token-rule records and
+// drops the suppression and lock-site records; older blobs are rejected by
+// the header check and simply re-extracted):
+//   glcache v5 <config hash hex>
 //   file <path>\t<mtime_ns>\t<size>\t<hash hex>
 //   <serialized facts lines>
 //   end
-// The config hash covers baseline bytes and the active rule/flag set
+// The config hash covers baseline bytes, the rule set and the flags
 // (LoadFacts doc): facts themselves are config-independent, but the cached
 // *verdict* a CI run restores is not — a baseline edit or rule change must
 // not serve a stale pass/fail.
@@ -502,7 +512,7 @@ struct CacheEntry {
   char buf[24];
   std::snprintf(buf, sizeof(buf), "%016llx",
                 static_cast<unsigned long long>(config_hash));
-  return std::string("glcache v4 ") + buf;
+  return std::string("glcache v5 ") + buf;
 }
 
 void ParseCacheFile(const std::string& path, const std::string& header_line,
@@ -551,248 +561,68 @@ void ParseCacheFile(const std::string& path, const std::string& header_line,
 std::vector<FileFacts> LoadFacts(const std::vector<std::string>& paths,
                                  const std::string& cache_path,
                                  CacheStats* stats, std::string* err,
-                                 int jobs, std::uint64_t config_hash) {
+                                 std::uint64_t config_hash) {
   const std::string header = CacheHeader(config_hash);
   std::unordered_map<std::string, CacheEntry> cache;
   if (!cache_path.empty()) ParseCacheFile(cache_path, header, &cache);
 
-  // Per-path slots, filled in two phases: a serial stat+cache-probe pass
-  // and a (possibly parallel) read+extract pass over the misses. Every
-  // merge below walks the slots in path order, so the facts vector, the
-  // cache bytes and the error text are identical for any `jobs`.
-  struct Slot {
-    std::int64_t mtime_ns = 0;
-    std::uint64_t size = 0;
-    bool stat_ok = false;
-    bool reused = false;
-    bool read_failed = false;
-    FileFacts facts;
-    CacheEntry fresh;
-  };
-  std::vector<Slot> slots(paths.size());
-  std::vector<std::size_t> misses;
-  for (std::size_t i = 0; i < paths.size(); ++i) {
-    Slot& s = slots[i];
-    if (!StatFile(paths[i], &s.mtime_ns, &s.size)) continue;
-    s.stat_ok = true;
-    const auto it = cache.find(paths[i]);
-    if (it != cache.end() && it->second.mtime_ns == s.mtime_ns &&
-        it->second.size == s.size &&
-        DeserializeFacts(it->second.blob, &s.facts)) {
-      s.reused = true;  // stat match: facts reused without reading the file
-      s.fresh = it->second;
-    } else {
-      misses.push_back(i);
-    }
-  }
-
-  const auto extract_one = [&](std::size_t i) {
-    Slot& s = slots[i];
-    bool ok = false;
-    const std::string source = ReadWholeFile(paths[i], &ok);
-    if (!ok) {
-      s.read_failed = true;
-      return;
-    }
-    const std::uint64_t hash = HashBytes(source);
-    const auto it = cache.find(paths[i]);
-    if (it != cache.end() && it->second.hash == hash &&
-        DeserializeFacts(it->second.blob, &s.facts)) {
-      s.reused = true;  // touched but unchanged: rehash rescued the entry
-      s.fresh = it->second;
-      s.fresh.mtime_ns = s.mtime_ns;
-      s.fresh.size = s.size;
-    } else {
-      s.facts = ExtractFacts(paths[i], source);
-      s.fresh.mtime_ns = s.mtime_ns;
-      s.fresh.size = s.size;
-      s.fresh.hash = hash;
-      SerializeFacts(s.facts, &s.fresh.blob);
-    }
-  };
-  const int workers =
-      std::min<int>(std::max(jobs, 1), static_cast<int>(misses.size()));
-  if (workers <= 1) {
-    for (const std::size_t i : misses) extract_one(i);
-  } else {
-    std::atomic<std::size_t> next{0};
-    std::vector<std::thread> pool;
-    pool.reserve(static_cast<std::size_t>(workers));
-    for (int w = 0; w < workers; ++w) {
-      pool.emplace_back([&] {
-        for (std::size_t k = next.fetch_add(1); k < misses.size();
-             k = next.fetch_add(1)) {
-          extract_one(misses[k]);
-        }
-      });
-    }
-    for (std::thread& th : pool) th.join();
-  }
-
   std::vector<FileFacts> out;
-  std::unordered_map<std::string, CacheEntry> fresh_cache;
-  for (std::size_t i = 0; i < paths.size(); ++i) {
-    Slot& s = slots[i];
+  std::map<std::string, CacheEntry> fresh_cache;  // written in path order
+  for (const std::string& path : paths) {
     ++stats->files_total;
-    if (!s.stat_ok || s.read_failed) {
+    CacheEntry entry;
+    const bool stat_ok = StatFile(path, &entry.mtime_ns, &entry.size);
+    bool read_ok = stat_ok;
+    FileFacts facts;
+    const auto it = cache.find(path);
+    // A stat match reuses the facts without reading the file.
+    bool reused = stat_ok && it != cache.end() &&
+                  it->second.mtime_ns == entry.mtime_ns &&
+                  it->second.size == entry.size &&
+                  DeserializeFacts(it->second.blob, &facts);
+    if (stat_ok && !reused) {
+      const std::string source = ReadWholeFile(path, &read_ok);
+      entry.hash = HashBytes(source);
+      // Touched but unchanged: the content hash rescues the entry.
+      reused = read_ok && it != cache.end() && it->second.hash == entry.hash &&
+               DeserializeFacts(it->second.blob, &facts);
+      if (read_ok && !reused) {
+        facts = ExtractFacts(path, source);
+        SerializeFacts(facts, &entry.blob);
+      }
+    }
+    if (!read_ok) {
       if (!err->empty()) err->push_back('\n');
-      *err += (s.stat_ok ? "cannot read: " : "cannot stat: ") + paths[i];
+      *err += (stat_ok ? "cannot read: " : "cannot stat: ") + path;
       continue;
     }
-    fresh_cache[paths[i]] = std::move(s.fresh);
-    s.facts.path = paths[i];  // cached blobs may carry a stale path spelling
-    ++(s.reused ? stats->files_cached : stats->files_lexed);
-    out.push_back(std::move(s.facts));
+    if (reused) {
+      entry.hash = it->second.hash;
+      entry.blob = std::move(it->second.blob);
+    }
+    facts.path = path;  // cached blobs may carry a stale path spelling
+    ++(reused ? stats->files_cached : stats->files_lexed);
+    fresh_cache[path] = std::move(entry);
+    out.push_back(std::move(facts));
   }
 
   if (!cache_path.empty()) {
     std::string blob = header + "\n";
-    // Deterministic order: sort by path.
-    std::map<std::string, const CacheEntry*> ordered;
-    for (const auto& [p, e] : fresh_cache) ordered[p] = &e;
-    for (const auto& [p, e] : ordered) {
-      blob += "file " + p + "\t" + std::to_string(e->mtime_ns) + "\t" +
-              std::to_string(e->size) + "\t";
+    for (const auto& [p, e] : fresh_cache) {
+      blob += "file " + p + "\t" + std::to_string(e.mtime_ns) + "\t" +
+              std::to_string(e.size) + "\t";
       char buf[24];
       std::snprintf(buf, sizeof(buf), "%016llx",
-                    static_cast<unsigned long long>(e->hash));
+                    static_cast<unsigned long long>(e.hash));
       blob += buf;
       blob.push_back('\n');
-      blob += e->blob;
+      blob += e.blob;
       blob += "end\n";
     }
     std::ofstream outf(cache_path, std::ios::binary | std::ios::trunc);
     if (outf) outf << blob;
   }
   return out;
-}
-
-// --- stale-suppression auto-fix (--fix=stale-allows) -----------------------
-
-namespace {
-
-// Rewrites one source line holding a gl-lint allow(...) comment so that only
-// the still-live rules remain. Returns false when the whole line should be
-// deleted (the comment was the only content). `changed` reports whether the
-// line differs from the input.
-bool RewriteAllowLine(const std::string& line,
-                      const std::unordered_set<std::string>& stale,
-                      std::string* out, bool* changed) {
-  *changed = false;
-  *out = line;
-  const std::size_t at = line.find("gl-lint:");
-  if (at == std::string::npos) return true;
-  const std::size_t open = line.find("allow(", at);
-  if (open == std::string::npos) return true;
-  const std::size_t close = line.find(')', open);
-  if (close == std::string::npos) return true;
-
-  std::vector<std::string> live;
-  const std::string list = line.substr(open + 6, close - open - 6);
-  std::size_t pos = 0;
-  while (pos <= list.size()) {
-    std::size_t comma = list.find(',', pos);
-    if (comma == std::string::npos) comma = list.size();
-    std::string rule = list.substr(pos, comma - pos);
-    const auto b = rule.find_first_not_of(" \t");
-    const auto e = rule.find_last_not_of(" \t");
-    if (b != std::string::npos) {
-      rule = rule.substr(b, e - b + 1);
-      if (!stale.count(rule)) live.push_back(rule);
-    }
-    pos = comma + 1;
-  }
-
-  if (!live.empty()) {
-    std::string joined;
-    for (const std::string& r : live) {
-      if (!joined.empty()) joined += ", ";
-      joined += r;
-    }
-    *out = line.substr(0, open + 6) + joined + line.substr(close);
-    *changed = *out != line;
-    return true;
-  }
-
-  // Empty allow(): drop the whole comment. Prefer erasing from the '//'
-  // that introduces it; fall back to just the gl-lint:...allow(...) text.
-  std::size_t cut = line.rfind("//", at);
-  std::size_t cut_end = line.size();
-  if (cut == std::string::npos) {
-    cut = at;
-    cut_end = close + 1;
-  }
-  std::string next = line.substr(0, cut) + line.substr(cut_end);
-  const auto last = next.find_last_not_of(" \t");
-  next = last == std::string::npos ? std::string() : next.substr(0, last + 1);
-  *changed = true;
-  if (next.find_first_not_of(" \t") == std::string::npos) return false;
-  *out = std::move(next);
-  return true;
-}
-
-}  // namespace
-
-int FixStaleAllows(const std::vector<FileFacts>& files, bool apply,
-                   std::ostream& diff, std::string* err) {
-  int edits = 0;
-  for (const FileFacts& f : files) {
-    // line -> rule names to delete from that line's allow() list.
-    std::map<int, std::unordered_set<std::string>> stale_by_line;
-    for (const Suppression& s : f.suppressions) {
-      for (const SuppressedRule& r : s.rules) {
-        if (!(r.known && r.triggered)) stale_by_line[s.line].insert(r.rule);
-      }
-    }
-    if (stale_by_line.empty()) continue;
-
-    std::ifstream in(f.path, std::ios::binary);
-    if (!in) {
-      *err = "cannot read: " + f.path;
-      return -1;
-    }
-    std::vector<std::string> lines;
-    std::string line;
-    while (std::getline(in, line)) lines.push_back(std::move(line));
-    in.close();
-
-    bool file_changed = false;
-    std::vector<std::string> out_lines;
-    out_lines.reserve(lines.size());
-    for (std::size_t i = 0; i < lines.size(); ++i) {
-      const int lineno = static_cast<int>(i) + 1;
-      const auto it = stale_by_line.find(lineno);
-      if (it == stale_by_line.end()) {
-        out_lines.push_back(lines[i]);
-        continue;
-      }
-      std::string rewritten;
-      bool changed = false;
-      const bool keep = RewriteAllowLine(lines[i], it->second, &rewritten,
-                                         &changed);
-      if (!changed) {
-        out_lines.push_back(lines[i]);
-        continue;
-      }
-      ++edits;
-      file_changed = true;
-      diff << f.path << ":" << lineno << ": - " << lines[i] << "\n";
-      if (keep) {
-        diff << f.path << ":" << lineno << ": + " << rewritten << "\n";
-        out_lines.push_back(std::move(rewritten));
-      }
-    }
-
-    if (apply && file_changed) {
-      std::ofstream outf(f.path, std::ios::binary | std::ios::trunc);
-      if (!outf) {
-        *err = "cannot write: " + f.path;
-        return -1;
-      }
-      for (const std::string& l : out_lines) outf << l << "\n";
-    }
-  }
-  return edits;
 }
 
 // --- fixture self-test -----------------------------------------------------

@@ -4,6 +4,12 @@
 // index here: a name-keyed call graph over every function definition seen.
 // The rules then resolve:
 //
+//   GL001 unordered-iter         loops over unordered containers, including
+//                                members declared in another file and
+//                                locals returned by another file's function
+//   GL002, GL004–GL007, GL009    token rules decided per file (randomness,
+//                                pointer keys, float equality, threads,
+//                                namespace-scope state, clocks)
 //   GL010 alloc-in-hot-path      allocation sites in any function reachable
 //                                from a hot root (default: Bisect,
 //                                KWayPartition, every FmEngine method)
@@ -12,8 +18,9 @@
 //                                surfaced here)
 //   GL012 nondet-float-fold      float accumulation into captured locals
 //                                inside ParallelFor bodies (facts-level)
-//   GL013 stale-suppression      gl-lint allow(...) comments whose rule no
-//                                longer fires on the covered lines
+//
+// and runs the dataflow (GL014, GL016; dataflow.h) and path-sensitive
+// (GL017, GL018, GL020, GL021; cfg.h) layers.
 //
 // Call edges match by bare name, so reachability is an over-approximation —
 // the safe direction for GL010: the analyzer can prove "no allocator call is
@@ -27,7 +34,6 @@
 #pragma once
 
 #include <iosfwd>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -42,14 +48,8 @@ struct RuleInfo {
   const char* summary;  // one-line description for --list-rules / SARIF
 };
 
-// The analyzer rules (GL010–GL021), in id order.
+// The analyzer rules, in id order.
 [[nodiscard]] const std::vector<RuleInfo>& Rules();
-
-// Parses a --rule=GL010,GL017 spec into rule ids. Returns false (with *err
-// set) when a spec names an id Rules() does not know.
-[[nodiscard]] bool ParseRuleFilter(const std::string& spec,
-                                   std::set<std::string>* ids,
-                                   std::string* err);
 
 struct Finding {
   std::string rule_id;
@@ -67,27 +67,12 @@ struct AnalysisOptions {
                                         "FmEngine::"};
 };
 
-// Wall-clock per analysis phase (--stats). Lex/facts time lives in LoadFacts
-// and is measured by the caller around that call.
-struct AnalyzeTimings {
-  double callgraph_ms = 0;  // symbol index + hot-root reachability
-  double dataflow_ms = 0;   // GL014–GL016 fixpoints
-  double cfg_ms = 0;        // GL017–GL021 path walks
-};
-
 // Runs all rules over the merged facts. Findings come back sorted by
 // (path, line, rule id) so output is stable across runs and platforms.
-// The longer overloads also fill the GL014 units coverage report (see
-// dataflow.h) and the per-phase timings when non-null.
-[[nodiscard]] std::vector<Finding> Analyze(const std::vector<FileFacts>& files,
-                                           const AnalysisOptions& opts);
+// `units`, when non-null, receives the GL014 coverage report (dataflow.h).
 [[nodiscard]] std::vector<Finding> Analyze(const std::vector<FileFacts>& files,
                                            const AnalysisOptions& opts,
-                                           UnitsReport* units);
-[[nodiscard]] std::vector<Finding> Analyze(const std::vector<FileFacts>& files,
-                                           const AnalysisOptions& opts,
-                                           UnitsReport* units,
-                                           AnalyzeTimings* timings);
+                                           UnitsReport* units = nullptr);
 
 // --- baseline --------------------------------------------------------------
 
@@ -112,8 +97,12 @@ struct BaselineResult {
   std::vector<Baseline::Entry> stale;   // entries that matched nothing
 };
 
-[[nodiscard]] BaselineResult ApplyBaseline(const std::vector<Finding>& all,
-                                           const Baseline& baseline);
+// An entry is stale when it matched no finding although one of the
+// `analyzed` paths ends with its path: entries for files outside this run
+// (a src/-only sweep against a whole-tree baseline) are not judged.
+[[nodiscard]] BaselineResult ApplyBaseline(
+    const std::vector<Finding>& all, const Baseline& baseline,
+    const std::vector<std::string>& analyzed);
 
 // Renders findings in baseline-file format (for --write-baseline).
 [[nodiscard]] std::string FormatBaseline(const std::vector<Finding>& all);
@@ -135,29 +124,13 @@ struct CacheStats {
 // when `cache_path` is non-empty. A cache entry is reused when mtime+size
 // match the stat, or — after an mtime-only change — when the content hash
 // still matches. Unreadable source files are reported via *err and skipped.
-// `jobs` > 1 extracts cache-missing files on that many threads; results
-// (facts order, cache bytes, error text) are byte-identical to jobs == 1 —
-// only per-file extraction parallelizes, every merge is in path order.
 // `config_hash` fingerprints everything outside the sources that can change
-// a verdict (baseline bytes, active rule set, flags); it is written into the
+// a verdict (baseline bytes, the rule set, flags); it is written into the
 // cache header, so a config change invalidates the whole cache rather than
 // serving stale verdicts.
 [[nodiscard]] std::vector<FileFacts> LoadFacts(
     const std::vector<std::string>& paths, const std::string& cache_path,
-    CacheStats* stats, std::string* err, int jobs = 1,
-    std::uint64_t config_hash = 0);
-
-// --- stale-suppression auto-fix (--fix=stale-allows) -----------------------
-
-// Deletes stale rule names from gl-lint allow(...) comments (the GL013
-// finding): a rule is dropped when it is unknown or no longer fires on the
-// covered lines; an allow() left empty is removed, and a line left holding
-// only the comment is deleted. With `apply` false nothing is written — the
-// would-be edits are printed to `diff` as "path:line: - old / + new" pairs.
-// Returns the number of lines changed (written or would-be), or -1 on I/O
-// error (with *err set).
-int FixStaleAllows(const std::vector<FileFacts>& files, bool apply,
-                   std::ostream& diff, std::string* err);
+    CacheStats* stats, std::string* err, std::uint64_t config_hash = 0);
 
 // --- fixture self-test -----------------------------------------------------
 

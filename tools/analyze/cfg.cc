@@ -1,5 +1,5 @@
-// CFG construction and the GL017–GL021 abstract interpreters (cfg.h,
-// DESIGN.md §14).
+// CFG construction and the GL017, GL018, GL020 and GL021 abstract
+// interpreters (cfg.h, DESIGN.md §14).
 //
 // The builder is a recursive-descent walk over one function body's
 // structural tokens. It never needs to be a full parser: every construct it
@@ -94,7 +94,7 @@ const std::unordered_set<std::string_view> kNarrowTargets = {
 const std::unordered_set<std::string_view> kScratchTypes = {
     "PartitionScratch", "GroupAccumulator", "LazyMaxHeap"};
 
-// Containers tracked for GL018/GL019.
+// Containers tracked for GL018.
 const std::unordered_set<std::string_view> kOwningContainers = {
     "vector", "deque", "list", "string", "basic_string", "map", "set",
     "multimap", "multiset", "unordered_map", "unordered_set",
@@ -109,14 +109,6 @@ const std::unordered_set<std::string_view> kRefUnstableContainers = {
 const std::unordered_set<std::string_view> kVecInvalidating = {
     "push_back", "emplace_back", "resize", "insert", "clear", "assign",
     "reserve", "erase", "shrink_to_fit"};
-
-const std::unordered_set<std::string_view> kGrowthCalls = {
-    "push_back", "emplace_back", "emplace", "insert", "append", "push_front",
-    "resize", "reserve", "assign"};
-
-const std::unordered_set<std::string_view> kAllocCalls = {
-    "make_unique", "make_shared", "malloc", "calloc", "realloc", "strdup",
-    "aligned_alloc"};
 
 // Calls yielding an iterator/pointer into the receiver: binding their result
 // is poisonable even without '&' on the left-hand side.
@@ -168,7 +160,6 @@ struct Builder {
   FuncCfg cfg;
 
   int cur = 0;          // current block; -1 after a terminator (dead code)
-  int depth = 0;        // enclosing loop count for new blocks
   bool par = false;     // inside a ParallelFor lambda body
   int guard = 0;        // line of innermost thread-varying branch (0 = none)
   std::vector<int> continue_to;
@@ -179,7 +170,7 @@ struct Builder {
   std::set<std::string> wide64;    // 64-bit declared locals and params
   std::set<std::string> scratch;   // PartitionScratch/GroupAccumulator/...
   std::set<std::string> vecs;      // ref-unstable container locals/params
-  std::set<std::string> own;       // body-declared owning containers (GL019)
+  std::set<std::string> own;       // body-declared owning containers
   std::set<std::string> counters;  // Counter-typed locals/params
   std::map<std::string, std::string> alias;  // container alias -> source
   std::set<std::string> bound;     // vars with a kBind seen so far
@@ -195,7 +186,6 @@ struct Builder {
       return cur >= 0 ? cur : 0;
     }
     CfgBlock b;
-    b.loop_depth = depth;
     b.in_parallel = par;
     b.varying_guard = guard;
     cfg.blocks.push_back(std::move(b));
@@ -514,9 +504,6 @@ struct Builder {
                      chain == root) {
             Emit(CfgEventKind::kInvalidate, chain, id, t.line(k));
           }
-          if (own.count(root) && kGrowthCalls.count(id)) {
-            Emit(CfgEventKind::kAlloc, chain + "." + id, "growth", t.line(k));
-          }
           if (counters.count(root) && kCounterSinkMethods.count(id)) {
             Emit(CfgEventKind::kSink, "Counter::" + id, "", t.line(k));
           }
@@ -527,33 +514,6 @@ struct Builder {
       if (call && (id.starts_with("Mix") || kSinkCallees.count(id))) {
         Emit(CfgEventKind::kSink, id, "", t.line(k));
         continue;
-      }
-
-      // Allocation raw material (GL019 pairs these with loop depth).
-      if (id == "new" && (t.IsIdent(k + 1) || t.is(k + 1, "("))) {
-        Emit(CfgEventKind::kAlloc, "new", "new", t.line(k));
-        continue;
-      }
-      if (call && !method && kAllocCalls.count(id)) {
-        Emit(CfgEventKind::kAlloc, id, "call", t.line(k));
-        continue;
-      }
-      if (call && id == "InducedSubgraph") {
-        Emit(CfgEventKind::kAlloc, id, "induced", t.line(k));
-        continue;
-      }
-      // Owning container constructed with contents inside this statement.
-      if (kOwningContainers.count(id) && !method) {
-        std::size_t k2 = SkipTemplateArgs(t, k + 1);
-        if (k2 != k + 1 || !t.is(k + 1, "<")) {
-          k2 = SkipDecl(k2, e);
-          if (t.IsIdent(k2) && !IsReservedWord(t.text(k2)) &&
-              ((t.is(k2 + 1, "(") && !t.is(k2 + 2, ")")) ||
-               (t.is(k2 + 1, "{") && !t.is(k2 + 2, "}")))) {
-            Emit(CfgEventKind::kAlloc, t.text(k2) + " init", "init",
-                 t.line(k));
-          }
-        }
       }
 
       // Use of a previously bound ref/index/view (bare occurrences only).
@@ -691,7 +651,6 @@ struct Builder {
     ScanCond(j + 1, close - 1);
     const int exit_blk = NewBlock();
     Edge(head, exit_blk);
-    ++depth;
     const int body = NewBlock();
     Edge(head, body);
     continue_to.push_back(head);
@@ -701,7 +660,6 @@ struct Builder {
     Edge(cur, head);
     continue_to.pop_back();
     break_to.pop_back();
-    --depth;
     cur = exit_blk;
     return next;
   }
@@ -729,8 +687,7 @@ struct Builder {
       ScanCond(semis[0] + 1, semis[1]);
       const int exit_blk = NewBlock();
       Edge(head, exit_blk);
-      ++depth;
-      const int body = NewBlock();
+        const int body = NewBlock();
       Edge(head, body);
       const int latch = NewBlock();  // the step; `continue` lands here
       continue_to.push_back(latch);
@@ -743,8 +700,7 @@ struct Builder {
       Edge(latch, head);
       continue_to.pop_back();
       break_to.pop_back();
-      --depth;
-      cur = exit_blk;
+        cur = exit_blk;
       return next;
     }
     if (colon != 0) {
@@ -754,8 +710,7 @@ struct Builder {
       cur = head;
       const int exit_blk = NewBlock();
       Edge(head, exit_blk);
-      ++depth;
-      const int body = NewBlock();
+        const int body = NewBlock();
       Edge(head, body);
       continue_to.push_back(head);
       break_to.push_back(exit_blk);
@@ -764,8 +719,7 @@ struct Builder {
       Edge(cur, head);
       continue_to.pop_back();
       break_to.pop_back();
-      --depth;
-      cur = exit_blk;
+        cur = exit_blk;
       return next;
     }
     // Malformed head: treat the whole group as a condition.
@@ -775,7 +729,6 @@ struct Builder {
     ScanCond(j + 1, close - 1);
     const int exit_blk = NewBlock();
     Edge(head, exit_blk);
-    ++depth;
     const int body = NewBlock();
     Edge(head, body);
     continue_to.push_back(head);
@@ -785,14 +738,12 @@ struct Builder {
     Edge(cur, head);
     continue_to.pop_back();
     break_to.pop_back();
-    --depth;
     cur = exit_blk;
     return next;
   }
 
   std::size_t ParseDo(std::size_t i, std::size_t hi) {
-    const int exit_blk = NewBlock();  // outer loop depth
-    ++depth;
+    const int exit_blk = NewBlock();
     const int body = NewBlock();
     const int latch = NewBlock();  // the while(cond); `continue` lands here
     Edge(cur, body);
@@ -813,7 +764,6 @@ struct Builder {
     }
     Edge(latch, body);
     Edge(latch, exit_blk);
-    --depth;
     cur = exit_blk;
     return next;
   }
@@ -1195,27 +1145,6 @@ void RunUseAfterInval(const FileFacts& f, const FuncCfg& cfg,
   }
 }
 
-// GL019: allocation events in blocks with loop_depth > 0 of hot functions.
-void RunLoopAlloc(const FileFacts& f, const FuncCfg& cfg, const FuncRef& ref,
-                  const SymbolIndex& index, const HotReach& hot,
-                  const std::vector<char>& reach, std::vector<Finding>* out) {
-  if (!hot.Reached(ref)) return;
-  std::string via;
-  for (std::size_t b = 0; b < cfg.blocks.size(); ++b) {
-    if (!reach[b] || cfg.blocks[b].loop_depth <= 0) continue;
-    for (const CfgEvent& e : cfg.blocks[b].events) {
-      if (e.kind != CfgEventKind::kAlloc) continue;
-      if (via.empty()) via = hot.Chain(index, ref);
-      PushFinding(out, "GL019", "loop-carried-allocation", f.path, e.line,
-                  e.line_text,
-                  "allocation ('" + e.a +
-                      "') inside a loop on the hot path: " + via +
-                      "; the steady state must not allocate per iteration — "
-                      "hoist it into scratch or a pre-sized buffer");
-    }
-  }
-}
-
 // GL020: must-checked analysis (intersection at joins, events in order
 // within a block, so a check in the same block dominates later casts).
 void RunNarrowing(const FileFacts& f, const FuncCfg& cfg,
@@ -1326,64 +1255,9 @@ void BuildFunctionCfg(const std::vector<const Token*>& toks,
   out->cfgs.push_back(std::move(b.cfg));
 }
 
-std::string HotReach::Chain(const SymbolIndex& index, const FuncRef& r) const {
-  std::vector<std::string> chain;
-  FuncRef walk = r;
-  while (walk.file >= 0 && chain.size() < 32) {
-    chain.push_back(index.Display(walk));
-    const auto it = parent.find(walk);
-    if (it == parent.end()) break;
-    walk = it->second;
-  }
-  std::string via;
-  for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
-    if (!via.empty()) via += " -> ";
-    via += *it;
-  }
-  return via;
-}
-
-HotReach ComputeHotReach(const std::vector<FileFacts>& files,
-                         const SymbolIndex& index,
-                         const std::vector<std::string>& roots) {
-  HotReach hr;
-  std::vector<FuncRef> queue;
-  const auto seed = [&](const FuncRef& r) {
-    if (hr.parent.emplace(r, FuncRef{}).second) queue.push_back(r);
-  };
-  for (const std::string& spec : roots) {
-    if (spec.ends_with("::")) {
-      const std::vector<FuncRef>* refs =
-          index.ByClass(spec.substr(0, spec.size() - 2));
-      if (refs != nullptr) {
-        for (const FuncRef& r : *refs) seed(r);
-      }
-    } else {
-      const std::vector<FuncRef>* refs = index.ByName(spec);
-      if (refs != nullptr) {
-        for (const FuncRef& r : *refs) seed(r);
-      }
-    }
-  }
-  for (std::size_t head = 0; head < queue.size(); ++head) {
-    const FuncRef cur = queue[head];
-    const FileFacts& f = files[static_cast<std::size_t>(cur.file)];
-    for (const CallSite& c : f.calls) {
-      if (c.func != cur.func) continue;
-      const std::vector<FuncRef>* targets = index.Resolve(cur, c.callee);
-      if (targets == nullptr) continue;
-      for (const FuncRef& callee : *targets) {
-        if (hr.parent.emplace(callee, cur).second) queue.push_back(callee);
-      }
-    }
-  }
-  return hr;
-}
-
-void AnalyzeCfg(const std::vector<FileFacts>& files, const SymbolIndex& index,
-                const HotReach& hot, std::vector<Finding>* out) {
-  for (int fi = 0; fi < static_cast<int>(files.size()); ++fi) {
-    const FileFacts& f = files[static_cast<std::size_t>(fi)];
+void AnalyzeCfg(const std::vector<FileFacts>& files,
+                std::vector<Finding>* out) {
+  for (const FileFacts& f : files) {
     std::map<int, std::set<std::string>> exempt;  // func -> contract locks
     for (const LockAnno& q : f.lock_annos) exempt[q.func].insert(q.lock);
     for (const FuncCfg& cfg : f.cfgs) {
@@ -1401,7 +1275,6 @@ void AnalyzeCfg(const std::vector<FileFacts>& files, const SymbolIndex& index,
                     reach, out);
       }
       RunUseAfterInval(f, cfg, reach, out);
-      RunLoopAlloc(f, cfg, FuncRef{fi, cfg.func}, index, hot, reach, out);
       RunNarrowing(f, cfg, reach, out);
       RunDivergent(f, cfg, fn, reach, out);
     }

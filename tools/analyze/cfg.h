@@ -10,8 +10,8 @@
 // replay cached graphs instead of re-lexing.
 //
 // AnalyzeCfg then walks every cached CFG with small abstract interpreters —
-// monotone fixpoints over per-block states — seeded by the PR 6/7 facts
-// (lock annotations, hot roots, the call graph) and reports:
+// monotone fixpoints over per-block states, with GL_REQUIRES/GL_ACQUIRE
+// annotations exempting contract locks — and reports:
 //
 //   GL017 lock-path-leak          a manual .Lock() may-held at function exit
 //                                 (some path skipped the .Unlock()); RAII
@@ -22,10 +22,6 @@
 //                                 LazyMaxHeap (or a local vector element)
 //                                 used after a Clear()/Reset() (or growth
 //                                 call) on some path
-//   GL019 loop-carried-allocation allocation or container growth inside a
-//                                 loop of a hot-path function (sharpens
-//                                 GL010: the steady state must not allocate
-//                                 per iteration)
 //   GL020 unguarded-narrowing     a 64-bit value cast to a 32-bit vertex-id
 //                                 type with no dominating bounds check on
 //                                 the path (must-analysis: checked on every
@@ -45,14 +41,12 @@
 #include <string>
 #include <vector>
 
-#include "analyze/dataflow.h"
 #include "analyze/facts.h"
 #include "analyze/lexer.h"
 
 namespace gl::analyze {
 
-struct Finding;           // analysis.h
-struct AnalysisOptions;   // analysis.h
+struct Finding;  // analysis.h
 
 // Hard cap on basic blocks per function. Beyond it the builder stops
 // splitting and marks the CFG budget_exceeded.
@@ -71,25 +65,9 @@ void BuildFunctionCfg(const std::vector<const Token*>& toks,
                       std::size_t sig_begin, std::size_t body_begin,
                       std::size_t body_end, FileFacts* out);
 
-// Hot-root reachability (shared by GL010 and GL019): BFS over name-matched
-// call edges from the AnalysisOptions roots, recording each function's BFS
-// parent so findings can print the call chain.
-struct HotReach {
-  std::unordered_map<FuncRef, FuncRef, FuncRefHash> parent;  // root: {-1,-1}
-  [[nodiscard]] bool Reached(const FuncRef& r) const {
-    return parent.count(r) > 0;
-  }
-  // "Root -> ... -> fn" display chain for a reached function.
-  [[nodiscard]] std::string Chain(const SymbolIndex& index,
-                                  const FuncRef& r) const;
-};
-
-[[nodiscard]] HotReach ComputeHotReach(const std::vector<FileFacts>& files,
-                                       const SymbolIndex& index,
-                                       const std::vector<std::string>& roots);
-
-// Runs GL017–GL021 over every cached CFG and appends findings.
-void AnalyzeCfg(const std::vector<FileFacts>& files, const SymbolIndex& index,
-                const HotReach& hot, std::vector<Finding>* out);
+// Runs GL017, GL018, GL020 and GL021 over every cached CFG and appends
+// findings.
+void AnalyzeCfg(const std::vector<FileFacts>& files,
+                std::vector<Finding>* out);
 
 }  // namespace gl::analyze

@@ -94,7 +94,6 @@ const char* DimName(Dim d) {
 namespace {
 
 constexpr char kRuleUnits[] = "GL014";
-constexpr char kRuleLocks[] = "GL015";
 constexpr char kRuleTaint[] = "GL016";
 
 // Callees whose return value keeps its argument's dimension and taint.
@@ -113,11 +112,6 @@ const std::unordered_set<std::string_view> kTaintSourceCallees = {
 const std::unordered_set<std::string_view> kTaintSinkCallees = {
     "MixU64", "MixI64", "MixI32", "MixDouble", "MixResource", "MixId",
     "HashAssignment", "HashLoads", "Counter::Add"};
-
-// gl:: synchronization infrastructure: their internal Lock/Unlock bodies
-// and annotations would otherwise put one hub node in every lock graph.
-const std::unordered_set<std::string_view> kLockInfraClasses = {
-    "Mutex", "MutexLock", "CondVar"};
 
 // Callees that return an element/item count regardless of receiver.
 [[nodiscard]] bool IsCountCallee(const std::string& name) {
@@ -554,257 +548,6 @@ struct Engine {
 
 }  // namespace
 
-// --- GL015: lock-order analysis --------------------------------------------
-
-namespace {
-
-struct LockSite {
-  std::string lock;  // qualified name ("Pool::mu_")
-  int line = 0;
-  int scope_end = 0;
-  std::string line_text;
-};
-
-struct LockGraph {
-  // Edge A -> B: "B acquired while A is held", with human evidence and the
-  // site (for the finding's location and baseline fingerprint).
-  struct Edge {
-    std::string to;
-    std::string evidence;
-    std::string path;
-    int line = 0;
-    std::string line_text;
-  };
-  std::map<std::string, std::vector<Edge>> adj;
-
-  void Add(const std::string& from, Edge e) {
-    auto& v = adj[from];
-    for (const Edge& existing : v) {
-      if (existing.to == e.to) return;  // first evidence wins (deterministic)
-    }
-    v.push_back(std::move(e));
-  }
-};
-
-[[nodiscard]] std::string QualifyLock(const FunctionDef& d,
-                                      const std::string& lock) {
-  if (d.class_name.empty() || lock.find("::") != std::string::npos) {
-    return lock;
-  }
-  // Locals shadow members only if they were declared in the body; the
-  // token scanner cannot tell, so member qualification (the common case
-  // for `mu_`-style names) wins.
-  return d.class_name + "::" + lock;
-}
-
-void AnalyzeLockOrder(const std::vector<FileFacts>& files,
-                      const SymbolIndex& index, std::vector<Finding>* out) {
-  // Direct per-function acquisitions (sites + GL_ACQUIRE annotations).
-  std::unordered_map<FuncRef, std::vector<LockSite>, FuncRefHash> direct;
-  for (int fi = 0; fi < static_cast<int>(files.size()); ++fi) {
-    const FileFacts& f = files[static_cast<std::size_t>(fi)];
-    for (const LockAcquire& l : f.lock_acquires) {
-      if (l.func < 0) continue;
-      const FunctionDef& d = f.functions[static_cast<std::size_t>(l.func)];
-      if (kLockInfraClasses.count(d.class_name)) continue;
-      direct[{fi, l.func}].push_back({QualifyLock(d, l.lock), l.line,
-                                      l.scope_end_line, l.line_text});
-    }
-    for (const LockAnno& q : f.lock_annos) {
-      if (q.func < 0 || q.kind != "acquire") continue;
-      const FunctionDef& d = f.functions[static_cast<std::size_t>(q.func)];
-      if (kLockInfraClasses.count(d.class_name)) continue;
-      direct[{fi, q.func}].push_back(
-          {QualifyLock(d, q.lock), d.line, d.body_end_line, ""});
-    }
-  }
-
-  // Acquired-lockset closure over the call graph, with one witness chain
-  // per (function, lock).
-  std::unordered_map<FuncRef, std::map<std::string, std::string>, FuncRefHash>
-      closure;
-  for (const auto& [ref, sites] : direct) {
-    const FileFacts& f = files[static_cast<std::size_t>(ref.file)];
-    for (const LockSite& s : sites) {
-      auto& slot = closure[ref][s.lock];
-      const std::string wit = index.Display(ref) + " acquires " + s.lock +
-                              " (" + f.path + ":" + std::to_string(s.line) +
-                              ")";
-      if (slot.empty() || wit < slot) slot = wit;
-    }
-  }
-  for (int pass = 0; pass < 64; ++pass) {
-    bool changed = false;
-    for (int fi = 0; fi < static_cast<int>(files.size()); ++fi) {
-      const FileFacts& f = files[static_cast<std::size_t>(fi)];
-      for (const CallSite& c : f.calls) {
-        if (c.func < 0) continue;
-        const FuncRef caller{fi, c.func};
-        if (kLockInfraClasses.count(
-                f.functions[static_cast<std::size_t>(c.func)].class_name)) {
-          continue;
-        }
-        const std::vector<FuncRef>* targets = index.Resolve(caller, c.callee);
-        if (targets == nullptr) continue;
-        for (const FuncRef& tgt : *targets) {
-          const auto cit = closure.find(tgt);
-          if (cit == closure.end()) continue;
-          for (const auto& [lock, wit] : cit->second) {
-            auto& slot = closure[caller][lock];
-            const std::string via = index.Display(caller) + " calls (" +
-                                    f.path + ":" + std::to_string(c.line) +
-                                    ") -> " + wit;
-            if (slot.empty()) {
-              slot = via;
-              changed = true;
-            }
-          }
-        }
-      }
-    }
-    if (!changed) break;
-  }
-
-  // Lock-order graph.
-  LockGraph graph;
-  for (int fi = 0; fi < static_cast<int>(files.size()); ++fi) {
-    const FileFacts& f = files[static_cast<std::size_t>(fi)];
-    for (const auto& [ref, sites] : direct) {
-      if (ref.file != fi) continue;
-      const std::string fn = index.Display(ref);
-      for (const LockSite& a : sites) {
-        // (a) another acquisition inside a's scope.
-        for (const LockSite& b : sites) {
-          if (&a == &b || b.line < a.line || b.line > a.scope_end) continue;
-          if (b.lock == a.lock) {
-            if (b.line > a.line) {
-              Finding fd;
-              fd.rule_id = kRuleLocks;
-              fd.rule_name = "lock-order-cycle";
-              fd.path = f.path;
-              fd.line = b.line;
-              fd.line_text = b.line_text;
-              fd.message = "'" + fn + "' re-acquires non-recursive lock " +
-                           a.lock + " already held since line " +
-                           std::to_string(a.line) + " (self-deadlock)";
-              out->push_back(std::move(fd));
-            }
-            continue;
-          }
-          graph.Add(a.lock,
-                    {b.lock,
-                     fn + " holds " + a.lock + " (" + f.path + ":" +
-                         std::to_string(a.line) + "), acquires " + b.lock +
-                         " (" + f.path + ":" + std::to_string(b.line) + ")",
-                     f.path, b.line, b.line_text});
-        }
-        // (b) calls made while a is held pull in the callee's lockset.
-        for (const CallSite& c : f.calls) {
-          if (c.func != ref.func || c.line < a.line || c.line > a.scope_end) {
-            continue;
-          }
-          const std::vector<FuncRef>* targets = index.Resolve(ref, c.callee);
-          if (targets == nullptr) continue;
-          for (const FuncRef& tgt : *targets) {
-            const auto cit = closure.find(tgt);
-            if (cit == closure.end()) continue;
-            for (const auto& [lock, wit] : cit->second) {
-              if (lock == a.lock) continue;
-              graph.Add(a.lock,
-                        {lock,
-                         fn + " holds " + a.lock + " (" + f.path + ":" +
-                             std::to_string(a.line) + "), then " + wit,
-                         f.path, a.line, a.line_text});
-            }
-          }
-        }
-      }
-    }
-    // (c) GL_REQUIRES: every acquisition in the function (and its callees)
-    // is ordered after the required lock.
-    for (const LockAnno& q : f.lock_annos) {
-      if (q.func < 0 || q.kind != "requires") continue;
-      const FunctionDef& d = f.functions[static_cast<std::size_t>(q.func)];
-      if (kLockInfraClasses.count(d.class_name)) continue;
-      const FuncRef ref{fi, q.func};
-      const std::string req = QualifyLock(d, q.lock);
-      const auto cit = closure.find(ref);
-      if (cit == closure.end()) continue;
-      for (const auto& [lock, wit] : cit->second) {
-        if (lock == req) continue;
-        graph.Add(req,
-                  {lock,
-                   index.Display(ref) + " requires " + req + "; " + wit,
-                   f.path, d.line, ""});
-      }
-    }
-  }
-
-  // Cycle detection: for each edge A -> B, a path B ->* A closes a cycle.
-  std::set<std::string> reported;  // canonical node-set keys
-  for (const auto& [from, edges] : graph.adj) {
-    for (const LockGraph::Edge& e : edges) {
-      // BFS from e.to back to `from`, tracking the edge path.
-      std::map<std::string, const LockGraph::Edge*> parent_edge;
-      std::map<std::string, std::string> parent_node;
-      std::vector<std::string> queue = {e.to};
-      std::set<std::string> seen = {e.to};
-      bool found = e.to == from;
-      while (!queue.empty() && !found) {
-        std::vector<std::string> next;
-        for (const std::string& cur : queue) {
-          const auto it = graph.adj.find(cur);
-          if (it == graph.adj.end()) continue;
-          for (const LockGraph::Edge& back : it->second) {
-            if (!seen.insert(back.to).second) continue;
-            parent_edge[back.to] = &back;
-            parent_node[back.to] = cur;
-            if (back.to == from) {
-              found = true;
-              break;
-            }
-            next.push_back(back.to);
-          }
-          if (found) break;
-        }
-        queue = std::move(next);
-      }
-      if (!found) continue;
-      // Reconstruct the return path's evidence.
-      std::vector<const LockGraph::Edge*> back_edges;
-      std::string cur = from;
-      while (cur != e.to) {
-        const LockGraph::Edge* pe = parent_edge.at(cur);
-        back_edges.push_back(pe);
-        cur = parent_node.at(cur);
-      }
-      std::reverse(back_edges.begin(), back_edges.end());
-      // Canonical cycle key: sorted node set.
-      std::set<std::string> nodes = {from, e.to};
-      for (const LockGraph::Edge* pe : back_edges) nodes.insert(pe->to);
-      std::string key;
-      for (const std::string& n : nodes) key += n + "|";
-      if (!reported.insert(key).second) continue;
-
-      std::string msg = "lock-order cycle between " + from + " and " + e.to +
-                        ": [" + e.evidence + "]";
-      for (const LockGraph::Edge* pe : back_edges) {
-        msg += " vs [" + pe->evidence + "]";
-      }
-      Finding fd;
-      fd.rule_id = kRuleLocks;
-      fd.rule_name = "lock-order-cycle";
-      fd.path = e.path;
-      fd.line = e.line;
-      fd.line_text = e.line_text;
-      fd.message = std::move(msg);
-      out->push_back(std::move(fd));
-    }
-  }
-}
-
-}  // namespace
-
 void AnalyzeDataflow(const std::vector<FileFacts>& files,
                      const SymbolIndex& index, std::vector<Finding>* out,
                      UnitsReport* units) {
@@ -812,7 +555,6 @@ void AnalyzeDataflow(const std::vector<FileFacts>& files,
   engine.Build();
   engine.Fixpoint();
   engine.Check(out, units);
-  AnalyzeLockOrder(files, index, out);
 }
 
 }  // namespace gl::analyze

@@ -2,7 +2,7 @@
 //
 // The per-file facts (facts.h) carry value flows as *terms*; this layer
 // joins them into a whole-program term graph and runs a monotone worklist
-// to a fixpoint. Three rules read the result:
+// to a fixpoint. Two rules read the result:
 //
 //   GL014 unit-confusion     a dimension lattice (unknown < cores, bytes,
 //                            bits_per_sec, watts, ms, epochs, count,
@@ -13,12 +13,6 @@
 //                            binding and returns. Mixed-dimension '+'/'-'/
 //                            comparisons, dimension-changing assignments
 //                            and mismatched argument bindings are flagged.
-//   GL015 lock-order-cycle   per-function acquired locksets (MutexLock
-//                            RAII sites, .Lock() calls, GL_ACQUIRE /
-//                            GL_REQUIRES annotations) fold over the call
-//                            graph into a global lock-order graph; any
-//                            cycle is a potential deadlock, reported with
-//                            both acquisition chains.
 //   GL016 determinism-taint  nondeterminism sources (clock and rand
 //                            calls, unordered/pointer-keyed iteration)
 //                            propagate interprocedurally; any tainted term
@@ -101,9 +95,9 @@ enum class Dim {
 [[nodiscard]] Dim DimFromString(const std::string& s);
 [[nodiscard]] const char* DimName(Dim d);
 
-// Per-file ⊤/unknown accounting for --units-report / --units-strict: how
-// many tracked '+'/'-'/comparison operands resolved to a concrete
-// dimension, and how many stayed unknown (or hit conflict).
+// Per-file ⊤/unknown accounting for --units-strict: how many tracked
+// '+'/'-'/comparison operands resolved to a concrete dimension, and how
+// many stayed unknown (or hit conflict).
 struct UnitsReport {
   struct FileEntry {
     std::string path;
@@ -114,7 +108,7 @@ struct UnitsReport {
   std::vector<FileEntry> files;  // sorted by path
 };
 
-// Runs the dataflow fixpoint and appends GL014/GL015/GL016 findings.
+// Runs the dataflow fixpoint and appends GL014/GL016 findings.
 // `units` may be null when the caller does not need the report.
 void AnalyzeDataflow(const std::vector<FileFacts>& files,
                      const SymbolIndex& index, std::vector<Finding>* out,

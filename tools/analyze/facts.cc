@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <unordered_map>
 #include <unordered_set>
 
 #include "analyze/cfg.h"
@@ -118,9 +119,12 @@ struct Extractor {
   const std::vector<std::string>& lines;  // 0-based source lines
   FileFacts& out;
 
-  // Set by WalkStructure for the function whose body is being scanned.
-  std::unordered_set<std::string> unordered_params;
-  int body_end_line = 0;
+  // Per-function name sets: local_kinds (name -> ContainerKind) is primed
+  // with the parameters by ParseSignature, the rest by ScanStatements'
+  // prepass over the body.
+  std::unordered_map<std::string, char> local_kinds;
+  std::unordered_set<std::string> counter_locals;
+  std::unordered_map<std::string, std::string> auto_calls;  // x -> F
 
   [[nodiscard]] std::string LineText(int line) const {
     if (line < 1 || line > static_cast<int>(lines.size())) return "";
@@ -164,13 +168,6 @@ struct Extractor {
         }
         if (t.is(k + 1, "(") && !IsReservedWord(s) && !t.is(k - 1, "new") &&
             !s.starts_with("GL_")) {
-          out.calls.push_back({fidx, s, t.line(k)});
-        }
-        // A TraceSpan declaration — `obs::TraceSpan span(...)` — tokenizes
-        // as type + ident + "(", so the generic call pattern above records
-        // the *variable* name. Record the type as the callee too: it is the
-        // span-coverage fact GL022 keys on.
-        if (s == "TraceSpan" && t.IsIdent(k + 1) && t.is(k + 2, "(")) {
           out.calls.push_back({fidx, s, t.line(k)});
         }
         // Growth call on a local container: NAME . grow ( ...
@@ -293,12 +290,12 @@ struct Extractor {
     }
   }
 
-  // --- dataflow term extraction (GL014/GL015/GL016) ------------------------
+  // --- dataflow term extraction (GL014/GL016) and loops (GL001) -----------
   //
   // Statements are the token runs between ';', '{' and '}'. Each statement
   // is scanned for declared dimensions, value flows, unit-relevant binary
-  // operators, call arguments, returns, taint seeds and lock sites. Terms
-  // use the encoding documented in facts.h.
+  // operators, call arguments, returns, loops and taint seeds. Terms use
+  // the encoding documented in facts.h.
 
   // Parses one operand starting at `k`, bounded by `hi`. Returns the term
   // and the index just past the operand ("" when `k` starts no operand).
@@ -528,32 +525,79 @@ struct Extractor {
     flush(hi);
   }
 
+  // Declarator after the container type at `k` (`unordered_map<K, V>& x`
+  // yields x's index), or 0 when none follows or when the closing `>>`
+  // also closes an enclosing list (`vector<unordered_map<K, V>> x` declares
+  // x as the vector).
+  [[nodiscard]] std::size_t DeclaredName(std::size_t k) const {
+    std::size_t p = SkipTemplateArgs(t, k + 1);
+    if (p == k + 1) return 0;
+    int depth = 0;
+    for (std::size_t q = k + 1; q < p; ++q) {
+      depth += t.is(q, "<") ? 1 : t.is(q, ">") ? -1 : t.is(q, ">>") ? -2 : 0;
+    }
+    if (depth < 0) return 0;
+    while (t.is(p, "&") || t.is(p, "&&") || t.is(p, "*") || t.is(p, "const")) {
+      ++p;
+    }
+    return t.IsIdent(p) && !IsReservedWord(t.text(p)) ? p : 0;
+  }
+
+  // Whether the first template argument of the associative type at `k`
+  // spells a pointer anywhere (`map<Node*, int>`, `set<pair<T*, int>>`).
+  [[nodiscard]] bool KeyHasPointer(std::size_t k) const {
+    const std::size_t end = SkipTemplateArgs(t, k + 1);
+    int depth = 0;
+    for (std::size_t q = k + 2; q + 1 < end; ++q) {
+      if (t.is(q, "<") || t.is(q, "(") || t.is(q, "[")) ++depth;
+      if (t.is(q, ">") || t.is(q, ")") || t.is(q, "]")) --depth;
+      if (t.is(q, "*")) return true;
+      if (depth == 0 && t.is(q, ",")) return false;
+    }
+    return false;
+  }
+
+  // How a declaration of the container type at `k` iterates: 'v' unordered,
+  // 'e' a sequence of unordered containers (`vector<unordered_set<int>>`),
+  // 'p' ordered but pointer-keyed, 0 deterministically or not a
+  // declaration. The declarator's index goes to *name.
+  [[nodiscard]] char ContainerKind(std::size_t k, std::size_t* name) const {
+    const std::string& s = t.text(k);
+    const bool seq = s == "vector" || s == "array" || s == "deque";
+    const bool ordered =
+        s == "map" || s == "set" || s == "multimap" || s == "multiset";
+    if (!seq && !ordered && !kUnorderedContainers.count(s)) return 0;
+    *name = DeclaredName(k);
+    if (*name == 0) return 0;
+    if (ordered) return KeyHasPointer(k) ? 'p' : 0;
+    if (!seq) return 'v';
+    const std::size_t end = SkipTemplateArgs(t, k + 1);
+    for (std::size_t q = k + 1; q < end; ++q) {
+      if (kUnorderedContainers.count(t.text(q))) return 'e';
+    }
+    return 0;
+  }
+
   // The per-statement scanner. `begin`/`end` span the function body.
   void ScanStatements(int fidx, std::size_t begin, std::size_t end) {
     // Prepass: locals with nondeterministic iteration order, and
     // deterministic-counter locals (GL016 receivers).
-    std::unordered_set<std::string> unordered_locals = unordered_params;
-    std::unordered_set<std::string> ptrkey_locals;
-    std::unordered_set<std::string> counter_locals;
+    counter_locals.clear();
+    auto_calls.clear();
     for (std::size_t k = begin; k < end; ++k) {
       if (!t.IsIdent(k)) continue;
       const std::string& s = t.text(k);
-      if (kUnorderedContainers.count(s) ||
-          ((s == "map" || s == "set" || s == "multimap" || s == "multiset") &&
-           t.is(k + 1, "<"))) {
-        const std::size_t p = SkipTemplateArgs(t, k + 1);
-        if (p != k + 1 && t.IsIdent(p) && !IsReservedWord(t.text(p))) {
-          if (kUnorderedContainers.count(s)) {
-            unordered_locals.insert(t.text(p));
-          } else {
-            for (std::size_t q = k + 2; q + 1 < p; ++q) {
-              if (t.is(q, "*")) {  // pointer-keyed ordered container
-                ptrkey_locals.insert(t.text(p));
-                break;
-              }
-              if (t.is(q, ",")) break;  // only the key type matters
-            }
-          }
+      std::size_t p = 0;
+      const char kind = ContainerKind(k, &p);
+      if (kind != 0) local_kinds[t.text(p)] = kind;
+      // `auto x = F(...)`: whether F returns an unordered container is a
+      // cross-file question (LoopOver::callee).
+      if (s == "auto") {
+        const std::size_t q = t.is(k + 1, "&") || t.is(k + 1, "&&") ? k + 2
+                                                                    : k + 1;
+        if (t.IsIdent(q) && t.is(q + 1, "=") && t.IsIdent(q + 2) &&
+            t.is(q + 3, "(")) {
+          auto_calls[t.text(q)] = t.text(q + 2);
         }
       }
       if (s == "Counter" && t.is(k + 1, "&") && t.IsIdent(k + 2)) {
@@ -566,33 +610,74 @@ struct Extractor {
       }
     }
 
-    // Lock scope tracking: innermost open brace inside the body.
-    std::vector<std::size_t> braces;
-
     std::size_t stmt = begin;
     for (std::size_t k = begin; k <= end; ++k) {
-      const bool boundary =
-          k == end || t.is(k, ";") || t.is(k, "{") || t.is(k, "}");
-      if (t.is(k, "{") && k < end) braces.push_back(k);
-      if (t.is(k, "}") && !braces.empty()) braces.pop_back();
-      if (!boundary) continue;
-      ScanOneStatement(fidx, stmt, k, braces, unordered_locals, ptrkey_locals,
-                       counter_locals);
+      if (k < end && !t.is(k, ";") && !t.is(k, "{") && !t.is(k, "}")) continue;
+      ScanOneStatement(fidx, stmt, k);
       stmt = k + 1;
     }
   }
 
-  [[nodiscard]] int ScopeEndLine(const std::vector<std::size_t>& braces) const {
-    if (braces.empty()) return body_end_line;
-    const std::size_t close = MatchGroup(t, braces.back(), "{", "}");
-    return close > braces.back() + 1 ? t.line(close - 1) : body_end_line;
+  // A loop over a container: a range-for whose range is a plain name,
+  // member chain or one subscript (`for (auto& x : a.b[i])`; calls such as
+  // SortedItems(m) are snapshots, not the container), or `.begin()` in a
+  // for header (`for (auto it = m.begin(); ...)`). Loops over a known
+  // unordered or pointer-keyed local seed taint (GL016, and GL001 for
+  // unordered ones); the rest become LoopOver facts for the cross-file
+  // GL001 join.
+  void ScanLoop(int fidx, std::size_t s, std::size_t e) {
+    const std::size_t close = std::min(MatchGroup(t, s + 1, "(", ")"), e);
+    std::string var;
+    std::string container;
+    bool element = false;
+    bool chained = false;  // `a.b`, `p->b`, `ns::b`: never a local
+    for (std::size_t k = s + 2; k < close && container.empty(); ++k) {
+      if (t.is(k, ":") && (t.IsIdent(k - 1) || t.is(k - 1, "]"))) {
+        var = t.text(t.is(k - 1, "]") ? k - 2 : k - 1);
+        std::size_t q = k + 1;
+        while (t.IsIdent(q)) {
+          container = t.text(q);
+          const bool link = t.is(q + 1, "::") || t.is(q + 1, ".") ||
+                            t.is(q + 1, "->");
+          q += link ? 2 : 1;
+          if (!link) break;
+          chained = true;
+        }
+        if (t.is(q, "[")) {
+          element = true;
+          q = MatchGroup(t, q, "[", "]");
+        }
+        if (q + 1 != close) return;
+      } else if (t.is(k, ")")) {
+        return;
+      } else if (t.IsIdent(k) && t.is(k + 1, ".") &&
+                 (t.is(k + 2, "begin") || t.is(k + 2, "cbegin")) &&
+                 t.is(k + 3, "(")) {
+        container = t.text(k);
+        for (std::size_t q = s + 2; q < k; ++q) {
+          if (t.IsIdent(q) && t.is(q + 1, "=")) var = t.text(q);
+        }
+      }
+    }
+    if (container.empty()) return;
+    const auto kind = chained ? local_kinds.end() : local_kinds.find(container);
+    const char local = kind == local_kinds.end() ? 0 : kind->second;
+    const bool unordered = local == (element ? 'e' : 'v');
+    const bool ptrkey = !element && local == 'p';
+    const int line = t.line(s);
+    if (unordered || ptrkey) {
+      out.taint_seeds.push_back(
+          {fidx, "v:" + (var.empty() ? container : var),
+           unordered ? "unordered-iter" : "pointer-key", line, LineText(line)});
+      return;
+    }
+    const auto it = auto_calls.find(container);
+    out.loops.push_back({container,
+                         it == auto_calls.end() || element ? "" : it->second,
+                         element, line, LineText(line)});
   }
 
-  void ScanOneStatement(int fidx, std::size_t s, std::size_t e,
-                        const std::vector<std::size_t>& braces,
-                        const std::unordered_set<std::string>& unordered_locals,
-                        const std::unordered_set<std::string>& ptrkey_locals,
-                        const std::unordered_set<std::string>& counter_locals) {
+  void ScanOneStatement(int fidx, std::size_t s, std::size_t e) {
     if (s >= e) return;
 
     // GL_UNITS on a local declaration: `double x GL_UNITS(watts) = ...`.
@@ -616,58 +701,7 @@ struct Extractor {
       }
     }
 
-    // Range-for over a nondeterministically ordered container.
-    if (t.is(s, "for") && t.is(s + 1, "(")) {
-      const std::size_t close = std::min(MatchGroup(t, s + 1, "(", ")"), e);
-      for (std::size_t k = s + 2; k < close; ++k) {
-        if (!t.is(k, ":") || !t.IsIdent(k - 1)) continue;
-        const std::string loop_var = t.text(k - 1);
-        std::string container;
-        for (std::size_t q = k + 1; q < close; ++q) {
-          if (t.IsIdent(q) && !IsReservedWord(t.text(q))) {
-            container = t.text(q);
-          }
-        }
-        const bool unordered = unordered_locals.count(container) > 0;
-        if (unordered || ptrkey_locals.count(container) > 0) {
-          out.taint_seeds.push_back(
-              {fidx, "v:" + loop_var,
-               unordered ? "unordered-iter" : "pointer-key", t.line(k),
-               LineText(t.line(k))});
-        }
-        break;
-      }
-    }
-
-    // Lock sites.
-    for (std::size_t k = s; k < e; ++k) {
-      if (t.is(k, "MutexLock") && t.IsIdent(k + 1) && t.is(k + 2, "(")) {
-        const std::size_t close = MatchGroup(t, k + 2, "(", ")");
-        std::string lock;
-        for (std::size_t q = k + 3; q < close; ++q) {
-          if (t.IsIdent(q) && t.text(q) != "this") lock = t.text(q);
-        }
-        if (!lock.empty()) {
-          out.lock_acquires.push_back({fidx, lock, t.line(k),
-                                       ScopeEndLine(braces),
-                                       LineText(t.line(k))});
-        }
-      }
-      if (t.is(k, "Lock") && t.is(k + 1, "(") && t.is(k + 2, ")") &&
-          (t.is(k - 1, ".") || t.is(k - 1, "->")) && t.IsIdent(k - 2)) {
-        const std::string base = t.text(k - 2);
-        int scope_end = body_end_line;
-        for (std::size_t q = k + 3; q < t.size(); ++q) {
-          if (t.is(q, "Unlock") && (t.is(q - 1, ".") || t.is(q - 1, "->")) &&
-              t.is(q - 2, base)) {
-            scope_end = t.line(q);
-            break;
-          }
-        }
-        out.lock_acquires.push_back(
-            {fidx, base, t.line(k), scope_end, LineText(t.line(k))});
-      }
-    }
+    if (t.is(s, "for") && t.is(s + 1, "(")) ScanLoop(fidx, s, e);
 
     // Binary operators (any nesting depth); template args are skipped.
     static const std::unordered_set<std::string_view> kUnitOps = {
@@ -784,9 +818,9 @@ struct Extractor {
   // Parses a function signature: the parameter list starting at `paren_tok`
   // and the trailing specifiers up to the body's '{' at `body_open`. Emits
   // ParamDecl records, return-units and lock annotations, and primes
-  // `unordered_params` for the body scan.
+  // `local_kinds` with the unordered parameters for the body scan.
   void ParseSignature(int fidx, std::size_t paren_tok, std::size_t body_open) {
-    unordered_params.clear();
+    local_kinds.clear();
     const std::size_t paren_end = MatchGroup(t, paren_tok, "(", ")");
 
     int index = 0;
@@ -855,7 +889,7 @@ struct Extractor {
     }
     if (name.empty()) return;
     if (units.empty() && is_int) units = "count";
-    if (is_unordered) unordered_params.insert(name);
+    if (is_unordered) local_kinds[name] = 'v';
     out.params.push_back({fidx, index, name, units});
   }
 
@@ -952,6 +986,142 @@ struct Extractor {
       if (m.is_mutex || m.exempt || m.annotated) continue;
       out.unguarded.push_back(
           {cls.name, m.name, m.line, LineText(m.line)});
+    }
+  }
+
+  // --- token rules (GL001 names, GL002, GL004–GL007, GL009) ---------------
+
+  // Records one hit per rule per line.
+  void Hit(const char* rule, const std::string& detail, std::size_t k) {
+    const int line = t.line(k);
+    for (const RuleHit& h : out.rule_hits) {
+      if (h.line == line && h.rule == rule) return;
+    }
+    out.rule_hits.push_back({rule, detail, line, LineText(line)});
+  }
+
+  // GL001 raw material from a statement outside any function body: member
+  // and namespace-scope variables of unordered (or container-of-unordered)
+  // type, and functions returning an unordered container.
+  void NoteUnorderedDecls(const std::vector<std::size_t>& head) {
+    int depth = 0;
+    for (const std::size_t k : head) {
+      if (t.is(k, "(")) ++depth;
+      if (t.is(k, ")")) --depth;
+      std::size_t p = 0;
+      const char kind = depth == 0 ? ContainerKind(k, &p) : 0;
+      if (kind != 'v' && kind != 'e') continue;
+      while (t.is(p + 1, "::") && t.IsIdent(p + 2)) p += 2;  // Class::Method
+      const bool fn = t.is(p + 1, "(");
+      if (fn && kind == 'e') continue;
+      out.unordered_names.push_back({t.text(p), fn ? 'f' : kind});
+    }
+  }
+
+  // GL007: a mutable variable defined at namespace scope. `head` holds the
+  // statement's tokens, brace initializers folded to their closing '}'.
+  void CheckNamespaceStatement(const std::vector<std::size_t>& head) {
+    static const std::unordered_set<std::string_view> kNotVariables = {
+        "using", "typedef", "extern", "template", "static_assert", "friend",
+        "class", "struct", "enum", "union", "namespace", "concept",
+        "requires"};
+    std::size_t b = 0;  // past a leading [[attribute]]
+    if (head.size() > 1 && t.is(head[0], "[") && t.is(head[1], "[")) {
+      while (b + 1 < head.size() &&
+             !(t.is(head[b], "]") && t.is(head[b + 1], "]"))) {
+        ++b;
+      }
+      b += 2;
+    }
+    if (b >= head.size() || kNotVariables.count(t.text(head[b]))) return;
+    std::size_t q = b;
+    while (q < head.size() && (t.is(head[q], "static") ||
+                               t.is(head[q], "inline"))) {
+      ++q;
+    }
+    if (q < head.size() && t.is(head[q], "const")) return;
+    std::size_t paren = head.size();
+    std::size_t eq = head.size();
+    for (std::size_t i = b; i < head.size(); ++i) {
+      const std::string& s = t.text(head[i]);
+      if (s == "constexpr" || s == "constinit" || s == "operator") return;
+      if (s == "(" && paren == head.size()) paren = i;
+      if (s == "=" && eq == head.size()) eq = i;
+    }
+    if (paren < eq) return;  // a function declaration
+    for (std::size_t i = b + 1; i < head.size(); ++i) {
+      const std::size_t prev = head[i - 1];
+      const bool after_type =
+          t.IsIdent(prev) || t.is(prev, ">") || t.is(prev, ">>") ||
+          t.is(prev, ")") || t.is(prev, "*") || t.is(prev, "&") ||
+          t.is(prev, "]");
+      const bool declarator =
+          i + 1 == head.size() || t.is(head[i + 1], "=") ||
+          t.is(head[i + 1], "}");
+      if (t.IsIdent(head[i]) && after_type && declarator) {
+        Hit("GL007", t.text(head[i]), head[b]);
+        return;
+      }
+    }
+  }
+
+  // GL002, GL004, GL005, GL006 and GL009: patterns decided by a token and
+  // its neighbours.
+  void ScanTokenRules() {
+    static const std::unordered_set<std::string_view> kRngNames = {
+        "mt19937", "mt19937_64", "minstd_rand", "minstd_rand0",
+        "default_random_engine", "random_device", "drand48", "lrand48",
+        "random_shuffle"};
+    static const std::unordered_set<std::string_view> kClockNames = {
+        "steady_clock", "high_resolution_clock", "gettimeofday",
+        "clock_gettime"};
+    static const std::unordered_set<std::string_view> kAssoc = {
+        "map", "set", "multimap", "multiset", "unordered_map",
+        "unordered_set", "unordered_multimap", "unordered_multiset"};
+    static const std::unordered_set<std::string_view> kResourceFields = {
+        "cpu", "mem_gb", "net_mbps"};
+    for (std::size_t k = 0; k < t.size(); ++k) {
+      const std::string& s = t.text(k);
+      if (!t.IsIdent(k)) {
+        if ((s == "==" || s == "!=") && t.IsIdent(k + 1) &&
+            t.is(k + 2, ".") && kResourceFields.count(t.text(k + 3))) {
+          Hit("GL005", s + " ." + t.text(k + 3), k);
+        }
+        continue;
+      }
+      const bool member = k > 0 && t.is(k - 1, ".");
+      const bool call = t.is(k + 1, "(");
+      const bool bare_call = call && t.is(k + 2, ")");
+      const bool ranlux = s.starts_with("ranlux") && s.size() > 6 &&
+                          s.find_first_not_of("0123456789", 6) ==
+                              std::string::npos;
+      if (kRngNames.count(s) || ranlux ||
+          (s.ends_with("_distribution") && t.is(k + 1, "<")) ||
+          (s == "rand" && bare_call && !member) || (s == "srand" && call)) {
+        Hit("GL002", s, k);
+      }
+      const bool time_call =
+          call && (t.is(k + 2, ")") ||
+                   ((t.is(k + 2, "NULL") || t.is(k + 2, "nullptr") ||
+                     t.is(k + 2, "0")) &&
+                    t.is(k + 3, ")")));
+      if (kClockNames.count(s) || (s == "now" && call && t.is(k - 1, "::")) ||
+          (!member && ((s == "time" && time_call) ||
+                       (s == "clock" && bare_call) ||
+                       (s == "getpid" && call)))) {
+        Hit("GL009", s, k);
+      }
+      if (kAssoc.count(s) && t.is(k + 1, "<") && KeyHasPointer(k)) {
+        Hit("GL004", s, k);
+      }
+      if (kResourceFields.count(s) && (t.is(k + 1, "==") || t.is(k + 1, "!="))) {
+        Hit("GL005", s + " " + t.text(k + 1), k);
+      }
+      const bool std_name = k >= 2 && t.is(k - 1, "::") && t.is(k - 2, "std");
+      if ((std_name && (s == "thread" || s == "jthread" || s == "async")) ||
+          s == "pthread_create" || (member && s == "detach" && call)) {
+        Hit("GL006", std_name ? "std::" + s : s, k);
+      }
     }
   }
 };
@@ -1139,9 +1309,9 @@ void WalkStructure(Extractor& ex) {
         def.body_end_line = t.line(body_end - 1);
         def.line_text = ex.LineText(fline);
         ex.out.functions.push_back(std::move(def));
-        ex.body_end_line = t.line(body_end - 1);
+        ex.NoteUnorderedDecls(head);
         if (paren_tok < t.size()) ex.ParseSignature(fidx, paren_tok, i);
-        else ex.unordered_params.clear();
+        else ex.local_kinds.clear();
         ex.ScanBody(fidx, i + 1, body_end - 1);
         BuildFunctionCfg(t.toks, ex.lines, fidx,
                          paren_tok < t.size() ? paren_tok : i + 1, i + 1,
@@ -1155,6 +1325,8 @@ void WalkStructure(Extractor& ex) {
     if (s == ";") {
       Extractor::ClassCtx* cc = current_class();
       if (cc != nullptr) ex.ProcessMemberStatement(head, cc);
+      else ex.CheckNamespaceStatement(head);
+      ex.NoteUnorderedDecls(head);
       head.clear();
       ++i;
       continue;
@@ -1181,140 +1353,6 @@ void WalkStructure(Extractor& ex) {
       ex.FinalizeClass(scopes.back().cls);
     }
     scopes.pop_back();
-  }
-}
-
-// ---------------------------------------------------------------------------
-// GL013: suppression comments and their per-rule trigger verdicts.
-// ---------------------------------------------------------------------------
-const std::unordered_set<std::string_view> kAnalyzerRuleNames = {
-    "alloc-in-hot-path", "unguarded-shared-member", "nondet-float-fold",
-    "stale-suppression", "unit-confusion", "lock-order-cycle",
-    "determinism-taint", "lock-path-leak", "use-after-invalidation",
-    "loop-carried-allocation", "unguarded-narrowing",
-    "divergent-parallel-update"};
-
-bool RuleTriggers(const std::string& rule, const SView& t,
-                  const std::vector<std::size_t>& span) {
-  const auto has_ident = [&](const std::unordered_set<std::string_view>& set) {
-    for (const std::size_t k : span) {
-      if (t.IsIdent(k) && set.count(t.text(k))) return true;
-    }
-    return false;
-  };
-  const auto has_text = [&](std::string_view s) {
-    for (const std::size_t k : span) {
-      if (t.text(k) == s) return true;
-    }
-    return false;
-  };
-
-  if (rule == "unordered-iter") {
-    if (has_text("for") || has_text("begin") || has_text("cbegin")) {
-      return true;
-    }
-    for (const std::size_t k : span) {
-      if (t.IsIdent(k) && t.text(k).starts_with("unordered_")) return true;
-    }
-    return false;
-  }
-  if (rule == "adhoc-rng") {
-    static const std::unordered_set<std::string_view> kRng = {
-        "rand", "srand", "mt19937", "mt19937_64", "minstd_rand",
-        "minstd_rand0", "default_random_engine", "random_device", "drand48",
-        "lrand48", "random_shuffle"};
-    if (has_ident(kRng)) return true;
-    for (const std::size_t k : span) {
-      if (t.IsIdent(k) && t.text(k).ends_with("_distribution")) return true;
-    }
-    return false;
-  }
-  if (rule == "time-seed") {
-    static const std::unordered_set<std::string_view> kTime = {
-        "time", "gettimeofday", "clock_gettime", "getpid", "clock", "now"};
-    return has_ident(kTime);
-  }
-  if (rule == "raw-clock") {
-    static const std::unordered_set<std::string_view> kClock = {
-        "steady_clock", "high_resolution_clock"};
-    return has_ident(kClock);
-  }
-  if (rule == "pointer-key") {
-    static const std::unordered_set<std::string_view> kAssoc = {
-        "map", "set", "multimap", "multiset", "unordered_map",
-        "unordered_set"};
-    return has_ident(kAssoc) && has_text("*");
-  }
-  if (rule == "float-eq") {
-    static const std::unordered_set<std::string_view> kFields = {
-        "cpu", "mem_gb", "net_mbps"};
-    return (has_text("==") || has_text("!=")) && has_ident(kFields);
-  }
-  if (rule == "raw-thread") {
-    static const std::unordered_set<std::string_view> kThread = {
-        "thread", "jthread", "async", "pthread_create", "detach"};
-    return has_ident(kThread);
-  }
-  if (rule == "global-state") {
-    if (span.empty()) return false;
-    static const std::unordered_set<std::string_view> kConst = {
-        "const", "constexpr", "constinit"};
-    return (has_text(";") || has_text("=")) && !has_ident(kConst);
-  }
-  if (rule == "unguarded-mutex") {
-    return has_ident(kMutexTypes);
-  }
-  // Analyzer rule names never suppress via allow() (the baseline file is
-  // their mechanism), so such a comment is always dead weight.
-  return false;
-}
-
-void ScanSuppressions(const std::vector<Token>& all, const SView& structural,
-                      Extractor& ex) {
-  static const std::unordered_set<std::string_view> kKnown = {
-      "unordered-iter", "adhoc-rng", "time-seed", "pointer-key", "float-eq",
-      "raw-thread", "global-state", "unguarded-mutex", "raw-clock"};
-  for (const Token& tok : all) {
-    if (tok.kind != TokKind::kComment) continue;
-    const std::string& c = tok.text;
-    const std::size_t at = c.find("gl-lint:");
-    if (at == std::string::npos) continue;
-    const std::size_t open = c.find("allow(", at);
-    if (open == std::string::npos) continue;
-    const std::size_t close = c.find(')', open);
-    if (close == std::string::npos) continue;
-
-    Suppression sup;
-    sup.line = tok.line;
-    sup.line_text = ex.LineText(tok.line);
-
-    // Structural tokens on the comment's line and the next line.
-    std::vector<std::size_t> span;
-    for (std::size_t k = 0; k < structural.size(); ++k) {
-      const int l = structural.line(k);
-      if (l == tok.line || l == tok.line + 1) span.push_back(k);
-      if (l > tok.line + 1) break;
-    }
-
-    std::string list = c.substr(open + 6, close - open - 6);
-    std::size_t pos = 0;
-    while (pos <= list.size()) {
-      std::size_t comma = list.find(',', pos);
-      if (comma == std::string::npos) comma = list.size();
-      std::string rule = list.substr(pos, comma - pos);
-      const auto b = rule.find_first_not_of(" \t");
-      const auto e = rule.find_last_not_of(" \t");
-      if (b != std::string::npos) {
-        rule = rule.substr(b, e - b + 1);
-        SuppressedRule sr;
-        sr.rule = rule;
-        sr.known = kKnown.count(rule) > 0 || kAnalyzerRuleNames.count(rule) > 0;
-        sr.triggered = RuleTriggers(rule, structural, span);
-        sup.rules.push_back(std::move(sr));
-      }
-      pos = comma + 1;
-    }
-    if (!sup.rules.empty()) ex.out.suppressions.push_back(std::move(sup));
   }
 }
 
@@ -1405,9 +1443,9 @@ FileFacts ExtractFacts(const std::string& path, std::string_view source) {
     }
   }
 
-  Extractor ex{structural, lines, facts, {}, 0};
+  Extractor ex{structural, lines, facts, {}, {}, {}};
   WalkStructure(ex);
-  ScanSuppressions(all, structural, ex);
+  ex.ScanTokenRules();
   return facts;
 }
 
@@ -1435,15 +1473,16 @@ void SerializeFacts(const FileFacts& f, std::string* out) {
     AppendRecord(out, {"X", x.var, x.function, std::to_string(x.line),
                        x.line_text});
   }
-  for (const Suppression& s : f.suppressions) {
-    std::string rules;
-    for (const SuppressedRule& r : s.rules) {
-      if (!rules.empty()) rules.push_back(',');
-      rules += r.rule;
-      rules.push_back(r.known ? 'k' : 'u');
-      rules.push_back(r.triggered ? 't' : 'f');
-    }
-    AppendRecord(out, {"S", std::to_string(s.line), s.line_text, rules});
+  for (const RuleHit& h : f.rule_hits) {
+    AppendRecord(out, {"I", h.rule, h.detail, std::to_string(h.line),
+                       h.line_text});
+  }
+  for (const UnorderedName& n : f.unordered_names) {
+    AppendRecord(out, {"N", n.name, std::string(1, n.kind)});
+  }
+  for (const LoopOver& l : f.loops) {
+    AppendRecord(out, {"O", l.container, l.callee, l.element ? "1" : "0",
+                       std::to_string(l.line), l.line_text});
   }
   for (const UnitDecl& u : f.unit_decls) {
     AppendRecord(out, {"U", std::to_string(u.func), u.var, u.dim,
@@ -1474,11 +1513,6 @@ void SerializeFacts(const FileFacts& f, std::string* out) {
     AppendRecord(out, {"D", std::to_string(d.func), d.term, d.kind,
                        std::to_string(d.line), d.line_text});
   }
-  for (const LockAcquire& l : f.lock_acquires) {
-    AppendRecord(out, {"L", std::to_string(l.func), l.lock,
-                       std::to_string(l.line),
-                       std::to_string(l.scope_end_line), l.line_text});
-  }
   for (const LockAnno& q : f.lock_annos) {
     AppendRecord(out, {"Q", std::to_string(q.func), q.kind, q.lock});
   }
@@ -1492,8 +1526,7 @@ void SerializeFacts(const FileFacts& f, std::string* out) {
         if (!succ.empty()) succ.push_back(',');
         succ += std::to_string(s);
       }
-      AppendRecord(out, {"K", std::to_string(blk.loop_depth),
-                         std::to_string(blk.in_parallel ? 1 : 0),
+      AppendRecord(out, {"K", std::to_string(blk.in_parallel ? 1 : 0),
                          std::to_string(blk.varying_guard), succ});
       for (const CfgEvent& e : blk.events) {
         AppendRecord(out, {"V", std::to_string(b),
@@ -1564,25 +1597,23 @@ bool DeserializeFacts(std::string_view blob, FileFacts* f) {
       if (!to_int(c[3], &x.line)) return false;
       x.line_text = c[4];
       f->float_folds.push_back(std::move(x));
-    } else if (c[0] == "S" && c.size() == 4) {
-      Suppression s;
-      if (!to_int(c[1], &s.line)) return false;
-      s.line_text = c[2];
-      std::size_t pos = 0;
-      const std::string& rules = c[3];
-      while (pos < rules.size()) {
-        std::size_t comma = rules.find(',', pos);
-        if (comma == std::string::npos) comma = rules.size();
-        const std::string item = rules.substr(pos, comma - pos);
-        if (item.size() < 3) return false;
-        SuppressedRule r;
-        r.rule = item.substr(0, item.size() - 2);
-        r.known = item[item.size() - 2] == 'k';
-        r.triggered = item[item.size() - 1] == 't';
-        s.rules.push_back(std::move(r));
-        pos = comma + 1;
-      }
-      f->suppressions.push_back(std::move(s));
+    } else if (c[0] == "I" && c.size() == 5) {
+      RuleHit h;
+      if (!to_int(c[3], &h.line)) return false;
+      h.rule = c[1];
+      h.detail = c[2];
+      h.line_text = c[4];
+      f->rule_hits.push_back(std::move(h));
+    } else if (c[0] == "N" && c.size() == 3 && c[2].size() == 1) {
+      f->unordered_names.push_back({c[1], c[2][0]});
+    } else if (c[0] == "O" && c.size() == 6) {
+      LoopOver l;
+      if (!to_int(c[4], &l.line)) return false;
+      l.container = c[1];
+      l.callee = c[2];
+      l.element = c[3] == "1";
+      l.line_text = c[5];
+      f->loops.push_back(std::move(l));
     } else if (c[0] == "U" && c.size() == 5) {
       UnitDecl u;
       if (!to_int(c[1], &u.func) || !to_int(c[4], &u.line)) return false;
@@ -1632,15 +1663,6 @@ bool DeserializeFacts(std::string_view blob, FileFacts* f) {
       d.kind = c[3];
       d.line_text = c[5];
       f->taint_seeds.push_back(std::move(d));
-    } else if (c[0] == "L" && c.size() == 6) {
-      LockAcquire l;
-      if (!to_int(c[1], &l.func) || !to_int(c[3], &l.line) ||
-          !to_int(c[4], &l.scope_end_line)) {
-        return false;
-      }
-      l.lock = c[2];
-      l.line_text = c[5];
-      f->lock_acquires.push_back(std::move(l));
     } else if (c[0] == "Q" && c.size() == 4) {
       LockAnno q;
       if (!to_int(c[1], &q.func)) return false;
@@ -1653,17 +1675,16 @@ bool DeserializeFacts(std::string_view blob, FileFacts* f) {
       if (!to_int(c[1], &g.func) || !to_int(c[2], &exceeded)) return false;
       g.budget_exceeded = exceeded != 0;
       f->cfgs.push_back(std::move(g));
-    } else if (c[0] == "K" && c.size() == 5) {
+    } else if (c[0] == "K" && c.size() == 4) {
       if (f->cfgs.empty()) return false;
       CfgBlock blk;
       int par = 0;
-      if (!to_int(c[1], &blk.loop_depth) || !to_int(c[2], &par) ||
-          !to_int(c[3], &blk.varying_guard)) {
+      if (!to_int(c[1], &par) || !to_int(c[2], &blk.varying_guard)) {
         return false;
       }
       blk.in_parallel = par != 0;
       std::size_t pos = 0;
-      const std::string& succ = c[4];
+      const std::string& succ = c[3];
       while (pos < succ.size()) {
         std::size_t comma = succ.find(',', pos);
         if (comma == std::string::npos) comma = succ.size();

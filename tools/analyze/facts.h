@@ -20,13 +20,16 @@
 //     mutex, and their mutable members lacking GL_GUARDED_BY;
 //   * float accumulation into captured locals inside ParallelFor lambda
 //     bodies (GL012, resolved per file);
-//   * gl-lint allow(...) suppression comments together with a per-rule
-//     "does the suppressed rule still trigger here" verdict (GL013);
+//   * token-rule hits (GL002, GL004–GL007, GL009, resolved per file) and
+//     GL001 raw material: unordered-container names declared outside
+//     function bodies, and loops whose container only another file can
+//     resolve;
 //   * dataflow raw material (DESIGN.md §13): GL_UNITS dimension
 //     declarations, value flows (assignments, call arguments, returns),
-//     unit-relevant binary operators, lock acquisition sites, and
-//     nondeterminism taint seeds. The dataflow engine (dataflow.h) joins
-//     these across files into GL014/GL015/GL016 findings.
+//     unit-relevant binary operators, and nondeterminism taint seeds. The
+//     dataflow engine (dataflow.h) joins these across files into GL014 and
+//     GL016 findings; the unordered-iteration seeds double as GL001's
+//     local findings.
 #pragma once
 
 #include <cstdint>
@@ -85,21 +88,36 @@ struct FloatFold {
   std::string line_text;
 };
 
-// One rule named by a gl-lint allow(...) comment, and whether that rule
-// still has anything to suppress on the covered lines.
-struct SuppressedRule {
-  std::string rule;      // rule *name* as written (e.g. "unordered-iter")
-  bool known = false;    // names a rule the checkers understand
-  bool triggered = false;
+// A token-rule finding decided inside one file (GL002, GL004–GL007, GL009):
+// the pattern needs no cross-file context.
+struct RuleHit {
+  std::string rule;    // "GL002"
+  std::string detail;  // the matched token(s), e.g. "mt19937"
+  int line = 0;
+  std::string line_text;
 };
 
-struct Suppression {
-  int line = 0;           // line of the allow(...) comment
-  std::string line_text;  // trimmed source line carrying the comment
-  std::vector<SuppressedRule> rules;
+// GL001 raw material: a name declared outside any function body whose type
+// is an unordered container ('v'), a container of unordered containers
+// ('e', iterated through a subscript), or a function returning one ('f').
+struct UnorderedName {
+  std::string name;
+  char kind = 'v';
 };
 
-// --- dataflow raw material (GL014 / GL015 / GL016) -------------------------
+// A loop (range-for, or `.begin()` in a for header) over `container` that
+// is not a known unordered local. GL001 flags it when the name resolves to
+// an UnorderedName in any file, or when the loop's function declared
+// `auto container = callee(...)` and `callee` returns an unordered container.
+struct LoopOver {
+  std::string container;
+  std::string callee;    // "" unless `container` was declared auto = call
+  bool element = false;  // `container[i]`: matches 'e' names
+  int line = 0;
+  std::string line_text;
+};
+
+// --- dataflow raw material (GL014 / GL016) ----------------------------------
 //
 // Value flows reference *terms*, a compact encoding of the expressions the
 // token scanner can track:
@@ -165,7 +183,9 @@ struct ReturnFlow {
 };
 
 // A nondeterministic value born in this function (beyond the intrinsic
-// taint-source callees the dataflow engine knows by name).
+// taint-source callees the dataflow engine knows by name). Seeds of kind
+// "unordered-iter" are also GL001 findings: a loop over a local unordered
+// container.
 struct TaintSeed {
   int func = -1;
   std::string term;  // the term the taint lands in, e.g. the loop variable
@@ -174,7 +194,7 @@ struct TaintSeed {
   std::string line_text;
 };
 
-// --- control-flow raw material (GL017–GL021, cfg.h) ------------------------
+// --- control-flow raw material (GL017, GL018, GL020, GL021; cfg.h) ---------
 //
 // The extractor builds one basic-block CFG per function body (cfg.cc) and
 // stores it with the facts, so warm runs replay cached CFGs instead of
@@ -189,7 +209,6 @@ enum class CfgEventKind {
   kUse,          // a = use of a previously bound variable
   kNarrow,       // a = 64-bit term cast to 32 bits; b = the target type
   kCheck,        // a = term a dominating comparison bounds on this path
-  kAlloc,        // allocation (GL019 raw material); a = detail, b = kind
   kSink,         // a = deterministic-state sink call (MixU64, Counter::Add)
 };
 
@@ -204,7 +223,6 @@ struct CfgEvent {
 struct CfgBlock {
   std::vector<int> succ;          // successor block ids; -1 = function exit
   std::vector<CfgEvent> events;   // in statement order
-  int loop_depth = 0;             // number of enclosing loops
   bool in_parallel = false;       // inside a ParallelFor lambda body
   int varying_guard = 0;          // line of the innermost thread-varying
                                   // branch guarding this block (0 = none)
@@ -214,15 +232,6 @@ struct FuncCfg {
   int func = -1;                  // index into FileFacts::functions
   std::vector<CfgBlock> blocks;   // block 0 = entry
   bool budget_exceeded = false;   // builder bailed; path rules skip this fn
-};
-
-// A lock acquisition: gl::MutexLock RAII site or an explicit .Lock() call.
-struct LockAcquire {
-  int func = -1;
-  std::string lock;       // identifier the guard was built from ("mu_")
-  int line = 0;
-  int scope_end_line = 0; // last line the lock is provably held
-  std::string line_text;
 };
 
 // GL_ACQUIRE / GL_REQUIRES on a function signature.
@@ -239,7 +248,9 @@ struct FileFacts {
   std::vector<AllocSite> allocs;
   std::vector<UnguardedMember> unguarded;
   std::vector<FloatFold> float_folds;
-  std::vector<Suppression> suppressions;
+  std::vector<RuleHit> rule_hits;
+  std::vector<UnorderedName> unordered_names;
+  std::vector<LoopOver> loops;
   std::vector<UnitDecl> unit_decls;
   std::vector<ParamDecl> params;
   std::vector<UnitBinop> binops;
@@ -247,7 +258,6 @@ struct FileFacts {
   std::vector<CallArg> call_args;
   std::vector<ReturnFlow> returns;
   std::vector<TaintSeed> taint_seeds;
-  std::vector<LockAcquire> lock_acquires;
   std::vector<LockAnno> lock_annos;
   std::vector<FuncCfg> cfgs;
 };

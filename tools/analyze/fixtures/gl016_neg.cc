@@ -14,9 +14,10 @@ class StateHash {
 };
 
 void LogWallTime(unsigned long long t);
+unsigned long long MonotonicMicros();
 
 unsigned long long TickStamp() {
-  const unsigned long long t = clock();
+  const unsigned long long t = MonotonicMicros();
   return t;
 }
 

@@ -1,10 +1,14 @@
 // gl-analyze-expect: GL016
 //
-// A raw clock reading laundered through a helper still reaches the epoch
-// state hash: taint survives the call-return edge of the call graph, so
-// hashing the "stamp" makes EpochStateHash differ between identical runs.
+// A clock reading laundered through a helper still reaches the epoch state
+// hash: taint survives the call-return edge of the call graph, so hashing
+// the "stamp" makes EpochStateHash differ between identical runs. The
+// clock is the sanctioned obs one, so GL009 stays quiet: only the flow
+// into the hash is wrong.
 
 namespace fixture {
+
+unsigned long long MonotonicMicros();
 
 class StateHash {
  public:
@@ -12,7 +16,7 @@ class StateHash {
 };
 
 unsigned long long TickStamp() {
-  const unsigned long long t = clock();  // nondeterminism source
+  const unsigned long long t = MonotonicMicros();  // nondeterminism source
   return t;
 }
 

@@ -6,48 +6,32 @@
 //   gl_analyze --list-rules
 //
 // Options:
-//   --baseline=FILE        suppress findings recorded in FILE
+//   --baseline=FILE        suppress findings recorded in FILE; an entry that
+//                          matches nothing in an analyzed file is stale
 //   --write-baseline=FILE  write current findings as a new baseline and exit
 //   --sarif=FILE           write non-baselined findings as SARIF 2.1.0
 //   --cache=FILE           mtime+hash incremental facts cache
-//   --hot-root=SPEC        GL010 root (repeatable; replaces the defaults
-//                          Bisect, KWayPartition, FmEngine::). A plain name
-//                          matches that function anywhere; "Class::" matches
-//                          every method of Class.
-//   --jobs=N               extract facts for cache-missing files on N
-//                          threads (output is byte-identical to --jobs=1)
-//   --fix=stale-allows     delete stale gl-lint allow() rules in place;
-//                          with --dry-run, print the edits instead
-//   --units-report         per-file GL014 dimension-coverage summary
 //   --units-strict=SUBSTR  exit 1 if any analyzed file whose path contains
 //                          SUBSTR still has unresolved '+'/'-'/comparison
 //                          operands (repeatable)
-//   --rule=GLNNN[,GLNNN]   report only the named rules (baseline entries for
-//                          other rules are ignored, not stale)
 //   --format=github        print findings as GitHub workflow ::error
 //                          annotations instead of compiler-style lines
-//   --stats                per-phase timing summary (lex/facts, callgraph,
-//                          dataflow, cfg) and cached/analyzed file counts
 //   --quiet                findings only, no summary line
 //
 // The incremental cache key covers the *configuration* too: baseline bytes,
-// the active rule set, --rule/--hot-root/--units-strict flags. Any change
-// there invalidates the whole cache (a stale verdict is worse than a cold
-// run).
+// the rule set and the --units-strict flags. Any change there invalidates
+// the whole cache (a stale verdict is worse than a cold run).
 //
 // Directories are scanned recursively for *.cc / *.h; directories named
 // "fixtures" are skipped (the fixture corpus fires rules on purpose).
-// Exit status: 0 clean, 1 non-baselined findings (or a --units-strict
-// violation), 2 usage or I/O error.
+// Exit status: 0 clean, 1 non-baselined findings, stale baseline entries or
+// a --units-strict violation, 2 usage or I/O error.
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -71,12 +55,8 @@ int Usage(const char* msg) {
   std::fprintf(stderr,
                "usage: gl_analyze [--baseline=F] [--write-baseline=F] "
                "[--sarif=F] [--cache=F]\n"
-               "                  [--jobs=N] [--hot-root=SPEC]... "
-               "[--units-report] [--units-strict=S]...\n"
-               "                  [--rule=GLNNN[,GLNNN]] [--format=github] "
-               "[--stats]\n"
-               "                  [--fix=stale-allows [--dry-run]] [--quiet] "
-               "<file-or-dir>...\n"
+               "                  [--units-strict=S]... [--format=github] "
+               "[--quiet] <file-or-dir>...\n"
                "       gl_analyze --self-test [--fixtures=DIR]\n"
                "       gl_analyze --list-rules\n");
   return 2;
@@ -139,19 +119,12 @@ int main(int argc, char** argv) {
   std::string sarif_path;
   std::string cache_path;
   std::string fixtures_dir = GL_ANALYZE_FIXTURES_DIR;
-  std::vector<std::string> hot_roots;
   std::vector<std::string> strict_substrings;
   std::vector<std::string> inputs;
-  std::string rule_spec;
-  std::string format;
-  int jobs = 1;
+  bool github = false;
   bool self_test = false;
   bool list_rules = false;
   bool quiet = false;
-  bool fix_stale_allows = false;
-  bool dry_run = false;
-  bool units_report = false;
-  bool show_stats = false;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -166,31 +139,12 @@ int main(int argc, char** argv) {
       sarif_path = value("--sarif=");
     } else if (arg.starts_with("--cache=")) {
       cache_path = value("--cache=");
-    } else if (arg.starts_with("--hot-root=")) {
-      hot_roots.push_back(value("--hot-root="));
     } else if (arg.starts_with("--fixtures=")) {
       fixtures_dir = value("--fixtures=");
-    } else if (arg.starts_with("--jobs=")) {
-      jobs = std::atoi(value("--jobs=").c_str());
-      if (jobs < 1) return Usage("--jobs needs a positive integer");
-    } else if (arg == "--fix=stale-allows") {
-      fix_stale_allows = true;
-    } else if (arg == "--dry-run") {
-      dry_run = true;
-    } else if (arg == "--units-report") {
-      units_report = true;
     } else if (arg.starts_with("--units-strict=")) {
       strict_substrings.push_back(value("--units-strict="));
-    } else if (arg.starts_with("--rule=")) {
-      if (!rule_spec.empty()) rule_spec.push_back(',');
-      rule_spec += value("--rule=");
-    } else if (arg.starts_with("--format=")) {
-      format = value("--format=");
-      if (format != "github") {
-        return Usage(("unknown --format: " + format).c_str());
-      }
-    } else if (arg == "--stats") {
-      show_stats = true;
+    } else if (arg == "--format=github") {
+      github = true;
     } else if (arg == "--self-test") {
       self_test = true;
     } else if (arg == "--list-rules") {
@@ -211,9 +165,7 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  AnalysisOptions opts;
-  if (!hot_roots.empty()) opts.hot_roots = hot_roots;
-
+  const AnalysisOptions opts;
   if (self_test) {
     const int failures = gl::analyze::RunSelfTest(fixtures_dir, opts,
                                                   std::cout);
@@ -222,14 +174,6 @@ int main(int argc, char** argv) {
   }
 
   if (inputs.empty()) return Usage("no inputs");
-
-  std::set<std::string> rule_filter;
-  if (!rule_spec.empty()) {
-    std::string err;
-    if (!gl::analyze::ParseRuleFilter(rule_spec, &rule_filter, &err)) {
-      return Usage(err.c_str());
-    }
-  }
 
   std::vector<std::string> paths;
   for (const std::string& in : inputs) CollectSources(in, &paths);
@@ -246,56 +190,24 @@ int main(int argc, char** argv) {
     config.push_back('\x1f');
     config += r.id;
   }
-  config.push_back('\x1f');
-  config += rule_spec;
-  for (const std::string& s : opts.hot_roots) {
-    config.push_back('\x1f');
-    config += s;
-  }
   for (const std::string& s : strict_substrings) {
     config.push_back('\x1f');
     config += s;
   }
   const std::uint64_t config_hash = gl::analyze::HashBytes(config);
 
-  using Clock = std::chrono::steady_clock;
-  const Clock::time_point load_start = Clock::now();
   CacheStats stats;
   std::string io_err;
   const std::vector<gl::analyze::FileFacts> facts = gl::analyze::LoadFacts(
-      paths, cache_path, &stats, &io_err, jobs, config_hash);
-  const double load_ms = std::chrono::duration<double, std::milli>(
-                             Clock::now() - load_start)
-                             .count();
+      paths, cache_path, &stats, &io_err, config_hash);
   if (!io_err.empty()) {
     std::fprintf(stderr, "gl_analyze: %s\n", io_err.c_str());
     return 2;
   }
 
-  if (fix_stale_allows) {
-    std::string err;
-    const int edits =
-        gl::analyze::FixStaleAllows(facts, /*apply=*/!dry_run, std::cout, &err);
-    if (edits < 0) {
-      std::fprintf(stderr, "gl_analyze: %s\n", err.c_str());
-      return 2;
-    }
-    std::printf("gl_analyze: %d stale-allow line(s) %s\n", edits,
-                dry_run ? "would change (dry run)" : "rewritten");
-    return 0;
-  }
-
   gl::analyze::UnitsReport units;
-  gl::analyze::AnalyzeTimings timings;
-  const bool want_units = units_report || !strict_substrings.empty();
-  std::vector<Finding> all =
-      gl::analyze::Analyze(facts, opts, want_units ? &units : nullptr,
-                           &timings);
-  if (!rule_filter.empty()) {
-    std::erase_if(all, [&](const Finding& f) {
-      return rule_filter.count(f.rule_id) == 0;
-    });
-  }
+  const std::vector<Finding> all = gl::analyze::Analyze(
+      facts, opts, strict_substrings.empty() ? nullptr : &units);
 
   if (!write_baseline_path.empty()) {
     if (!WriteTextFile(write_baseline_path,
@@ -317,20 +229,13 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "gl_analyze: %s\n", err.c_str());
       return 2;
     }
-    if (!rule_filter.empty()) {
-      // Entries for unselected rules can't match anything this run; drop
-      // them instead of reporting them stale.
-      std::erase_if(baseline.entries, [&](const Baseline::Entry& e) {
-        return rule_filter.count(e.rule_id) == 0;
-      });
-    }
-    result = gl::analyze::ApplyBaseline(all, baseline);
+    result = gl::analyze::ApplyBaseline(all, baseline, paths);
   } else {
     result.fresh = all;
   }
 
   for (const Finding& f : result.fresh) {
-    if (format == "github") {
+    if (github) {
       std::printf("::error file=%s,line=%d,title=%s %s::%s\n",
                   GithubEscape(f.path, true).c_str(), f.line,
                   f.rule_id.c_str(),
@@ -342,11 +247,10 @@ int main(int argc, char** argv) {
     }
   }
   for (const Baseline::Entry& e : result.stale) {
-    std::fprintf(stderr,
-                 "gl_analyze: warning: stale baseline entry (%s:%d): "
-                 "%s|%s no longer matches any finding\n",
-                 baseline_path.c_str(), e.file_line, e.rule_id.c_str(),
-                 e.path.c_str());
+    std::printf("%s:%d: error: stale baseline entry %s|%s matches no "
+                "finding; delete it\n",
+                baseline_path.c_str(), e.file_line, e.rule_id.c_str(),
+                e.path.c_str());
   }
 
   if (!sarif_path.empty()) {
@@ -358,42 +262,23 @@ int main(int argc, char** argv) {
   }
 
   bool strict_fail = false;
-  if (want_units) {
-    for (const auto& fe : units.files) {
-      const bool strict_hit =
-          std::any_of(strict_substrings.begin(), strict_substrings.end(),
-                      [&](const std::string& s) {
-                        return fe.path.find(s) != std::string::npos;
-                      });
-      if (units_report) {
-        std::printf("units: %s: %d resolved, %d unresolved\n", fe.path.c_str(),
-                    fe.resolved_ops, fe.unresolved_ops);
-      }
-      if (fe.unresolved_ops == 0) continue;
-      if (strict_hit) {
-        strict_fail = true;
-        for (const std::string& note : fe.notes) {
-          std::printf("units: strict: %s\n", note.c_str());
-        }
-      } else if (units_report) {
-        for (const std::string& note : fe.notes) {
-          std::printf("units: %s\n", note.c_str());
-        }
-      }
+  for (const auto& fe : units.files) {
+    const bool strict_hit =
+        std::any_of(strict_substrings.begin(), strict_substrings.end(),
+                    [&](const std::string& s) {
+                      return fe.path.find(s) != std::string::npos;
+                    });
+    if (fe.unresolved_ops == 0 || !strict_hit) continue;
+    strict_fail = true;
+    for (const std::string& note : fe.notes) {
+      std::printf("units: strict: %s\n", note.c_str());
     }
-    if (strict_fail) {
-      std::printf(
-          "gl_analyze: --units-strict: unresolved dimension operands remain\n");
-    }
+  }
+  if (strict_fail) {
+    std::printf(
+        "gl_analyze: --units-strict: unresolved dimension operands remain\n");
   }
 
-  if (show_stats) {
-    std::printf(
-        "stats: lex/facts %.1f ms (%d file(s): %d cached, %d analyzed), "
-        "callgraph %.1f ms, dataflow %.1f ms, cfg %.1f ms\n",
-        load_ms, stats.files_total, stats.files_cached, stats.files_lexed,
-        timings.callgraph_ms, timings.dataflow_ms, timings.cfg_ms);
-  }
   if (!quiet) {
     std::printf(
         "gl_analyze: %d file(s) (%d cached, %d lexed), %zu finding(s), "
@@ -402,5 +287,6 @@ int main(int argc, char** argv) {
         result.fresh.size(), result.suppressed, result.stale.size(),
         result.stale.size() == 1 ? "y" : "ies");
   }
-  return result.fresh.empty() && !strict_fail ? 0 : 1;
+  return result.fresh.empty() && result.stale.empty() && !strict_fail ? 0
+                                                                      : 1;
 }
