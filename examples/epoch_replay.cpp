@@ -35,7 +35,7 @@ int main() {
     if (e % 3 != 0) continue;  // print every third epoch
     t.AddRow({Table::Int(e), Table::Num(scenario->TotalRpsAt(e) / 1000, 0),
               Table::Int(d.placement.NumActiveServers()),
-              Table::Int(static_cast<int>(d.plan.steps.size())),
+              Table::Int(d.containers_moved),
               Table::Int(d.plan.num_phases),
               Table::Int(d.plan.bounced_containers),
               Table::Num(d.plan.makespan_ms / 1000.0, 1),

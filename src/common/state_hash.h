@@ -5,8 +5,8 @@
 // comparisons that a silent nondeterminism (hash-order iteration, an
 // unseeded RNG, an uninitialised double) would quietly invalidate. The
 // StateHasher turns the simulation state after each epoch into a small
-// fixed digest so two runs can be compared cheaply — online by
-// EpochController/ExperimentRunner (opt-in, like the InvariantAuditor) and
+// fixed digest so two runs can be compared cheaply — online by the
+// ExperimentRunner (opt-in, like the InvariantAuditor) and
 // offline by the `tools/gl_replay` CLI, which runs a scenario twice and
 // reports the first divergent epoch and subsystem.
 //

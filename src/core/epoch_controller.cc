@@ -6,20 +6,32 @@
 #include "obs/trace.h"
 
 namespace gl {
+namespace {
+
+Scheduler& Deref(const std::unique_ptr<Scheduler>& scheduler) {
+  GOLDILOCKS_CHECK(scheduler != nullptr);
+  return *scheduler;
+}
+
+}  // namespace
 
 EpochController::EpochController(std::unique_ptr<Scheduler> scheduler,
                                  const Topology& topo,
                                  MigrationPlannerOptions planner_opts)
-    : scheduler_(std::move(scheduler)),
-      topo_(topo),
-      planner_opts_(planner_opts) {
-  GOLDILOCKS_CHECK(scheduler_ != nullptr);
+    : EpochController(Deref(scheduler), topo, planner_opts) {
+  owned_ = std::move(scheduler);
 }
 
-void EpochController::EnableAudit(AuditOptions opts, bool fail_fast) {
+EpochController::EpochController(Scheduler& scheduler, const Topology& topo,
+                                 MigrationPlannerOptions planner_opts)
+    : scheduler_(scheduler), topo_(topo), planner_opts_(planner_opts) {}
+
+void EpochController::EnableAudit(AuditOptions opts, bool fail_fast,
+                                  const ServerPowerModel* server_power) {
   audit_ = true;
   audit_fail_fast_ = fail_fast;
   audit_opts_ = opts;
+  audit_server_power_ = server_power;
 }
 
 EpochDecision EpochController::Step(const Workload& workload,
@@ -35,17 +47,18 @@ EpochDecision EpochController::Step(const Workload& workload,
   input.active = active;
   input.topology = &topo_;
   input.previous = current_.server_of.empty() ? nullptr : &current_;
-  decision.placement = scheduler_->Place(input);
+  decision.placement = scheduler_.Place(input);
   decision.containers_placed = decision.placement.num_placed();
 
   if (!current_.server_of.empty()) {
     const std::size_t m =
         std::min(current_.server_of.size(), decision.placement.server_of.size());
     for (std::size_t i = 0; i < m; ++i) {
-      const bool was = current_.server_of[i].valid();
-      const bool is = decision.placement.server_of[i].valid();
-      decision.containers_started += !was && is;
-      decision.containers_stopped += was && !is;
+      const ServerId from = current_.server_of[i];
+      const ServerId to = decision.placement.server_of[i];
+      decision.containers_started += !from.valid() && to.valid();
+      decision.containers_stopped += from.valid() && !to.valid();
+      decision.containers_moved += from.valid() && to.valid() && from != to;
     }
     decision.plan = PlanMigrations(current_, decision.placement, workload,
                                    demands, topo_, planner_opts_);
@@ -55,29 +68,8 @@ EpochDecision EpochController::Step(const Workload& workload,
     decision.containers_started = decision.containers_placed;
   }
 
-  if (hash_) {
-    EpochStateHash h;
-    h.epoch = epoch_;
-    h.placement = HashAssignment(decision.placement.server_of);
-    h.loads = HashLoads(
-        ServerLoads(decision.placement, demands, topo_.num_servers()));
-    StateHasher mig;
-    mig.MixU64(decision.plan.steps.size());
-    for (const auto& step : decision.plan.steps) {
-      mig.MixId(step.container);
-      mig.MixId(step.from);
-      mig.MixId(step.to);
-      mig.MixI32(step.phase);
-      mig.MixDouble(step.transfer_ms);
-    }
-    mig.MixDouble(decision.plan.makespan_ms);
-    mig.MixDouble(decision.plan.total_image_gb);
-    h.migration = mig.digest();
-    h.rng = scheduler_->StateDigest();
-    state_hashes_.push_back(h);
-  }
-
   if (audit_) {
+    obs::TraceSpan audit_span("epoch.audit");
     const InvariantAuditor auditor(audit_opts_);
     SystemView view;
     view.topology = &topo_;
@@ -85,10 +77,12 @@ EpochDecision EpochController::Step(const Workload& workload,
     view.demands = demands;
     view.active = active;
     view.placement = &decision.placement;
+    view.server_power = audit_server_power_;
     const AuditReport report = auditor.AuditAll(view);
     if (audit_fail_fast_ && report.errors() > 0) {
       GOLDILOCKS_CHECK_MSG(false, report.ToString().c_str());
     }
+    decision.audit_findings = static_cast<int>(report.findings.size());
     audit_report_.Append(report);
   }
 

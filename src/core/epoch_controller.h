@@ -9,15 +9,17 @@
 //
 // It is scheduler-agnostic: Goldilocks is the intended brain, but any
 // Scheduler plugs in, which is how the examples compare transition costs
-// across policies.
+// across policies. ExperimentRunner (sim/simulator.h) drives one controller
+// per run, so Step() is the only code that turns the previous placement and
+// an epoch's demands into a placement, a migration plan and an audit. The
+// class builds into gl_sim, next to the planner it calls.
 #pragma once
 
 #include <memory>
 #include <span>
-#include <vector>
 
 #include "analysis/invariant_auditor.h"
-#include "common/state_hash.h"
+#include "power/server_power.h"
 #include "schedulers/scheduler.h"
 #include "sim/migration_planner.h"
 
@@ -30,11 +32,19 @@ struct EpochDecision {
   int containers_placed = 0;
   int containers_started = 0;  // new this epoch (no migration needed)
   int containers_stopped = 0;  // gone this epoch
+  // Placed in both epochs, on a different server now: the paper's
+  // migration count, whether or not the plan could schedule the move.
+  int containers_moved = 0;
+  int audit_findings = 0;  // this Step's findings (0 unless EnableAudit)
 };
 
 class EpochController {
  public:
+  // Owns the scheduler.
   EpochController(std::unique_ptr<Scheduler> scheduler, const Topology& topo,
+                  MigrationPlannerOptions planner_opts = {});
+  // Borrows the scheduler, which must outlive the controller.
+  EpochController(Scheduler& scheduler, const Topology& topo,
                   MigrationPlannerOptions planner_opts = {});
 
   // Runs one epoch: schedules the active containers and plans the moves
@@ -45,22 +55,15 @@ class EpochController {
 
   // Opt-in invariant audit (src/analysis): every Step() additionally runs
   // the InvariantAuditor over the fresh placement, the topology and its
-  // bandwidth reservations. Findings accumulate in audit_report(); with
-  // `fail_fast` any *error* aborts via GOLDILOCKS_CHECK — the management
-  // node must never roll out a placement it knows is corrupt.
-  void EnableAudit(AuditOptions opts = {}, bool fail_fast = false);
+  // bandwidth reservations (plus `server_power`'s curve when given; the
+  // model must outlive the controller). Findings accumulate in
+  // audit_report(); with `fail_fast` any *error* aborts via
+  // GOLDILOCKS_CHECK — the management node must never roll out a placement
+  // it knows is corrupt.
+  void EnableAudit(AuditOptions opts = {}, bool fail_fast = false,
+                   const ServerPowerModel* server_power = nullptr);
   [[nodiscard]] const AuditReport& audit_report() const {
     return audit_report_;
-  }
-
-  // Opt-in reproducibility gate (common/state_hash.h): every Step()
-  // additionally records a per-epoch digest of the placement, the implied
-  // server loads, the migration plan and the scheduler's RNG cursors. Two
-  // same-seed runs must yield identical streams; tools/gl_replay diffs them
-  // and names the first divergent epoch and subsystem.
-  void EnableStateHash() { hash_ = true; }
-  [[nodiscard]] const std::vector<EpochStateHash>& state_hashes() const {
-    return state_hashes_;
   }
 
   [[nodiscard]] const Placement& current_placement() const {
@@ -74,7 +77,8 @@ class EpochController {
   [[nodiscard]] double total_image_gb() const { return total_image_gb_; }
 
  private:
-  std::unique_ptr<Scheduler> scheduler_;
+  std::unique_ptr<Scheduler> owned_;  // null when borrowed
+  Scheduler& scheduler_;
   const Topology& topo_;
   MigrationPlannerOptions planner_opts_;
   Placement current_;
@@ -84,9 +88,8 @@ class EpochController {
   bool audit_ = false;
   bool audit_fail_fast_ = false;
   AuditOptions audit_opts_;
+  const ServerPowerModel* audit_server_power_ = nullptr;
   AuditReport audit_report_;
-  bool hash_ = false;
-  std::vector<EpochStateHash> state_hashes_;
 };
 
 }  // namespace gl

@@ -84,20 +84,13 @@ std::string RunLogger::EpochLine(const EpochRecord& rec) {
   }
 
   // Informational tail: gl_report --check strips everything from "timings"
-  // on before comparing two streams. wall_ms, the phase spans and the
-  // informational gauges all live inside it — the deterministic prefix
-  // carries no timing- or environment-dependent byte.
+  // on before comparing two streams. wall_ms and the informational gauges
+  // live inside it — the deterministic prefix carries no timing- or
+  // environment-dependent byte.
   w.Key("timings");
   w.BeginObject();
   w.Key("wall_ms");
   w.Double(rec.wall_ms);
-  w.Key("phases");
-  w.BeginObject();
-  for (const auto& p : rec.phases) {
-    w.Key(p.name);
-    w.Double(p.ms);
-  }
-  w.EndObject();
   if (!rec.info_gauges.empty()) {
     w.Key("gauges");
     w.BeginObject();

@@ -8,7 +8,7 @@
 //   "metrics"   — power / TCT / placement numbers     (deterministic)
 //   "counters"  — per-epoch deltas of the deterministic counters
 //   "hash"      — the §8 EpochStateHash subsystem digests (when recorded)
-//   "timings"   — wall_ms and per-phase span times    (informational ONLY)
+//   "timings"   — wall_ms and informational gauges     (informational ONLY)
 //
 // Everything outside "timings" must be byte-identical across two same-seed
 // runs — that is what `gl_report --check` and the replay gate diff. The
@@ -34,12 +34,6 @@
 #include "obs/metrics.h"
 
 namespace gl::obs {
-
-// One phase's wall time within an epoch. Informational only.
-struct PhaseTime {
-  std::string name;
-  double ms = 0.0;
-};
 
 // Flattened per-epoch record. Plain fields only — gl_obs sits below sim/ in
 // the link order, so the runner copies from EpochMetrics/EpochStateHash
@@ -84,7 +78,6 @@ struct EpochRecord {
   // is timing- or environment-dependent must join this section, never the
   // deterministic prefix.
   double wall_ms = 0.0;
-  std::vector<PhaseTime> phases;
   // Informational gauges at epoch end (pool utilization, arena peaks, peak
   // RSS, ... — MetricsRegistry::SnapshotGauges(kInformational)).
   std::vector<GaugeValue> info_gauges;

@@ -115,11 +115,8 @@ RecoveryResult PlanRecovery(const Placement& placement,
     load[static_cast<std::size_t>(best.value())] += d;
     result.placement.server_of[ci] = best;
     ++result.recovered;
-    const double image_gb GL_UNITS(bytes) = d.mem_gb * cost.image_overhead;
-    const double restore_ms GL_UNITS(ms) =
-        cost.restore_ms +
-        image_gb * 8.0 / (cost.transfer_mbps / 1000.0) * 1000.0;
-    busy_ms[static_cast<std::size_t>(best.value())] += restore_ms;
+    busy_ms[static_cast<std::size_t>(best.value())] +=
+        cost.restore_ms + ImageTransferMs(d.mem_gb, cost);
     result.recovery_makespan_ms =
         std::max(result.recovery_makespan_ms,
                  busy_ms[static_cast<std::size_t>(best.value())]);

@@ -17,17 +17,11 @@ MigrationCost ComputeMigrationCost(const Placement& before,
     const auto to = after.server_of[i];
     if (!from.valid() || !to.valid() || from == to) continue;
 
-    const double image_gb GL_UNITS(bytes) =
-        demands[i].mem_gb * opts.image_overhead;
-    // GB → Gbit: ×8; Mbps → Gbit/s: ÷1000; seconds → ms: ×1000.
-    const double transfer_ms GL_UNITS(ms) =
-        image_gb * 8.0 / (opts.transfer_mbps / 1000.0) * 1000.0;
-    const double downtime GL_UNITS(ms) =
-        opts.freeze_ms + transfer_ms + opts.restore_ms;
     ++cost.migrations;
-    cost.total_downtime_ms += downtime;
-    cost.max_downtime_ms = std::max(cost.max_downtime_ms, downtime);
-    cost.traffic_gb += image_gb;
+    cost.total_downtime_ms += opts.freeze_ms +
+                              ImageTransferMs(demands[i].mem_gb, opts) +
+                              opts.restore_ms;
+    cost.traffic_gb += demands[i].mem_gb * opts.image_overhead;
   }
   return cost;
 }

@@ -20,10 +20,18 @@ struct MigrationCostOptions {
   double image_overhead GL_UNITS(dimensionless) = 1.10;  // image vs RSS
 };
 
+// Time to ship one container's CRIU image (resident memory × overhead)
+// over the rsync link. Freeze and restore are the caller's to add.
+inline double ImageTransferMs(double mem_gb GL_UNITS(bytes),
+                              const MigrationCostOptions& opts) GL_UNITS(ms) {
+  const double image_gb GL_UNITS(bytes) = mem_gb * opts.image_overhead;
+  // GB → Gbit: ×8; Mbps → Gbit/s: ÷1000; seconds → ms: ×1000.
+  return image_gb * 8.0 / (opts.transfer_mbps / 1000.0) * 1000.0;
+}
+
 struct MigrationCost {
   int migrations = 0;
   double total_downtime_ms GL_UNITS(ms) = 0.0;  // Σ freeze+transfer+restore
-  double max_downtime_ms GL_UNITS(ms) = 0.0;  // worst single container
   double traffic_gb GL_UNITS(bytes) = 0.0;  // checkpoint bytes moved
 };
 

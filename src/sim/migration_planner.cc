@@ -18,10 +18,7 @@ struct PendingMove {
 
 double StepDuration(const Resource& demand, const MigrationCostOptions& c)
     GL_UNITS(ms) {
-  const double image_gb GL_UNITS(bytes) = demand.mem_gb * c.image_overhead;
-  const double transfer_ms GL_UNITS(ms) =
-      image_gb * 8.0 / (c.transfer_mbps / 1000.0) * 1000.0;
-  return c.freeze_ms + transfer_ms + c.restore_ms;
+  return c.freeze_ms + ImageTransferMs(demand.mem_gb, c) + c.restore_ms;
 }
 
 }  // namespace

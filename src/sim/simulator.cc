@@ -2,6 +2,7 @@
 
 #include "common/check.h"
 #include "common/thread_pool.h"
+#include "core/epoch_controller.h"
 #include "netsim/traffic.h"
 #include "obs/clock.h"
 #include "obs/memory.h"
@@ -9,6 +10,25 @@
 #include "obs/trace.h"
 
 namespace gl {
+namespace {
+
+// The §8 `migration` digest: every planned step, then makespan and bytes.
+std::uint64_t PlanDigest(const MigrationPlan& plan) {
+  StateHasher h;
+  h.MixU64(plan.steps.size());
+  for (const auto& step : plan.steps) {
+    h.MixId(step.container);
+    h.MixId(step.from);
+    h.MixId(step.to);
+    h.MixI32(step.phase);
+    h.MixDouble(step.transfer_ms);
+  }
+  h.MixDouble(plan.makespan_ms);
+  h.MixDouble(plan.total_image_gb);
+  return h.digest();
+}
+
+}  // namespace
 
 EpochMetrics ExperimentResult::Average() const {
   EpochMetrics avg;
@@ -81,6 +101,15 @@ ExperimentResult ExperimentRunner::Run(Scheduler& scheduler) const {
 
   const Workload& workload = scenario_.workload();
   const LatencyModel latency(topo_, opts_.latency);
+  // The plan and the migration metric price a move with the same options.
+  EpochController controller(scheduler, topo_,
+                             MigrationPlannerOptions{.cost = opts_.migration});
+  // Audit against what the scheduler acted on: with estimated demands a
+  // true-demand overflow is a prediction miss, not a placement bug.
+  if (opts_.audit) {
+    controller.EnableAudit(opts_.audit_opts, opts_.audit_fail_fast,
+                           &opts_.server_power);
+  }
   Placement previous;
   DemandEstimator estimator(workload.containers.size(), opts_.estimator);
   std::vector<Resource> reservations;
@@ -99,12 +128,6 @@ ExperimentResult ExperimentRunner::Run(Scheduler& scheduler) const {
       counters_before = obs::MetricsRegistry::Global().SnapshotCounters(
           obs::MetricKind::kDeterministic);
     }
-    double schedule_ms = 0.0;
-    double audit_ms = 0.0;
-    double power_ms = 0.0;
-    double network_ms = 0.0;
-    double tct_ms = 0.0;
-    double migration_ms = 0.0;
 
     const auto demands = scenario_.DemandsAt(epoch);
     const auto active = scenario_.ActiveAt(epoch);
@@ -114,47 +137,14 @@ ExperimentResult ExperimentRunner::Run(Scheduler& scheduler) const {
       believed = estimator.observations() > 0 ? estimator.Predict(reservations)
                                               : reservations;
     }
-
-    SchedulerInput input;
-    input.workload = &workload;
-    input.demands = opts_.use_estimated_demands ? believed : demands;
-    input.active = active;
-    input.topology = &topo_;
-    input.previous = previous.server_of.empty() ? nullptr : &previous;
-
-    Placement placement;
-    {
-      obs::TraceSpan span("epoch.schedule");
-      const obs::WallTimer t;
-      placement = scheduler.Place(input);
-      schedule_ms = t.ElapsedMs();
-    }
+    EpochDecision decision = controller.Step(
+        workload, opts_.use_estimated_demands ? believed : demands, active);
+    const Placement& placement = decision.placement;
     if (opts_.use_estimated_demands) estimator.Observe(demands);
 
     EpochMetrics m;
     m.epoch = epoch;
-
-    if (opts_.audit) {
-      obs::TraceSpan span("epoch.audit");
-      const obs::WallTimer t;
-      const InvariantAuditor auditor(opts_.audit_opts);
-      SystemView view;
-      view.topology = &topo_;
-      view.workload = &workload;
-      // Audit against what the scheduler acted on: with estimated demands a
-      // true-demand overflow is a prediction miss, not a placement bug.
-      view.demands = input.demands;
-      view.active = active;
-      view.placement = &placement;
-      view.server_power = &opts_.server_power;
-      AuditReport report = auditor.AuditAll(view);
-      m.audit_findings = static_cast<int>(report.findings.size());
-      if (opts_.audit_fail_fast && report.errors() > 0) {
-        GOLDILOCKS_CHECK_MSG(false, report.ToString().c_str());
-      }
-      result.audit.Append(report);
-      audit_ms = t.ElapsedMs();
-    }
+    m.audit_findings = decision.audit_findings;
 
     // Placement accounting.
     int expected = 0;
@@ -168,7 +158,6 @@ ExperimentResult ExperimentRunner::Run(Scheduler& scheduler) const {
         static_cast<std::size_t>(topo_.num_servers()), 0);
     {
       obs::TraceSpan span("epoch.server_power");
-      const obs::WallTimer t;
       loads = ServerLoads(placement, demands, topo_.num_servers());
       double util_sum = 0.0;
       for (int s = 0; s < topo_.num_servers(); ++s) {
@@ -186,14 +175,12 @@ ExperimentResult ExperimentRunner::Run(Scheduler& scheduler) const {
       }
       m.avg_active_utilization =
           m.active_servers > 0 ? util_sum / m.active_servers : 0.0;
-      power_ms = t.ElapsedMs();
     }
 
     // Network traffic, gating and power.
     TrafficEstimate traffic;
     {
       obs::TraceSpan span("epoch.network");
-      const obs::WallTimer t;
       traffic = EstimateTraffic(workload, placement, demands, active, topo_);
       const NetworkPowerResult net = ComputeNetworkPower(
           topo_, server_active, traffic.node_uplink_mbps, opts_.switch_models,
@@ -201,13 +188,11 @@ ExperimentResult ExperimentRunner::Run(Scheduler& scheduler) const {
       m.network_watts = net.watts;
       m.active_switches = net.active_switches;
       m.total_watts = m.server_watts + m.network_watts;
-      network_ms = t.ElapsedMs();
     }
 
     // Task completion time and energy per request.
     {
       obs::TraceSpan span("epoch.tct");
-      const obs::WallTimer t;
       const TctResult tct =
           latency.ComputeTct(workload, placement, demands, active, traffic);
       m.mean_tct_ms = tct.mean_ms;
@@ -216,18 +201,15 @@ ExperimentResult ExperimentRunner::Run(Scheduler& scheduler) const {
       m.rps = scenario_.TotalRpsAt(epoch);
       m.energy_per_request_j = (m.total_watts / 1000.0) * m.mean_tct_ms;
       m.watts_per_krps = m.rps > 0.0 ? m.total_watts / (m.rps / 1000.0) : 0.0;
-      tct_ms = t.ElapsedMs();
     }
 
-    // Migration cost vs the previous epoch.
+    // Migration cost vs the previous epoch, on the true demands.
     if (!previous.server_of.empty()) {
       obs::TraceSpan span("epoch.migration");
-      const obs::WallTimer t;
       const MigrationCost mig = ComputeMigrationCost(
           previous, placement, workload, demands, opts_.migration);
       m.migrations = mig.migrations;
       m.migration_downtime_ms = mig.total_downtime_ms;
-      migration_ms = t.ElapsedMs();
     }
 
     if (opts_.record_state_hashes) {
@@ -242,10 +224,7 @@ ExperimentResult ExperimentRunner::Run(Scheduler& scheduler) const {
       power.MixI32(m.active_servers);
       power.MixI32(m.active_switches);
       h.power = power.digest();
-      StateHasher mig;
-      mig.MixI32(m.migrations);
-      mig.MixDouble(m.migration_downtime_ms);
-      h.migration = mig.digest();
+      h.migration = PlanDigest(decision.plan);
       h.rng = scheduler.StateDigest();
       result.state_hashes.push_back(h);
     }
@@ -285,9 +264,6 @@ ExperimentResult ExperimentRunner::Run(Scheduler& scheduler) const {
         rec.hash_rng = h.rng;
       }
       rec.wall_ms = m.wall_ms;
-      rec.phases = {{"schedule", schedule_ms}, {"audit", audit_ms},
-                    {"server_power", power_ms}, {"network", network_ms},
-                    {"tct", tct_ms},           {"migration", migration_ms}};
       // Informational gauges ride the strippable "timings" tail: sample
       // peak RSS here (obs/memory.h), then snapshot everything the epoch's
       // instrumentation published (pool utilization, arena peaks, ...).
@@ -299,8 +275,9 @@ ExperimentResult ExperimentRunner::Run(Scheduler& scheduler) const {
       opts_.obs.logger->WriteEpoch(rec);
     }
 
-    previous = placement;
+    previous = std::move(decision.placement);
   }
+  result.audit = controller.audit_report();
   result.wall_ms = run_timer.ElapsedMs();
   return result;
 }

@@ -3,7 +3,10 @@
 // Replays a Scenario against one Scheduler on one Topology and records the
 // paper's per-epoch metrics: active servers, server/network power, task
 // completion time, energy per request, migrations, SLA violations. This is
-// the engine behind the Fig. 9 / Fig. 10 / Fig. 13 benches.
+// the engine behind the Fig. 9 / Fig. 10 / Fig. 13 benches. Each epoch's
+// decision (placement, migration plan, audit) comes from one
+// EpochController per run; the runner adds the demand estimator, the
+// evaluation on true demands, the state hashes and the run log.
 //
 // Energy-per-request definition: the energy a request consumes while in the
 // system, E = P_total · TCT (kW · ms = J). This couples power *and* latency,
@@ -44,24 +47,24 @@ struct RunnerOptions {
   // fallback is the owner's reservation.
   bool use_estimated_demands = false;
   EstimatorOptions estimator;
-  // Opt-in invariant audit (src/analysis): after every epoch the auditor
-  // checks the placement, the bandwidth reservations and the topology
-  // against the demands the scheduler acted on. Findings accumulate in
-  // ExperimentResult::audit; with audit_fail_fast any *error* aborts the
-  // run via GOLDILOCKS_CHECK instead.
+  // Opt-in invariant audit (src/analysis): the run's EpochController audits
+  // every epoch — placement, bandwidth reservations, topology and the
+  // server power model — against the demands the scheduler acted on.
+  // Findings accumulate in ExperimentResult::audit; with audit_fail_fast
+  // any *error* aborts the run via GOLDILOCKS_CHECK instead.
   bool audit = false;
   bool audit_fail_fast = false;
   AuditOptions audit_opts;
   // Opt-in reproducibility gate (common/state_hash.h): record a per-epoch
-  // digest of the placement, server loads, power totals, migration cost and
+  // digest of the placement, server loads, power totals, migration plan and
   // the scheduler's RNG cursors in ExperimentResult::state_hashes. Two
   // same-seed runs must produce identical streams; tools/gl_replay diffs
   // them and reports the first divergent epoch and subsystem.
   bool record_state_hashes = false;
   // Opt-in observability (src/obs): when obs.logger is set the runner
   // streams one "gl.epoch.v1" JSONL record per epoch — metrics, per-epoch
-  // deterministic-counter deltas, state hashes (when recorded) and phase
-  // timings. Purely additive: enabling it changes no simulation state, no
+  // deterministic-counter deltas, state hashes (when recorded), the epoch's
+  // wall time and informational gauges. Purely additive: enabling it changes no simulation state, no
   // placement, and no EpochStateHash (tested by obs_test). Counter deltas
   // are attributed per epoch only when threads == 1; a parallel RunMany
   // shares the process-wide registry across experiments, so the runner

@@ -765,7 +765,7 @@ TEST(Cache, ConfigHashChangeInvalidatesWholeCache) {
   EXPECT_EQ(warm.files_cached, 1);
   EXPECT_EQ(warm.files_lexed, 0);
 
-  // Different config (new baseline bytes, rule filter, flags...): the
+  // Different config (a rule set, hence an extractor, that changed): the
   // whole cache is stale even though no source changed.
   CacheStats changed;
   (void)LoadFacts({src_path}, cache, &changed, &err, /*config_hash=*/8);

@@ -6,6 +6,8 @@
 
 #include "core/epoch_controller.h"
 #include "core/goldilocks.h"
+#include "core/scheduler_factory.h"
+#include "sim/simulator.h"
 #include "workload/scenarios.h"
 #include "workload/workload_io.h"
 
@@ -76,6 +78,29 @@ TEST(EpochController, AccumulatesTransitionCosts) {
     ctl.Step(scenario->workload(), demands, active);
   }
   EXPECT_GE(ctl.total_image_gb(), 0.0);
+}
+
+TEST(EpochController, ContainersMovedMatchesRunnerMigrations) {
+  // Borg on twitter leaves moves stuck at epochs 5-7, so the plan's step
+  // count undercounts there; containers_moved must not.
+  const Topology topo = Topology::Testbed16();
+  TwitterScenarioOptions sopts;
+  sopts.num_epochs = 12;
+  const auto scenario = MakeTwitterCachingScenario(sopts);
+  const ExperimentRunner runner(*scenario, topo);
+  auto runner_scheduler = MakeNamedScheduler("borg");
+  const ExperimentResult result = runner.Run(*runner_scheduler);
+  EpochController ctl(MakeNamedScheduler("borg"), topo);
+  int stuck = 0;
+  for (int e = 0; e < scenario->num_epochs(); ++e) {
+    const auto d = ctl.Step(scenario->workload(), scenario->DemandsAt(e),
+                            scenario->ActiveAt(e));
+    EXPECT_EQ(d.containers_moved,
+              result.epochs[static_cast<std::size_t>(e)].migrations)
+        << "epoch " << e;
+    stuck += static_cast<int>(d.plan.stuck.size());
+  }
+  EXPECT_GT(stuck, 0);
 }
 
 // --- workload CSV round-trip ---------------------------------------------------

@@ -256,7 +256,6 @@ obs::EpochRecord MakeRecord() {
   rec.hash_placement = 0x1111;
   rec.hash_rng = 0xffeeddccbbaa9988ULL;
   rec.wall_ms = 21.5;
-  rec.phases = {{"schedule", 20.0}, {"tct", 1.5}};
   return rec;
 }
 
@@ -271,8 +270,7 @@ TEST(RunLoggerTest, EpochLineLayout) {
   // The informational tail is one strippable trailing section.
   const std::size_t timings = line.find(",\"timings\":");
   ASSERT_NE(timings, std::string::npos);
-  EXPECT_NE(line.find("\"phases\":{\"schedule\":20,\"tct\":1.5}", timings),
-            std::string::npos);
+  EXPECT_NE(line.find("\"wall_ms\":21.5", timings), std::string::npos);
   EXPECT_EQ(line.back(), '}');
 }
 

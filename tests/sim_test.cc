@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include "common/state_hash.h"
 #include "core/goldilocks.h"
 #include "schedulers/e_pvm.h"
+#include "sim/estimator.h"
 #include "sim/latency.h"
 #include "sim/migration.h"
 #include "sim/simulator.h"
@@ -307,6 +309,62 @@ TEST(Runner, MigrationsTrackedAcrossEpochs) {
   const int stable = total_migrations(100);
   const int churny = total_migrations(1);
   EXPECT_LT(stable, churny / 2 + 1);
+}
+
+// Records what Place saw and what it returned, epoch by epoch.
+class RecordingScheduler final : public Scheduler {
+ public:
+  [[nodiscard]] const std::string& name() const override {
+    return inner_.name();
+  }
+  Placement Place(const SchedulerInput& input) override {
+    seen.emplace_back(input.demands.begin(), input.demands.end());
+    placements.push_back(inner_.Place(input));
+    return placements.back();
+  }
+
+  std::vector<std::vector<Resource>> seen;
+  std::vector<Placement> placements;
+
+ private:
+  GoldilocksScheduler inner_;
+};
+
+TEST(Runner, EstimatedDemandsReachPlaceTrueDemandsReachHashes) {
+  TwitterScenarioOptions sopts;
+  sopts.num_epochs = 5;
+  const auto scenario = MakeTwitterCachingScenario(sopts);
+  const Topology topo = Topology::Testbed16();
+  RunnerOptions opts;
+  opts.use_estimated_demands = true;
+  opts.record_state_hashes = true;
+  const ExperimentRunner runner(*scenario, topo, opts);
+  RecordingScheduler sched;
+  const auto result = runner.Run(sched);
+  ASSERT_EQ(sched.seen.size(), 5u);
+  ASSERT_EQ(result.state_hashes.size(), 5u);
+
+  // HashLoads compares demand vectors bit for bit.
+  std::vector<Resource> reservations;
+  for (const auto& c : scenario->workload().containers) {
+    reservations.push_back(GetAppProfile(c.app).reserved);
+  }
+  DemandEstimator estimator(reservations.size(), opts.estimator);
+  for (int e = 0; e < 5; ++e) {
+    SCOPED_TRACE(e);
+    const auto ei = static_cast<std::size_t>(e);
+    const auto demands = scenario->DemandsAt(e);
+    const auto believed =
+        e == 0 ? reservations : estimator.Predict(reservations);
+    EXPECT_EQ(HashLoads(sched.seen[ei]), HashLoads(believed));
+    EXPECT_NE(HashLoads(sched.seen[ei]), HashLoads(demands));
+    estimator.Observe(demands);
+    const Placement& placement = sched.placements[ei];
+    EXPECT_EQ(result.state_hashes[ei].placement,
+              HashAssignment(placement.server_of));
+    EXPECT_EQ(result.state_hashes[ei].loads,
+              HashLoads(ServerLoads(placement, demands, topo.num_servers())));
+  }
 }
 
 TEST(Runner, IdleServersDrawNothingWhenGated) {

@@ -504,10 +504,9 @@ struct CacheEntry {
 //   file <path>\t<mtime_ns>\t<size>\t<hash hex>
 //   <serialized facts lines>
 //   end
-// The config hash covers baseline bytes, the rule set and the flags
-// (LoadFacts doc): facts themselves are config-independent, but the cached
-// *verdict* a CI run restores is not — a baseline edit or rule change must
-// not serve a stale pass/fail.
+// The config hash fingerprints what the facts depend on besides the source
+// (LoadFacts doc). The cache stores facts only, never a verdict: baseline
+// and flags are applied afresh on every run.
 [[nodiscard]] std::string CacheHeader(std::uint64_t config_hash) {
   char buf[24];
   std::snprintf(buf, sizeof(buf), "%016llx",

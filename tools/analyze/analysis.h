@@ -124,10 +124,11 @@ struct CacheStats {
 // when `cache_path` is non-empty. A cache entry is reused when mtime+size
 // match the stat, or — after an mtime-only change — when the content hash
 // still matches. Unreadable source files are reported via *err and skipped.
-// `config_hash` fingerprints everything outside the sources that can change
-// a verdict (baseline bytes, the rule set, flags); it is written into the
-// cache header, so a config change invalidates the whole cache rather than
-// serving stale verdicts.
+// `config_hash` fingerprints whatever besides the sources the facts depend
+// on (gl_analyze passes the rule-set ids, which change with the extractor);
+// it is written into the cache header, so a change invalidates the whole
+// cache. The cache never stores a verdict: baseline and flags are applied
+// to the facts afresh on every run, so they stay out of the key.
 [[nodiscard]] std::vector<FileFacts> LoadFacts(
     const std::vector<std::string>& paths, const std::string& cache_path,
     CacheStats* stats, std::string* err, std::uint64_t config_hash = 0);

@@ -18,9 +18,10 @@
 //                          annotations instead of compiler-style lines
 //   --quiet                findings only, no summary line
 //
-// The incremental cache key covers the *configuration* too: baseline bytes,
-// the rule set and the --units-strict flags. Any change there invalidates
-// the whole cache (a stale verdict is worse than a cold run).
+// The incremental cache stores per-file facts only; every verdict is
+// recomputed from them on each run. Its header is keyed on the rule set
+// (which changes with the extractor), not on the baseline or flags, so a
+// run with different flags still finds the cache warm.
 //
 // Directories are scanned recursively for *.cc / *.h; directories named
 // "fixtures" are skipped (the fixture corpus fires rules on purpose).
@@ -32,7 +33,6 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -87,13 +87,6 @@ bool WriteTextFile(const std::string& path, const std::string& content) {
   if (!out) return false;
   out << content;
   return out.good();
-}
-
-[[nodiscard]] std::string ReadTextFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
 }
 
 // GitHub workflow-command escaping for ::error annotations: the message
@@ -181,18 +174,14 @@ int main(int argc, char** argv) {
   paths.erase(std::unique(paths.begin(), paths.end()), paths.end());
   if (paths.empty()) return Usage("inputs matched no .cc/.h files");
 
-  // Configuration fingerprint for the cache key: baseline bytes plus every
-  // knob that changes a verdict. '\x1f' separates fields so adjacent values
-  // cannot collide by concatenation.
+  // Cache key: the cache holds per-file facts only, which depend on the
+  // path, the source and the extractor — never on the baseline or flags.
+  // The rule-set ids stand in for the extractor: they change when it does.
+  // '\x1f' separates ids so adjacent ones cannot collide by concatenation.
   std::string config;
-  config += ReadTextFile(baseline_path);
   for (const gl::analyze::RuleInfo& r : gl::analyze::Rules()) {
     config.push_back('\x1f');
     config += r.id;
-  }
-  for (const std::string& s : strict_substrings) {
-    config.push_back('\x1f');
-    config += s;
   }
   const std::uint64_t config_hash = gl::analyze::HashBytes(config);
 

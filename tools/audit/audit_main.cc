@@ -140,8 +140,12 @@ int main(int argc, char** argv) {
     const auto demands = scenario->DemandsAt(epoch);
     const auto active = scenario->ActiveAt(epoch);
     const auto decision = controller.Step(workload, demands, active);
-    std::printf("epoch %3d: placed %4d  migrations %zu  findings so far %zu\n",
-                epoch, decision.containers_placed, decision.plan.steps.size(),
+    std::printf("epoch %3d: placed %4d  migrations %d", epoch,
+                decision.containers_placed, decision.containers_moved);
+    if (!decision.plan.stuck.empty()) {
+      std::printf(" (%zu stuck)", decision.plan.stuck.size());
+    }
+    std::printf("  findings so far %zu\n",
                 controller.audit_report().findings.size());
   }
 

@@ -61,9 +61,11 @@ if [[ "${STAGE}" == "all" || "${STAGE}" == "release" ]]; then
   run_stage "Release (-Werror)" build-check-release \
     -DCMAKE_BUILD_TYPE=Release -DGOLDILOCKS_WERROR=ON
   # Runtime half of the determinism contract: every scheduler replayed twice
-  # from the same seed must produce bit-identical per-epoch state hashes.
+  # from the same seed must produce bit-identical per-epoch state hashes,
+  # with oracle demands and with the demand estimator in the loop.
   echo "==> seed-replay gate"
   ./build-check-release/tools/gl_replay --epochs=12
+  ./build-check-release/tools/gl_replay --epochs=12 --estimated
   # Observability smoke (DESIGN.md §10): an instrumented two-policy run must
   # produce a valid JSONL stream and a Chrome trace, a second same-seed run
   # must match byte-for-byte outside the "timings" sections, and the replay

@@ -10,12 +10,13 @@
 //
 // `run` executes the named policies (default: goldilocks,borg) over the
 // scenario with observability enabled: it streams one JSONL record per
-// epoch, collects a trace of every instrumented phase, prints the flat
-// per-phase timing table plus per-policy averages, and — with --trace= —
-// writes a Chrome trace loadable at chrome://tracing.
+// epoch, collects a trace of every instrumented phase, prints per-policy
+// averages plus the trace's per-span summary (the only source of phase
+// times), and — with --trace= — writes a Chrome trace loadable at
+// chrome://tracing.
 //
-// `tables` re-derives the timing and counter tables from an existing JSONL
-// file, so a logged run can be summarized later without re-running it.
+// `tables` re-derives the counter tables from an existing JSONL file, so a
+// logged run can be summarized later without re-running it.
 //
 // `check` diffs two JSONL streams under the determinism contract: every
 // byte outside the informational "timings" section must match (DESIGN.md
@@ -202,26 +203,13 @@ int Check(const std::string& path_a, const std::string& path_b) {
 // --- tables ----------------------------------------------------------------
 
 void PrintTables(const std::vector<std::string>& lines) {
-  struct PerScheduler {
-    int epochs = 0;
-    double wall_ms = 0.0;
-    std::map<std::string, double> phase_ms;
-    std::map<std::string, double> counters;
-  };
-  std::map<std::string, PerScheduler> by_scheduler;
+  // Per-scheduler sums of the per-epoch counter deltas.
+  std::map<std::string, std::map<std::string, double>> by_scheduler;
   for (const auto& line : lines) {
     if (line.rfind(kSchemaPrefix, 0) != 0) continue;
-    auto& agg = by_scheduler[ExtractString(line, "scheduler")];
-    ++agg.epochs;
-    const std::size_t timings_at = line.find(kTimingsMarker);
-    agg.wall_ms += ExtractNumber(line, "wall_ms", 0.0,
-                                 timings_at == std::string::npos ? 0
-                                                                 : timings_at);
-    for (const auto& [name, ms] : ExtractSection(line, "phases")) {
-      agg.phase_ms[name] += ms;
-    }
+    auto& counters = by_scheduler[ExtractString(line, "scheduler")];
     for (const auto& [name, v] : ExtractSection(line, "counters")) {
-      agg.counters[name] += v;
+      counters[name] += v;
     }
   }
   if (by_scheduler.empty()) {
@@ -229,29 +217,15 @@ void PrintTables(const std::vector<std::string>& lines) {
     return;
   }
 
-  gl::PrintBanner("per-policy epoch phase timings (total ms, informational)");
-  for (const auto& [scheduler, agg] : by_scheduler) {
-    gl::Table t({"phase", "total ms", "ms/epoch", "share"});
-    for (const auto& [name, ms] : agg.phase_ms) {
-      t.AddRow({name, gl::Table::Num(ms, 2),
-                gl::Table::Num(ms / agg.epochs, 3),
-                gl::Table::Pct(agg.wall_ms > 0 ? ms / agg.wall_ms : 0.0)});
-    }
-    t.AddRow({"(epoch wall)", gl::Table::Num(agg.wall_ms, 2),
-              gl::Table::Num(agg.wall_ms / agg.epochs, 3), ""});
-    std::printf("%s — %d epochs\n", scheduler.c_str(), agg.epochs);
-    t.Print();
-  }
-
   gl::PrintBanner("deterministic counter totals (sum of per-epoch deltas)");
-  for (const auto& [scheduler, agg] : by_scheduler) {
-    if (agg.counters.empty()) {
+  for (const auto& [scheduler, counters] : by_scheduler) {
+    if (counters.empty()) {
       std::printf("%s: no counters section (parallel run?)\n",
                   scheduler.c_str());
       continue;
     }
     gl::Table t({"counter", "total"});
-    for (const auto& [name, v] : agg.counters) {
+    for (const auto& [name, v] : counters) {
       t.AddRow({name, gl::Table::Int(static_cast<long long>(v))});
     }
     std::printf("%s\n", scheduler.c_str());
