@@ -50,12 +50,17 @@ double Percentile(std::span<const double> xs, double p) {
   GOLDILOCKS_CHECK(p >= 0.0 && p <= 100.0);
   if (xs.empty()) return 0.0;
   std::vector<double> v(xs.begin(), xs.end());
-  std::sort(v.begin(), v.end());
   const double rank = p / 100.0 * static_cast<double>(v.size() - 1);
   const auto lo = static_cast<std::size_t>(rank);
   const auto hi = std::min(lo + 1, v.size() - 1);
   const double frac = rank - static_cast<double>(lo);
-  return v[lo] + (v[hi] - v[lo]) * frac;
+  // Only two order statistics are needed: select the lower one, then the
+  // upper one is the smallest element after it. Same values as a full sort.
+  const auto lo_it = v.begin() + static_cast<std::ptrdiff_t>(lo);
+  std::nth_element(v.begin(), lo_it, v.end());
+  const double v_lo = *lo_it;
+  const double v_hi = hi == lo ? v_lo : *std::min_element(lo_it + 1, v.end());
+  return v_lo + (v_hi - v_lo) * frac;
 }
 
 double PearsonCorrelation(std::span<const double> xs,

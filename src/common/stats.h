@@ -33,7 +33,8 @@ class RunningStats {
 };
 
 // Percentile of a sample set with linear interpolation between order
-// statistics; p in [0, 100]. Copies and sorts internally.
+// statistics; p in [0, 100]. Copies internally and selects the two order
+// statistics it needs (no full sort).
 double Percentile(std::span<const double> xs, double p);
 
 // Pearson correlation coefficient of two equal-length series. Returns 0 for

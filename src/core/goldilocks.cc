@@ -48,23 +48,38 @@ std::uint64_t HashActiveMask(std::span<const std::uint8_t> active) {
 }
 
 // Flow adjacency over container ids, used to compute how much of a
-// container's traffic leaves its group.
+// container's traffic leaves its group. CSR: container c's peers are
+// peer[offsets[c] .. offsets[c+1]), filled in workload.edges order, so each
+// peer list and each total_flows sum keep the edge order.
 struct FlowAdjacency {
-  // peers[c] = (peer container id, positive flow weight).
-  std::vector<std::vector<std::pair<int, double>>> peers;
+  std::vector<std::size_t> offsets;
+  std::vector<int> peer;
+  std::vector<double> flows GL_UNITS(count);
   std::vector<double> total_flows GL_UNITS(count);
 };
 
 FlowAdjacency BuildFlowAdjacency(const Workload& workload) {
+  const std::size_t n = workload.containers.size();
   FlowAdjacency adj;
-  adj.peers.resize(workload.containers.size());
-  adj.total_flows.assign(workload.containers.size(), 0.0);
+  adj.offsets.assign(n + 1, 0);
+  adj.total_flows.assign(n, 0.0);
+  for (const auto& e : workload.edges) {
+    if (e.flows <= 0.0) continue;
+    ++adj.offsets[static_cast<std::size_t>(e.a.value()) + 1];
+    ++adj.offsets[static_cast<std::size_t>(e.b.value()) + 1];
+  }
+  for (std::size_t c = 0; c < n; ++c) adj.offsets[c + 1] += adj.offsets[c];
+  adj.peer.resize(adj.offsets[n]);
+  adj.flows.resize(adj.offsets[n]);
+  std::vector<std::size_t> fill(adj.offsets.begin(), adj.offsets.end() - 1);
   for (const auto& e : workload.edges) {
     if (e.flows <= 0.0) continue;
     const auto ia = static_cast<std::size_t>(e.a.value());
     const auto ib = static_cast<std::size_t>(e.b.value());
-    adj.peers[ia].emplace_back(e.b.value(), e.flows);
-    adj.peers[ib].emplace_back(e.a.value(), e.flows);
+    adj.peer[fill[ia]] = e.b.value();
+    adj.flows[fill[ia]++] = e.flows;
+    adj.peer[fill[ib]] = e.a.value();
+    adj.flows[fill[ib]++] = e.flows;
     adj.total_flows[ia] += e.flows;
     adj.total_flows[ib] += e.flows;
   }
@@ -112,8 +127,8 @@ Resource EffectiveGroupDemand(std::span<const ContainerId> members,
       continue;
     }
     double external GL_UNITS(count) = 0.0;
-    for (const auto& [peer, flows] : adj.peers[ci]) {
-      if (!stamp.Contains(peer)) external += flows;
+    for (std::size_t k = adj.offsets[ci]; k < adj.offsets[ci + 1]; ++k) {
+      if (!stamp.Contains(adj.peer[k])) external += adj.flows[k];
     }
     out.net_mbps += d.net_mbps * (external / total);
   }
@@ -130,6 +145,32 @@ struct GoldilocksScheduler::PartitionCache {
   std::vector<std::string> paths;                // recursion path per group
   // Server each group landed on last epoch (stability across reuse).
   std::vector<ServerId> group_server;
+
+  // Derived data, kept out of StateDigest: both are pure functions of
+  // inputs that the digest or the caller already pins.
+  //
+  // Flow adjacency of `adjacency_of`, built on the first Place for a
+  // workload. A workload's edges never change under one pointer (the
+  // grouping cache trusts the same key); the sizes catch a reused address.
+  const Workload* adjacency_of = nullptr;
+  std::size_t adjacency_containers = 0;
+  std::size_t adjacency_edges = 0;
+  FlowAdjacency adjacency;
+  // Effective demand of groups[0 .. group_demand.size()) under this
+  // epoch's demands. PartitionContainers resets it; the drift check fills
+  // what it prices and AssignGroupsSymmetric the rest.
+  std::vector<Resource> group_demand;
+
+  const FlowAdjacency& AdjacencyFor(const Workload& w) {
+    if (adjacency_of != &w || adjacency_containers != w.containers.size() ||
+        adjacency_edges != w.edges.size()) {
+      adjacency = BuildFlowAdjacency(w);
+      adjacency_of = &w;
+      adjacency_containers = w.containers.size();
+      adjacency_edges = w.edges.size();
+    }
+    return adjacency;
+  }
 };
 
 GoldilocksScheduler::GoldilocksScheduler(GoldilocksOptions opts)
@@ -154,13 +195,14 @@ std::uint64_t GoldilocksScheduler::StateDigest() const {
   return h.digest();
 }
 
-std::vector<std::vector<ContainerId>> GoldilocksScheduler::PartitionContainers(
-    const SchedulerInput& input) {
+const std::vector<std::vector<ContainerId>>&
+GoldilocksScheduler::PartitionContainers(const SchedulerInput& input) {
   const auto& topo = *input.topology;
   const Resource avg_cap = topo.average_server_capacity();
   const Resource ceiling = CeilingFor(avg_cap, opts_);
-  const FlowAdjacency adj = BuildFlowAdjacency(*input.workload);
+  const FlowAdjacency& adj = cache_->AdjacencyFor(*input.workload);
   MembershipStamp stamp(input.workload->containers.size());
+  cache_->group_demand.clear();
 
   // Reuse the cached grouping when the container universe is unchanged, the
   // repartition interval has not elapsed, and no group outgrew a server.
@@ -178,8 +220,9 @@ std::vector<std::vector<ContainerId>> GoldilocksScheduler::PartitionContainers(
     const Resource drift_limit = ceiling * 1.5;
     bool acceptable = true;
     for (const auto& group : cache_->groups) {
-      if (!EffectiveGroupDemand(group, input.demands, adj, stamp)
-               .FitsIn(drift_limit)) {
+      cache_->group_demand.push_back(
+          EffectiveGroupDemand(group, input.demands, adj, stamp));
+      if (!cache_->group_demand.back().FitsIn(drift_limit)) {
         acceptable = false;
         break;
       }
@@ -456,17 +499,18 @@ std::vector<std::vector<ContainerId>> GoldilocksScheduler::PartitionContainers(
   cache_->workload = input.workload;
   cache_->active_hash = active_hash;
   cache_->epochs_since_partition = 0;
-  cache_->groups = groups;
-  cache_->paths = paths;
-  cache_->group_server.assign(groups.size(), ServerId::invalid());
+  cache_->groups = std::move(groups);
+  cache_->paths = std::move(paths);
+  cache_->group_demand.clear();
+  cache_->group_server.assign(cache_->groups.size(), ServerId::invalid());
   if (!prev_server_of.empty()) {
     // Majority vote over members' previous servers (ties to the lowest
     // server id). Placement treats the result as a preference, not a
     // booking: if two groups inherit one server, whichever places first
     // keeps it and the other falls through to first-fit.
-    for (std::size_t gi = 0; gi < groups.size(); ++gi) {
+    for (std::size_t gi = 0; gi < cache_->groups.size(); ++gi) {
       std::unordered_map<int, int> votes;
-      for (const auto c : groups[gi]) {
+      for (const auto c : cache_->groups[gi]) {
         const ServerId s = prev_server_of[static_cast<std::size_t>(c.value())];
         if (s.valid()) ++votes[s.value()];
       }
@@ -481,7 +525,7 @@ std::vector<std::vector<ContainerId>> GoldilocksScheduler::PartitionContainers(
       if (best_server >= 0) cache_->group_server[gi] = ServerId(best_server);
     }
   }
-  return groups;
+  return cache_->groups;
 }
 
 Placement GoldilocksScheduler::AssignGroupsSymmetric(
@@ -492,8 +536,17 @@ Placement GoldilocksScheduler::AssignGroupsSymmetric(
   Placement p;
   p.server_of.assign(input.workload->containers.size(), ServerId::invalid());
 
-  const FlowAdjacency adj = BuildFlowAdjacency(*input.workload);
-  MembershipStamp stamp(input.workload->containers.size());
+  // Price every group the drift check did not reach (all of them after a
+  // repartition); the fit tests and the booking below read these values.
+  std::vector<Resource>& group_demand = cache_->group_demand;
+  if (group_demand.size() < groups.size()) {
+    const FlowAdjacency& adj = cache_->AdjacencyFor(*input.workload);
+    MembershipStamp stamp(input.workload->containers.size());
+    for (std::size_t gi = group_demand.size(); gi < groups.size(); ++gi) {
+      group_demand.push_back(
+          EffectiveGroupDemand(groups[gi], input.demands, adj, stamp));
+    }
+  }
 
   std::vector<ServerId> server_order = topo.ServersUnder(topo.root());
 
@@ -557,9 +610,7 @@ Placement GoldilocksScheduler::AssignGroupsSymmetric(
                       std::size_t gi) {
     // Book the *effective* demand: colocated traffic never hits the NIC.
     // CPU and memory are booked per container (exact).
-    const Resource eff =
-        EffectiveGroupDemand(group, input.demands, adj, stamp);
-    state.Add(s, eff);
+    state.Add(s, group_demand[gi]);
     for (const auto c : group) {
       p.server_of[static_cast<std::size_t>(c.value())] = s;
     }
@@ -579,8 +630,7 @@ Placement GoldilocksScheduler::AssignGroupsSymmetric(
   for (const auto gi : group_order) {
     const auto& group = groups[gi];
     if (group.empty()) continue;
-    const Resource eff =
-        EffectiveGroupDemand(group, input.demands, adj, stamp);
+    const Resource& eff = group_demand[gi];
 
     // Stability: keep the group on last epoch's server while the server
     // stays below the stability ceiling — moderate growth is exactly what
@@ -650,7 +700,7 @@ Placement GoldilocksScheduler::AssignGroupsSymmetric(
 
 Placement GoldilocksScheduler::Place(const SchedulerInput& input) {
   GOLDILOCKS_CHECK(input.workload != nullptr && input.topology != nullptr);
-  const auto groups = PartitionContainers(input);
+  const auto& groups = PartitionContainers(input);
 
   // Record the grouping for inspection (Fig. 7).
   last_grouping_.assign(input.workload->containers.size(), -1);

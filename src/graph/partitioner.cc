@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <numeric>
@@ -145,10 +146,18 @@ void GrowInitialPartition(const CsrGraph& g, const BalanceBounds& bounds,
   s.in_region.assign(sn, 0);
   s.grow_key.resize(sn);
   double w0 = 0.0;
+  // One bit per vertex outside the region, so a reseed selects without
+  // rescanning every vertex. Bits past n stay clear.
+  s.outside_bits.assign((sn + 63) / 64, ~std::uint64_t{0});
+  if (sn % 64 != 0) s.outside_bits.back() = (std::uint64_t{1} << (sn % 64)) - 1;
+  std::size_t outside_count = sn;
 
   const auto absorb = [&](VertexIndex v) {
-    s.in_region[static_cast<std::size_t>(v)] = 1;
-    side[static_cast<std::size_t>(v)] = 0;
+    const auto vi = static_cast<std::size_t>(v);
+    s.outside_bits[vi / 64] &= ~(std::uint64_t{1} << (vi % 64));
+    --outside_count;
+    s.in_region[vi] = 1;
+    side[vi] = 0;
     w0 += g.balance_weight(v);
     s.heap.Invalidate(v);
     const auto [to, ws] = g.arc_range(v);
@@ -162,13 +171,24 @@ void GrowInitialPartition(const CsrGraph& g, const BalanceBounds& bounds,
   };
 
   const auto seed_new_component = [&]() -> bool {
-    // All frontier exhausted: jump to a random vertex outside the region.
-    s.outside.clear();
-    for (VertexIndex v = 0; v < n; ++v) {
-      if (!s.in_region[static_cast<std::size_t>(v)]) s.outside.push_back(v);
+    // All frontier exhausted: jump to a random vertex outside the region,
+    // the k-th in ascending id order (same draw, same vertex as indexing a
+    // list of the outside vertices).
+    if (outside_count == 0) return false;
+    std::uint64_t k = rng.NextBelow(outside_count);
+    std::size_t word = 0;
+    for (;; ++word) {
+      const auto ones =
+          static_cast<std::uint64_t>(std::popcount(s.outside_bits[word]));
+      if (k < ones) break;
+      k -= ones;
     }
-    if (s.outside.empty()) return false;
-    absorb(s.outside[rng.NextBelow(s.outside.size())]);
+    std::uint64_t bits = s.outside_bits[word];
+    for (; k > 0; --k) bits &= bits - 1;  // drop the k lowest set bits
+    const std::size_t picked =
+        word * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+    GOLDILOCKS_CHECK(picked < sn);
+    absorb(static_cast<VertexIndex>(picked));
     return true;
   };
 

@@ -262,7 +262,7 @@ struct PartitionScratch {
   std::vector<std::uint8_t> in_region;
   std::vector<std::uint8_t> moved;
   std::vector<VertexIndex> move_seq;
-  std::vector<VertexIndex> outside;
+  std::vector<std::uint64_t> outside_bits;  // growing: vertices not absorbed
 
   // Multi-trial FM (partitioner.cc): per-trial working sets, the shared
   // chunked-precompute partial sums (folded in chunk order, one canonical
@@ -320,7 +320,7 @@ struct PartitionScratch {
     bytes += obs::VectorFootprintBytes(in_region);
     bytes += obs::VectorFootprintBytes(moved);
     bytes += obs::VectorFootprintBytes(move_seq);
-    bytes += obs::VectorFootprintBytes(outside);
+    bytes += obs::VectorFootprintBytes(outside_bits);
     for (const auto& t : fm_trials) bytes += t.ApproxBytes();
     bytes += obs::VectorFootprintBytes(chunk_partials);
     bytes += obs::VectorFootprintBytes(trial_outcomes);

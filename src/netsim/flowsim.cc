@@ -39,34 +39,16 @@ void FlowSimulator::Clear() {
 std::vector<int> FlowSimulator::Route(ServerId src, ServerId dst) const {
   std::vector<int> route;
   if (src == dst) return route;
-  NodeId a = topo_.server_node(src);
-  NodeId b = topo_.server_node(dst);
-  auto depth = [&](NodeId id) {
-    int d = 0;
-    for (NodeId cur = id; topo_.node(cur).parent.valid();
-         cur = topo_.node(cur).parent) {
-      ++d;
-    }
-    return d;
-  };
-  int da = depth(a), db = depth(b);
   std::vector<int> down;  // collected in reverse while walking b upward
-  while (da > db) {
-    route.push_back(UpIndex(a));
-    a = topo_.node(a).parent;
-    --da;
-  }
-  while (db > da) {
-    down.push_back(DownIndex(b));
-    b = topo_.node(b).parent;
-    --db;
-  }
-  while (a != b) {
-    route.push_back(UpIndex(a));
-    down.push_back(DownIndex(b));
-    a = topo_.node(a).parent;
-    b = topo_.node(b).parent;
-  }
+  topo_.ForEachUplinkOnPath(
+      topo_.server_node(src), topo_.server_node(dst),
+      [&](NodeId n, int side) {
+        if (side == 0) {
+          route.push_back(UpIndex(n));
+        } else {
+          down.push_back(DownIndex(n));
+        }
+      });
   route.insert(route.end(), down.rbegin(), down.rend());
   return route;
 }

@@ -11,6 +11,9 @@ TrafficEstimate EstimateTraffic(const Workload& workload,
                                 std::span<const Resource> demands,
                                 std::span<const std::uint8_t> active,
                                 const Topology& topo) {
+  GOLDILOCKS_CHECK_EQ(placement.server_of.size(), workload.containers.size());
+  GOLDILOCKS_CHECK_EQ(demands.size(), workload.containers.size());
+  GOLDILOCKS_CHECK_EQ(active.size(), workload.containers.size());
   TrafficEstimate out;
   out.edge_mbps.assign(workload.edges.size(), 0.0);
   out.node_uplink_mbps.assign(static_cast<std::size_t>(topo.num_nodes()),
@@ -52,33 +55,10 @@ TrafficEstimate EstimateTraffic(const Workload& workload,
     if (sa == sb) continue;  // intra-server traffic never leaves the host
 
     // Load every uplink bundle on the tree path (LCA walk).
-    NodeId na = topo.server_node(sa);
-    NodeId nb = topo.server_node(sb);
-    auto depth = [&](NodeId id) {
-      int d = 0;
-      for (NodeId cur = id; topo.node(cur).parent.valid();
-           cur = topo.node(cur).parent) {
-        ++d;
-      }
-      return d;
-    };
-    int da = depth(na), db = depth(nb);
-    while (da > db) {
-      out.node_uplink_mbps[static_cast<std::size_t>(na.value())] += traffic;
-      na = topo.node(na).parent;
-      --da;
-    }
-    while (db > da) {
-      out.node_uplink_mbps[static_cast<std::size_t>(nb.value())] += traffic;
-      nb = topo.node(nb).parent;
-      --db;
-    }
-    while (na != nb) {
-      out.node_uplink_mbps[static_cast<std::size_t>(na.value())] += traffic;
-      out.node_uplink_mbps[static_cast<std::size_t>(nb.value())] += traffic;
-      na = topo.node(na).parent;
-      nb = topo.node(nb).parent;
-    }
+    topo.ForEachUplinkOnPath(
+        topo.server_node(sa), topo.server_node(sb), [&](NodeId n, int) {
+          out.node_uplink_mbps[static_cast<std::size_t>(n.value())] += traffic;
+        });
   }
   return out;
 }

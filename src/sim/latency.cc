@@ -38,25 +38,39 @@ TctResult LatencyModel::ComputeTct(const Workload& workload,
                                    std::span<const Resource> demands,
                                    std::span<const std::uint8_t> active,
                                    const TrafficEstimate& traffic) const {
+  GOLDILOCKS_CHECK_EQ(placement.server_of.size(), workload.containers.size());
+  GOLDILOCKS_CHECK_EQ(demands.size(), workload.containers.size());
+  GOLDILOCKS_CHECK_EQ(active.size(), workload.containers.size());
   // Server busyness: CPU share and NIC share (cross-server traffic only —
   // colocated chatter costs no NIC), whichever dominates.
   const int num_servers = topo_.num_servers();
   std::vector<double> cpu_load GL_UNITS(cores)(static_cast<std::size_t>(num_servers), 0.0);
   for (std::size_t i = 0; i < workload.containers.size(); ++i) {
-    const auto s = placement.server_of.size() > i ? placement.server_of[i]
-                                                  : ServerId::invalid();
+    const ServerId s = placement.server_of[i];
     if (!s.valid() || !active[i]) continue;
+    GOLDILOCKS_CHECK_LT(s.value(), num_servers);
     cpu_load[static_cast<std::size_t>(s.value())] += demands[i].cpu;
   }
-  auto server_utilization = [&](ServerId s) {
+  // Both tables depend only on the server or the node, so each entry is
+  // computed once per call instead of once per query edge endpoint.
+  std::vector<double> server_utilization GL_UNITS(dimensionless)(
+      static_cast<std::size_t>(num_servers), 0.0);
+  for (int i = 0; i < num_servers; ++i) {
+    const ServerId s{i};
     const auto& cap = topo_.server_capacity(s);
     const double cpu_u =
-        cap.cpu > 0.0 ? cpu_load[static_cast<std::size_t>(s.value())] / cap.cpu
-                      : 0.0;
-    const NodeId leaf = topo_.server_node(s);
-    const double nic_u = traffic.UplinkUtilization(topo_, leaf);
-    return std::max(cpu_u, nic_u);
-  };
+        cap.cpu > 0.0 ? cpu_load[static_cast<std::size_t>(i)] / cap.cpu : 0.0;
+    const double nic_u = traffic.UplinkUtilization(topo_, topo_.server_node(s));
+    server_utilization[static_cast<std::size_t>(i)] = std::max(cpu_u, nic_u);
+  }
+  // One-way latency of each node's uplink: hop cost inflated by congestion.
+  std::vector<double> hop_ms GL_UNITS(ms)(
+      static_cast<std::size_t>(topo_.num_nodes()), 0.0);
+  for (int i = 0; i < topo_.num_nodes(); ++i) {
+    hop_ms[static_cast<std::size_t>(i)] =
+        opts_.per_hop_ms *
+        CongestionFactor(traffic.UplinkUtilization(topo_, NodeId{i}));
+  }
 
   TctResult result;
   std::vector<double> samples GL_UNITS(ms);
@@ -75,43 +89,17 @@ TctResult LatencyModel::ComputeTct(const Workload& workload,
 
     const AppProfile& responder = GetAppProfile(workload.containers[ib].app);
     const double u GL_UNITS(dimensionless) =
-        std::max(server_utilization(sa), server_utilization(sb));
+        std::max(server_utilization[static_cast<std::size_t>(sa.value())],
+                 server_utilization[static_cast<std::size_t>(sb.value())]);
     double tct GL_UNITS(ms) = responder.base_service_ms * QueueFactor(u);
 
     // Network round trip: hop latency inflated by per-link congestion.
     if (sa != sb) {
-      NodeId na = topo_.server_node(sa);
-      NodeId nb = topo_.server_node(sb);
-      auto depth = [&](NodeId id) {
-        int d = 0;
-        for (NodeId cur = id; topo_.node(cur).parent.valid();
-             cur = topo_.node(cur).parent) {
-          ++d;
-        }
-        return d;
-      };
-      int da = depth(na), db = depth(nb);
       double one_way GL_UNITS(ms) = 0.0;
-      auto hop = [&](NodeId n) {
-        one_way += opts_.per_hop_ms *
-                   CongestionFactor(traffic.UplinkUtilization(topo_, n));
-      };
-      while (da > db) {
-        hop(na);
-        na = topo_.node(na).parent;
-        --da;
-      }
-      while (db > da) {
-        hop(nb);
-        nb = topo_.node(nb).parent;
-        --db;
-      }
-      while (na != nb) {
-        hop(na);
-        hop(nb);
-        na = topo_.node(na).parent;
-        nb = topo_.node(nb).parent;
-      }
+      topo_.ForEachUplinkOnPath(
+          topo_.server_node(sa), topo_.server_node(sb), [&](NodeId n, int) {
+            one_way += hop_ms[static_cast<std::size_t>(n.value())];
+          });
       tct += 2.0 * one_way;
     }
 

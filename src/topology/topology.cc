@@ -19,6 +19,7 @@ NodeId Topology::AddSwitchNode(NodeId parent, int level, double uplink_mbps,
     nodes_[CheckedNode(parent)].children.push_back(id);
     GOLDILOCKS_CHECK_MSG(level < nodes_[CheckedNode(parent)].level,
                          "child level must be below parent level");
+    n.depth = nodes_[CheckedNode(parent)].depth + 1;
   } else {
     GOLDILOCKS_CHECK_MSG(!root_.valid(), "topology already has a root");
     root_ = id;
@@ -36,6 +37,7 @@ ServerId Topology::AddServer(NodeId rack, const Resource& capacity) {
   n.id = node_id;
   n.parent = rack;
   n.level = 0;
+  n.depth = nodes_[CheckedNode(rack)].depth + 1;
   n.uplink_capacity_mbps = capacity.net_mbps;
   n.physical_uplinks = 1;
   n.server = sid;
@@ -167,36 +169,9 @@ Resource Topology::average_server_capacity() const {
 }
 
 int Topology::HopDistance(ServerId a, ServerId b) const {
-  if (a == b) return 0;
-  NodeId na = server_node(a);
-  NodeId nb = server_node(b);
-  int da = 0, db = 0;
-  // Levels are uniform per depth in our factories, but walk generically.
-  auto depth = [&](NodeId id) {
-    int d = 0;
-    for (NodeId cur = id; node(cur).parent.valid(); cur = node(cur).parent) {
-      ++d;
-    }
-    return d;
-  };
-  da = depth(na);
-  db = depth(nb);
   int hops = 0;
-  while (da > db) {
-    na = node(na).parent;
-    --da;
-    ++hops;
-  }
-  while (db > da) {
-    nb = node(nb).parent;
-    --db;
-    ++hops;
-  }
-  while (na != nb) {
-    na = node(na).parent;
-    nb = node(nb).parent;
-    hops += 2;
-  }
+  ForEachUplinkOnPath(server_node(a), server_node(b),
+                      [&hops](NodeId, int) { ++hops; });
   return hops;
 }
 

@@ -32,6 +32,7 @@ class Topology {
     NodeId parent = NodeId::invalid();
     std::vector<NodeId> children;
     int level = 0;  // 0 = server; increases toward the root
+    int depth = 0;  // links between this node and the root
     // Aggregate capacity of all physical uplinks toward the parent (Mbps).
     double uplink_capacity_mbps GL_UNITS(bits_per_sec) = 0.0;
     // Bandwidth currently reserved on that uplink by placed Virtual Clusters.
@@ -126,6 +127,32 @@ class Topology {
 
   // Number of links on the shortest path between two servers (0 if equal).
   [[nodiscard]] int HopDistance(ServerId a, ServerId b) const;
+
+  // Calls fn(node, side) once per uplink on the tree path between nodes `a`
+  // and `b`: side 0 for the nodes on a's way up to the lowest common
+  // ancestor, 1 for b's. The deeper side climbs alone until both stand at
+  // one depth; then both climb level by level, a's node before b's. Every
+  // caller that sums per-hop values relies on this order for bit-identical
+  // results.
+  template <typename Fn>
+  void ForEachUplinkOnPath(NodeId a, NodeId b, Fn&& fn) const {
+    const Node* na = &node(a);
+    const Node* nb = &node(b);
+    while (na->depth > nb->depth) {
+      fn(na->id, 0);
+      na = &node(na->parent);
+    }
+    while (nb->depth > na->depth) {
+      fn(nb->id, 1);
+      nb = &node(nb->parent);
+    }
+    while (na != nb) {
+      fn(na->id, 0);
+      fn(nb->id, 1);
+      na = &node(na->parent);
+      nb = &node(nb->parent);
+    }
+  }
 
   // Servers under a subtree in left-to-right (locality) order.
   [[nodiscard]] std::vector<ServerId> ServersUnder(NodeId subtree) const;

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "common/ids.h"
@@ -335,6 +338,34 @@ TEST(Percentile, Interpolates) {
 
 TEST(Percentile, EmptyReturnsZero) {
   EXPECT_DOUBLE_EQ(Percentile({}, 50), 0.0);
+}
+
+// Reference: full sort, then interpolate between the two order statistics.
+double SortedPercentile(std::vector<double> v, double p) {
+  std::sort(v.begin(), v.end());
+  const double rank = p / 100.0 * static_cast<double>(v.size() - 1);
+  const auto lo = static_cast<std::size_t>(rank);
+  const auto hi = std::min(lo + 1, v.size() - 1);
+  const double frac = rank - static_cast<double>(lo);
+  return v[lo] + (v[hi] - v[lo]) * frac;
+}
+
+TEST(Percentile, MatchesFullSort) {
+  Rng rng(0x9e7c);
+  for (std::size_t n = 1; n <= 2000; ++n) {
+    std::vector<double> xs(n);
+    for (auto& x : xs) {
+      // Even sizes draw from a few values (many ties), odd ones from a
+      // continuum with occasional repeats.
+      x = n % 2 == 0 ? 0.25 * static_cast<double>(rng.NextBelow(n / 8 + 2))
+                     : std::floor(rng.NextDouble() * 1e4) / 7.0;
+    }
+    for (const double p : {0.0, 1.0, 50.0, 99.0, 99.9, 100.0}) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(Percentile(xs, p)),
+                std::bit_cast<std::uint64_t>(SortedPercentile(xs, p)))
+          << "n=" << n << " p=" << p;
+    }
+  }
 }
 
 TEST(Pearson, PerfectCorrelation) {

@@ -323,6 +323,54 @@ TEST(Goldilocks, IncrementalModeMigratesLessThanFresh) {
   EXPECT_LT(incremental, fresh);
 }
 
+// 2 × `pairs` containers whose NIC demand alone nearly fills a server's PEE
+// ceiling. With `chatty`, each pair exchanges all its traffic, so a group of
+// pairs needs no NIC once colocated; without it, every container needs a
+// server of its own.
+Workload PairWorkload(int pairs, bool chatty) {
+  Workload w;
+  for (int i = 0; i < 2 * pairs; ++i) {
+    Container c;
+    c.id = ContainerId{i};
+    c.demand = {.cpu = 100, .mem_gb = 1, .net_mbps = 600};
+    w.containers.push_back(c);
+  }
+  for (int p = 0; chatty && p < pairs; ++p) {
+    w.edges.push_back({ContainerId{2 * p}, ContainerId{2 * p + 1}, 50.0});
+  }
+  return w;
+}
+
+TEST(Goldilocks, ReusedSchedulerMatchesFreshOnNewWorkload) {
+  // The scheduler caches per-workload data across Place calls. Workload B
+  // takes over workload A's storage, so only the cache key's sizes tell the
+  // two apart; pricing B with A's flows would give every container its own
+  // server.
+  const Topology topo = Topology::LeafSpine(8, 2, 2, kCap, 1000.0);
+  Workload workload;
+  const auto place = [&](GoldilocksScheduler& sched) {
+    std::vector<Resource> demands;
+    for (const auto& c : workload.containers) demands.push_back(c.demand);
+    const std::vector<std::uint8_t> active(workload.containers.size(), 1);
+    SchedulerInput input;
+    input.workload = &workload;
+    input.demands = demands;
+    input.active = active;
+    input.topology = &topo;
+    return sched.Place(input);
+  };
+
+  GoldilocksScheduler reused;
+  workload = PairWorkload(6, /*chatty=*/false);
+  EXPECT_EQ(place(reused).NumActiveServers(), 12);
+  workload = PairWorkload(4, /*chatty=*/true);
+  const Placement second = place(reused);
+  GoldilocksScheduler fresh;
+  const Placement expected = place(fresh);
+  EXPECT_LT(expected.NumActiveServers(), 8);
+  EXPECT_EQ(second.server_of, expected.server_of);
+}
+
 TEST(Goldilocks, HandlesAzureChurn) {
   const auto scenario = MakeAzureMixScenario();
   Topology topo = Topology::LeafSpine(8, 2, 2, kCap, 1000.0);

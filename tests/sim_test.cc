@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <iterator>
+
 #include "common/state_hash.h"
 #include "core/goldilocks.h"
 #include "schedulers/e_pvm.h"
@@ -8,6 +12,7 @@
 #include "sim/migration.h"
 #include "sim/simulator.h"
 #include "netsim/traffic.h"
+#include "obs/metrics.h"
 #include "workload/scenarios.h"
 
 namespace gl {
@@ -309,6 +314,71 @@ TEST(Runner, MigrationsTrackedAcrossEpochs) {
   const int stable = total_migrations(100);
   const int churny = total_migrations(1);
   EXPECT_LT(stable, churny / 2 + 1);
+}
+
+TEST(Runner, ReuseEpochsBitIdentical) {
+  // Repartitioning every 4th epoch makes most epochs reuse the cached
+  // grouping. The constants pin each epoch's hashes and TCT bit patterns:
+  // the reuse path (cached flow adjacency, group pricing) and the TCT
+  // evaluation must reproduce them exactly.
+  struct Expected {
+    std::uint64_t placement, loads, power, rng, mean_tct_bits, p99_tct_bits;
+  };
+  constexpr Expected kExpected[] = {
+      {0x8eab0325a7f45535ULL, 0xea96d0ff5a7ebd9cULL, 0x5aea3cbc87771b23ULL,
+       0x6b0b03a1420b7281ULL, 0x3fe9b426b295d377ULL, 0x3fe9c2a742a3d440ULL},
+      {0x8eab0325a7f45535ULL, 0xf94c324bd3b706a3ULL, 0xfe07703f5870933fULL,
+       0xd9f439e5a1ebc000ULL, 0x3feb390fc14d08ebULL, 0x3feba35391980fb0ULL},
+      {0x8eab0325a7f45535ULL, 0x4be2cad74e30d9ffULL, 0xa790ca9c5b41a4f7ULL,
+       0x481ecbf66f935483ULL, 0x3ff18eea5e9240c9ULL, 0x3ff3ae1843b2da79ULL},
+      {0x8eab0325a7f45535ULL, 0xeb391d1d4a1db9c0ULL, 0xb56f60c45a03a702ULL,
+       0x84313e1123b48702ULL, 0x4000e389c4fdc79cULL, 0x4004a421e5c06f12ULL},
+      {0x2eeaa4578bdff135ULL, 0x0e09b727033920b9ULL, 0x59bffb3c1ba39ac4ULL,
+       0x4b3a39318763f8dcULL, 0x3ff8b7f6588242d5ULL, 0x4014ecd0d70f497aULL},
+      {0x2eeaa4578bdff135ULL, 0xa6d218f9d04b08b1ULL, 0x2468b727bef59b1cULL,
+       0x3b10af6667b0a19dULL, 0x4011dcb6732d2c2dULL, 0x4029bb2a728e6732ULL},
+      {0x0ee37570dacf1ddfULL, 0xe23a2ba5c1d3fba2ULL, 0x483d59fc07836a9fULL,
+       0x9ea7f339ad9f6e58ULL, 0x400a2477259acba7ULL, 0x40285fef25b06df8ULL},
+      {0x3d3b20be5b3e035eULL, 0xadf3e34e293b8a35ULL, 0xb49908bc1121b378ULL,
+       0x4deab35c40ca7537ULL, 0x400b458405949074ULL, 0x402a06eee1144530ULL},
+      {0xb5842cb1e4da1c54ULL, 0x0c1f15bfea74eacfULL, 0x6cb72753eb63a118ULL,
+       0x26bac3f96692d44cULL, 0x3ffca2229d1538f8ULL, 0x4016eb60ae24f68dULL},
+      {0xb5842cb1e4da1c54ULL, 0x06876a68dff92c25ULL, 0x78cf803cca21780dULL,
+       0x33c77c5d79a5e9edULL, 0x3ff057e929340215ULL, 0x4010c72831092809ULL},
+      {0xb5842cb1e4da1c54ULL, 0xfb81fff587ab2127ULL, 0xb4683e9626337b70ULL,
+       0xddb72fd4028d198eULL, 0x3feeac29cafe9d9fULL, 0x40102da4c3199fd8ULL},
+      {0xb5842cb1e4da1c54ULL, 0x3d2be958c609e162ULL, 0x3c7f766972aec2c4ULL,
+       0x7e8c4fddb96a652fULL, 0x3fee8ea9815b5df4ULL, 0x4010159fdcd06b3cULL},
+  };
+  TwitterScenarioOptions sopts;
+  sopts.num_epochs = 12;
+  const auto scenario = MakeTwitterCachingScenario(sopts);
+  const Topology topo = Topology::Testbed16();
+  RunnerOptions opts;
+  opts.record_state_hashes = true;
+  const ExperimentRunner runner(*scenario, topo, opts);
+  GoldilocksOptions gopts;
+  gopts.repartition_interval = 4;
+  GoldilocksScheduler sched(gopts);
+  const obs::Counter& hits = obs::MetricsRegistry::Global().GetCounter(
+      "goldilocks.partition_cache_hits", obs::MetricKind::kDeterministic);
+  const std::uint64_t hits_before = hits.value();
+  const auto result = runner.Run(sched);
+  EXPECT_EQ(hits.value() - hits_before, 9u);  // the reuse path ran
+  ASSERT_EQ(result.epochs.size(), std::size(kExpected));
+  ASSERT_EQ(result.state_hashes.size(), std::size(kExpected));
+  for (std::size_t e = 0; e < std::size(kExpected); ++e) {
+    SCOPED_TRACE(e);
+    const auto& h = result.state_hashes[e];
+    EXPECT_EQ(h.placement, kExpected[e].placement);
+    EXPECT_EQ(h.loads, kExpected[e].loads);
+    EXPECT_EQ(h.power, kExpected[e].power);
+    EXPECT_EQ(h.rng, kExpected[e].rng);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(result.epochs[e].mean_tct_ms),
+              kExpected[e].mean_tct_bits);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(result.epochs[e].p99_tct_ms),
+              kExpected[e].p99_tct_bits);
+  }
 }
 
 // Records what Place saw and what it returned, epoch by epoch.

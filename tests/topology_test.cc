@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "topology/datacenters.h"
 #include "topology/topology.h"
@@ -152,6 +154,82 @@ TEST(TopologyFailure, DegradeUplink) {
   const double before = t.uplink_capacity(pod);
   t.DegradeUplink(pod, 0.5);
   EXPECT_DOUBLE_EQ(t.uplink_capacity(pod), before * 0.5);
+}
+
+// --- tree-path walk ---------------------------------------------------------
+
+// Reference walk with depths found by climbing to the root, independent of
+// Node::depth: the deeper side alone, then both sides, a's node first.
+std::vector<std::pair<NodeId, int>> ReferencePath(const Topology& t, NodeId a,
+                                                  NodeId b) {
+  const auto depth = [&t](NodeId id) {
+    int d = 0;
+    for (NodeId cur = id; t.node(cur).parent.valid();
+         cur = t.node(cur).parent) {
+      ++d;
+    }
+    return d;
+  };
+  std::vector<std::pair<NodeId, int>> path;
+  int da = depth(a);
+  int db = depth(b);
+  while (da > db) {
+    path.emplace_back(a, 0);
+    a = t.node(a).parent;
+    --da;
+  }
+  while (db > da) {
+    path.emplace_back(b, 1);
+    b = t.node(b).parent;
+    --db;
+  }
+  while (a != b) {
+    path.emplace_back(a, 0);
+    path.emplace_back(b, 1);
+    a = t.node(a).parent;
+    b = t.node(b).parent;
+  }
+  return path;
+}
+
+// Servers at uneven depths: two under a rack, one straight under the root,
+// so the deeper-side-first loops run too.
+Topology UnevenTree() {
+  Topology t;
+  const NodeId root = t.AddSwitchNode(NodeId::invalid(), 2, 0.0, 1, 0);
+  const NodeId rack = t.AddSwitchNode(root, 1, 2000.0, 1, 2);
+  t.AddServer(rack, kCap);
+  t.AddServer(rack, kCap);
+  t.AddServer(root, kCap);
+  return t;
+}
+
+TEST(Topology, PathVisitorMatchesReferenceWalk) {
+  const std::vector<Topology> topologies = {
+      Topology::FatTree(4, kCap, 1000.0),
+      Topology::LeafSpine(4, 3, 2, kCap, 1000.0),
+      Topology::Testbed16(),
+      Topology::Vl2(16, kCap),
+      Topology::ThreeTier({}),
+      UnevenTree(),
+  };
+  for (std::size_t ti = 0; ti < topologies.size(); ++ti) {
+    const Topology& t = topologies[ti];
+    for (int a = 0; a < t.num_servers(); ++a) {
+      for (int b = 0; b < t.num_servers(); ++b) {
+        const NodeId na = t.server_node(ServerId{a});
+        const NodeId nb = t.server_node(ServerId{b});
+        std::vector<std::pair<NodeId, int>> visited;
+        t.ForEachUplinkOnPath(na, nb, [&visited](NodeId n, int side) {
+          visited.emplace_back(n, side);
+        });
+        ASSERT_EQ(visited, ReferencePath(t, na, nb))
+            << "topology " << ti << " servers " << a << "," << b;
+        ASSERT_EQ(static_cast<int>(visited.size()),
+                  t.HopDistance(ServerId{a}, ServerId{b}));
+      }
+    }
+  }
 }
 
 // --- Table I data -----------------------------------------------------------------
