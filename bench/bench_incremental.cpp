@@ -9,6 +9,7 @@
 #include "common/table.h"
 #include "core/graph_builder.h"
 #include "graph/incremental.h"
+#include "topology/topology.h"
 #include "workload/scenarios.h"
 
 int main() {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "common/check.h"
 
@@ -37,8 +38,6 @@ void RunningStats::Merge(const RunningStats& o) {
   min_ = std::min(min_, o.min_);
   max_ = std::max(max_, o.max_);
 }
-
-void RunningStats::Reset() { *this = RunningStats{}; }
 
 double RunningStats::variance() const {
   return n_ ? m2_ / static_cast<double>(n_) : 0.0;
@@ -85,55 +84,6 @@ double PearsonCorrelation(std::span<const double> xs,
   }
   if (sxx == 0.0 || syy == 0.0) return 0.0;
   return sxy / std::sqrt(sxx * syy);
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), counts_(bins, 0) {
-  GOLDILOCKS_CHECK(hi > lo && bins > 0);
-}
-
-void Histogram::Add(double x) {
-  const double w = (hi_ - lo_) / static_cast<double>(counts_.size());
-  auto bin = static_cast<std::ptrdiff_t>((x - lo_) / w);
-  bin = std::clamp<std::ptrdiff_t>(
-      bin, 0, static_cast<std::ptrdiff_t>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(bin)];
-  ++total_;
-}
-
-std::size_t Histogram::count(std::size_t bin) const {
-  GOLDILOCKS_CHECK_LT(bin, counts_.size());
-  return counts_[bin];
-}
-
-double Histogram::bin_low(std::size_t bin) const {
-  const double w = (hi_ - lo_) / static_cast<double>(counts_.size());
-  return lo_ + w * static_cast<double>(bin);
-}
-
-double Histogram::bin_high(std::size_t bin) const {
-  return bin_low(bin + 1);
-}
-
-double Histogram::share(std::size_t bin) const {
-  return total_ ? static_cast<double>(count(bin)) /
-                      static_cast<double>(total_)
-                : 0.0;
-}
-
-std::vector<std::pair<double, double>> EmpiricalCdf(
-    std::span<const double> xs) {
-  std::vector<double> v(xs.begin(), xs.end());
-  std::sort(v.begin(), v.end());
-  std::vector<std::pair<double, double>> cdf;
-  const auto n = static_cast<double>(v.size());
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    const bool last_of_value = (i + 1 == v.size()) || (v[i + 1] != v[i]);
-    if (last_of_value) {
-      cdf.emplace_back(v[i], static_cast<double>(i + 1) / n);
-    }
-  }
-  return cdf;
 }
 
 }  // namespace gl

@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <span>
-#include <vector>
 
 namespace gl {
 
@@ -13,7 +12,6 @@ class RunningStats {
  public:
   void Add(double x);
   void Merge(const RunningStats& o);
-  void Reset();
 
   [[nodiscard]] std::size_t count() const { return n_; }
   [[nodiscard]] double mean() const { return n_ ? mean_ : 0.0; }
@@ -41,30 +39,5 @@ double Percentile(std::span<const double> xs, double p);
 // degenerate inputs (length < 2 or zero variance).
 double PearsonCorrelation(std::span<const double> xs,
                           std::span<const double> ys);
-
-// Histogram with fixed-width bins over [lo, hi); values outside are clamped
-// to the edge bins. Used to reproduce the distribution plots (Fig 1b, Fig 5).
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void Add(double x);
-  [[nodiscard]] std::size_t bin_count() const { return counts_.size(); }
-  [[nodiscard]] std::size_t count(std::size_t bin) const;
-  [[nodiscard]] double bin_low(std::size_t bin) const;
-  [[nodiscard]] double bin_high(std::size_t bin) const;
-  [[nodiscard]] std::size_t total() const { return total_; }
-  // Fraction of mass in the bin, 0 if empty histogram.
-  [[nodiscard]] double share(std::size_t bin) const;
-
- private:
-  double lo_, hi_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
-};
-
-// Empirical CDF points (x, F(x)) of a sample, one point per distinct value.
-std::vector<std::pair<double, double>> EmpiricalCdf(
-    std::span<const double> xs);
 
 }  // namespace gl

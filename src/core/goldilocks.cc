@@ -1,7 +1,6 @@
 #include "core/goldilocks.h"
 
 #include <algorithm>
-#include <cmath>
 #include <numeric>
 #include <unordered_map>
 #include <utility>
@@ -33,9 +32,10 @@ Resource CeilingFor(const Resource& capacity, const GoldilocksOptions& opts) {
 
 // During partitioning the network dimension is checked loosely: min-cut
 // grouping makes most of a group's traffic internal (it never touches the
-// NIC once colocated), so the exact NIC check is done afterwards on the
-// *effective* demand. The relaxation only prevents absurdly network-heavy
-// groups from forming in the first place.
+// NIC once colocated), so the exact NIC check is left to placement, which
+// tests each group's *effective* demand against a server and spills a group
+// that fits none container by container. The relaxation only prevents
+// absurdly network-heavy groups from forming in the first place.
 constexpr double kPartitionNetRelax = 8.0;
 
 std::uint64_t HashActiveMask(std::span<const std::uint8_t> active) {
@@ -244,8 +244,7 @@ GoldilocksScheduler::PartitionContainers(const SchedulerInput& input) {
       *input.workload, input.demands, input.active, avg_cap);
   // Groups are sized against a margin-reduced ceiling so they survive
   // epoch-to-epoch demand growth without a full repartition.
-  const Resource group_ceiling = ceiling * (1.0 - opts_.group_headroom);
-  Resource relaxed = group_ceiling;
+  Resource relaxed = ceiling * (1.0 - opts_.group_headroom);
   relaxed.net_mbps *= kPartitionNetRelax;
   const auto fits = [&relaxed](const Resource& demand, int count) {
     (void)count;
@@ -339,9 +338,11 @@ GoldilocksScheduler::PartitionContainers(const SchedulerInput& input) {
           best_old = old;
         }
       }
+      // append, not operator+: GCC 12 at -O3 reports a false -Wrestrict on
+      // `std::string + std::string` here, which -Werror turns fatal.
       paths[static_cast<std::size_t>(gid)] =
           best_old >= 0 ? cache_->paths[static_cast<std::size_t>(best_old)]
-                        : std::string("~") + std::to_string(gid);
+                        : std::string("~").append(std::to_string(gid));
     }
     // Locality order: stable sort by inherited path.
     std::vector<std::size_t> idx(groups.size());
@@ -380,119 +381,6 @@ GoldilocksScheduler::PartitionContainers(const SchedulerInput& input) {
     for (int g = 0; g < part.num_groups; ++g) {
       paths[static_cast<std::size_t>(rank[static_cast<std::size_t>(g)])] =
           part.group_path[static_cast<std::size_t>(g)];
-    }
-  }
-
-  // --- refinement: enforce the exact ceiling on *effective* demand -----------
-  // A group that passed the relaxed partition check may still exceed the
-  // NIC (or, after demand growth, CPU) once colocated; bisect it further.
-  static obs::Counter& refine_bisects =
-      obs::MetricsRegistry::Global().GetCounter(
-          "goldilocks.refine_bisections", obs::MetricKind::kDeterministic);
-  for (std::size_t gi = 0; gi < groups.size();) {
-    const Resource eff =
-        EffectiveGroupDemand(groups[gi], input.demands, adj, stamp);
-    if (eff.FitsIn(group_ceiling) || groups[gi].size() <= 1) {
-      ++gi;
-      continue;
-    }
-    // Bisect the induced subgraph of this group.
-    std::vector<VertexIndex> verts;
-    verts.reserve(groups[gi].size());
-    for (const auto c : groups[gi]) {
-      verts.push_back(
-          cg.container_to_vertex[static_cast<std::size_t>(c.value())]);
-    }
-    const CsrGraph sub = InducedSubgraph(cg.graph, verts);
-    PartitionOptions popts = opts_.partition;
-    popts.seed ^= 0x9e3779b97f4a7c15ULL + gi;
-    // Carve off one ceiling-full per split so the survivor fills a server.
-    const double over =
-        std::max({eff.cpu / std::max(group_ceiling.cpu, 1e-9),
-                  eff.mem_gb / std::max(group_ceiling.mem_gb, 1e-9),
-                  eff.net_mbps / std::max(group_ceiling.net_mbps, 1e-9)});
-    const double fraction =
-        std::clamp(std::ceil(over / 2.0) / std::max(over, 1.0 + 1e-9), 0.25,
-                   0.75);
-    refine_bisects.Increment();
-    const Bisection bis = Bisect(sub, popts, fraction);
-    std::vector<ContainerId> left, right;
-    for (std::size_t v = 0; v < groups[gi].size(); ++v) {
-      (bis.side[v] == 0 ? left : right).push_back(groups[gi][v]);
-    }
-    if (left.empty() || right.empty()) {
-      // Degenerate bisection: force an arbitrary split so we terminate.
-      left.assign(groups[gi].begin(),
-                  groups[gi].begin() +
-                      static_cast<std::ptrdiff_t>(groups[gi].size() / 2));
-      right.assign(groups[gi].begin() +
-                       static_cast<std::ptrdiff_t>(groups[gi].size() / 2),
-                   groups[gi].end());
-    }
-    const std::string base_path = paths[gi];
-    groups[gi] = std::move(left);
-    paths[gi] = base_path + '0';
-    groups.insert(groups.begin() + static_cast<std::ptrdiff_t>(gi) + 1,
-                  std::move(right));
-    paths.insert(paths.begin() + static_cast<std::ptrdiff_t>(gi) + 1,
-                 base_path + '1');
-    // Re-check the (smaller) group at gi on the next loop iteration.
-  }
-
-  // --- merge siblings that jointly fit (halving leaves servers half-empty) ---
-  // Groups carrying replicas of the same service must stay apart (the whole
-  // point of the negative edges), so merges that reunite a replica set are
-  // rejected.
-  auto replica_sets_of = [&](const std::vector<ContainerId>& g) {
-    std::vector<GroupId> sets;
-    for (const auto c : g) {
-      const auto rs = input.workload->containers[
-          static_cast<std::size_t>(c.value())].replica_set;
-      if (rs.valid()) sets.push_back(rs);
-    }
-    std::sort(sets.begin(), sets.end());
-    sets.erase(std::unique(sets.begin(), sets.end()), sets.end());
-    return sets;
-  };
-  auto share_replica_set = [&](const std::vector<ContainerId>& a,
-                               const std::vector<ContainerId>& b) {
-    const auto sa = replica_sets_of(a);
-    if (sa.empty()) return false;
-    const auto sb = replica_sets_of(b);
-    for (const auto s : sa) {
-      if (std::binary_search(sb.begin(), sb.end(), s)) return true;
-    }
-    return false;
-  };
-  if (opts_.merge_sibling_groups) {
-    bool merged = true;
-    while (merged) {
-      merged = false;
-      for (std::size_t i = 0; i + 1 < groups.size(); ++i) {
-        const std::string& pa = paths[i];
-        const std::string& pb = paths[i + 1];
-        const bool siblings =
-            pa.size() == pb.size() && !pa.empty() &&
-            pa.compare(0, pa.size() - 1, pb, 0, pb.size() - 1) == 0;
-        if (!siblings) continue;
-        if (share_replica_set(groups[i], groups[i + 1])) continue;
-        std::vector<ContainerId> combined = groups[i];
-        combined.insert(combined.end(), groups[i + 1].begin(),
-                        groups[i + 1].end());
-        if (!EffectiveGroupDemand(combined, input.demands, adj, stamp)
-                 .FitsIn(group_ceiling)) {
-          continue;
-        }
-        static obs::Counter& merges = obs::MetricsRegistry::Global().GetCounter(
-            "goldilocks.sibling_merges", obs::MetricKind::kDeterministic);
-        merges.Increment();
-        groups[i] = std::move(combined);
-        paths[i] = pa.substr(0, pa.size() - 1);
-        groups.erase(groups.begin() + static_cast<std::ptrdiff_t>(i) + 1);
-        paths.erase(paths.begin() + static_cast<std::ptrdiff_t>(i) + 1);
-        merged = true;
-        break;
-      }
     }
   }
 
@@ -671,10 +559,11 @@ Placement GoldilocksScheduler::AssignGroupsSymmetric(
       place_on(group, chosen, gi);
       continue;
     }
-    // The group fits no single server (demands grew since partitioning, or
-    // an oversized singleton): spill container-by-container, first at the
-    // PEE ceiling, then at full capacity as a last resort. Spilled
-    // containers are alone, so their full network demand applies.
+    // The group fits no single server (its NIC demand passed only the
+    // relaxed partition check, demands grew since partitioning, or an
+    // oversized singleton): spill container-by-container, first at the PEE
+    // ceiling, then at full capacity as a last resort. Spilled containers
+    // are alone, so their full network demand applies.
     for (const auto c : group) {
       const auto& d = input.demands[static_cast<std::size_t>(c.value())];
       ServerId fallback = ServerId::invalid();

@@ -7,13 +7,12 @@
 //      ceiling (70% CPU/network by default; memory has its own ceiling —
 //      RAM draws little dynamic power, so there is no PEE argument for
 //      leaving 30% of it idle).
-//   3. Optionally re-merge sibling groups whose combined demand still fits
-//      the ceiling — recursive halving alone can leave servers half full.
-//   4. Walk groups in recursion-tree (locality) order and servers in
+//   3. Walk groups in recursion-tree (locality) order and servers in
 //      topology (left-most) order, assigning each group to the next server
 //      it fits on. Sibling groups land on adjacent servers — the same rack
 //      or pod — which is exactly the capacity-graph max-cut assignment of
-//      the paper, computed directly on the topology tree.
+//      the paper, computed directly on the topology tree. A group that fits
+//      no server is spilled container by container.
 //
 // Options cover the paper's ablations (PEE ceiling, locality on/off) and the
 // asymmetric path (Sec. IV) via the Virtual Cluster placer.
@@ -32,9 +31,9 @@ namespace gl {
 struct GoldilocksOptions {
   // Packing ceiling at the Peak Energy Efficiency point (CPU & network).
   double pee_utilization = 0.70;
-  // Memory ceiling (kept below 100% for kernel/page-cache headroom; RAM
-  // draws little dynamic power and does not burst, so it is not tied to
-  // the PEE point).
+  // Memory ceiling (full capacity by default: RAM draws little dynamic
+  // power and does not burst, so it is not tied to the PEE point; lower it
+  // to keep kernel/page-cache headroom).
   double memory_ceiling = 1.0;
   // Groups are formed against ceiling × (1 - group_headroom) so a cached
   // grouping survives epoch-to-epoch demand growth (the reuse check and the
@@ -45,8 +44,6 @@ struct GoldilocksOptions {
   // absorbed by the PEE headroom instead of triggering migration; beyond
   // it the group is re-placed. Memory is always allowed to 100%.
   double stability_ceiling = 0.85;
-  // Re-merge sibling partitions that jointly fit one server.
-  bool merge_sibling_groups = true;
   // Ablation hook: when false, groups are assigned to servers in a
   // demand-size order with no relation to the recursion tree, destroying
   // inter-group locality while keeping identical packing.

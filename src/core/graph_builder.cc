@@ -84,20 +84,4 @@ ContainerGraph BuildContainerGraph(const Workload& workload,
   return cg;
 }
 
-CsrGraph BuildCapacityGraph(const Topology& topo) {
-  CsrGraphBuilder g;
-  for (int s = 0; s < topo.num_servers(); ++s) {
-    const auto& cap = topo.server_capacity(ServerId{s});
-    g.AddVertex(cap, 1.0);
-  }
-  for (int a = 0; a < topo.num_servers(); ++a) {
-    for (int b = a + 1; b < topo.num_servers(); ++b) {
-      g.AddEdge(a, b,
-                static_cast<double>(topo.HopDistance(ServerId{a},
-                                                     ServerId{b})));
-    }
-  }
-  return g.Build();
-}
-
 }  // namespace gl

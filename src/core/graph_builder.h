@@ -1,22 +1,20 @@
-// Construction of the two graphs of Sec. III-A.
+// Construction of the container graph of Sec. III-A.
 //
 //   * Container graph — one vertex per *active* container, weighted by its
 //     demand vector (balance weight: demand normalised against the average
 //     server capacity); edges weighted by distinct-flow counts. Replicas
 //     (containers sharing a replica_set) get a negative anti-affinity edge
 //     so min-cut separates them into different fault domains (Sec. IV-C).
-//   * Capacity graph — one vertex per server, weighted by its capacity;
-//     edge weights are shortest-path lengths in the DCN topology. Goldilocks
-//     proper navigates the Topology directly (the capacity graph's max-cut
-//     substructures are exactly the topology subtrees), but the explicit
-//     graph is exposed for analysis and tests.
+//   * Capacity graph — the paper's second graph (one vertex per server,
+//     edges weighted by path length) is never built: its max-cut
+//     substructures are exactly the topology subtrees, so Goldilocks walks
+//     the Topology directly.
 #pragma once
 
 #include <span>
 #include <vector>
 
 #include "graph/csr.h"
-#include "topology/topology.h"
 #include "workload/container.h"
 
 namespace gl {
@@ -40,9 +38,5 @@ ContainerGraph BuildContainerGraph(const Workload& workload,
                                    std::span<const std::uint8_t> active,
                                    const Resource& reference_capacity,
                                    const ContainerGraphOptions& opts = {});
-
-// Capacity graph over all servers; edge weight = hop distance. Quadratic in
-// the number of servers — intended for testbed-scale analysis (Fig. 4).
-CsrGraph BuildCapacityGraph(const Topology& topo);
 
 }  // namespace gl

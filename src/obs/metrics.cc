@@ -1,36 +1,10 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/check.h"
 
 namespace gl::obs {
-namespace {
-
-// fetch_add on std::atomic<double> is C++20 but not yet universally shipped;
-// a CAS loop is portable and this path is not hot (one call per Observe).
-void AtomicAdd(std::atomic<double>& a, double v) {
-  double cur = a.load(std::memory_order_relaxed);
-  while (!a.compare_exchange_weak(cur, cur + v, std::memory_order_relaxed)) {
-  }
-}
-
-void AtomicMin(std::atomic<double>& a, double v) {
-  double cur = a.load(std::memory_order_relaxed);
-  while (v < cur &&
-         !a.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-  }
-}
-
-void AtomicMax(std::atomic<double>& a, double v) {
-  double cur = a.load(std::memory_order_relaxed);
-  while (v > cur &&
-         !a.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-  }
-}
-
-}  // namespace
 
 const char* MetricKindName(MetricKind kind) {
   switch (kind) {
@@ -40,79 +14,6 @@ const char* MetricKindName(MetricKind kind) {
       return "informational";
   }
   return "unknown";
-}
-
-int Histogram::BucketIndex(double v) {
-  if (!(v > 0.0)) return 0;  // non-positive and NaN samples pool in bucket 0
-  int exp = 0;
-  std::frexp(v, &exp);  // v = m * 2^exp with m in [0.5, 1)
-  const int idx = exp - 1 - kMinExp;
-  return std::clamp(idx, 0, kNumBuckets - 1);
-}
-
-double Histogram::BucketLower(int i) { return std::ldexp(1.0, i + kMinExp); }
-
-double Histogram::BucketUpper(int i) {
-  return std::ldexp(1.0, i + 1 + kMinExp);
-}
-
-void Histogram::Observe(double v) {
-  buckets_[BucketIndex(v)].fetch_add(1, std::memory_order_relaxed);
-  AtomicAdd(sum_, v);
-  // First observation seeds min/max; the count_ increment is last so a
-  // concurrent reader seeing count_ > 0 also sees a seeded min/max.
-  if (count_.load(std::memory_order_acquire) == 0) {
-    double expected = 0.0;
-    min_.compare_exchange_strong(expected, v, std::memory_order_relaxed);
-    expected = 0.0;
-    max_.compare_exchange_strong(expected, v, std::memory_order_relaxed);
-  }
-  AtomicMin(min_, v);
-  AtomicMax(max_, v);
-  count_.fetch_add(1, std::memory_order_release);
-}
-
-double Histogram::min() const {
-  return count() == 0 ? 0.0 : min_.load(std::memory_order_relaxed);
-}
-
-double Histogram::max() const {
-  return count() == 0 ? 0.0 : max_.load(std::memory_order_relaxed);
-}
-
-double Histogram::Quantile(double q) const {
-  const std::uint64_t n = count();
-  if (n == 0) return 0.0;
-  q = std::clamp(q, 0.0, 1.0);
-  if (q == 0.0) return min();
-  if (q == 1.0) return max();
-
-  // Rank of the target sample (1-based), then walk buckets to find it and
-  // interpolate linearly inside the bucket's [lower, upper) range.
-  const double rank = q * static_cast<double>(n);
-  std::uint64_t seen = 0;
-  for (int i = 0; i < kNumBuckets; ++i) {
-    const std::uint64_t in_bucket =
-        buckets_[i].load(std::memory_order_relaxed);
-    if (in_bucket == 0) continue;
-    if (static_cast<double>(seen + in_bucket) >= rank) {
-      const double frac =
-          (rank - static_cast<double>(seen)) / static_cast<double>(in_bucket);
-      const double lo = std::max(BucketLower(i), min());
-      const double hi = std::min(BucketUpper(i), max());
-      return lo + frac * (hi - lo);
-    }
-    seen += in_bucket;
-  }
-  return max();  // counters raced mid-snapshot; clamp to the exact max
-}
-
-void Histogram::Reset() {
-  for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
-  sum_.store(0.0, std::memory_order_relaxed);
-  min_.store(0.0, std::memory_order_relaxed);
-  max_.store(0.0, std::memory_order_relaxed);
-  count_.store(0, std::memory_order_relaxed);
 }
 
 MetricsRegistry& MetricsRegistry::Global() {
@@ -141,21 +42,6 @@ Gauge& MetricsRegistry::GetGauge(std::string_view name, MetricKind kind) {
     it = gauges_
              .emplace(std::string(name),
                       std::make_unique<Gauge>(std::string(name), kind))
-             .first;
-  }
-  GOLDILOCKS_CHECK_MSG(it->second->kind() == kind,
-                       "metric re-registered with a different kind");
-  return *it->second;
-}
-
-Histogram& MetricsRegistry::GetHistogram(std::string_view name,
-                                         MetricKind kind) {
-  MutexLock lock(mu_);
-  auto it = histograms_.find(name);
-  if (it == histograms_.end()) {
-    it = histograms_
-             .emplace(std::string(name),
-                      std::make_unique<Histogram>(std::string(name), kind))
              .first;
   }
   GOLDILOCKS_CHECK_MSG(it->second->kind() == kind,
@@ -201,13 +87,6 @@ std::vector<CounterValue> MetricsRegistry::DeltaCounters(
     out.push_back({cv.name, cv.value - prev});
   }
   return out;
-}
-
-void MetricsRegistry::ResetAll() {
-  MutexLock lock(mu_);
-  for (auto& [name, c] : counters_) c->Reset();
-  for (auto& [name, g] : gauges_) g->Reset();
-  for (auto& [name, h] : histograms_) h->Reset();
 }
 
 }  // namespace gl::obs

@@ -1,4 +1,4 @@
-// Typed metrics registry: Counter / Gauge / Histogram handles.
+// Typed metrics registry: Counter / Gauge handles.
 //
 // Two classes of metric, and the distinction is the whole point
 // (DESIGN.md §10):
@@ -60,7 +60,6 @@ class Counter {
   [[nodiscard]] std::uint64_t value() const {
     return value_.load(std::memory_order_relaxed);
   }
-  void Reset() { value_.store(0, std::memory_order_relaxed); }
 
   [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] MetricKind kind() const { return kind_; }
@@ -83,7 +82,6 @@ class Gauge {
   [[nodiscard]] double value() const {
     return value_.load(std::memory_order_relaxed);
   }
-  void Reset() { Set(0.0); }
 
   [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] MetricKind kind() const { return kind_; }
@@ -92,55 +90,6 @@ class Gauge {
   const std::string name_;
   const MetricKind kind_;
   std::atomic<double> value_{0.0};
-};
-
-// Fixed geometric-bucket histogram for positive-ish samples (latencies,
-// sizes). Buckets double: bucket i covers [2^(i+kMinExp), 2^(i+1+kMinExp));
-// values at or below 2^kMinExp land in bucket 0, values beyond the top
-// bucket are clamped into it (exact min/max are tracked separately, so
-// Quantile(0) and Quantile(1) stay exact).
-class Histogram {
- public:
-  static constexpr int kNumBuckets = 64;
-  static constexpr int kMinExp = -20;  // ~1e-6: finer than a microsecond
-
-  Histogram(std::string name, MetricKind kind)
-      : name_(std::move(name)), kind_(kind) {}
-  Histogram(const Histogram&) = delete;
-  Histogram& operator=(const Histogram&) = delete;
-
-  void Observe(double v);
-
-  [[nodiscard]] std::uint64_t count() const {
-    return count_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] double sum() const {
-    return sum_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] double min() const;  // 0 when empty
-  [[nodiscard]] double max() const;  // 0 when empty
-
-  // Interpolated quantile estimate. q is clamped to [0, 1]; q==0 returns
-  // the exact min, q==1 the exact max, and an empty histogram returns 0.
-  [[nodiscard]] double Quantile(double q) const;
-
-  void Reset();
-
-  [[nodiscard]] const std::string& name() const { return name_; }
-  [[nodiscard]] MetricKind kind() const { return kind_; }
-
- private:
-  static int BucketIndex(double v);
-  [[nodiscard]] static double BucketLower(int i);
-  [[nodiscard]] static double BucketUpper(int i);
-
-  const std::string name_;
-  const MetricKind kind_;
-  std::atomic<std::uint64_t> buckets_[kNumBuckets]{};
-  std::atomic<std::uint64_t> count_{0};
-  std::atomic<double> sum_{0.0};
-  std::atomic<double> min_{0.0};  // valid only when count_ > 0
-  std::atomic<double> max_{0.0};
 };
 
 struct CounterValue {
@@ -167,7 +116,6 @@ class MetricsRegistry {
 
   Counter& GetCounter(std::string_view name, MetricKind kind);
   Gauge& GetGauge(std::string_view name, MetricKind kind);
-  Histogram& GetHistogram(std::string_view name, MetricKind kind);
 
   // Name-sorted snapshot of every counter of the given kind. The sort makes
   // the serialized stream canonical: two same-seed runs must produce
@@ -182,18 +130,12 @@ class MetricsRegistry {
       const std::vector<CounterValue>& before,
       const std::vector<CounterValue>& now);
 
-  // Zeroes every registered metric (registration survives). Test / replay
-  // baseline only — never call while instrumented code runs concurrently.
-  void ResetAll();
-
  private:
   mutable Mutex mu_;
   // std::map: stable addresses via unique_ptr, sorted iteration for free.
   std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_
       GL_GUARDED_BY(mu_);
   std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges_
-      GL_GUARDED_BY(mu_);
-  std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_
       GL_GUARDED_BY(mu_);
 };
 

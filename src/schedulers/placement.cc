@@ -66,10 +66,6 @@ void PackingState::Add(ServerId s, const Resource& demand) {
   loads_[static_cast<std::size_t>(s.value())] += demand;
 }
 
-void PackingState::Remove(ServerId s, const Resource& demand) {
-  loads_[static_cast<std::size_t>(s.value())] -= demand;
-}
-
 const Resource& PackingState::capacity(ServerId s) const {
   return topo_.server_capacity(s);
 }

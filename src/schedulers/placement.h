@@ -42,7 +42,6 @@ class PackingState {
   [[nodiscard]] bool Fits(ServerId s, const Resource& demand,
                           double max_utilization GL_UNITS(dimensionless)) const;
   void Add(ServerId s, const Resource& demand);
-  void Remove(ServerId s, const Resource& demand);
 
   [[nodiscard]] const Resource& load(ServerId s) const {
     return loads_[static_cast<std::size_t>(s.value())];

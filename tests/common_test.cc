@@ -386,38 +386,6 @@ TEST(Pearson, ZeroVarianceIsZero) {
   EXPECT_DOUBLE_EQ(PearsonCorrelation(xs, ys), 0.0);
 }
 
-TEST(HistogramTest, BinsAndShares) {
-  Histogram h(0.0, 10.0, 10);
-  for (int i = 0; i < 10; ++i) h.Add(i + 0.5);
-  EXPECT_EQ(h.total(), 10u);
-  for (std::size_t b = 0; b < 10; ++b) {
-    EXPECT_EQ(h.count(b), 1u);
-    EXPECT_DOUBLE_EQ(h.share(b), 0.1);
-  }
-  EXPECT_DOUBLE_EQ(h.bin_low(3), 3.0);
-  EXPECT_DOUBLE_EQ(h.bin_high(3), 4.0);
-}
-
-TEST(HistogramTest, ClampsOutOfRange) {
-  Histogram h(0.0, 1.0, 2);
-  h.Add(-5.0);
-  h.Add(9.0);
-  EXPECT_EQ(h.count(0), 1u);
-  EXPECT_EQ(h.count(1), 1u);
-}
-
-TEST(EmpiricalCdfTest, MonotoneAndComplete) {
-  std::vector<double> xs{3, 1, 2, 2};
-  const auto cdf = EmpiricalCdf(xs);
-  ASSERT_EQ(cdf.size(), 3u);
-  EXPECT_DOUBLE_EQ(cdf.front().first, 1.0);
-  EXPECT_DOUBLE_EQ(cdf.back().second, 1.0);
-  for (std::size_t i = 1; i < cdf.size(); ++i) {
-    EXPECT_GT(cdf[i].first, cdf[i - 1].first);
-    EXPECT_GT(cdf[i].second, cdf[i - 1].second);
-  }
-}
-
 // --- table ----------------------------------------------------------------------
 
 TEST(TableTest, RendersAligned) {

@@ -83,21 +83,6 @@ TEST(GraphBuilder, ReplicaAntiAffinityEdges) {
   for (const double w : cg.graph.arc_weights(0)) EXPECT_LT(w, 0.0);
 }
 
-TEST(GraphBuilder, CapacityGraphShape) {
-  const Topology topo = Topology::FatTree(4, kCap, 1000.0);
-  const CsrGraph g = BuildCapacityGraph(topo);
-  EXPECT_EQ(g.num_vertices(), 16);
-  EXPECT_EQ(g.num_edges(), 16u * 15u / 2u);
-  // Same-rack pairs have the shortest edges.
-  bool found2 = false, found6 = false;
-  for (const double w : g.arc_weights(0)) {
-    if (w == 2.0) found2 = true;
-    if (w == 6.0) found6 = true;
-  }
-  EXPECT_TRUE(found2);
-  EXPECT_TRUE(found6);
-}
-
 // --- Goldilocks placement --------------------------------------------------------------
 
 TEST(Goldilocks, PlacesAllActiveContainers) {
@@ -369,6 +354,44 @@ TEST(Goldilocks, ReusedSchedulerMatchesFreshOnNewWorkload) {
   const Placement expected = place(fresh);
   EXPECT_LT(expected.NumActiveServers(), 8);
   EXPECT_EQ(second.server_of, expected.server_of);
+}
+
+TEST(Goldilocks, SpillPlacesOversizedGroupsWithinCapacity) {
+  // Flow-less containers keep their full NIC demand in any group, so every
+  // multi-container group outgrows the 700 Mbps PEE ceiling and is spilled
+  // container by container. A 750 Mbps container fits no server at the
+  // ceiling and takes the last-resort full-capacity stage; a 600 Mbps one
+  // still fits the ceiling on a server of its own.
+  const Topology topo = Topology::LeafSpine(8, 2, 2, kCap, 1000.0);
+  Workload w;
+  for (int i = 0; i < 12; ++i) {
+    Container c;
+    c.id = ContainerId{i};
+    c.demand = {.cpu = 100, .mem_gb = 1, .net_mbps = i < 6 ? 750.0 : 600.0};
+    w.containers.push_back(c);
+  }
+  std::vector<Resource> demands;
+  for (const auto& c : w.containers) demands.push_back(c.demand);
+  const std::vector<std::uint8_t> active(w.containers.size(), 1);
+  SchedulerInput input;
+  input.workload = &w;
+  input.demands = demands;
+  input.active = active;
+  input.topology = &topo;
+
+  GoldilocksScheduler sched;
+  const Placement p = sched.Place(input);
+  const auto loads = ServerLoads(p, demands, topo.num_servers());
+  for (const auto& load : loads) EXPECT_LE(load.net_mbps, 1000.0);
+  for (int i = 0; i < 12; ++i) {
+    const ServerId s = p.server_of[static_cast<std::size_t>(i)];
+    ASSERT_TRUE(s.valid()) << "container " << i;
+    if (i >= 6) {
+      EXPECT_LE(loads[static_cast<std::size_t>(s.value())].net_mbps, 700.0)
+          << "container " << i;
+    }
+  }
+  EXPECT_EQ(p.NumActiveServers(), 12);
 }
 
 TEST(Goldilocks, HandlesAzureChurn) {

@@ -1,7 +1,7 @@
 // Observability layer tests (src/obs): JsonWriter bytes, TraceSpan nesting
-// under ParallelFor, counter determinism across thread counts, histogram
-// quantile edge cases, JSONL round-trip, and the central neutrality claim:
-// enabling observability changes no EpochStateHash (DESIGN.md §10).
+// under ParallelFor, counter determinism across thread counts, JSONL
+// round-trip, and the central neutrality claim: enabling observability
+// changes no EpochStateHash (DESIGN.md §10).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -200,46 +200,6 @@ TEST(MetricsTest, DeltaCountersDiffsAgainstMissingNamesAsZero) {
   EXPECT_EQ(delta[0].value, 3u);
   EXPECT_EQ(delta[1].name, "b");
   EXPECT_EQ(delta[1].value, 4u);
-}
-
-TEST(MetricsTest, HistogramQuantileEdgeCases) {
-  obs::MetricsRegistry registry;
-  obs::Histogram& h =
-      registry.GetHistogram("test.lat", obs::MetricKind::kInformational);
-  // Empty histogram: everything is 0.
-  EXPECT_EQ(h.count(), 0u);
-  EXPECT_EQ(h.Quantile(0.5), 0.0);
-  EXPECT_EQ(h.min(), 0.0);
-  EXPECT_EQ(h.max(), 0.0);
-
-  // Single sample: every quantile is that sample.
-  h.Observe(3.5);
-  EXPECT_EQ(h.Quantile(0.0), 3.5);
-  EXPECT_EQ(h.Quantile(0.5), 3.5);
-  EXPECT_EQ(h.Quantile(1.0), 3.5);
-
-  // Out-of-range q clamps; extremes stay exact with more samples.
-  for (int i = 1; i <= 100; ++i) h.Observe(static_cast<double>(i));
-  EXPECT_EQ(h.Quantile(-1.0), h.min());
-  EXPECT_EQ(h.Quantile(2.0), h.max());
-  EXPECT_EQ(h.min(), 1.0);
-  EXPECT_EQ(h.max(), 100.0);
-  // Interpolated mid quantile lands inside the sample range, and quantiles
-  // are monotone in q.
-  const double p50 = h.Quantile(0.5);
-  const double p99 = h.Quantile(0.99);
-  EXPECT_GE(p50, h.min());
-  EXPECT_LE(p99, h.max());
-  EXPECT_LE(p50, p99);
-
-  // Non-positive and tiny samples land in the bottom bucket, not UB.
-  h.Observe(0.0);
-  h.Observe(-5.0);
-  EXPECT_EQ(h.min(), -5.0);
-
-  h.Reset();
-  EXPECT_EQ(h.count(), 0u);
-  EXPECT_EQ(h.Quantile(0.5), 0.0);
 }
 
 // --- RunLogger -------------------------------------------------------------
