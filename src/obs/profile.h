@@ -8,7 +8,7 @@
 // concurrently (DESIGN.md §9), so wall time is not the sum of span times;
 // the critical path is the longest chain of spans that could not have
 // overlapped, and its serial steps are exactly the Amdahl wall that caps
-// the t8 speedup (ROADMAP item 1).
+// the t8 speedup: they answer "why is the t8 speedup what it is?".
 //
 // Reconstruction is structural, not intrusive: per-thread nesting comes from
 // the (tid, depth) fields the span stack already records, and spans opened

@@ -1,6 +1,6 @@
 // Tests for gl_analyze (tools/analyze/): the lexer, the fixture corpus, the
-// cross-file GL001 and GL010 resolution, the baseline machinery, SARIF
-// shape, and the incremental cache's invalidation behavior.
+// cross-file GL001 and GL010 resolution, GL020's scope walk, the baseline
+// machinery, SARIF shape, and the incremental cache's invalidation behavior.
 //
 // The fixture corpus itself is exercised two ways: RunSelfTest (the same
 // code path `gl_analyze --self-test` uses) and per-fixture assertions that
@@ -53,6 +53,17 @@ std::set<std::string> FiredRules(const std::string& path) {
     fired.insert(f.rule_id);
   }
   return fired;
+}
+
+// Findings for in-memory sources, analyzed together.
+std::vector<Finding> AnalyzeSources(
+    const std::vector<std::pair<std::string, std::string>>& sources) {
+  std::vector<FileFacts> facts;
+  facts.reserve(sources.size());
+  for (const auto& [path, src] : sources) {
+    facts.push_back(ExtractFacts(path, src));
+  }
+  return Analyze(facts, AnalysisOptions{});
 }
 
 // A scratch directory unique to this test binary run.
@@ -211,6 +222,26 @@ TEST(HotPath, CustomRootSpecs) {
   EXPECT_EQ(findings[0].rule_id, "GL010");
 }
 
+TEST(HotPath, LoopAllocInsideHotLoopFires) {
+  // Bisect is a hot root, so GL010 flags every allocation in it, inside a
+  // loop or not: the per-iteration buffer on line 5 is one of its sites.
+  const std::string src =
+      "#include <vector>\n"
+      "int Bisect(int n) {\n"
+      "  int acc = 0;\n"
+      "  for (int i = 0; i < n; ++i) {\n"
+      "    std::vector<int> tmp(8, 0);\n"  // allocates every iteration
+      "    acc += tmp[0] + i;\n"
+      "  }\n"
+      "  return acc;\n"
+      "}\n";
+  bool fired = false;
+  for (const Finding& f : AnalyzeSources({{"s.cc", src}})) {
+    fired = fired || (f.rule_id == "GL010" && f.line == 5);
+  }
+  EXPECT_TRUE(fired) << "allocation in a hot loop not flagged";
+}
+
 // --- baseline --------------------------------------------------------------
 
 TEST(Baseline, SuppressesByFingerprintAndReportsStale) {
@@ -296,6 +327,24 @@ TEST(Facts, DeserializeRejectsGarbage) {
   FileFacts f;
   EXPECT_FALSE(DeserializeFacts("Z\tnot\ta\trecord\n", &f));
   EXPECT_FALSE(DeserializeFacts("F\tonly_two\tcols\n", &f));
+
+  // Well-formed records that point outside their file: a return flow of
+  // function 7 in a file with no functions, and allocation kind 42.
+  EXPECT_FALSE(DeserializeFacts("T\t7\tv:x\t3\n", &f));
+  const std::string one_fn = "F\tf\t\t1\t\t1\tvoid f() {}\n";
+  ASSERT_TRUE(DeserializeFacts(one_fn + "A\t0\t0\tnew\t1\tnew\n", &f));
+  EXPECT_FALSE(DeserializeFacts(one_fn + "A\t0\t42\tnew\t1\tnew\n", &f));
+
+  // A real blob with one return flow moved past the function list: the
+  // analysis would index `functions` with it, so it has to be re-extracted.
+  const std::string fixture = FixturesDir() + "/gl014_pos.cc";
+  std::string blob;
+  SerializeFacts(ExtractFacts(fixture, ReadFileOrDie(fixture)), &blob);
+  ASSERT_TRUE(DeserializeFacts(blob, &f));
+  const std::size_t func = blob.find("\nT\t");
+  ASSERT_NE(func, std::string::npos);
+  blob.replace(func + 3, blob.find('\t', func + 3) - (func + 3), "9999");
+  EXPECT_FALSE(DeserializeFacts(blob, &f));
 }
 
 // --- incremental cache -----------------------------------------------------
@@ -358,16 +407,6 @@ TEST(Cache, MissingFileIsReportedNotFatal) {
 }
 
 // --- GL014: units-of-measure dataflow --------------------------------------
-
-std::vector<Finding> AnalyzeSources(
-    const std::vector<std::pair<std::string, std::string>>& sources) {
-  std::vector<FileFacts> facts;
-  facts.reserve(sources.size());
-  for (const auto& [path, src] : sources) {
-    facts.push_back(ExtractFacts(path, src));
-  }
-  return Analyze(facts, AnalysisOptions{});
-}
 
 TEST(Units, CrossFileCallBindingMixesDimensions) {
   const std::string callee =
@@ -554,128 +593,15 @@ TEST(Facts, DataflowRecordsRoundTrip) {
   EXPECT_FALSE(rng.rule_hits.empty());
 }
 
-// --- facts round-trip of the CFG records -------------------------------------
+// --- GL020: a narrowing cast needs a check in an enclosing scope -------------
 
-TEST(Facts, CfgRecordsRoundTrip) {
-  for (const char* name : {"/gl017_pos.cc", "/gl018_pos.cc", "/gl020_pos.cc",
-                           "/gl021_pos.cc"}) {
-    const std::string fixture = FixturesDir() + name;
-    const FileFacts facts = ExtractFacts(fixture, ReadFileOrDie(fixture));
-    EXPECT_FALSE(facts.cfgs.empty()) << name;
-    std::string blob;
-    SerializeFacts(facts, &blob);
-    FileFacts back;
-    ASSERT_TRUE(DeserializeFacts(blob, &back)) << name;
-    std::string blob2;
-    SerializeFacts(back, &blob2);
-    EXPECT_EQ(blob, blob2) << name;
-    ASSERT_EQ(back.cfgs.size(), facts.cfgs.size()) << name;
-    for (std::size_t i = 0; i < facts.cfgs.size(); ++i) {
-      ASSERT_EQ(back.cfgs[i].blocks.size(), facts.cfgs[i].blocks.size());
-      for (std::size_t b = 0; b < facts.cfgs[i].blocks.size(); ++b) {
-        EXPECT_EQ(back.cfgs[i].blocks[b].succ, facts.cfgs[i].blocks[b].succ);
-        EXPECT_EQ(back.cfgs[i].blocks[b].events.size(),
-                  facts.cfgs[i].blocks[b].events.size());
-      }
-    }
-  }
-}
+constexpr const char* kVertexIndexPrelude =
+    "#include <cstdint>\n"
+    "using VertexIndex = std::int32_t;\n";
 
-// --- path-sensitive rules on inline sources ----------------------------------
-
-TEST(Cfg, LockLeakOnOnePathOnly) {
-  const std::string src =
-      "struct Mutex { void Lock(); void Unlock(); };\n"
-      "class C {\n"
-      " public:\n"
-      "  bool Step(bool ok) {\n"
-      "    mu_.Lock();\n"
-      "    if (!ok) return false;\n"  // leaks mu_
-      "    mu_.Unlock();\n"
-      "    return true;\n"
-      "  }\n"
-      " private:\n"
-      "  Mutex mu_;\n"
-      "};\n";
-  const std::vector<Finding> findings = AnalyzeSources({{"s.cc", src}});
-  ASSERT_EQ(findings.size(), 1u);
-  EXPECT_EQ(findings[0].rule_id, "GL017");
-  EXPECT_NE(findings[0].message.find("mu_"), std::string::npos);
-}
-
-TEST(Cfg, UnlockFirstLockIsCallerHeldContract) {
-  // The thread_pool drop-and-retake shape: the function's first manual
-  // event is an Unlock, so it entered holding the lock and exits the same
-  // way by contract — even when the GL_REQUIRES lives only on a header
-  // declaration the extractor never sees.
-  const std::string src =
-      "struct Mutex { void Lock(); void Unlock(); };\n"
-      "void Backoff();\n"
-      "class C {\n"
-      " public:\n"
-      "  void Wait() {\n"
-      "    mu_.Unlock();\n"
-      "    Backoff();\n"
-      "    mu_.Lock();\n"
-      "  }\n"
-      " private:\n"
-      "  Mutex mu_;\n"
-      "};\n";
-  EXPECT_TRUE(AnalyzeSources({{"s.cc", src}}).empty());
-}
-
-TEST(Cfg, UseAfterClearOnSomePathFires) {
-  const std::string src =
-      "#include <vector>\n"
-      "struct PartitionScratch { std::vector<int> gains; void Clear(); };\n"
-      "int Peek(PartitionScratch& s, bool reset) {\n"
-      "  int& g = s.gains[0];\n"
-      "  if (reset) s.Clear();\n"
-      "  return g;\n"  // dangles when reset
-      "}\n";
-  const std::vector<Finding> findings = AnalyzeSources({{"s.cc", src}});
-  ASSERT_EQ(findings.size(), 1u);
-  EXPECT_EQ(findings[0].rule_id, "GL018");
-}
-
-TEST(Cfg, RebindAfterClearIsClean) {
-  const std::string src =
-      "#include <vector>\n"
-      "struct PartitionScratch { std::vector<int> gains; void Clear(); };\n"
-      "int Peek(PartitionScratch& s) {\n"
-      "  int& g = s.gains[0];\n"
-      "  (void)g;\n"
-      "  s.Clear();\n"
-      "  int& h = s.gains[0];\n"  // fresh reference after the Clear
-      "  return h;\n"
-      "}\n";
-  EXPECT_TRUE(AnalyzeSources({{"s.cc", src}}).empty());
-}
-
-TEST(Cfg, LoopAllocInsideHotLoopFires) {
-  // Bisect is a hot root, so GL010 flags every allocation in it, inside a
-  // loop or not: the per-iteration buffer on line 5 is one of its sites.
-  const std::string src =
-      "#include <vector>\n"
-      "int Bisect(int n) {\n"
-      "  int acc = 0;\n"
-      "  for (int i = 0; i < n; ++i) {\n"
-      "    std::vector<int> tmp(8, 0);\n"  // allocates every iteration
-      "    acc += tmp[0] + i;\n"
-      "  }\n"
-      "  return acc;\n"
-      "}\n";
-  bool fired = false;
-  for (const Finding& f : AnalyzeSources({{"s.cc", src}})) {
-    fired = fired || (f.rule_id == "GL010" && f.line == 5);
-  }
-  EXPECT_TRUE(fired) << "allocation in a hot loop not flagged";
-}
-
-TEST(Cfg, NarrowingNeedsADominatingCheck) {
+TEST(Narrowing, NeedsACheckInScope) {
   const std::string unchecked =
-      "#include <cstdint>\n"
-      "using VertexIndex = std::int32_t;\n"
+      std::string(kVertexIndexPrelude) +
       "VertexIndex Id(std::size_t p) {\n"
       "  return static_cast<VertexIndex>(p);\n"
       "}\n";
@@ -685,62 +611,79 @@ TEST(Cfg, NarrowingNeedsADominatingCheck) {
   EXPECT_EQ(findings[0].rule_id, "GL020");
 
   const std::string checked =
-      "#include <cstdint>\n"
-      "using VertexIndex = std::int32_t;\n"
+      std::string(kVertexIndexPrelude) +
       "VertexIndex Id(std::size_t p, std::size_t hi) {\n"
       "  GOLDILOCKS_CHECK(p < hi);\n"
       "  return static_cast<VertexIndex>(p);\n"
       "}\n";
   EXPECT_TRUE(AnalyzeSources({{"s.cc", checked}}).empty());
-}
 
-TEST(Cfg, CheckOnOneBranchDoesNotDominateTheOther) {
-  // The check sits in the taken branch; the fall-through path still narrows
-  // unchecked, and the must-analysis join has to catch that.
-  const std::string src =
-      "#include <cstdint>\n"
-      "using VertexIndex = std::int32_t;\n"
-      "VertexIndex Id(std::size_t p, bool fast) {\n"
-      "  if (fast) {\n"
-      "    GOLDILOCKS_CHECK(p < 100);\n"
-      "  }\n"
+  // An early exit's condition grants to the scope that holds the `if`.
+  const std::string early_exit =
+      std::string(kVertexIndexPrelude) +
+      "VertexIndex Id(std::size_t p) {\n"
+      "  if (p >= 100) return 0;\n"
       "  return static_cast<VertexIndex>(p);\n"
       "}\n";
-  const std::vector<Finding> findings = AnalyzeSources({{"s.cc", src}});
-  ASSERT_EQ(findings.size(), 1u);
-  EXPECT_EQ(findings[0].rule_id, "GL020");
+  EXPECT_TRUE(AnalyzeSources({{"s.cc", early_exit}}).empty());
+
+  // A loop condition grants inside a lambda body as it does in a function
+  // body (the chunk-lambda loops of the coarsener and the FM gain pass).
+  const std::string chunk_loop =
+      std::string(kVertexIndexPrelude) +
+      "#include <vector>\n"
+      "void Fill(std::vector<VertexIndex>& out, std::size_t n) {\n"
+      "  const auto fill = [&](std::size_t begin, std::size_t end) {\n"
+      "    for (std::size_t i = begin; i < end; ++i) {\n"
+      "      out[i] = static_cast<VertexIndex>(i);\n"
+      "    }\n"
+      "  };\n"
+      "  fill(0, n);\n"
+      "}\n";
+  EXPECT_TRUE(AnalyzeSources({{"s.cc", chunk_loop}}).empty());
 }
 
-TEST(Cfg, DivergentGuardOverHashWriteFires) {
-  const std::string src =
-      "#include <cstdint>\n"
-      "struct Pool { template <typename F> void ParallelFor(int, int, F); };\n"
-      "std::uint64_t MixU64(std::uint64_t h, std::uint64_t v);\n"
-      "std::int64_t ElapsedMs();\n"
-      "void Run(Pool& pool, std::uint64_t& hash, int n) {\n"
-      "  pool.ParallelFor(0, n, [&](int i) {\n"
-      "    if (ElapsedMs() > 5) {\n"
-      "      hash = MixU64(hash, i);\n"
-      "    }\n"
-      "  });\n"
-      "}\n";
-  const std::vector<Finding> findings = AnalyzeSources({{"s.cc", src}});
-  ASSERT_EQ(findings.size(), 1u);
-  EXPECT_EQ(findings[0].rule_id, "GL021");
-
-  // The same write with a deterministic guard is fine.
-  const std::string det =
-      "#include <cstdint>\n"
-      "struct Pool { template <typename F> void ParallelFor(int, int, F); };\n"
-      "std::uint64_t MixU64(std::uint64_t h, std::uint64_t v);\n"
-      "void Run(Pool& pool, std::uint64_t& hash, int n) {\n"
-      "  pool.ParallelFor(0, n, [&](int i) {\n"
-      "    if (i % 2 == 0) {\n"
-      "      hash = MixU64(hash, i);\n"
-      "    }\n"
-      "  });\n"
-      "}\n";
-  EXPECT_TRUE(AnalyzeSources({{"s.cc", det}}).empty());
+TEST(Narrowing, CheckInAClosedScopeDoesNotGuard) {
+  // Each check sits in a scope that has closed before the cast (the taken
+  // branch, a braceless if body, another case arm, a lambda body), so the
+  // cast still narrows unchecked.
+  const std::vector<std::pair<std::string, std::string>> shapes = {
+      {"braced branch",
+       "VertexIndex Id(std::size_t p, bool fast) {\n"
+       "  if (fast) {\n"
+       "    GOLDILOCKS_CHECK(p < 100);\n"
+       "  }\n"
+       "  return static_cast<VertexIndex>(p);\n"
+       "}\n"},
+      {"braceless if",
+       "VertexIndex Id(std::size_t p, bool fast) {\n"
+       "  if (fast) GOLDILOCKS_CHECK(p < 100);\n"
+       "  return static_cast<VertexIndex>(p);\n"
+       "}\n"},
+      {"case arm",
+       "VertexIndex Id(std::size_t p, int mode) {\n"
+       "  switch (mode) {\n"
+       "    case 0: GOLDILOCKS_CHECK(p < 100); break;\n"
+       "    case 1:\n"
+       "      return static_cast<VertexIndex>(p);\n"
+       "  }\n"
+       "  return 0;\n"
+       "}\n"},
+      {"lambda body",
+       "VertexIndex Id(std::size_t p) {\n"
+       "  const auto check = [&] { GOLDILOCKS_CHECK(p < 100); };\n"
+       "  check();\n"
+       "  return static_cast<VertexIndex>(p);\n"
+       "}\n"},
+  };
+  for (const auto& [shape, body] : shapes) {
+    const std::vector<Finding> findings = AnalyzeSources(
+        {{"s.cc", std::string(kVertexIndexPrelude) + body}});
+    ASSERT_EQ(findings.size(), 1u) << shape;
+    EXPECT_EQ(findings[0].rule_id, "GL020") << shape;
+    EXPECT_EQ(findings[0].line_text, "return static_cast<VertexIndex>(p);")
+        << shape;
+  }
 }
 
 // --- cache invalidation on config change --------------------------------------

@@ -12,7 +12,6 @@
 #include <sstream>
 #include <unordered_map>
 
-#include "analyze/cfg.h"
 #include "analyze/dataflow.h"
 #include "common/json_writer.h"
 
@@ -243,18 +242,10 @@ const std::vector<RuleInfo>& Rules() {
       {"GL016", "determinism-taint",
        "nondeterministic value (clock, rand, unordered iteration) flows "
        "into a state hash or deterministic counter (DESIGN.md §8)"},
-      {"GL017", "lock-path-leak",
-       "a manual .Lock() can reach function exit without its .Unlock() on "
-       "some path (DESIGN.md §14; prefer gl::MutexLock)"},
-      {"GL018", "use-after-invalidation",
-       "a reference/index obtained from scratch state or a vector is used "
-       "after a Clear()/Reset()/growth call on some path (DESIGN.md §14)"},
       {"GL020", "unguarded-narrowing",
-       "64-bit value narrowed to a 32-bit vertex-id type with no dominating "
-       "bounds check on the path (DESIGN.md §14)"},
-      {"GL021", "divergent-parallel-update",
-       "deterministic counter or state-hash write guarded by a "
-       "thread-varying branch inside a ParallelFor body (DESIGN.md §14)"},
+       "64-bit value narrowed to a 32-bit vertex-id type with no bounds "
+       "check in an enclosing scope; GOLDILOCKS_CHECK it against the id "
+       "range before the cast (DESIGN.md §14)"},
   };
   return kRules;
 }
@@ -267,7 +258,6 @@ std::vector<Finding> Analyze(const std::vector<FileFacts>& files,
                  &out);
   AnalyzeUnorderedIter(files, &out);
   AnalyzeDataflow(files, index, &out, units);
-  AnalyzeCfg(files, &out);
 
   for (const FileFacts& f : files) {
     for (const RuleHit& h : f.rule_hits) {
@@ -497,10 +487,9 @@ struct CacheEntry {
   return true;
 }
 
-// Cache file format (v5 adds the GL001 name/loop and token-rule records and
-// drops the suppression and lock-site records; older blobs are rejected by
-// the header check and simply re-extracted):
-//   glcache v5 <config hash hex>
+// Cache file format (a cache of another version is rejected by the header
+// check, and its files are simply re-extracted):
+//   glcache v6 <config hash hex>
 //   file <path>\t<mtime_ns>\t<size>\t<hash hex>
 //   <serialized facts lines>
 //   end
@@ -511,7 +500,7 @@ struct CacheEntry {
   char buf[24];
   std::snprintf(buf, sizeof(buf), "%016llx",
                 static_cast<unsigned long long>(config_hash));
-  return std::string("glcache v5 ") + buf;
+  return std::string("glcache v6 ") + buf;
 }
 
 void ParseCacheFile(const std::string& path, const std::string& header_line,

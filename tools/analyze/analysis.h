@@ -10,6 +10,8 @@
 //   GL002, GL004–GL007, GL009    token rules decided per file (randomness,
 //                                pointer keys, float equality, threads,
 //                                namespace-scope state, clocks)
+//   GL020 unguarded-narrowing    64-to-32-bit vertex-id casts with no bounds
+//                                check in an enclosing scope (per file)
 //   GL010 alloc-in-hot-path      allocation sites in any function reachable
 //                                from a hot root (default: Bisect,
 //                                KWayPartition, every FmEngine method)
@@ -19,8 +21,7 @@
 //   GL012 nondet-float-fold      float accumulation into captured locals
 //                                inside ParallelFor bodies (facts-level)
 //
-// and runs the dataflow (GL014, GL016; dataflow.h) and path-sensitive
-// (GL017, GL018, GL020, GL021; cfg.h) layers.
+// and runs the dataflow layer (GL014, GL016; dataflow.h).
 //
 // Call edges match by bare name, so reachability is an over-approximation —
 // the safe direction for GL010: the analyzer can prove "no allocator call is

@@ -6,8 +6,6 @@
 #include <unordered_map>
 #include <unordered_set>
 
-#include "analyze/cfg.h"
-
 namespace gl::analyze {
 namespace {
 
@@ -105,6 +103,18 @@ const std::unordered_set<std::string_view> kIntTypes = {
 const std::unordered_set<std::string_view> kUnorderedContainers = {
     "unordered_map", "unordered_set", "unordered_multimap",
     "unordered_multiset"};
+
+// 64-bit declared types: evidence that a static_cast to a 32-bit id type
+// actually narrows (GL020). "long" also catches "unsigned long"/"long long".
+const std::unordered_set<std::string_view> kWide64Types = {
+    "size_t", "ssize_t", "ptrdiff_t", "int64_t", "uint64_t", "intptr_t",
+    "uintptr_t", "long"};
+
+// 32-bit vertex-id targets GL020 guards. Deliberately not plain int:
+// static_cast<int> is pervasive and mostly benign; the vertex-id types are
+// where narrowing corrupts a partition.
+const std::unordered_set<std::string_view> kNarrowTargets = {
+    "VertexIndex", "int32_t", "uint32_t"};
 
 // Operators that terminate an additive flow chunk; a chunk containing one
 // of these is untrackable ("?:").
@@ -817,7 +827,7 @@ struct Extractor {
 
   // Parses a function signature: the parameter list starting at `paren_tok`
   // and the trailing specifiers up to the body's '{' at `body_open`. Emits
-  // ParamDecl records, return-units and lock annotations, and primes
+  // ParamDecl records and the return units, and primes
   // `local_kinds` with the unordered parameters for the body scan.
   void ParseSignature(int fidx, std::size_t paren_tok, std::size_t body_open) {
     local_kinds.clear();
@@ -844,17 +854,11 @@ struct Extractor {
       }
     }
 
-    // Trailing specifiers: GL_UNITS(dim) / GL_ACQUIRE(l) / GL_REQUIRES(l).
+    // Trailing specifiers: GL_UNITS(dim) names the return's dimension.
     for (std::size_t k = paren_end; k < body_open; ++k) {
-      if (!t.IsIdent(k) || !t.is(k + 1, "(") || !t.IsIdent(k + 2)) continue;
-      const std::string& s = t.text(k);
-      if (s == "GL_UNITS") {
+      if (t.is(k, "GL_UNITS") && t.is(k + 1, "(") && t.IsIdent(k + 2)) {
         out.functions[static_cast<std::size_t>(fidx)].ret_units =
             t.text(k + 2);
-      } else if (s == "GL_ACQUIRE" || s == "GL_ACQUIRE_SHARED") {
-        out.lock_annos.push_back({fidx, "acquire", t.text(k + 2)});
-      } else if (s == "GL_REQUIRES" || s == "GL_REQUIRES_SHARED") {
-        out.lock_annos.push_back({fidx, "requires", t.text(k + 2)});
       }
     }
   }
@@ -1124,6 +1128,230 @@ struct Extractor {
       }
     }
   }
+
+  // --- GL020: narrowing casts (DESIGN.md §14) ------------------------------
+  //
+  // One walk over a function body keeps a stack of grant sets, one per open
+  // scope: a {…} block (lambda bodies included), the body of a braceless
+  // if/else/for/while/do, or one case/default arm. GOLDILOCKS_CHECK*(…)
+  // grants its argument terms to the innermost scope. An if/while condition,
+  // or a classic for's middle clause, that holds a top-level comparison
+  // grants its terms to the scope holding the statement. Terms are bare
+  // identifiers and `chain.size` for a .size() call. A static_cast to a
+  // 32-bit vertex-id type of a 64-bit term fires unless some grant set on
+  // the stack holds the term.
+
+  std::unordered_set<std::string> wide64;  // 64-bit locals and parameters
+  std::vector<std::unordered_set<std::string>> grants;  // innermost last
+
+  // `sig` opens the parameter list; [begin, end) is the body.
+  void ScanNarrowing(std::size_t sig, std::size_t begin, std::size_t end) {
+    wide64.clear();
+    for (std::size_t i = sig; i < end; ++i) NoteWide64(i, end);
+    NarrowBlock(begin, end);
+  }
+
+  // 64-bit evidence at `i`: a size_t-family declaration, or
+  // `auto x = ….size()` with the call at the initializer's top level.
+  void NoteWide64(std::size_t i, std::size_t end) {
+    const std::string& s = t.text(i);
+    if (!t.IsIdent(i) || (s != "auto" && !kWide64Types.count(s))) return;
+    std::size_t k = i + 1;
+    // "long long x", "unsigned long x": fold the remaining int words.
+    while (s != "auto" &&
+           (t.is(k, "long") || t.is(k, "int") || t.is(k, "unsigned"))) {
+      ++k;
+    }
+    while (t.is(k, "*") || t.is(k, "&") || t.is(k, "&&") ||
+           t.is(k, "const") || t.is(k, "::")) {
+      ++k;
+    }
+    if (k >= end || !t.IsIdent(k) || IsReservedWord(t.text(k))) return;
+    if (s != "auto") {
+      wide64.insert(t.text(k));
+      return;
+    }
+    if (!t.is(k + 1, "=")) return;
+    const std::size_t size_call =
+        TopLevel(k + 2, end, [&](std::size_t j) {
+          return t.is(j, ";") ||
+                 (t.is(j, "size") && t.is(j + 1, "(") &&
+                  (t.is(j - 1, ".") || t.is(j - 1, "->")));
+        });
+    if (t.is(size_call, "size")) wide64.insert(t.text(k));
+  }
+
+  // First index in [s, e) outside any (), [] or {} group for which `pred`
+  // holds, or e.
+  template <typename Pred>
+  [[nodiscard]] std::size_t TopLevel(std::size_t s, std::size_t e,
+                                     Pred pred) const {
+    int depth = 0;
+    for (std::size_t k = s; k < e; ++k) {
+      const std::string& x = t.text(k);
+      if (x == "(" || x == "[" || x == "{") ++depth;
+      else if (x == ")" || x == "]" || x == "}") --depth;
+      else if (depth == 0 && pred(k)) return k;
+    }
+    return e;
+  }
+
+  // A TopLevel predicate: the token spells `s`.
+  [[nodiscard]] auto Tok(std::string_view s) const {
+    return [this, s](std::size_t k) { return t.is(k, s); };
+  }
+
+  // "a.b" for the identifier chain that ends at the '.'/'->' at `dot`, ""
+  // when a link is not a plain identifier.
+  [[nodiscard]] std::string ChainBefore(std::size_t dot) const {
+    std::string chain;
+    for (std::size_t k = dot;; k -= 2) {
+      if (k < 1 || !t.IsIdent(k - 1)) return "";
+      chain = chain.empty() ? t.text(k - 1) : t.text(k - 1) + "." + chain;
+      if (k < 3 || !(t.is(k - 2, ".") || t.is(k - 2, "->"))) return chain;
+    }
+  }
+
+  // The terms in [s, e): any identifier for a grant, only a 64-bit one for
+  // a cast; a .size() call counts either way.
+  template <typename Fn>
+  void ForEachNarrowTerm(std::size_t s, std::size_t e, bool any_ident,
+                         Fn&& fn) const {
+    for (std::size_t k = s; k < e; ++k) {
+      if (!t.IsIdent(k)) continue;
+      const std::string& id = t.text(k);
+      const bool member = t.is(k - 1, ".") || t.is(k - 1, "->");
+      if (id == "size" && t.is(k + 1, "(") && k > s && member) {
+        const std::string chain = ChainBefore(k - 1);
+        if (!chain.empty()) fn(chain + ".size");
+      } else if (!member && !t.is(k + 1, "(") && !IsReservedWord(id) &&
+                 (any_ident || wide64.count(id))) {
+        fn(id);
+      }
+    }
+  }
+
+  void Grant(std::size_t s, std::size_t e) {
+    ForEachNarrowTerm(s, e, /*any_ident=*/true,
+                      [&](const std::string& term) {
+                        grants.back().insert(term);
+                      });
+  }
+
+  // The statements in [lo, hi) under a scope of their own. A case or
+  // default label closes the previous arm's scope and opens the next.
+  void NarrowBlock(std::size_t lo, std::size_t hi) {
+    const std::size_t outer = grants.size();
+    grants.emplace_back();
+    while (lo < hi) {
+      if (t.is(lo, "case") || (t.is(lo, "default") && t.is(lo + 1, ":"))) {
+        grants.resize(outer + 1);
+        grants.emplace_back();
+        lo = TopLevel(lo, hi, Tok(":")) + 1;
+      } else {
+        lo = NarrowStmt(lo, hi);
+      }
+    }
+    grants.resize(outer);
+  }
+
+  // An if/else/for/while/do body under a scope of its own.
+  std::size_t NarrowBody(std::size_t i, std::size_t hi) {
+    grants.emplace_back();
+    const std::size_t next = NarrowStmt(i, hi);
+    grants.pop_back();
+    return next;
+  }
+
+  // One statement at `i`; returns the index just past it.
+  std::size_t NarrowStmt(std::size_t i, std::size_t hi) {
+    if (i >= hi) return hi;
+    const std::string& s = t.text(i);
+    if (s == "{") {
+      const std::size_t close = std::min(MatchGroup(t, i, "{", "}"), hi);
+      NarrowBlock(i + 1, close - 1);
+      return close;
+    }
+    if (s == "else" || s == "do") return NarrowBody(i + 1, hi);
+    const std::size_t open =
+        i + (s == "if" && t.is(i + 1, "constexpr") ? 2 : 1);
+    if ((s != "if" && s != "while" && s != "for" && s != "switch") ||
+        !t.is(open, "(")) {
+      const std::size_t e = TopLevel(i, hi, Tok(";"));
+      NarrowExpr(i, e);
+      return e < hi ? e + 1 : hi;
+    }
+    const std::size_t close = MatchGroup(t, open, "(", ")") - 1;  // the ')'
+    if (s == "switch") {
+      NarrowExpr(open + 1, close);
+      return NarrowStmt(close + 1, hi);  // the block: its arms are scopes
+    }
+    if (s != "for") {
+      NarrowCond(open + 1, close);
+    } else {
+      const std::size_t init_end = TopLevel(open + 1, close, Tok(";"));
+      const std::size_t cond_end = TopLevel(init_end + 1, close, Tok(";"));
+      if (cond_end < close) {  // classic for: init; cond; step
+        NarrowExpr(open + 1, init_end);
+        NarrowCond(init_end + 1, cond_end);
+        NarrowExpr(cond_end + 1, close);
+      } else {  // range-for
+        NarrowExpr(open + 1, close);
+      }
+    }
+    std::size_t next = NarrowBody(close + 1, hi);
+    if (s == "if" && t.is(next, "else")) next = NarrowBody(next + 1, hi);
+    return next;
+  }
+
+  // A condition: its own checks and casts, then a grant of its terms to the
+  // enclosing scope when it compares at top level.
+  void NarrowCond(std::size_t s, std::size_t e) {
+    NarrowExpr(s, e);
+    const std::size_t cmp = TopLevel(s, e, [&](std::size_t k) {
+      const std::string& x = t.text(k);
+      return x == "<" || x == "<=" || x == ">" || x == ">=" || x == "==" ||
+             x == "!=";
+    });
+    if (cmp < e) Grant(s, e);
+  }
+
+  // Checks, casts and nested blocks (lambda bodies) in the expression tokens
+  // [s, e), in source order.
+  void NarrowExpr(std::size_t s, std::size_t e) {
+    for (std::size_t k = s; k < e; ++k) {
+      const std::string& x = t.text(k);
+      if (x == "{") {
+        const std::size_t close = std::min(MatchGroup(t, k, "{", "}"), e);
+        NarrowBlock(k + 1, close - 1);
+        k = close - 1;
+      } else if (t.IsIdent(k) && x.starts_with("GOLDILOCKS_CHECK") &&
+                 t.is(k + 1, "(")) {
+        Grant(k + 2, MatchGroup(t, k + 1, "(", ")") - 1);
+      } else if (x == "static_cast" && t.is(k + 1, "<")) {
+        NarrowCast(k);
+      }
+    }
+  }
+
+  // static_cast<T>(…) at `k`: fires on each unchecked 64-bit term when T is
+  // a 32-bit vertex-id type.
+  void NarrowCast(std::size_t k) {
+    const std::size_t open = SkipTemplateArgs(t, k + 1);  // past the '>'
+    std::string target;
+    for (std::size_t p = k + 2; p + 1 < open; ++p) {
+      if (kNarrowTargets.count(t.text(p))) target = t.text(p);
+    }
+    if (target.empty() || !t.is(open, "(")) return;
+    ForEachNarrowTerm(
+        open + 1, MatchGroup(t, open, "(", ")") - 1, /*any_ident=*/false,
+        [&](const std::string& term) {
+          const bool checked =
+              std::any_of(grants.begin(), grants.end(),
+                          [&](const auto& g) { return g.count(term) > 0; });
+          if (!checked) Hit("GL020", term + " -> " + target, k);
+        });
+  }
 };
 
 // ---------------------------------------------------------------------------
@@ -1313,9 +1541,8 @@ void WalkStructure(Extractor& ex) {
         if (paren_tok < t.size()) ex.ParseSignature(fidx, paren_tok, i);
         else ex.local_kinds.clear();
         ex.ScanBody(fidx, i + 1, body_end - 1);
-        BuildFunctionCfg(t.toks, ex.lines, fidx,
-                         paren_tok < t.size() ? paren_tok : i + 1, i + 1,
-                         body_end - 1, &ex.out);
+        ex.ScanNarrowing(paren_tok < t.size() ? paren_tok : i + 1, i + 1,
+                         body_end - 1);
       }
       i = body_end;
       head.clear();
@@ -1443,7 +1670,7 @@ FileFacts ExtractFacts(const std::string& path, std::string_view source) {
     }
   }
 
-  Extractor ex{structural, lines, facts, {}, {}, {}};
+  Extractor ex{structural, lines, facts, {}, {}, {}, {}, {}};
   WalkStructure(ex);
   ex.ScanTokenRules();
   return facts;
@@ -1513,28 +1740,6 @@ void SerializeFacts(const FileFacts& f, std::string* out) {
     AppendRecord(out, {"D", std::to_string(d.func), d.term, d.kind,
                        std::to_string(d.line), d.line_text});
   }
-  for (const LockAnno& q : f.lock_annos) {
-    AppendRecord(out, {"Q", std::to_string(q.func), q.kind, q.lock});
-  }
-  for (const FuncCfg& g : f.cfgs) {
-    AppendRecord(out, {"H", std::to_string(g.func),
-                       std::to_string(g.budget_exceeded ? 1 : 0)});
-    for (std::size_t b = 0; b < g.blocks.size(); ++b) {
-      const CfgBlock& blk = g.blocks[b];
-      std::string succ;
-      for (const int s : blk.succ) {
-        if (!succ.empty()) succ.push_back(',');
-        succ += std::to_string(s);
-      }
-      AppendRecord(out, {"K", std::to_string(blk.in_parallel ? 1 : 0),
-                         std::to_string(blk.varying_guard), succ});
-      for (const CfgEvent& e : blk.events) {
-        AppendRecord(out, {"V", std::to_string(b),
-                           std::to_string(static_cast<int>(e.kind)), e.a,
-                           e.b, std::to_string(e.line), e.line_text});
-      }
-    }
-  }
 }
 
 bool DeserializeFacts(std::string_view blob, FileFacts* f) {
@@ -1576,7 +1781,8 @@ bool DeserializeFacts(std::string_view blob, FileFacts* f) {
       AllocSite a;
       int kind = 0;
       if (!to_int(c[1], &a.func) || !to_int(c[2], &kind) ||
-          !to_int(c[4], &a.line)) {
+          !to_int(c[4], &a.line) || kind < 0 ||
+          kind > static_cast<int>(AllocKind::kLocalGrowth)) {
         return false;
       }
       a.kind = static_cast<AllocKind>(kind);
@@ -1663,58 +1869,27 @@ bool DeserializeFacts(std::string_view blob, FileFacts* f) {
       d.kind = c[3];
       d.line_text = c[5];
       f->taint_seeds.push_back(std::move(d));
-    } else if (c[0] == "Q" && c.size() == 4) {
-      LockAnno q;
-      if (!to_int(c[1], &q.func)) return false;
-      q.kind = c[2];
-      q.lock = c[3];
-      f->lock_annos.push_back(std::move(q));
-    } else if (c[0] == "H" && c.size() == 3) {
-      FuncCfg g;
-      int exceeded = 0;
-      if (!to_int(c[1], &g.func) || !to_int(c[2], &exceeded)) return false;
-      g.budget_exceeded = exceeded != 0;
-      f->cfgs.push_back(std::move(g));
-    } else if (c[0] == "K" && c.size() == 4) {
-      if (f->cfgs.empty()) return false;
-      CfgBlock blk;
-      int par = 0;
-      if (!to_int(c[1], &par) || !to_int(c[2], &blk.varying_guard)) {
-        return false;
-      }
-      blk.in_parallel = par != 0;
-      std::size_t pos = 0;
-      const std::string& succ = c[3];
-      while (pos < succ.size()) {
-        std::size_t comma = succ.find(',', pos);
-        if (comma == std::string::npos) comma = succ.size();
-        int s = 0;
-        if (!to_int(succ.substr(pos, comma - pos), &s)) return false;
-        blk.succ.push_back(s);
-        pos = comma + 1;
-      }
-      f->cfgs.back().blocks.push_back(std::move(blk));
-    } else if (c[0] == "V" && c.size() == 7) {
-      if (f->cfgs.empty()) return false;
-      int block = 0;
-      int kind = 0;
-      CfgEvent e;
-      if (!to_int(c[1], &block) || !to_int(c[2], &kind) ||
-          !to_int(c[5], &e.line)) {
-        return false;
-      }
-      std::vector<CfgBlock>& blocks = f->cfgs.back().blocks;
-      if (block < 0 || block >= static_cast<int>(blocks.size())) return false;
-      e.kind = static_cast<CfgEventKind>(kind);
-      e.a = c[3];
-      e.b = c[4];
-      e.line_text = c[6];
-      blocks[static_cast<std::size_t>(block)].events.push_back(std::move(e));
     } else {
       return false;
     }
   }
-  return true;
+  // Function indices must point into this file (a UnitDecl's is -1 for a
+  // class member): the analysis indexes `functions` with them unchecked.
+  const auto in_file = [n = f->functions.size()](int func) {
+    return func >= 0 && static_cast<std::size_t>(func) < n;
+  };
+  const auto all_in_file = [&](const auto& records) {
+    return std::all_of(records.begin(), records.end(),
+                       [&](const auto& r) { return in_file(r.func); });
+  };
+  return all_in_file(f->calls) && all_in_file(f->allocs) &&
+         all_in_file(f->params) && all_in_file(f->binops) &&
+         all_in_file(f->assigns) && all_in_file(f->call_args) &&
+         all_in_file(f->returns) && all_in_file(f->taint_seeds) &&
+         std::all_of(f->unit_decls.begin(), f->unit_decls.end(),
+                     [&](const UnitDecl& u) {
+                       return u.func == -1 || in_file(u.func);
+                     });
 }
 
 }  // namespace gl::analyze

@@ -24,6 +24,9 @@
 //     GL001 raw material: unordered-container names declared outside
 //     function bodies, and loops whose container only another file can
 //     resolve;
+//   * GL020 hits: 64-to-32-bit vertex-id casts with no bounds check in an
+//     enclosing scope, found by one scope walk per function body
+//     (DESIGN.md §14);
 //   * dataflow raw material (DESIGN.md §13): GL_UNITS dimension
 //     declarations, value flows (assignments, call arguments, returns),
 //     unit-relevant binary operators, and nondeterminism taint seeds. The
@@ -88,8 +91,8 @@ struct FloatFold {
   std::string line_text;
 };
 
-// A token-rule finding decided inside one file (GL002, GL004–GL007, GL009):
-// the pattern needs no cross-file context.
+// A finding decided inside one file (GL002, GL004–GL007, GL009, GL020): the
+// pattern needs no cross-file context.
 struct RuleHit {
   std::string rule;    // "GL002"
   std::string detail;  // the matched token(s), e.g. "mt19937"
@@ -194,53 +197,6 @@ struct TaintSeed {
   std::string line_text;
 };
 
-// --- control-flow raw material (GL017, GL018, GL020, GL021; cfg.h) ---------
-//
-// The extractor builds one basic-block CFG per function body (cfg.cc) and
-// stores it with the facts, so warm runs replay cached CFGs instead of
-// re-lexing. Blocks carry the path-relevant events in statement order;
-// edges point at successor block ids, with -1 meaning "function exit".
-
-enum class CfgEventKind {
-  kLock = 0,     // manual base.Lock(); a = lock name
-  kUnlock,       // manual base.Unlock(); a = lock name
-  kBind,         // a = variable bound to a ref/index/view; b = source chain
-  kInvalidate,   // a = object chain whose derived refs die; b = the call
-  kUse,          // a = use of a previously bound variable
-  kNarrow,       // a = 64-bit term cast to 32 bits; b = the target type
-  kCheck,        // a = term a dominating comparison bounds on this path
-  kSink,         // a = deterministic-state sink call (MixU64, Counter::Add)
-};
-
-struct CfgEvent {
-  CfgEventKind kind = CfgEventKind::kUse;
-  std::string a;
-  std::string b;
-  int line = 0;
-  std::string line_text;
-};
-
-struct CfgBlock {
-  std::vector<int> succ;          // successor block ids; -1 = function exit
-  std::vector<CfgEvent> events;   // in statement order
-  bool in_parallel = false;       // inside a ParallelFor lambda body
-  int varying_guard = 0;          // line of the innermost thread-varying
-                                  // branch guarding this block (0 = none)
-};
-
-struct FuncCfg {
-  int func = -1;                  // index into FileFacts::functions
-  std::vector<CfgBlock> blocks;   // block 0 = entry
-  bool budget_exceeded = false;   // builder bailed; path rules skip this fn
-};
-
-// GL_ACQUIRE / GL_REQUIRES on a function signature.
-struct LockAnno {
-  int func = -1;
-  std::string kind;  // "acquire" | "requires"
-  std::string lock;
-};
-
 struct FileFacts {
   std::string path;
   std::vector<FunctionDef> functions;
@@ -258,8 +214,6 @@ struct FileFacts {
   std::vector<CallArg> call_args;
   std::vector<ReturnFlow> returns;
   std::vector<TaintSeed> taint_seeds;
-  std::vector<LockAnno> lock_annos;
-  std::vector<FuncCfg> cfgs;
 };
 
 // Lexes + extracts in one go. `path` is recorded verbatim.
@@ -267,8 +221,10 @@ struct FileFacts {
                                      std::string_view source);
 
 // Cache serialization: one line per record, tab-separated, text fields
-// escaped (\t, \n, \\). Deserialize returns false on any malformed line —
-// the caller falls back to re-extraction.
+// escaped (\t, \n, \\). Deserialize returns false on any malformed line and
+// on a record that points outside the file (a function index outside
+// `functions`, an out-of-range AllocKind) — the caller falls back to
+// re-extraction.
 void SerializeFacts(const FileFacts& facts, std::string* out);
 [[nodiscard]] bool DeserializeFacts(std::string_view blob, FileFacts* facts);
 

@@ -38,8 +38,9 @@ run_stage() {
   ctest --test-dir "${dir}" --output-on-failure -j "${JOBS}"
 }
 
-# Static half of the determinism and concurrency contracts (DESIGN.md §8,
-# §12–§14): fixture corpus, then the whole tree (src/, bench/, tools/ —
+# Static half of the determinism and concurrency contracts (DESIGN.md §8):
+# gl_analyze (§12, with its dataflow rules in §13 and its narrowing check in
+# §14) runs the fixture corpus, then the whole tree (src/, bench/, tools/ —
 # fixture dirs are skipped by the scanner) must be clean modulo the
 # committed baseline, with no stale entries, and src/power/ must keep full
 # GL014 dimension coverage.
@@ -125,8 +126,10 @@ fi
 
 if [[ "${STAGE}" == "tidy" ]]; then
   if ! command -v clang-tidy >/dev/null; then
-    # Local machines often lack clang-tidy; warn and move on. CI installs
-    # it, and there the absence must stay a hard failure.
+    # Local machines often lack clang-tidy; warn and move on. No CI job runs
+    # this stage (the check matrix runs release, asan and tsan; the clang
+    # job runs release), but under CI=true a missing clang-tidy stays a hard
+    # failure.
     if [[ "${CI:-}" == "true" ]]; then
       echo "clang-tidy not found on PATH" >&2
       exit 1
