@@ -20,6 +20,7 @@
 #include <cstdlib>
 
 #include "bench_common.h"
+#include "sim/names.h"
 
 int main(int argc, char** argv) {
   using namespace gl;
@@ -28,44 +29,27 @@ int main(int argc, char** argv) {
   const char* json_path = JsonPathFromArgs(argc, argv);
   const int threads = ThreadsFromArgs(argc, argv);
 
-  int epochs = 22;
-  double epoch_minutes = 240.0;
+  int epochs = -1;  // the msr world's default: 22 epochs of 240 minutes
   if (const char* env = std::getenv("GOLDILOCKS_FIG13_EPOCHS")) {
     epochs = std::max(2, std::atoi(env));
-    epoch_minutes = 88.0 * 60.0 / epochs;
   }
-
-  // Dell R940-class servers: 72 cores, 1.5 TB (4-socket box), 10G NIC.
-  const Resource server_cap{.cpu = 7200, .mem_gb = 1536, .net_mbps = 10000};
-  const Topology topo = Topology::FatTree(28, server_cap, 10000.0);
+  // The Fig 13 world comes from the name table (sim/names.h).
+  World world = *MakeWorld("msr", "", epochs);
+  const Topology& topo = world.topology;
+  const Scenario& scenario = *world.scenario;
+  epochs = scenario.num_epochs();
   std::printf("Topology: %d servers, %d switches (28-ary fat tree)\n",
               topo.num_servers(), topo.num_switches());
-
-  MsrScenarioOptions sopts;
-  sopts.num_epochs = epochs;
-  sopts.epoch_minutes = epoch_minutes;
-  const auto scenario = MakeMsrLargeScaleScenario(sopts);
   std::printf("Workload: %d containers, %zu edges (%d-hour horizon)\n",
-              scenario->workload().size(), scenario->workload().edges.size(),
-              static_cast<int>(epochs * epoch_minutes / 60.0));
+              scenario.workload().size(), scenario.workload().edges.size(),
+              static_cast<int>(epochs * scenario.epoch_minutes() / 60.0));
 
-  RunnerOptions ropts;
-  ropts.server_power = ServerPowerModel::DellR940();
-  ropts.switch_models.assign(static_cast<std::size_t>(topo.num_levels()),
-                             SwitchPowerModel::Altoline6940());
-  // Flow-level network cost per hop: query + partial-response transfer and
-  // the incast queueing a search fan-out suffers on shared fabric links —
-  // milliseconds, not microseconds (cf. DCTCP's incast measurements on the
-  // very trace this reproduces). Hourly epochs already carry the burst
-  // multipliers in the demands, so intra-epoch amplification is small.
-  ropts.latency.per_hop_ms = 2.0;
-  ropts.latency.burst_amplification = 0.05;
-  ropts.latency.sla_ms = 100.0;
+  RunnerOptions& ropts = world.runner;
   ropts.threads = threads;
 
   // Goldilocks re-partitions every 4 simulated hours; the grouping is reused
   // in between (the paper's epoch-based scheduling with low migration cost).
-  const auto runs = RunAllPolicies(*scenario, topo, ropts, 4);
+  const auto runs = RunAllPolicies(scenario, topo, ropts, 4);
 
   PrintBanner("Fig 13(a-c): time series");
   PrintTimeSeries(runs, std::max(1, epochs / 8), "epoch");
@@ -98,7 +82,7 @@ int main(int argc, char** argv) {
     for (const auto& r : runs) {
       // A single timed run: wall_ms doubles as the median, repeats = 1.
       records.push_back({r.name, threads, r.result.wall_ms,
-                         scenario->workload().size(),
+                         scenario.workload().size(),
                          r.result.Average().active_servers,
                          r.result.wall_ms, 1});
     }

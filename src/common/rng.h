@@ -58,7 +58,7 @@ class Rng {
   // state, derived WITHOUT advancing the parent. Same state + same id gives
   // the same stream (replay-stable); distinct ids give statistically
   // independent streams. This is the sanctioned way to hand randomness to
-  // parallel tasks (ThreadPool::ParallelForWithRng): the parent cursor — and
+  // parallel tasks (task i draws from Fork(i)): the parent cursor — and
   // therefore StateHash() and every replay digest — is untouched, and a
   // const parent may be forked concurrently from any number of threads.
   [[nodiscard]] Rng Fork(std::uint64_t stream_id) const;

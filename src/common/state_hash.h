@@ -7,7 +7,7 @@
 // StateHasher turns the simulation state after each epoch into a small
 // fixed digest so two runs can be compared cheaply — online by the
 // ExperimentRunner (opt-in, like the InvariantAuditor) and
-// offline by the `tools/gl_replay` CLI, which runs a scenario twice and
+// offline by `gl_report replay`, which runs a scenario twice and
 // reports the first divergent epoch and subsystem.
 //
 // The hash is FNV-1a over a canonical byte stream: 64-bit little-endian

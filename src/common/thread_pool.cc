@@ -117,15 +117,6 @@ void ThreadPool::ParallelForChunked(
   mu_.Unlock();
 }
 
-void ThreadPool::ParallelForWithRng(
-    std::size_t count, const Rng& base,
-    const std::function<void(std::size_t, Rng&)>& fn) {
-  ParallelFor(count, [&base, &fn](std::size_t i) {
-    Rng rng = base.Fork(static_cast<std::uint64_t>(i));
-    fn(i, rng);
-  });
-}
-
 ThreadPoolStats ThreadPool::Stats() const {
   ThreadPoolStats stats;
   stats.workers = num_threads_;

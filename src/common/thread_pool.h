@@ -35,7 +35,6 @@
 #include <vector>
 
 #include "common/mutex.h"
-#include "common/rng.h"
 #include "common/thread_annotations.h"
 
 namespace gl {
@@ -83,12 +82,6 @@ class ThreadPool {
   // indices; writes should go to per-index slots owned by the caller.
   void ParallelFor(std::size_t count,
                    const std::function<void(std::size_t)>& fn)
-      GL_EXCLUDES(mu_);
-
-  // ParallelFor that hands task i the replay-stable sub-stream base.Fork(i).
-  // `base` is read-only: forking is keyed and does not advance the parent.
-  void ParallelForWithRng(std::size_t count, const Rng& base,
-                          const std::function<void(std::size_t, Rng&)>& fn)
       GL_EXCLUDES(mu_);
 
   // Chunked variant for fine-grained loops: the index space [0, total) is

@@ -362,26 +362,18 @@ GoldilocksScheduler::PartitionContainers(const SchedulerInput& input) {
     groups = std::move(g2);
     paths = std::move(p2);
   } else {
-    const RecursivePartitionResult part =
+    RecursivePartitionResult part =
         RecursivePartition(cg.graph, fits, opts_.partition, units);
 
-    // Groups in locality order, as container-id lists.
-    const std::vector<int> order = GroupsInLocalityOrder(part);
-    std::vector<int> rank(static_cast<std::size_t>(part.num_groups));
-    for (std::size_t i = 0; i < order.size(); ++i) {
-      rank[static_cast<std::size_t>(order[i])] = static_cast<int>(i);
-    }
+    // Groups as container-id lists. Group ids are already in locality order
+    // (RecursivePartitionResult).
     groups.assign(static_cast<std::size_t>(part.num_groups), {});
-    paths.assign(static_cast<std::size_t>(part.num_groups), {});
     for (VertexIndex v = 0; v < cg.graph.num_vertices(); ++v) {
       const int g = part.group_of[static_cast<std::size_t>(v)];
-      groups[static_cast<std::size_t>(rank[static_cast<std::size_t>(g)])]
-          .push_back(cg.vertex_to_container[static_cast<std::size_t>(v)]);
+      groups[static_cast<std::size_t>(g)].push_back(
+          cg.vertex_to_container[static_cast<std::size_t>(v)]);
     }
-    for (int g = 0; g < part.num_groups; ++g) {
-      paths[static_cast<std::size_t>(rank[static_cast<std::size_t>(g)])] =
-          part.group_path[static_cast<std::size_t>(g)];
-    }
+    paths = std::move(part.group_path);
   }
 
   cache_->workload = input.workload;

@@ -1264,14 +1264,4 @@ RecursivePartitionResult RecursivePartition(const CsrGraph& g,
   return out;
 }
 
-std::vector<int> GroupsInLocalityOrder(const RecursivePartitionResult& r) {
-  std::vector<int> order(static_cast<std::size_t>(r.num_groups));
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&](int a, int b) {
-    return r.group_path[static_cast<std::size_t>(a)] <
-           r.group_path[static_cast<std::size_t>(b)];
-  });
-  return order;
-}
-
 }  // namespace gl

@@ -102,6 +102,9 @@ double RefineKWay(const CsrGraph& g, std::vector<int>& group_of, int k,
 // demand and cardinality can stop splitting (equation (2) of the paper).
 using FitPredicate = std::function<bool(const Resource& demand, int count)>;
 
+// Group ids follow the recursion tree's leaves in preorder, left ('0')
+// child first, so ascending group id is locality order: group_path strictly
+// increases with the id, and adjacent ids are locality siblings.
 struct RecursivePartitionResult {
   std::vector<int> group_of;  // per-vertex group id in [0, num_groups)
   int num_groups = 0;
@@ -128,8 +131,5 @@ using CapacityUnitsFn = std::function<double(const Resource& demand)>;
 RecursivePartitionResult RecursivePartition(
     const CsrGraph& g, const FitPredicate& fits, const PartitionOptions& opts,
     const CapacityUnitsFn& units = nullptr);
-
-// Groups ordered by recursion path; adjacent entries are locality siblings.
-std::vector<int> GroupsInLocalityOrder(const RecursivePartitionResult& r);
 
 }  // namespace gl

@@ -58,7 +58,7 @@ struct RunnerOptions {
   // Opt-in reproducibility gate (common/state_hash.h): record a per-epoch
   // digest of the placement, server loads, power totals, migration plan and
   // the scheduler's RNG cursors in ExperimentResult::state_hashes. Two
-  // same-seed runs must produce identical streams; tools/gl_replay diffs
+  // same-seed runs must produce identical streams; `gl_report replay` diffs
   // them and reports the first divergent epoch and subsystem.
   bool record_state_hashes = false;
   // Opt-in observability (src/obs): when obs.logger is set the runner

@@ -14,7 +14,7 @@
 #include "common/rng.h"
 #include "common/stable_map.h"
 #include "common/state_hash.h"
-#include "core/scheduler_factory.h"
+#include "sim/names.h"
 #include "sim/simulator.h"
 #include "topology/topology.h"
 #include "workload/scenarios.h"

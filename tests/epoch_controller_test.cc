@@ -3,7 +3,7 @@
 
 #include "core/epoch_controller.h"
 #include "core/goldilocks.h"
-#include "core/scheduler_factory.h"
+#include "sim/names.h"
 #include "sim/simulator.h"
 #include "workload/scenarios.h"
 

@@ -10,10 +10,10 @@
 
 #include "common/json_writer.h"
 #include "common/thread_pool.h"
-#include "core/scheduler_factory.h"
 #include "obs/metrics.h"
 #include "obs/run_logger.h"
 #include "obs/trace.h"
+#include "sim/names.h"
 #include "sim/simulator.h"
 #include "topology/topology.h"
 #include "workload/scenarios.h"

@@ -13,8 +13,8 @@
 
 #include "common/rng.h"
 #include "common/state_hash.h"
-#include "core/scheduler_factory.h"
 #include "graph/partitioner.h"
+#include "sim/names.h"
 #include "sim/simulator.h"
 #include "topology/topology.h"
 #include "workload/scenarios.h"

@@ -374,11 +374,10 @@ TEST(RecursivePartition, LocalityOrderSortsByPath) {
   const CsrGraph g = Ring(32);
   const auto r = RecursivePartition(
       g, [](const Resource& d, int) { return d.cpu <= 8.0; }, {});
-  const auto order = GroupsInLocalityOrder(r);
-  ASSERT_EQ(static_cast<int>(order.size()), r.num_groups);
-  for (std::size_t i = 1; i < order.size(); ++i) {
-    EXPECT_LT(r.group_path[static_cast<std::size_t>(order[i - 1])],
-              r.group_path[static_cast<std::size_t>(order[i])]);
+  ASSERT_EQ(static_cast<int>(r.group_path.size()), r.num_groups);
+  ASSERT_GT(r.num_groups, 1);
+  for (std::size_t i = 1; i < r.group_path.size(); ++i) {
+    EXPECT_LT(r.group_path[i - 1], r.group_path[i]);
   }
 }
 

@@ -11,7 +11,6 @@
 
 #include <gtest/gtest.h>
 
-#include "common/rng.h"
 
 namespace gl {
 namespace {
@@ -69,35 +68,6 @@ TEST(ThreadPool, PoolIsReusableAcrossBatches) {
     });
     EXPECT_EQ(sum.load(), 45) << "round " << round;
   }
-}
-
-TEST(ThreadPool, ParallelForWithRngMatchesKeyedForks) {
-  const Rng base(0x5eed);
-  constexpr std::size_t kCount = 64;
-  // Expected: task i draws from base.Fork(i), regardless of thread count.
-  std::vector<std::uint64_t> expected(kCount);
-  for (std::size_t i = 0; i < kCount; ++i) {
-    Rng sub = base.Fork(i);
-    expected[i] = sub.NextU64();
-  }
-  for (const int threads : {1, 2, 8}) {
-    ThreadPool pool(threads);
-    std::vector<std::uint64_t> got(kCount, 0);
-    pool.ParallelForWithRng(kCount, base, [&](std::size_t i, Rng& rng) {
-      got[i] = rng.NextU64();
-    });
-    EXPECT_EQ(got, expected) << "threads " << threads;
-  }
-}
-
-TEST(ThreadPool, ParallelForWithRngLeavesBaseUntouched) {
-  Rng base(0xabc);
-  const auto before = base.StateHash();
-  ThreadPool pool(4);
-  pool.ParallelForWithRng(100, base, [](std::size_t, Rng& rng) {
-    (void)rng.NextDouble();
-  });
-  EXPECT_EQ(base.StateHash(), before);
 }
 
 TEST(ThreadPool, StatsAccountForEveryBatchAndTask) {

@@ -247,9 +247,7 @@ struct Extractor {
   // ParallelFor lambda bodies.
   void ScanParallelForFolds(int fidx, std::size_t begin, std::size_t end) {
     for (std::size_t k = begin; k < end; ++k) {
-      if (!t.IsIdent(k) ||
-          (t.text(k) != "ParallelFor" && t.text(k) != "ParallelForWithRng") ||
-          !t.is(k + 1, "(")) {
+      if (!t.IsIdent(k) || t.text(k) != "ParallelFor" || !t.is(k + 1, "(")) {
         continue;
       }
       const std::size_t args_end = MatchGroup(t, k + 1, "(", ")");

@@ -5,7 +5,7 @@
 #
 #   tools/check.sh            # analyze + release + asan stages
 #   tools/check.sh analyze    # gl_analyze contract checker (builds the tool)
-#   tools/check.sh release    # Release stage + seed-replay gate only
+#   tools/check.sh release    # Release stage + observability smokes only
 #   tools/check.sh asan       # ASan+UBSan stage only
 #   tools/check.sh tsan       # ThreadSanitizer stage (parallel paths)
 #   tools/check.sh tidy       # clang-tidy over src/ (needs clang-tidy)
@@ -61,16 +61,12 @@ fi
 if [[ "${STAGE}" == "all" || "${STAGE}" == "release" ]]; then
   run_stage "Release (-Werror)" build-check-release \
     -DCMAKE_BUILD_TYPE=Release -DGOLDILOCKS_WERROR=ON
-  # Runtime half of the determinism contract: every scheduler replayed twice
-  # from the same seed must produce bit-identical per-epoch state hashes,
-  # with oracle demands and with the demand estimator in the loop.
-  echo "==> seed-replay gate"
-  ./build-check-release/tools/gl_replay --epochs=12
-  ./build-check-release/tools/gl_replay --epochs=12 --estimated
+  # The runtime half of the determinism contract, the seed-replay gate
+  # (gl_report replay), runs in ctest above, in every stage.
   # Observability smoke (DESIGN.md §10): an instrumented two-policy run must
   # produce a valid JSONL stream and a Chrome trace, a second same-seed run
   # must match byte-for-byte outside the "timings" sections, and the replay
-  # gate with --obs proves enabling observability changes no state hash.
+  # gate with --jsonl proves enabling observability changes no state hash.
   echo "==> observability smoke (gl_report + obs-neutral replay)"
   OBS_DIR=build-check-release/obs-smoke
   mkdir -p "${OBS_DIR}"
@@ -80,8 +76,8 @@ if [[ "${STAGE}" == "all" || "${STAGE}" == "release" ]]; then
     --jsonl="${OBS_DIR}/run2.jsonl" > /dev/null
   ./build-check-release/tools/gl_report check \
     "${OBS_DIR}/run1.jsonl" "${OBS_DIR}/run2.jsonl"
-  ./build-check-release/tools/gl_replay --scheduler=goldilocks --epochs=8 \
-    --obs="${OBS_DIR}/replay.jsonl"
+  ./build-check-release/tools/gl_report replay --schedulers=goldilocks \
+    --epochs=8 --jsonl="${OBS_DIR}/replay.jsonl"
   # Profiling smoke (DESIGN.md §15): the trace just captured must render a
   # critical-path profile and collapsed stacks, and the same-seed streams
   # must show zero deterministic differences under the run-diff (exit 1
@@ -94,8 +90,24 @@ if [[ "${STAGE}" == "all" || "${STAGE}" == "release" ]]; then
     --out="${OBS_DIR}/stacks.txt"
   ./build-check-release/tools/gl_report diff \
     "${OBS_DIR}/run1.jsonl" "${OBS_DIR}/run2.jsonl"
-  ./build-check-release/tools/gl_replay --scheduler=goldilocks --epochs=8 \
-    --threads=8 --obs="${OBS_DIR}/replay-t8.jsonl"
+  ./build-check-release/tools/gl_report replay --schedulers=goldilocks \
+    --epochs=8 --threads=8 --jsonl="${OBS_DIR}/replay-t8.jsonl"
+  # Fig 13 with stock tools: two epochs of the msr world (49,392 containers
+  # on the 28-ary fat tree) traced, then attributed per span; the profile
+  # must name the graph build, FM refinement and TCT layers. The ~10 MB
+  # trace stays outside obs-smoke/, which CI uploads, and the profile's
+  # ~35K-step critical path stays in its file.
+  echo "==> Fig 13 trace smoke (gl_report run --scenario=msr + profile)"
+  FIG13_TRACE=build-check-release/fig13-trace.json
+  FIG13_PROFILE=build-check-release/fig13-profile.txt
+  ./build-check-release/tools/gl_report run --scenario=msr \
+    --schedulers=goldilocks --epochs=2 --trace="${FIG13_TRACE}" > /dev/null
+  ./build-check-release/tools/gl_report profile "${FIG13_TRACE}" \
+    --root=runner.epoch > "${FIG13_PROFILE}"
+  head -n 22 "${FIG13_PROFILE}"
+  for span in graph.build partition.refine.fm epoch.tct; do
+    grep -q "^| ${span} " "${FIG13_PROFILE}"
+  done
 fi
 
 if [[ "${STAGE}" == "all" || "${STAGE}" == "asan" ]]; then
@@ -116,12 +128,12 @@ if [[ "${STAGE}" == "tsan" ]]; then
   # concurrent FM trials, via LargeBisectionIsExactlyThreadCountInvariant's
   # n=6000 graph above the parallel_min_vertices gate) -- so a data race
   # fails this stage even when it happens not to corrupt the state hashes.
+  # ctest's gl_report_replay_threads8 replays every scheduler with the
+  # partitioner at 8 threads.
   export TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1"
   run_stage "TSan" build-check-tsan \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo -DGOLDILOCKS_WERROR=ON \
     "-DGOLDILOCKS_SANITIZE=thread"
-  echo "==> seed-replay gate (parallel, under TSan)"
-  ./build-check-tsan/tools/gl_replay --epochs=8 --threads=8
 fi
 
 if [[ "${STAGE}" == "tidy" ]]; then

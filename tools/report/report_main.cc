@@ -1,19 +1,53 @@
-// Observability report tool for "gl.epoch.v1" JSONL run logs.
+// gl_report: the repository's command line. It runs the worlds of the name
+// table (sim/names.h) and reads the logs and traces runs leave behind.
 //
-//   gl_report run    [--scenario=twitter|azure] [--schedulers=a,b,...]
-//                    [--epochs=N] [--seed=N] [--jsonl=PATH] [--trace=PATH]
+//   gl_report run     [world flags] [--seed=N] [--pee=F] [--estimated]
+//                     [--jsonl=PATH] [--trace=PATH]
+//   gl_report replay  [world flags] [--seed=N] [--threads=N] [--estimated]
+//                     [--verbose] [--jsonl=PATH] [--trace=PATH]
+//   gl_report audit   [world flags] [--pee=F] [--pee-strict] [--fail-fast]
 //   gl_report tables  FILE.jsonl
 //   gl_report check   A.jsonl B.jsonl
 //   gl_report profile TRACE.json [--root=NAME] [--top=N]
 //   gl_report flame   TRACE.json [--out=PATH]
 //   gl_report diff    A B [--threshold=FRACTION]
 //
+// The world flags, read by one parser for run, replay and audit:
+// --scenario=twitter|azure|msr (default twitter; msr is the Fig 13 world),
+// --topology=testbed16|fattree<k>|leafspine (default: the scenario's own),
+// --schedulers=a,b,...|all over goldilocks, mpp, borg, epvm, rc, random,
+// and --epochs=N (default: the scenario's own). A subcommand exits 2 on a
+// flag it does not take.
+//
 // `run` executes the named policies (default: goldilocks,borg) over the
-// scenario with observability enabled: it streams one JSONL record per
-// epoch, collects a trace of every instrumented phase, prints per-policy
-// averages plus the trace's per-span summary (the only source of phase
-// times), and — with --trace= — writes a Chrome trace loadable at
-// chrome://tracing.
+// world with observability enabled: it streams one JSONL record per epoch,
+// collects a trace of every instrumented phase, prints per-policy averages
+// plus the trace's per-span summary (the only source of phase times), and
+// — with --trace= — writes a Chrome trace loadable at chrome://tracing.
+// --estimated puts DemandEstimator predictions in the loop; --pee= sets the
+// PEE ceiling of the policies that honour one.
+//
+// `replay` is the seed-replay reproducibility gate. It runs each named
+// scheduler (default: all) twice with identically-seeded schedulers and
+// diffs the per-epoch state-hash streams (common/state_hash.h).
+// Bit-identical streams are the determinism contract's promise (DESIGN.md
+// §8); a divergence is reported with the first offending epoch and
+// subsystem (placement, loads, power, migration, rng). The first run is
+// serial with observability off. The second runs Goldilocks' partitioner
+// over --threads=N threads, so the gate also checks that parallel execution
+// is bit-identical to serial (DESIGN.md §9), and carries --jsonl= and
+// --trace=, so identical hashes also prove observability is
+// simulation-neutral (DESIGN.md §10). --estimated covers the estimator's
+// state; --verbose prints every epoch's hashes. Exit 0 = every replay
+// bit-identical, 1 = a divergence, 2 = bad usage.
+//
+// `audit` runs each named scheduler (default: goldilocks) through an
+// EpochController with the InvariantAuditor enabled and prints every
+// finding, after a static audit of the topology and the five shipped power
+// models. The PEE cap is a warning (overcommit policies violate it by
+// design); --pee-strict makes it an error, and --fail-fast aborts on the
+// first error. Exit 0 = no errors (warnings are tolerated), 1 = at least
+// one error-severity finding, 2 = bad usage.
 //
 // `tables` re-derives the counter tables from an existing JSONL file, so a
 // logged run can be summarized later without re-running it.
@@ -23,11 +57,11 @@
 // §10). It also validates the schema tag on every line. Exit 0 = identical,
 // 1 = divergent/invalid, 2 = bad usage.
 //
-// `profile` re-reads a Chrome trace written by --trace= (or gl_replay
-// --trace=) and prints the attribution the flat tables cannot: top self-time
-// frames and the critical path through the parallel span forest, including
-// how much of the root's wall is serial (width-1) — the Amdahl bound on the
-// t8 speedup (DESIGN.md §15).
+// `profile` re-reads a Chrome trace written by run or replay --trace= and
+// prints the attribution the flat tables cannot: top self-time frames and
+// the critical path through the parallel span forest, including how much of
+// the root's wall is serial (width-1) — the Amdahl bound on the t8 speedup
+// (DESIGN.md §15).
 //
 // `flame` emits the same trace as collapsed stacks ("a;b;c N", N in µs) for
 // flamegraph.pl / speedscope.
@@ -36,8 +70,9 @@
 // (per-scheduler metric/counter sums; deterministic mismatches flagged DIFF,
 // informational drift beyond --threshold flagged DRIFT) or two bench --json
 // arrays (per-configuration median wall / efficiency / peak bytes drift).
-// Unlike `check` it always exits 0 when both inputs parse — it is a report,
-// not a gate.
+// On JSONL streams it exits 1 on any deterministic difference, so it gates
+// same-seed runs; on bench JSON it always exits 0 — drift is a report, not
+// a gate. Unreadable or mismatched inputs exit 2.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -49,17 +84,20 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "analysis/invariant_auditor.h"
+#include "common/state_hash.h"
 #include "common/table.h"
-#include "core/scheduler_factory.h"
+#include "core/epoch_controller.h"
 #include "obs/profile.h"
 #include "obs/run_logger.h"
 #include "obs/trace.h"
+#include "power/server_power.h"
+#include "sim/names.h"
 #include "sim/simulator.h"
-#include "topology/topology.h"
-#include "workload/scenarios.h"
 
 namespace {
 
@@ -595,42 +633,147 @@ int Diff(const std::string& path_a, const std::string& path_b,
   return DiffBench(text_a, text_b, threshold);
 }
 
-// --- run -------------------------------------------------------------------
+// --- world flags -----------------------------------------------------------
 
-struct RunArgs {
-  std::string scenario = "twitter";
-  std::string schedulers = "goldilocks,borg";
-  int epochs = -1;
-  std::uint64_t seed = 0xfeed;
-  std::string jsonl;  // empty = keep in memory only
-  std::string trace;  // empty = no Chrome trace file
+// The flags of the subcommands that run a world. One parser reads them all;
+// each subcommand names the ones it takes and exits 2 on any other.
+enum WorldFlag : unsigned {
+  kScenario = 1u << 0,
+  kTopology = 1u << 1,
+  kSchedulers = 1u << 2,
+  kEpochs = 1u << 3,
+  kSeed = 1u << 4,
+  kThreads = 1u << 5,
+  kPee = 1u << 6,
+  kPeeStrict = 1u << 7,
+  kFailFast = 1u << 8,
+  kEstimated = 1u << 9,
+  kVerbose = 1u << 10,
+  kJsonl = 1u << 11,
+  kTrace = 1u << 12,
+  kWorld = kScenario | kTopology | kSchedulers | kEpochs,
 };
 
-int Run(const RunArgs& args) {
-  std::unique_ptr<gl::Scenario> scenario;
-  if (args.scenario == "twitter") {
-    gl::TwitterScenarioOptions opts;
-    if (args.epochs > 0) opts.num_epochs = args.epochs;
-    scenario = gl::MakeTwitterCachingScenario(opts);
-  } else if (args.scenario == "azure") {
-    gl::AzureScenarioOptions opts;
-    if (args.epochs > 0) opts.num_epochs = args.epochs;
-    scenario = gl::MakeAzureMixScenario(opts);
-  } else {
-    std::fprintf(stderr, "unknown scenario: %s\n", args.scenario.c_str());
-    return 2;
-  }
-  const auto names = SplitCommas(args.schedulers);
-  if (names.empty()) {
-    std::fprintf(stderr, "no schedulers given\n");
-    return 2;
-  }
-  for (const auto& name : names) {
-    if (gl::MakeNamedScheduler(name) == nullptr) {
-      std::fprintf(stderr, "unknown scheduler: %s\n", name.c_str());
-      return 2;
+struct WorldArgs {
+  std::string scenario = "twitter";
+  std::string topology;    // "" = the scenario's own
+  std::string schedulers;  // comma list or "all"; default set per subcommand
+  int epochs = -1;         // scenario default
+  std::uint64_t seed = 0xfeed;
+  int threads = 1;  // replay: partitioner fan-out of the second run
+  double pee = 0.70;
+  bool pee_strict = false;
+  bool fail_fast = false;
+  bool estimated = false;
+  bool verbose = false;
+  std::string jsonl;  // "" = no JSONL file
+  std::string trace;  // "" = no Chrome trace file
+};
+
+// Parses argv[2..] into `args`, taking only the flags in `accepted`.
+bool ParseWorldArgs(int argc, char** argv, unsigned accepted,
+                    WorldArgs& args) {
+  for (int i = 2; i < argc; ++i) {
+    const char* arg = argv[i];
+    std::string value;
+    unsigned flag = 0;
+    if (ParseFlag(arg, "--scenario=", args.scenario)) {
+      flag = kScenario;
+    } else if (ParseFlag(arg, "--topology=", args.topology)) {
+      flag = kTopology;
+    } else if (ParseFlag(arg, "--schedulers=", args.schedulers)) {
+      flag = kSchedulers;
+    } else if (ParseFlag(arg, "--jsonl=", args.jsonl)) {
+      flag = kJsonl;
+    } else if (ParseFlag(arg, "--trace=", args.trace)) {
+      flag = kTrace;
+    } else if (ParseFlag(arg, "--epochs=", value)) {
+      args.epochs = std::atoi(value.c_str());
+      flag = kEpochs;
+    } else if (ParseFlag(arg, "--seed=", value)) {
+      args.seed = std::strtoull(value.c_str(), nullptr, 0);
+      flag = kSeed;
+    } else if (ParseFlag(arg, "--threads=", value)) {
+      args.threads = std::atoi(value.c_str());
+      flag = kThreads;
+    } else if (ParseFlag(arg, "--pee=", value)) {
+      args.pee = std::atof(value.c_str());
+      flag = kPee;
+    } else if (std::strcmp(arg, "--pee-strict") == 0) {
+      args.pee_strict = true;
+      flag = kPeeStrict;
+    } else if (std::strcmp(arg, "--fail-fast") == 0) {
+      args.fail_fast = true;
+      flag = kFailFast;
+    } else if (std::strcmp(arg, "--estimated") == 0) {
+      args.estimated = true;
+      flag = kEstimated;
+    } else if (std::strcmp(arg, "--verbose") == 0) {
+      args.verbose = true;
+      flag = kVerbose;
+    }
+    if ((flag & accepted) == 0) {
+      std::fprintf(stderr, "unknown argument: %s\n", arg);
+      return false;
     }
   }
+  return true;
+}
+
+struct Setup {
+  gl::World world;
+  std::vector<std::string> schedulers;
+};
+
+// The world and the schedulers the flags name, built through the name table
+// (sim/names.h), or nullopt after printing which name is unknown.
+std::optional<Setup> Resolve(const WorldArgs& args) {
+  const auto& known = gl::NamedSchedulers();
+  std::vector<std::string> schedulers =
+      args.schedulers == "all" ? known : SplitCommas(args.schedulers);
+  if (schedulers.empty()) {
+    std::fprintf(stderr, "no schedulers given\n");
+    return std::nullopt;
+  }
+  for (const auto& name : schedulers) {
+    if (std::find(known.begin(), known.end(), name) == known.end()) {
+      std::fprintf(stderr, "unknown scheduler: %s\n", name.c_str());
+      return std::nullopt;
+    }
+  }
+  std::optional<gl::World> world =
+      gl::MakeWorld(args.scenario, args.topology, args.epochs);
+  if (!world) {
+    const auto& scenarios = gl::NamedScenarios();
+    if (std::find(scenarios.begin(), scenarios.end(), args.scenario) ==
+        scenarios.end()) {
+      std::fprintf(stderr, "unknown scenario: %s\n", args.scenario.c_str());
+    } else {
+      std::fprintf(stderr, "unknown topology: %s\n", args.topology.c_str());
+    }
+    return std::nullopt;
+  }
+  return Setup{std::move(*world), std::move(schedulers)};
+}
+
+// The world's runner options for one run of run or replay: hashed epochs,
+// --estimated demands and the JSONL sink (may be null).
+gl::RunnerOptions HashedRunnerOptions(const gl::World& world,
+                                      const WorldArgs& args,
+                                      gl::obs::RunLogger* logger) {
+  gl::RunnerOptions opts = world.runner;
+  opts.record_state_hashes = true;
+  opts.use_estimated_demands = args.estimated;
+  opts.obs.logger = logger;
+  return opts;
+}
+
+// --- run -------------------------------------------------------------------
+
+int Run(const WorldArgs& args) {
+  std::optional<Setup> setup = Resolve(args);
+  if (!setup) return 2;
+  const gl::World& world = setup->world;
 
   std::string sink;
   std::unique_ptr<gl::obs::RunLogger> logger;
@@ -644,31 +787,34 @@ int Run(const RunArgs& args) {
   gl::obs::Trace trace;
   trace.Activate();
 
-  const gl::Topology topo = gl::Topology::Testbed16();
-  gl::RunnerOptions opts;
-  opts.record_state_hashes = true;
-  opts.obs.logger = logger.get();
-  const gl::ExperimentRunner runner(*scenario, topo, opts);
+  const gl::ExperimentRunner runner(
+      *world.scenario, world.topology,
+      HashedRunnerOptions(world, args, logger.get()));
 
-  std::printf("gl_report run: scenario=%s epochs=%d schedulers=%s\n",
-              scenario->name().c_str(), scenario->num_epochs(),
-              args.schedulers.c_str());
+  std::printf("gl_report run: scenario=%s topology=%s epochs=%d "
+              "schedulers=%s\n",
+              world.scenario->name().c_str(), world.topology_name.c_str(),
+              world.scenario->num_epochs(), args.schedulers.c_str());
   std::vector<gl::ExperimentResult> results;
-  for (const auto& name : names) {
-    auto scheduler = gl::MakeNamedScheduler(name, 0.70, args.seed);
+  for (const auto& name : setup->schedulers) {
+    auto scheduler = gl::MakeNamedScheduler(name, args.pee, args.seed);
     results.push_back(runner.Run(*scheduler));
   }
   trace.Deactivate();
 
   gl::PrintBanner("per-policy averages");
-  gl::Table avg({"policy", "servers", "power W", "TCT ms", "J/req",
-                 "epoch ms"});
+  gl::Table avg({"policy", "servers", "power W", "TCT ms", "p99 ms", "J/req",
+                 "SLA viol", "migr/epoch", "unplaced", "epoch ms"});
   for (const auto& r : results) {
     const auto m = r.Average();
     avg.AddRow({r.scheduler, gl::Table::Int(m.active_servers),
                 gl::Table::Num(m.total_watts, 0),
                 gl::Table::Num(m.mean_tct_ms, 2),
+                gl::Table::Num(m.p99_tct_ms, 2),
                 gl::Table::Num(m.energy_per_request_j, 4),
+                gl::Table::Pct(m.sla_violation_rate),
+                gl::Table::Int(m.migrations),
+                gl::Table::Int(m.unplaced_containers),
                 gl::Table::Num(m.wall_ms, 3)});
   }
   avg.Print();
@@ -704,19 +850,205 @@ int Run(const RunArgs& args) {
   return 0;
 }
 
+// --- replay ----------------------------------------------------------------
+
+// One seeded run: fresh scheduler, fresh runner, hashed epochs. `logger`
+// (may be null) attaches the JSONL sink to this run only.
+std::vector<gl::EpochStateHash> ReplayOnce(const std::string& name,
+                                           const gl::World& world,
+                                           const WorldArgs& args, int threads,
+                                           gl::obs::RunLogger* logger) {
+  auto scheduler = gl::MakeNamedScheduler(name, args.pee, args.seed, threads);
+  const gl::ExperimentRunner runner(*world.scenario, world.topology,
+                                    HashedRunnerOptions(world, args, logger));
+  return runner.Run(*scheduler).state_hashes;
+}
+
+// Returns true when the two same-seed runs agree bit-for-bit. The first run
+// is always serial with observability off; the second uses args.threads and
+// carries the JSONL sink and the trace (each may be null), so --threads>1
+// also gates serial-vs-parallel equivalence and --jsonl/--trace gate
+// obs-neutrality.
+bool ReplayScheduler(const std::string& name, const gl::World& world,
+                     const WorldArgs& args, gl::obs::RunLogger* logger,
+                     gl::obs::Trace* trace) {
+  const auto first = ReplayOnce(name, world, args, 1, nullptr);
+  if (trace != nullptr) trace->Activate();
+  const auto second = ReplayOnce(name, world, args, args.threads, logger);
+  if (trace != nullptr) trace->Deactivate();
+
+  if (first.size() != second.size()) {
+    std::printf("%-10s FAIL: run lengths differ (%zu vs %zu epochs)\n",
+                name.c_str(), first.size(), second.size());
+    return false;
+  }
+  for (std::size_t e = 0; e < first.size(); ++e) {
+    if (args.verbose) std::puts(first[e].ToString().c_str());
+    const char* diverged = gl::FirstDivergentSubsystem(first[e], second[e]);
+    if (diverged != nullptr) {
+      std::printf("%-10s FAIL: first divergence at epoch %zu in subsystem "
+                  "'%s'\n  run 1: %s\n  run 2: %s\n",
+                  name.c_str(), e, diverged, first[e].ToString().c_str(),
+                  second[e].ToString().c_str());
+      return false;
+    }
+  }
+  const std::uint64_t digest = first.empty() ? 0 : first.back().Combined();
+  std::printf("%-10s OK: %zu epochs bit-identical, final digest %016llx\n",
+              name.c_str(), first.size(),
+              static_cast<unsigned long long>(digest));
+  return true;
+}
+
+int Replay(const WorldArgs& args) {
+  std::optional<Setup> setup = Resolve(args);
+  if (!setup) return 2;
+  const gl::World& world = setup->world;
+
+  std::printf("seed-replay gate: scenario=%s topology=%s epochs=%d "
+              "demands=%s threads=1-vs-%d\n",
+              world.scenario->name().c_str(), world.topology_name.c_str(),
+              world.scenario->num_epochs(),
+              args.estimated ? "estimated" : "oracle", args.threads);
+  std::unique_ptr<gl::obs::RunLogger> logger;
+  if (!args.jsonl.empty()) {
+    logger = std::make_unique<gl::obs::RunLogger>(args.jsonl);
+    if (!logger->ok()) return 2;
+  }
+  gl::obs::Trace trace;
+
+  int failures = 0;
+  for (const auto& name : setup->schedulers) {
+    failures += ReplayScheduler(name, world, args, logger.get(),
+                                args.trace.empty() ? nullptr : &trace)
+                    ? 0
+                    : 1;
+  }
+
+  if (!args.trace.empty() && trace.WriteChromeJson(args.trace)) {
+    std::printf("wrote Chrome trace to %s\n", args.trace.c_str());
+  }
+  if (logger != nullptr) {
+    std::printf("wrote %llu JSONL records to %s\n",
+                static_cast<unsigned long long>(logger->lines_written()),
+                args.jsonl.c_str());
+  }
+  if (failures > 0) {
+    std::printf("%d of %zu scheduler replays diverged\n", failures,
+                setup->schedulers.size());
+    return 1;
+  }
+  std::printf("all %zu scheduler replays bit-identical\n",
+              setup->schedulers.size());
+  return 0;
+}
+
+// --- audit -----------------------------------------------------------------
+
+int Audit(const WorldArgs& args) {
+  std::optional<Setup> setup = Resolve(args);
+  if (!setup) return 2;
+  const gl::World& world = setup->world;
+  const gl::Topology& topo = world.topology;
+
+  gl::AuditOptions audit_opts;
+  audit_opts.pee_utilization = args.pee;
+  audit_opts.pee_cap_is_error = args.pee_strict;
+  const gl::InvariantAuditor auditor(audit_opts);
+
+  // Static state first: the topology tree and the shipped power models are
+  // audited once, before any placement runs.
+  gl::AuditReport static_report;
+  auditor.AuditTopology(topo, static_report);
+  auditor.AuditBandwidth(topo, static_report);
+  const gl::ServerPowerModel models[] = {
+      gl::ServerPowerModel::Dell2018(), gl::ServerPowerModel::DellR940(),
+      gl::ServerPowerModel::Linear2010(), gl::ServerPowerModel::Facebook1S(),
+      gl::ServerPowerModel::MicrosoftBlade()};
+  for (const auto& model : models) {
+    auditor.AuditPowerModel(model, static_report);
+  }
+  std::printf("static audit (%s, %d servers): %d error(s), %d warning(s)\n",
+              world.topology_name.c_str(), topo.num_servers(),
+              static_report.errors(), static_report.warnings());
+  if (!static_report.clean()) {
+    std::fputs(static_report.ToString().c_str(), stdout);
+  }
+
+  int errors = static_report.errors();
+  const gl::Scenario& scenario = *world.scenario;
+  for (const auto& name : setup->schedulers) {
+    gl::EpochController controller(gl::MakeNamedScheduler(name, args.pee),
+                                   topo);
+    controller.EnableAudit(audit_opts, args.fail_fast);
+    for (int epoch = 0; epoch < scenario.num_epochs(); ++epoch) {
+      const auto demands = scenario.DemandsAt(epoch);
+      const auto active = scenario.ActiveAt(epoch);
+      const auto decision =
+          controller.Step(scenario.workload(), demands, active);
+      std::printf("epoch %3d: placed %4d  migrations %d", epoch,
+                  decision.containers_placed, decision.containers_moved);
+      if (!decision.plan.stuck.empty()) {
+        std::printf(" (%zu stuck)", decision.plan.stuck.size());
+      }
+      std::printf("  findings so far %zu\n",
+                  controller.audit_report().findings.size());
+    }
+    const gl::AuditReport& report = controller.audit_report();
+    std::printf("\n%s — %s over %d epochs: %d error(s), %d warning(s)\n",
+                name.c_str(), args.scenario.c_str(), scenario.num_epochs(),
+                report.errors(), report.warnings());
+    if (!report.clean()) std::fputs(report.ToString().c_str(), stdout);
+    errors += report.errors();
+  }
+  return errors > 0 ? 1 : 0;
+}
+
+// The subcommands that run a world: the flags each takes and its default
+// schedulers.
+struct WorldCommand {
+  const char* name;
+  const char* schedulers;
+  unsigned flags;
+  int (*fn)(const WorldArgs&);
+};
+
+constexpr WorldCommand kWorldCommands[] = {
+    {"run", "goldilocks,borg",
+     kWorld | kSeed | kPee | kEstimated | kJsonl | kTrace, Run},
+    {"replay", "all",
+     kWorld | kSeed | kThreads | kEstimated | kVerbose | kJsonl | kTrace,
+     Replay},
+    {"audit", "goldilocks", kWorld | kPee | kPeeStrict | kFailFast, Audit},
+};
+
 int Usage() {
   std::fprintf(
       stderr,
       "usage:\n"
-      "  gl_report run   [--scenario=twitter|azure] [--schedulers=a,b,...]\n"
-      "                  [--epochs=N] [--seed=N] [--jsonl=PATH] "
-      "[--trace=PATH]\n"
+      "  gl_report run    [world flags] [--seed=N] [--pee=F] [--estimated]\n"
+      "                   [--jsonl=PATH] [--trace=PATH]\n"
+      "  gl_report replay [world flags] [--seed=N] [--threads=N] "
+      "[--estimated]\n"
+      "                   [--verbose] [--jsonl=PATH] [--trace=PATH]\n"
+      "  gl_report audit  [world flags] [--pee=F] [--pee-strict] "
+      "[--fail-fast]\n"
       "  gl_report tables FILE.jsonl\n"
       "  gl_report check  A.jsonl B.jsonl\n"
       "  gl_report profile TRACE.json [--root=NAME] [--top=N]\n"
       "  gl_report flame  TRACE.json [--out=PATH]\n"
-      "  gl_report diff   A B [--threshold=FRACTION]   (two gl.epoch.v1\n"
-      "                   streams or two bench --json files; default 0.10)\n");
+      "  gl_report diff   A B [--threshold=FRACTION]   (default 0.10)\n"
+      "                   two gl.epoch.v1 streams: exit 1 on a deterministic\n"
+      "                   difference; two bench --json files: always exit 0\n"
+      "world flags:\n"
+      "  --scenario=twitter|azure|msr       (default twitter)\n"
+      "  --topology=testbed16|fattree<k>|leafspine   (default: the "
+      "scenario's)\n"
+      "  --schedulers=a,b,...|all           (goldilocks mpp borg epvm rc "
+      "random;\n"
+      "                                      default: run goldilocks,borg,\n"
+      "                                      replay all, audit goldilocks)\n"
+      "  --epochs=N                         (default: the scenario's)\n");
   return 2;
 }
 
@@ -726,6 +1058,13 @@ int main(int argc, char** argv) {
   if (argc < 2) return Usage();
   const std::string mode = argv[1];
 
+  for (const auto& cmd : kWorldCommands) {
+    if (mode != cmd.name) continue;
+    WorldArgs args;
+    args.schedulers = cmd.schedulers;
+    if (!ParseWorldArgs(argc, argv, cmd.flags, args)) return 2;
+    return cmd.fn(args);
+  }
   if (mode == "check") {
     if (argc != 4) return Usage();
     return Check(argv[2], argv[3]);
@@ -775,29 +1114,6 @@ int main(int argc, char** argv) {
       return 2;
     }
     return Diff(argv[2], argv[3], threshold);
-  }
-  if (mode == "run") {
-    RunArgs args;
-    for (int i = 2; i < argc; ++i) {
-      std::string value;
-      if (ParseFlag(argv[i], "--scenario=", args.scenario) ||
-          ParseFlag(argv[i], "--schedulers=", args.schedulers) ||
-          ParseFlag(argv[i], "--jsonl=", args.jsonl) ||
-          ParseFlag(argv[i], "--trace=", args.trace)) {
-        continue;
-      }
-      if (ParseFlag(argv[i], "--epochs=", value)) {
-        args.epochs = std::atoi(value.c_str());
-        continue;
-      }
-      if (ParseFlag(argv[i], "--seed=", value)) {
-        args.seed = std::strtoull(value.c_str(), nullptr, 0);
-        continue;
-      }
-      std::fprintf(stderr, "unknown argument: %s\n", argv[i]);
-      return 2;
-    }
-    return Run(args);
   }
   return Usage();
 }
