@@ -56,13 +56,15 @@ int main(int argc, char** argv) {
 
   PrintBanner("Fig 13(d): averages (normalized to E-PVM)");
   const auto epvm = runs.front().result.Average();
-  Table t({"policy", "active servers", "norm servers", "power kW",
+  // util: dominant-share utilization of the active servers, run average.
+  Table t({"policy", "active servers", "norm servers", "util", "power kW",
            "norm power", "TCT ms", "norm TCT"});
   for (const auto& r : runs) {
     const auto m = r.result.Average();
     t.AddRow({r.name, Table::Int(m.active_servers),
               Table::Num(static_cast<double>(m.active_servers) /
                              epvm.active_servers, 3),
+              Table::Num(m.avg_active_utilization, 3),
               Table::Num(m.total_watts / 1000.0, 1),
               Table::Num(m.total_watts / epvm.total_watts, 3),
               Table::Num(m.mean_tct_ms, 2),

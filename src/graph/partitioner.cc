@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdint>
 #include <numeric>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -41,6 +42,14 @@ obs::Counter& CutEdgesCounter() {
 obs::Counter& FmRejectionsCounter() {
   static obs::Counter& c = obs::MetricsRegistry::Global().GetCounter(
       "partition.bisection_rejections", obs::MetricKind::kDeterministic);
+  return c;
+}
+
+// Growing trials left unrun because an earlier one was already balanced
+// with zero cut and no later one could have won (BisectCsr).
+obs::Counter& InitialTrialsSkippedCounter() {
+  static obs::Counter& c = obs::MetricsRegistry::Global().GetCounter(
+      "partition.initial_trials_skipped", obs::MetricKind::kDeterministic);
   return c;
 }
 
@@ -125,6 +134,16 @@ struct BalanceBounds {
     return 0.0;
   }
 };
+
+// Anti-affinity arcs are the only ones that make a cut negative.
+bool HasNegativeArc(const CsrGraph& g) {
+  for (VertexIndex v = 0; v < g.num_vertices(); ++v) {
+    for (const double w : g.arc_weights(v)) {
+      if (w < 0.0) return true;
+    }
+  }
+  return false;
+}
 
 // ---------------------------------------------------------------------------
 // Initial partition on the coarsest graph: greedy graph growing. Grows side 0
@@ -393,6 +412,13 @@ void FmRefine(const CsrGraph& g, const BalanceBounds& bounds,
   FmRejectionsCounter().Add(moves_rejected);
 }
 
+// Whether a level of `n` vertices runs the multi-trial FM, the only reader
+// of its level salt; every other level refines single-stream.
+bool MultiTrialLevel(VertexIndex n, const PartitionOptions& opts) {
+  return n >= static_cast<VertexIndex>(opts.parallel_min_vertices) &&
+         opts.fm_trials > 1;
+}
+
 // ---------------------------------------------------------------------------
 // Multi-trial FM (DESIGN.md §16): on levels big enough to matter, run
 // opts.fm_trials independent FM instances from the same projected
@@ -412,8 +438,7 @@ void FmRefineMultiTrial(const CsrGraph& g, const BalanceBounds& bounds,
                         std::vector<std::uint8_t>& side, double& cut,
                         double& w0, PartitionScratch& s) {
   const auto n = g.num_vertices();
-  if (n < static_cast<VertexIndex>(opts.parallel_min_vertices) ||
-      opts.fm_trials <= 1) {
+  if (!MultiTrialLevel(n, opts)) {
     FmRefine(g, bounds, opts, side, cut, w0, s);
     return;
   }
@@ -603,7 +628,19 @@ CsrBisection BisectCsr(const CsrGraph& g, const PartitionOptions& opts,
   double best_cut = 0.0;
   double best_w0 = 0.0;
   bool have_best = false;
-  for (int t = 0; t < std::max(1, opts.initial_trials); ++t) {
+  // A trial replaces the best only with a smaller violation or a cut smaller
+  // by more than 1e-12. Once the best is balanced and uncut on a coarsest
+  // graph without negative arcs, where no cut is below zero, no later trial
+  // can win. The trials left would only advance `rng`, whose later draws are
+  // the level salts; when `g` fails MultiTrialLevel, so does every coarser
+  // level, and no salt is read. Stopping there returns the same partition
+  // (DESIGN.md §11). The negative-arc scan runs once, when a candidate
+  // first appears.
+  const bool salts_read = MultiTrialLevel(n, opts);
+  std::optional<bool> negative_arc;
+  const int trials = std::max(1, opts.initial_trials);
+  int skipped = 0;
+  for (int t = 0; t < trials; ++t) {
     double w0 = 0.0;
     GrowInitialPartition(coarsest, coarse_bounds, rng, s, s.trial_side, &w0);
     double cut = 0.0;  // FmRefine derives it from the Attach scan
@@ -620,7 +657,16 @@ CsrBisection BisectCsr(const CsrGraph& g, const PartitionOptions& opts,
       best_w0 = w0;
       have_best = true;
     }
+    if (!salts_read && coarse_bounds.Violation(best_w0) == 0.0 &&
+        best_cut <= 0.0) {
+      if (!negative_arc) negative_arc = HasNegativeArc(coarsest);
+      if (!*negative_arc) {
+        skipped = trials - t - 1;
+        break;
+      }
+    }
   }
+  InitialTrialsSkippedCounter().Add(static_cast<std::uint64_t>(skipped));
 
   // Project through the hierarchy, refining at every level. Each level
   // draws its refinement salt from the bisection's serial stream, so the
@@ -640,8 +686,8 @@ CsrBisection BisectCsr(const CsrGraph& g, const PartitionOptions& opts,
     s.side.swap(s.fine_side);
     // Projection preserves both tracked quantities algebraically (coarse
     // balance and arc weights are sums of fine ones), so carry them instead
-    // of recomputing O(arcs) per level; the final per-bisection recompute
-    // below re-canonicalizes the reported numbers.
+    // of recomputing O(arcs) per level; each level's Attach scan re-prices
+    // the cut anyway.
     const BalanceBounds bounds(fine.total_balance_weight(), target_fraction,
                                opts.balance_tolerance);
     const std::uint64_t level_salt = rng.NextU64();

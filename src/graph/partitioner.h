@@ -48,11 +48,11 @@ struct PartitionOptions {
   // KWayPartition (0 = off).
   int kway_refine_passes = 2;
   // Independent FM trials per uncoarsening level on graphs of at least
-  // parallel_min_vertices vertices (1 = classic single-stream FM). The
-  // trials split the refine_passes budget, run from keyed per-trial
-  // sub-streams, and fold to one canonical winner (graph/refine.h), so the
-  // result is a pure function of the options — identical whether the trials
-  // ran concurrently or back-to-back.
+  // parallel_min_vertices vertices (1 = classic single-stream FM). Each
+  // trial gets the full refine_passes budget, runs from a keyed per-trial
+  // sub-stream, and the trials fold to one canonical winner
+  // (graph/refine.h), so the result is a pure function of the options —
+  // identical whether the trials ran concurrently or back-to-back.
   int fm_trials = 4;
   // Below this vertex count a level is refined single-stream and coarsened
   // without the pool: tiny levels are cheaper serial than synchronized.

@@ -43,6 +43,8 @@ std::string RunLogger::EpochLine(const EpochRecord& rec) {
   w.Double(rec.network_watts);
   w.Key("total_watts");
   w.Double(rec.total_watts);
+  w.Key("avg_active_utilization");
+  w.Double(rec.avg_active_utilization);
   w.Key("mean_tct_ms");
   w.Double(rec.mean_tct_ms);
   w.Key("p99_tct_ms");

@@ -51,6 +51,7 @@ struct EpochRecord {
   double server_watts = 0.0;
   double network_watts = 0.0;
   double total_watts = 0.0;
+  double avg_active_utilization = 0.0;  // dominant share, active servers
   double mean_tct_ms = 0.0;
   double p99_tct_ms = 0.0;
   double energy_per_request_j = 0.0;

@@ -242,6 +242,7 @@ ExperimentResult ExperimentRunner::Run(Scheduler& scheduler) const {
       rec.server_watts = m.server_watts;
       rec.network_watts = m.network_watts;
       rec.total_watts = m.total_watts;
+      rec.avg_active_utilization = m.avg_active_utilization;
       rec.mean_tct_ms = m.mean_tct_ms;
       rec.p99_tct_ms = m.p99_tct_ms;
       rec.energy_per_request_j = m.energy_per_request_j;

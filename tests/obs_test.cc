@@ -211,6 +211,7 @@ obs::EpochRecord MakeRecord() {
   rec.epoch = 3;
   rec.active_servers = 12;
   rec.total_watts = 5451.25;
+  rec.avg_active_utilization = 0.625;
   rec.counters = {{"partition.cut_edges_evaluated", 123}};
   rec.has_hash = true;
   rec.hash_placement = 0x1111;
@@ -224,6 +225,9 @@ TEST(RunLoggerTest, EpochLineLayout) {
   EXPECT_EQ(line.rfind("{\"schema\":\"gl.epoch.v1\"", 0), 0u);
   EXPECT_NE(line.find("\"scheduler\":\"Goldilocks\""), std::string::npos);
   EXPECT_NE(line.find("\"epoch\":3"), std::string::npos);
+  EXPECT_NE(line.find("\"total_watts\":5451.25,"
+                      "\"avg_active_utilization\":0.625,"),
+            std::string::npos);
   EXPECT_NE(line.find("\"counters\":{\"partition.cut_edges_evaluated\":123}"),
             std::string::npos);
   EXPECT_NE(line.find("\"rng\":\"ffeeddccbbaa9988\""), std::string::npos);

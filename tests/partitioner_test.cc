@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <set>
 
 #include "common/rng.h"
 #include "graph/partitioner.h"
 #include "graph/refine.h"
+#include "obs/metrics.h"
 
 namespace gl {
 namespace {
@@ -495,6 +497,128 @@ TEST(BisectTest, MultiTrialRefinementNeverLosesToSingleTrial) {
   ASSERT_GE(multi.fm_trials, 2) << "default must exercise the trial fold";
   const Bisection best = Bisect(g, multi);
   EXPECT_LE(best.cut_weight, base.cut_weight + 1e-9);
+}
+
+// --- Growing-trial stop ----------------------------------------------------------
+
+// `cliques` disconnected cliques of `size` vertices with weights in
+// 0.1..0.9, so an equal split along the cliques is balanced with zero cut.
+// A nonzero `anti_affinity` adds that (negative) arc between the first
+// vertices of cliques 0 and 1.
+CsrGraph DisjointCliques(int cliques, int size, double anti_affinity = 0.0) {
+  CsrGraphBuilder builder;
+  for (int i = 0; i < cliques * size; ++i) {
+    builder.AddVertex(Resource{.cpu = 1, .mem_gb = 1, .net_mbps = 1}, 1.0);
+  }
+  for (int c = 0; c < cliques; ++c) {
+    for (int i = 0; i < size; ++i) {
+      for (int j = i + 1; j < size; ++j) {
+        builder.AddEdge(c * size + i, c * size + j,
+                        0.1 * static_cast<double>(1 + (i + j) % 9));
+      }
+    }
+  }
+  if (anti_affinity != 0.0) builder.AddEdge(0, size, anti_affinity);
+  return builder.Build();
+}
+
+// Deltas of the bisection's work counters across one Bisect call.
+struct TrialWork {
+  Bisection bis;
+  std::uint64_t skipped = 0;
+  std::uint64_t arcs = 0;
+};
+
+TrialWork BisectCounted(const CsrGraph& g, const PartitionOptions& opts) {
+  auto& reg = obs::MetricsRegistry::Global();
+  const obs::Counter& skipped = reg.GetCounter(
+      "partition.initial_trials_skipped", obs::MetricKind::kDeterministic);
+  const obs::Counter& arcs = reg.GetCounter(
+      "partition.cut_edges_evaluated", obs::MetricKind::kDeterministic);
+  const std::uint64_t skipped_before = skipped.value();
+  const std::uint64_t arcs_before = arcs.value();
+  TrialWork w;
+  w.bis = Bisect(g, opts);
+  w.skipped = skipped.value() - skipped_before;
+  w.arcs = arcs.value() - arcs_before;
+  return w;
+}
+
+TEST(BisectTrialStop, BalancedZeroCutEndsTheGrowingTrials) {
+  // The first trial grows one whole clique: balanced, cut 0. No later trial
+  // can beat that, so the other seven never run and the result is the one
+  // a single trial returns.
+  const CsrGraph g = DisjointCliques(2, 12);
+  PartitionOptions one;
+  one.initial_trials = 1;
+  PartitionOptions eight;
+  eight.initial_trials = 8;
+  const TrialWork a = BisectCounted(g, one);
+  const TrialWork b = BisectCounted(g, eight);
+  EXPECT_TRUE(b.bis.balanced);
+  EXPECT_EQ(b.bis.cut_weight, 0.0);
+  EXPECT_EQ(b.bis.side, a.bis.side);
+  EXPECT_EQ(b.bis.cut_weight, a.bis.cut_weight);
+  EXPECT_EQ(a.skipped, 0u);
+  EXPECT_EQ(b.skipped, 7u);
+  EXPECT_EQ(b.arcs, a.arcs);
+
+  // Joined by a bridge, the best cut is positive and a later trial could
+  // still find a smaller one: every trial runs.
+  const TrialWork bridged = BisectCounted(TwoCliques(12), eight);
+  EXPECT_DOUBLE_EQ(bridged.bis.cut_weight, 1.0);
+  EXPECT_EQ(bridged.skipped, 0u);
+}
+
+TEST(BisectTrialStop, NegativeArcKeepsEveryTrial) {
+  // An anti-affinity arc makes a negative cut possible, so a later trial
+  // could still win: every trial runs.
+  const CsrGraph g = DisjointCliques(2, 12, -0.5);
+  PartitionOptions one;
+  one.initial_trials = 1;
+  PartitionOptions eight;
+  eight.initial_trials = 8;
+  const TrialWork a = BisectCounted(g, one);
+  const TrialWork b = BisectCounted(g, eight);
+  EXPECT_NE(b.bis.side[0], b.bis.side[12]);
+  EXPECT_EQ(b.skipped, 0u);
+  EXPECT_GT(b.arcs, a.arcs);
+}
+
+TEST(BisectTrialStop, UnbalancedBestKeepsEveryTrial) {
+  // Balance weights 1, 1, 1 and 9 admit no split within tolerance, so the
+  // best trial stays unbalanced even at zero cut, and a later trial could
+  // still lower its violation: every trial runs.
+  CsrGraphBuilder builder;
+  for (const double bw : {1.0, 1.0, 1.0, 9.0}) {
+    builder.AddVertex(Resource{.cpu = 1, .mem_gb = 1, .net_mbps = 1}, bw);
+  }
+  builder.AddEdge(0, 1, 0.3);
+  builder.AddEdge(1, 2, 0.7);
+  const CsrGraph g = builder.Build();
+  PartitionOptions eight;
+  eight.initial_trials = 8;
+  const TrialWork w = BisectCounted(g, eight);
+  EXPECT_FALSE(w.bis.balanced);
+  EXPECT_EQ(w.skipped, 0u);
+}
+
+TEST(BisectTrialStop, LevelsThatReadTheirSaltKeepEveryTrial) {
+  // 520 cliques of 8: above parallel_min_vertices, so with several FM
+  // trials the finest level reads the salt drawn after the growing trials,
+  // and skipping trials would change it. With one FM trial no salt is read.
+  const CsrGraph g = DisjointCliques(520, 8);
+  PartitionOptions multi;
+  ASSERT_GE(g.num_vertices(), multi.parallel_min_vertices);
+  ASSERT_GT(multi.fm_trials, 1);
+  PartitionOptions single;
+  single.fm_trials = 1;
+  const TrialWork m = BisectCounted(g, multi);
+  const TrialWork s = BisectCounted(g, single);
+  EXPECT_TRUE(m.bis.balanced);
+  EXPECT_TRUE(s.bis.balanced);
+  EXPECT_EQ(m.skipped, 0u);
+  EXPECT_GT(s.skipped, 0u);
 }
 
 }  // namespace

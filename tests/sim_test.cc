@@ -381,6 +381,120 @@ TEST(Runner, ReuseEpochsBitIdentical) {
   }
 }
 
+TEST(Runner, AzureControllerEpochsBitIdentical) {
+  // The Azure mix changes its live set every epoch, so every epoch is a
+  // fresh repartition of ~150-220 containers through EpochController::Step
+  // — dozens of tiny bisections per epoch. The constants pin each epoch's
+  // hashes and TCT bit patterns, so any change to which partition a
+  // bisection returns shows here.
+  struct Expected {
+    std::uint64_t placement, loads, power, migration, rng, mean_tct_bits,
+        p99_tct_bits;
+  };
+  constexpr Expected kExpected[] = {
+      {0x7599939b6b89afa4ULL, 0x90775c3acfef27aeULL, 0x129157b775088773ULL,
+       0x81d23fd7003c2305ULL, 0x3c729417d480f511ULL, 0x3ff117d7149a899bULL,
+       0x400cbd8694757345ULL},
+      {0xc65a1c25e155a0a4ULL, 0x6ef411866a6d5ac2ULL, 0x371c244b4faa1b49ULL,
+       0xbe456578dd486241ULL, 0x24f82d0d3e5287aeULL, 0x3ff545d5b61a4f2bULL,
+       0x3fffacd6b8f0ac24ULL},
+      {0xf41bf7f526ad7edaULL, 0xecf4c279db2084ecULL, 0x88ba873d2a7dad07ULL,
+       0x3968ae53e01529e5ULL, 0x4650326332e043dcULL, 0x3fefaf891c206381ULL,
+       0x3ff0d4e417c8bdc3ULL},
+      {0xe5dddc6bb9db2642ULL, 0x014603f8db2aba25ULL, 0xac426b13ade9d9e6ULL,
+       0x5e7ad3fb9887ce0bULL, 0x05889a1a3bb8444eULL, 0x3fef5d9c18a7c7ecULL,
+       0x3ff13acc14517de3ULL},
+      {0x96accfc6a375f8e4ULL, 0x258e46870f64262eULL, 0x2f29f1e3942e54ffULL,
+       0xf00cf88b437564a4ULL, 0xa68d15093c94d22eULL, 0x3ff3eb18432cf46dULL,
+       0x3ffc7cf20ed140acULL},
+      {0xfaee1eeb684f9546ULL, 0x639e28b965b96064ULL, 0x85bb805bc51cf4f4ULL,
+       0x93768c6c70a7c2d5ULL, 0x89a9d375aca66345ULL, 0x3ff04ae50b83f988ULL,
+       0x3ff3781aeb57017dULL},
+      {0x64eb65c160a61399ULL, 0x0e7f2269329da3f0ULL, 0xe923747874f259eeULL,
+       0x83682523584e4ff8ULL, 0xb98400059a84bfc4ULL, 0x3feef732454219e8ULL,
+       0x3ff4a0635a31fcf8ULL},
+      {0xd7c43b3599141ee8ULL, 0x37d6671bcc389884ULL, 0x3a864acfefe80387ULL,
+       0x9d4456e3f2400abbULL, 0x472973ae661731ffULL, 0x3ff74cd910700362ULL,
+       0x40033e6db4fc793fULL},
+      {0xf41bf7f526ad7edaULL, 0xd9b71f94ae4bafe5ULL, 0x8785a6ef4b156d00ULL,
+       0xd9dd2b1c4704aa53ULL, 0xfdb6cf0c09ed12e0ULL, 0x3ff3a769e5f2d5ffULL,
+       0x3ff601ddc00db8a5ULL},
+      {0x35f241c46a55c3c7ULL, 0xe9ec2d6258cb4b99ULL, 0x83ccc41dc9a2f1d2ULL,
+       0xf3f1990187ba080cULL, 0x44fc4b6193b43467ULL, 0x3ff0cee66568c808ULL,
+       0x3ff3637db3521650ULL},
+      {0xe02b165d2324eca6ULL, 0x3659665a6db2ebd5ULL, 0xa7d99e8b6b192d6eULL,
+       0xe84dec82a3140b03ULL, 0x58f2662833b62690ULL, 0x3ff52bbaf0e31c08ULL,
+       0x3fffd485f4d2fa8dULL},
+      {0xea4b4b5f9850a9a6ULL, 0x83aee6c3eefe6b71ULL, 0xff001d17f4b311b4ULL,
+       0x930873ba01cd8965ULL, 0xa26e104bec63208bULL, 0x3fee8a055fef4624ULL,
+       0x3ff007a481cf3b40ULL},
+      {0x26b4e14037ba5cbbULL, 0xa2db60f2c72f6407ULL, 0xf343bc3cef3cbc76ULL,
+       0x95415ab4859a46e0ULL, 0x103a444a271676ddULL, 0x3fee5ae188decc93ULL,
+       0x3ff490be125b1619ULL},
+      {0xed7e6079a609c008ULL, 0x2f9a78d33c11b32dULL, 0x9da7a50705fae383ULL,
+       0xb45ec4c4bfb29ecfULL, 0x0de4444402f327f3ULL, 0x3fec732482938d9fULL,
+       0x3fedf03469f2960cULL},
+      {0xa92de17422df3618ULL, 0xe07675533a506ffeULL, 0x93deda855202e33eULL,
+       0x08170e9df0d8fd0eULL, 0xa03db056506a7b06ULL, 0x3fee2094083a9e1dULL,
+       0x3ff3c3bd81dad9dcULL},
+      {0xf651585daf5d5e88ULL, 0x256224e6382fb08fULL, 0x7a67148f0a63961fULL,
+       0x3a70db0fe8bab155ULL, 0xba37e933f1f17b39ULL, 0x3fec5368c339372bULL,
+       0x3fedd9fb1edb52afULL},
+      {0x5e46559a49f13f6dULL, 0x7cc0727062afabd7ULL, 0xfacf3b1cb20a8557ULL,
+       0x70320f4b10a15fd0ULL, 0xc8c0918a2793783eULL, 0x3feed570d322eff7ULL,
+       0x400999c3afa9dbd6ULL},
+      {0xf6fad4225009d78cULL, 0x7efd384ad27d324fULL, 0x46dae971b5208f37ULL,
+       0xebe7b320c2400fecULL, 0x90958b4a1ad37972ULL, 0x3fee71a1c1884e54ULL,
+       0x40098913c020b99dULL},
+      {0x3f09b8024ce1748fULL, 0x679a5a3a5c3836baULL, 0x77fc9d609cccb9d0ULL,
+       0x49aeb94b88cebee3ULL, 0xc4e68452fcd50a7aULL, 0x3feba6589a288838ULL,
+       0x3ff0a72ee0a590c9ULL},
+      {0x62d11a977f697baaULL, 0xaa36053384af0934ULL, 0x340fc10678f62978ULL,
+       0x168a13d7ea94ceccULL, 0xe829c0f4996dbe68ULL, 0x3feaffbebe7748fbULL,
+       0x3febc074876e5effULL},
+      {0xac75a35a720977cdULL, 0x52474f1f0c8d34b0ULL, 0x20527a30c06018eaULL,
+       0xddb6d80ecba73de4ULL, 0x9d0029b12fac6819ULL, 0x3febde4720349277ULL,
+       0x3fed9b8818c75830ULL},
+      {0xad312ce65bb52cf5ULL, 0xf6c636b660a14eefULL, 0x85ff9b9920551b72ULL,
+       0x49cbd0131018ae8aULL, 0x4bf95b1a19122271ULL, 0x3fed1b2a43cab241ULL,
+       0x3ff3642c4cf5cbb7ULL},
+      {0x4d82aa23375ba147ULL, 0x6f53e16e16260948ULL, 0xc5b9c0e08557b3e3ULL,
+       0x3f13eb3fed14814cULL, 0x24ab411517462032ULL, 0x3fecb0fc2f957ab6ULL,
+       0x3ff178a12121f313ULL},
+      {0x35a0f727b0730375ULL, 0x7866e17f73077b0fULL, 0xb7988ac0751ac2f3ULL,
+       0xc7a78b744ec12449ULL, 0x1cf61daf51f17c0dULL, 0x3febd720ec50eecaULL,
+       0x3fee6a0cc1dcbb0cULL},
+  };
+  AzureScenarioOptions sopts;
+  sopts.num_epochs = 24;
+  const auto scenario = MakeAzureMixScenario(sopts);
+  const Topology topo = Topology::Testbed16();
+  RunnerOptions opts;
+  opts.record_state_hashes = true;
+  const ExperimentRunner runner(*scenario, topo, opts);
+  GoldilocksScheduler sched;
+  const obs::Counter& hits = obs::MetricsRegistry::Global().GetCounter(
+      "goldilocks.partition_cache_hits", obs::MetricKind::kDeterministic);
+  const std::uint64_t hits_before = hits.value();
+  const auto result = runner.Run(sched);
+  EXPECT_EQ(hits.value(), hits_before);  // every epoch repartitioned
+  ASSERT_EQ(result.epochs.size(), std::size(kExpected));
+  ASSERT_EQ(result.state_hashes.size(), std::size(kExpected));
+  for (std::size_t e = 0; e < std::size(kExpected); ++e) {
+    SCOPED_TRACE(e);
+    const auto& h = result.state_hashes[e];
+    EXPECT_EQ(h.placement, kExpected[e].placement);
+    EXPECT_EQ(h.loads, kExpected[e].loads);
+    EXPECT_EQ(h.power, kExpected[e].power);
+    EXPECT_EQ(h.migration, kExpected[e].migration);
+    EXPECT_EQ(h.rng, kExpected[e].rng);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(result.epochs[e].mean_tct_ms),
+              kExpected[e].mean_tct_bits);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(result.epochs[e].p99_tct_ms),
+              kExpected[e].p99_tct_bits);
+  }
+}
+
 // Records what Place saw and what it returned, epoch by epoch.
 class RecordingScheduler final : public Scheduler {
  public:

@@ -128,8 +128,8 @@ if [[ "${STAGE}" == "tsan" ]]; then
   # concurrent FM trials, via LargeBisectionIsExactlyThreadCountInvariant's
   # n=6000 graph above the parallel_min_vertices gate) -- so a data race
   # fails this stage even when it happens not to corrupt the state hashes.
-  # ctest's gl_report_replay_threads8 replays every scheduler with the
-  # partitioner at 8 threads.
+  # ctest's gl_report_replay_threads8 and gl_report_replay_azure_threads8
+  # replay every scheduler with the partitioner at 8 threads.
   export TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1"
   run_stage "TSan" build-check-tsan \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo -DGOLDILOCKS_WERROR=ON \
