@@ -469,10 +469,6 @@ void InvariantAuditor::AuditGraph(const CsrGraph& graph,
       if (!std::isfinite(w)) {
         add.Add(AuditSeverity::kError, AuditClass::kGraph, "graph",
                 "edge weight is non-finite", {v, u});
-      } else if (!opts_.allow_negative_edges && w < 0.0) {
-        add.Add(AuditSeverity::kError, AuditClass::kGraph, "graph",
-                Format("negative edge weight %.3f (limit %.0f)", w, 0.0),
-                {v, u});
       }
       // Symmetry: the reverse arc must exist with the same weight. Only
       // checked for v < u so each pair is reported once.

@@ -34,8 +34,8 @@
 //                     level 1, ...).
 //   graph           — symmetric adjacency, no self-loops, finite weights,
 //                     non-negative vertex demands and balance weights.
-//                     Negative *edge* weights are legal in the container
-//                     graph (replica anti-affinity) and gated by an option.
+//                     Negative *edge* weights are legal (replica
+//                     anti-affinity).
 //   topology        — single root, consistent parent/child links, levels
 //                     strictly decreasing toward the leaves, servers exactly
 //                     at level 0, finite non-negative capacities.
@@ -115,9 +115,6 @@ struct AuditOptions {
   // Placement never fails hard, so a saturated cluster can legitimately
   // co-locate replicas; flip to false to downgrade those findings.
   bool replica_violation_is_error = true;
-  // Container graphs carry negative anti-affinity edges by design; set
-  // false when auditing capacity graphs, where every weight is a distance.
-  bool allow_negative_edges = true;
   // Utilization samples for the power-model monotonicity sweep.
   int power_model_samples = 64;
   // Findings per invariant class are capped so a massively corrupted state

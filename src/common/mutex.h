@@ -56,7 +56,6 @@ class CondVar {
     cv_.wait(lock);
     lock.release();  // the caller still owns the (reacquired) mutex
   }
-  void NotifyOne() { cv_.notify_one(); }
   void NotifyAll() { cv_.notify_all(); }
 
  private:

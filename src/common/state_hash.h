@@ -37,7 +37,6 @@ class StateHasher {
       h_ = (h_ ^ ((v >> (8 * i)) & 0xff)) * kFnvPrime;
     }
   }
-  void MixI64(std::int64_t v) { MixU64(static_cast<std::uint64_t>(v)); }
   void MixI32(std::int32_t v) {
     MixU64(static_cast<std::uint64_t>(static_cast<std::uint32_t>(v)));
   }

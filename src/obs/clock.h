@@ -49,9 +49,6 @@ class WallTimer {
   [[nodiscard]] double ElapsedMs() const {
     return static_cast<double>(MonotonicMicros() - start_us_) / 1000.0;
   }
-  [[nodiscard]] double ElapsedUs() const {
-    return static_cast<double>(MonotonicMicros() - start_us_);
-  }
 
  private:
   std::int64_t start_us_;

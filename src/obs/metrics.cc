@@ -84,7 +84,7 @@ std::vector<CounterValue> MetricsRegistry::DeltaCounters(
         [](const CounterValue& a, const std::string& n) { return a.name < n; });
     const std::uint64_t prev =
         (it != before.end() && it->name == cv.name) ? it->value : 0;
-    out.push_back({cv.name, cv.value - prev});
+    if (cv.value != prev) out.push_back({cv.name, cv.value - prev});
   }
   return out;
 }

@@ -125,7 +125,9 @@ class MetricsRegistry {
   [[nodiscard]] std::vector<GaugeValue> SnapshotGauges(MetricKind kind) const;
 
   // Element-wise `now - before` over a prior snapshot (names absent from
-  // `before` diff against zero). Used by RunLogger for per-epoch deltas.
+  // `before` diff against zero), keeping only the names that moved. The
+  // runner logs these as per-epoch deltas, so a record lists exactly the
+  // counters its epoch moved, whatever registered earlier in the process.
   [[nodiscard]] static std::vector<CounterValue> DeltaCounters(
       const std::vector<CounterValue>& before,
       const std::vector<CounterValue>& now);

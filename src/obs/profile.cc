@@ -266,6 +266,7 @@ Profile BuildProfile(const std::vector<TraceEvent>& events) {
       kids_us += events[static_cast<std::size_t>(k)].dur_us;
     }
     entry.self_us += std::max(0.0, ev.dur_us - kids_us);
+    entry.self_cpu_us += StepCostUs(events, nodes, i);
   }
   profile.flat.reserve(flat.size());
   for (auto& [name, entry] : flat) profile.flat.push_back(std::move(entry));

@@ -47,11 +47,15 @@ struct ProfileNode {
 // Per-name totals over every span instance regardless of position in the
 // tree. `total_us` double-counts recursive frames (a span nested under a
 // same-named span contributes to both instances); `self_us` never does.
+// `self_cpu_us` sums each instance's critical-path step cost: its thread
+// CPU minus same-thread children's CPU, or, for a span recorded without CPU
+// data, its wall minus the wall its children cover.
 struct FlatProfileEntry {
   std::string name;
   std::uint64_t count = 0;
   double total_us = 0.0;
   double self_us = 0.0;
+  double self_cpu_us = 0.0;
 };
 
 struct Profile {

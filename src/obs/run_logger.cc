@@ -85,7 +85,7 @@ std::string RunLogger::EpochLine(const EpochRecord& rec) {
     w.EndObject();
   }
 
-  // Informational tail: gl_report --check strips everything from "timings"
+  // Informational tail: gl_report diff strips everything from "timings"
   // on before comparing two streams. wall_ms and the informational gauges
   // live inside it — the deterministic prefix carries no timing- or
   // environment-dependent byte.

@@ -1,17 +1,17 @@
 // Structured run logs: one JSONL record per epoch ("gl.epoch.v1").
 //
 // The RunLogger is the third observability pillar: a streaming sink that the
-// ExperimentRunner feeds one EpochRecord per epoch when RunnerOptions::obs
-// points at a logger. Each record is a single JSON line with four sections:
+// ExperimentRunner feeds one EpochRecord per epoch when RunnerOptions::logger
+// points at it. Each record is a single JSON line with four sections:
 //
 //   top-level   — schema, scheduler, scenario, epoch  (deterministic)
 //   "metrics"   — power / TCT / placement numbers     (deterministic)
-//   "counters"  — per-epoch deltas of the deterministic counters
+//   "counters"  — deltas of the deterministic counters the epoch moved
 //   "hash"      — the §8 EpochStateHash subsystem digests (when recorded)
 //   "timings"   — wall_ms and informational gauges     (informational ONLY)
 //
 // Everything outside "timings" must be byte-identical across two same-seed
-// runs — that is what `gl_report --check` and the replay gate diff. The
+// runs — that is what `gl_report diff` and the replay gate compare. The
 // "timings" section is excluded from every comparison and never hashed.
 //
 // Per-epoch counter deltas attribute to the right epoch only when epochs run
@@ -74,22 +74,14 @@ struct EpochRecord {
 
   // ---- informational section ("timings") — never hashed, never diffed ----
   // Every informational field lives here and is serialized inside the
-  // trailing "timings":{...} object (wall_ms included — it is strippable by
-  // `gl_report check` like every other timing). Anything added later that
+  // trailing "timings":{...} object (wall_ms included — `gl_report diff`
+  // strips it like every other timing). Anything added later that
   // is timing- or environment-dependent must join this section, never the
   // deterministic prefix.
   double wall_ms = 0.0;
   // Informational gauges at epoch end (pool utilization, arena peaks, peak
   // RSS, ... — MetricsRegistry::SnapshotGauges(kInformational)).
   std::vector<GaugeValue> info_gauges;
-};
-
-class RunLogger;
-
-// Knob block embedded in sim RunnerOptions. A struct (not a bare pointer)
-// so later PRs can add obs knobs without touching the runner's signature.
-struct ObsOptions {
-  RunLogger* logger = nullptr;  // per-epoch JSONL sink; nullptr = disabled
 };
 
 class RunLogger {

@@ -103,7 +103,6 @@ class SwitchPowerModel {
   static SwitchPowerModel FacebookWedge() { return {"Facebook Wedge", 282.0}; }
   static SwitchPowerModel Facebook6Pack() { return {"Facebook 6 Pack", 1400.0}; }
   static SwitchPowerModel Altoline6940() { return {"HPE Altoline 6940", 315.0}; }
-  static SwitchPowerModel Altoline6920() { return {"HPE Altoline 6920", 315.0}; }
   // The testbed's HPE 3800 48-port switch.
   static SwitchPowerModel Hpe3800() { return {"HPE 3800", 160.0}; }
 

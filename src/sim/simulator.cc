@@ -94,7 +94,7 @@ ExperimentResult ExperimentRunner::Run(Scheduler& scheduler) const {
   // Per-epoch counter deltas only attribute correctly when this run has the
   // process-wide registry to itself (DESIGN.md §10).
   const bool log_counters =
-      opts_.obs.logger != nullptr && opts_.threads <= 1;
+      opts_.logger != nullptr && opts_.threads <= 1;
   ExperimentResult result;
   result.scheduler = scheduler.name();
   result.scenario = scenario_.name();
@@ -232,7 +232,7 @@ ExperimentResult ExperimentRunner::Run(Scheduler& scheduler) const {
     m.wall_ms = epoch_timer.ElapsedMs();
     result.epochs.push_back(m);
 
-    if (opts_.obs.logger != nullptr) {
+    if (opts_.logger != nullptr) {
       obs::EpochRecord rec;
       rec.scheduler = result.scheduler;
       rec.scenario = result.scenario;
@@ -273,7 +273,7 @@ ExperimentResult ExperimentRunner::Run(Scheduler& scheduler) const {
       rss_gauge.Set(static_cast<double>(obs::PeakRssBytes()));
       rec.info_gauges = obs::MetricsRegistry::Global().SnapshotGauges(
           obs::MetricKind::kInformational);
-      opts_.obs.logger->WriteEpoch(rec);
+      opts_.logger->WriteEpoch(rec);
     }
 
     previous = std::move(decision.placement);

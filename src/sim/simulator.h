@@ -61,15 +61,16 @@ struct RunnerOptions {
   // same-seed runs must produce identical streams; `gl_report replay` diffs
   // them and reports the first divergent epoch and subsystem.
   bool record_state_hashes = false;
-  // Opt-in observability (src/obs): when obs.logger is set the runner
-  // streams one "gl.epoch.v1" JSONL record per epoch — metrics, per-epoch
-  // deterministic-counter deltas, state hashes (when recorded), the epoch's
-  // wall time and informational gauges. Purely additive: enabling it changes no simulation state, no
-  // placement, and no EpochStateHash (tested by obs_test). Counter deltas
-  // are attributed per epoch only when threads == 1; a parallel RunMany
-  // shares the process-wide registry across experiments, so the runner
-  // omits the counters section rather than log cross-contaminated deltas.
-  obs::ObsOptions obs;
+  // Opt-in observability (src/obs): when logger is set the runner streams
+  // one "gl.epoch.v1" JSONL record per epoch — metrics, the deltas of the
+  // deterministic counters the epoch moved, state hashes (when recorded),
+  // the epoch's wall time and informational gauges. Purely additive:
+  // enabling it changes no simulation state, no placement, and no
+  // EpochStateHash (tested by obs_test). Counter deltas are attributed per
+  // epoch only when threads == 1; a parallel RunMany shares the
+  // process-wide registry across experiments, so the runner omits the
+  // counters section rather than log cross-contaminated deltas.
+  obs::RunLogger* logger = nullptr;
   // Worker threads for RunMany's scheduler fan-out (1 = serial). Each
   // scheduler's run is fully independent — shared state (scenario, topology,
   // options) is read-only — so every thread count produces bit-identical

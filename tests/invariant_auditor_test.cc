@@ -246,8 +246,7 @@ TEST(InvariantAuditor, DetectsGraphCorruption) {
   auditor.AuditGraph(bad_vertex.Build(), r2);
   EXPECT_TRUE(r2.Has(AuditClass::kGraph)) << r2.ToString();
 
-  // Negative (anti-affinity) edges are legal in container graphs but not in
-  // capacity graphs.
+  // Negative (anti-affinity) edges are legal in container graphs.
   CsrGraphBuilder negative_builder;
   const auto u = negative_builder.AddVertex(Resource{1, 1, 1});
   const auto v = negative_builder.AddVertex(Resource{1, 1, 1});
@@ -256,11 +255,6 @@ TEST(InvariantAuditor, DetectsGraphCorruption) {
   AuditReport lax;
   auditor.AuditGraph(negative, lax);
   EXPECT_FALSE(lax.Has(AuditClass::kGraph)) << lax.ToString();
-  AuditOptions strict;
-  strict.allow_negative_edges = false;
-  AuditReport r3;
-  InvariantAuditor(strict).AuditGraph(negative, r3);
-  EXPECT_TRUE(r3.Has(AuditClass::kGraph)) << r3.ToString();
 }
 
 TEST(InvariantAuditor, DetectsTopologyCorruption) {

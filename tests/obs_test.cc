@@ -192,10 +192,10 @@ TEST(MetricsTest, RegistryHandlesAreIdempotentAndSnapshotsSorted) {
 }
 
 TEST(MetricsTest, DeltaCountersDiffsAgainstMissingNamesAsZero) {
-  const std::vector<obs::CounterValue> before = {{"b", 5}};
-  const std::vector<obs::CounterValue> now = {{"a", 3}, {"b", 9}};
+  const std::vector<obs::CounterValue> before = {{"b", 5}, {"c", 7}};
+  const std::vector<obs::CounterValue> now = {{"a", 3}, {"b", 9}, {"c", 7}};
   const auto delta = obs::MetricsRegistry::DeltaCounters(before, now);
-  ASSERT_EQ(delta.size(), 2u);
+  ASSERT_EQ(delta.size(), 2u);  // "c" did not move, so it is left out
   EXPECT_EQ(delta[0].name, "a");
   EXPECT_EQ(delta[0].value, 3u);
   EXPECT_EQ(delta[1].name, "b");
@@ -289,6 +289,21 @@ TEST(RunLoggerTest, DeterministicSectionIsByteStableAcrossSerializations) {
 
 // --- obs neutrality --------------------------------------------------------
 
+// A JSONL stream with every line cut before its informational tail.
+std::string StripTimings(const std::string& text) {
+  std::string out;
+  std::size_t start = 0;
+  while (start < text.size()) {
+    const std::size_t nl = text.find('\n', start);
+    const std::size_t end = nl == std::string::npos ? text.size() : nl;
+    const std::string line = text.substr(start, end - start);
+    out += line.substr(0, line.find(",\"timings\":"));
+    out += "}\n";
+    start = end + 1;
+  }
+  return out;
+}
+
 // The acceptance bar for the whole subsystem: same-seed runs with obs fully
 // enabled (logger + active trace) and fully disabled produce identical
 // EpochStateHash streams — observability observes, it never steers.
@@ -301,7 +316,7 @@ TEST(ObsNeutralityTest, StateHashesIdenticalWithObsOnAndOff) {
   const auto run = [&](obs::RunLogger* logger) {
     RunnerOptions opts;
     opts.record_state_hashes = true;
-    opts.obs.logger = logger;
+    opts.logger = logger;
     const ExperimentRunner runner(*scenario, topo, opts);
     const auto scheduler = MakeNamedScheduler("goldilocks");
     return runner.Run(*scheduler).state_hashes;
@@ -326,21 +341,31 @@ TEST(ObsNeutralityTest, StateHashesIdenticalWithObsOnAndOff) {
 
   // Two obs-on runs: byte-identical JSONL outside the timings sections.
   ASSERT_FALSE(sink1.empty());
-  const auto strip_timings = [](const std::string& text) {
-    std::string out;
-    std::size_t start = 0;
-    while (start < text.size()) {
-      const std::size_t nl = text.find('\n', start);
-      const std::size_t end = nl == std::string::npos ? text.size() : nl;
-      const std::string line = text.substr(start, end - start);
-      out += line.substr(0, line.find(",\"timings\":"));
-      out += "}\n";
-      start = end + 1;
-    }
-    return out;
-  };
-  EXPECT_EQ(strip_timings(sink1), strip_timings(sink2));
+  EXPECT_EQ(StripTimings(sink1), StripTimings(sink2));
   EXPECT_FALSE(trace.Events().empty());
+}
+
+// A record lists exactly the counters its epoch moved, so a stream does not
+// depend on what ran earlier in the process: Borg logs the same bytes
+// outside timings before and after Goldilocks registers its own counters.
+TEST(RunLoggerTest, CounterKeysDoNotDependOnEarlierRuns) {
+  TwitterScenarioOptions sopts;
+  sopts.num_epochs = 3;
+  const auto scenario = MakeTwitterCachingScenario(sopts);
+  const Topology topo = Topology::Testbed16();
+  const auto stream = [&](const char* scheduler) {
+    std::string sink;
+    obs::RunLogger logger(&sink);
+    RunnerOptions opts;
+    opts.record_state_hashes = true;
+    opts.logger = &logger;
+    const ExperimentRunner runner(*scenario, topo, opts);
+    runner.Run(*MakeNamedScheduler(scheduler));
+    return StripTimings(sink);
+  };
+  const std::string borg_first = stream("borg");
+  EXPECT_NE(stream("goldilocks").find("partition."), std::string::npos);
+  EXPECT_EQ(borg_first, stream("borg"));
 }
 
 }  // namespace

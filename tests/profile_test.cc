@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -94,6 +95,11 @@ TEST(ProfileTest, AggregatesHandBuiltDagWithCrossThreadAdoption) {
   EXPECT_EQ(p.flat[3].name, "inner");
   EXPECT_EQ(p.flat[4].name, "root");
   EXPECT_DOUBLE_EQ(p.flat[4].self_us, 0.0);
+  // Without CPU data, CPU self falls back to the wall no child cluster
+  // covers: root keeps the 66000..70000 gap, each worker its wall minus
+  // inner's.
+  EXPECT_DOUBLE_EQ(p.flat[4].self_cpu_us, 4000.0);
+  EXPECT_DOUBLE_EQ(p.flat[0].self_cpu_us, 71000.0);
 }
 
 TEST(ProfileTest, CollapsedStacksAreCanonical) {
@@ -162,6 +168,15 @@ TEST(CriticalPathTest, CpuTimeOverridesWallFallbackWhenPresent) {
   EXPECT_DOUBLE_EQ(cp.steps[2].ms, 20.0);
   EXPECT_DOUBLE_EQ(cp.path_ms, 50.0);
   EXPECT_DOUBLE_EQ(cp.serial_ms, 50.0);
+
+  // The flat profile charges each span the same CPU self time.
+  std::map<std::string, double> self_cpu_us;
+  for (const auto& e : obs::BuildProfile(events).flat) {
+    self_cpu_us[e.name] = e.self_cpu_us;
+  }
+  EXPECT_DOUBLE_EQ(self_cpu_us["root"], 20000.0);
+  EXPECT_DOUBLE_EQ(self_cpu_us["a"], 10000.0);
+  EXPECT_DOUBLE_EQ(self_cpu_us["b"], 20000.0);
 }
 
 TEST(CriticalPathTest, ParallelLanesClusterWithoutWallOverlap) {

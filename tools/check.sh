@@ -65,31 +65,34 @@ if [[ "${STAGE}" == "all" || "${STAGE}" == "release" ]]; then
   # (gl_report replay), runs in ctest above, in every stage.
   # Observability smoke (DESIGN.md §10): an instrumented two-policy run must
   # produce a valid JSONL stream and a Chrome trace, a second same-seed run
-  # must match byte-for-byte outside the "timings" sections, and the replay
-  # gate with --jsonl proves enabling observability changes no state hash.
-  echo "==> observability smoke (gl_report + obs-neutral replay)"
+  # must match it record by record outside the "timings" sections (the
+  # run-diff exits 1 otherwise), and the replay gate with --jsonl proves
+  # enabling observability changes no state hash.
+  echo "==> observability smoke (gl_report run/diff + obs-neutral replay)"
   OBS_DIR=build-check-release/obs-smoke
   mkdir -p "${OBS_DIR}"
   ./build-check-release/tools/gl_report run --epochs=8 \
     --jsonl="${OBS_DIR}/run1.jsonl" --trace="${OBS_DIR}/trace.json"
   ./build-check-release/tools/gl_report run --epochs=8 \
-    --jsonl="${OBS_DIR}/run2.jsonl" > /dev/null
-  ./build-check-release/tools/gl_report check \
+    --jsonl="${OBS_DIR}/run2.jsonl" --trace="${OBS_DIR}/trace2.json" \
+    > /dev/null
+  ./build-check-release/tools/gl_report diff \
     "${OBS_DIR}/run1.jsonl" "${OBS_DIR}/run2.jsonl"
   ./build-check-release/tools/gl_report replay --schedulers=goldilocks \
     --epochs=8 --jsonl="${OBS_DIR}/replay.jsonl"
   # Profiling smoke (DESIGN.md §15): the trace just captured must render a
-  # critical-path profile and collapsed stacks, and the same-seed streams
-  # must show zero deterministic differences under the run-diff (exit 1
-  # otherwise). The parallel replay proves profiling stays obs-neutral at
-  # threads=8 too.
+  # critical-path profile and collapsed stacks, and the two runs' traces
+  # must compare span by span (informational, exit 0). The parallel replay
+  # proves profiling stays obs-neutral at threads=8 too.
   echo "==> profiling smoke (gl_report profile/flame/diff)"
   ./build-check-release/tools/gl_report profile "${OBS_DIR}/trace.json" \
     > /dev/null
   ./build-check-release/tools/gl_report flame "${OBS_DIR}/trace.json" \
     --out="${OBS_DIR}/stacks.txt"
   ./build-check-release/tools/gl_report diff \
-    "${OBS_DIR}/run1.jsonl" "${OBS_DIR}/run2.jsonl"
+    "${OBS_DIR}/trace.json" "${OBS_DIR}/trace2.json" \
+    > "${OBS_DIR}/trace-diff.txt"
+  head -n 1 "${OBS_DIR}/trace-diff.txt"
   ./build-check-release/tools/gl_report replay --schedulers=goldilocks \
     --epochs=8 --threads=8 --jsonl="${OBS_DIR}/replay-t8.jsonl"
   # Fig 13 with stock tools: two epochs of the msr world (49,392 containers

@@ -3,7 +3,9 @@
 
 CI's perf-smoke job runs bench_partitioner_scale --json on the PR build and
 feeds the result here together with the committed reference at the repo
-root. Each fresh record is matched to the reference's "current" records by
+root. The reference may also be another raw bench --json file, so this is
+the one comparison of two bench runs (gl_report diff compares run logs and
+traces). Each fresh record is matched to the reference's records by
 (name, threads) and the medians are compared. A median more than
 --threshold (default 15%) slower than the reference emits a GitHub Actions
 ::warning:: annotation -- CI runners are shared and noisy, so a regression
@@ -96,20 +98,20 @@ def load_records(path, *, reference):
     """Returns {(name, threads): record} from either file shape.
 
     The committed reference wraps its records under current.records; a raw
-    bench --json output is a flat list.
+    bench --json output is a flat list. A reference may be either, so two
+    bench runs compare directly; the fresh file must be a raw list.
     """
     with open(path, "r", encoding="utf-8") as f:
         doc = json.load(f)
-    if reference:
+    if reference and not isinstance(doc, list):
         if not isinstance(doc, dict) or \
                 not isinstance(doc.get("current"), dict) or \
                 "records" not in doc["current"]:
-            raise MalformedInput(f"{path}: reference file lacks the "
-                                 "current.records structure")
-        records = doc["current"]["records"]
-    else:
-        records = doc
-    return _validate_records(records, path)
+            raise MalformedInput(f"{path}: reference file is neither a "
+                                 "record list nor has the current.records "
+                                 "structure")
+        doc = doc["current"]["records"]
+    return _validate_records(doc, path)
 
 
 def scaling_ratios(records):
@@ -179,7 +181,8 @@ def check_serial_share(fresh, limit):
 def run(argv):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--reference", required=True,
-                    help="committed BENCH_partitioner.json")
+                    help="committed BENCH_partitioner.json, or another "
+                         "bench --json file")
     ap.add_argument("--fresh", required=True,
                     help="bench_partitioner_scale --json output to check")
     ap.add_argument("--threshold", type=float, default=0.15,
@@ -253,6 +256,9 @@ def self_test():
         ("fresh median is a string", good_ref,
          [dict(good_rec, median_wall_ms="fast")], 2),
         ("reference lacks current.records", {"current": {}}, [good_rec], 2),
+        ("two raw bench --json files compare", [good_rec], [good_rec], 0),
+        ("raw reference list still validates its records", [{"oops": 1}],
+         [good_rec], 2),
         ("no key overlap", good_ref,
          [dict(good_rec, name="other")], 2),
     ]

@@ -7,7 +7,6 @@
 //                     [--verbose] [--jsonl=PATH] [--trace=PATH]
 //   gl_report audit   [world flags] [--pee=F] [--pee-strict] [--fail-fast]
 //   gl_report tables  FILE.jsonl
-//   gl_report check   A.jsonl B.jsonl
 //   gl_report profile TRACE.json [--root=NAME] [--top=N]
 //   gl_report flame   TRACE.json [--out=PATH]
 //   gl_report diff    A B [--threshold=FRACTION]
@@ -52,11 +51,6 @@
 // `tables` re-derives the counter tables from an existing JSONL file, so a
 // logged run can be summarized later without re-running it.
 //
-// `check` diffs two JSONL streams under the determinism contract: every
-// byte outside the informational "timings" section must match (DESIGN.md
-// §10). It also validates the schema tag on every line. Exit 0 = identical,
-// 1 = divergent/invalid, 2 = bad usage.
-//
 // `profile` re-reads a Chrome trace written by run or replay --trace= and
 // prints the attribution the flat tables cannot: top self-time frames and
 // the critical path through the parallel span forest, including how much of
@@ -66,13 +60,18 @@
 // `flame` emits the same trace as collapsed stacks ("a;b;c N", N in µs) for
 // flamegraph.pl / speedscope.
 //
-// `diff` compares two runs metric-by-metric: two gl.epoch.v1 JSONL streams
-// (per-scheduler metric/counter sums; deterministic mismatches flagged DIFF,
-// informational drift beyond --threshold flagged DRIFT) or two bench --json
-// arrays (per-configuration median wall / efficiency / peak bytes drift).
-// On JSONL streams it exits 1 on any deterministic difference, so it gates
-// same-seed runs; on bench JSON it always exits 0 — drift is a report, not
-// a gate. Unreadable or mismatched inputs exit 2.
+// `diff` is the one comparison of two run artifacts, told apart by their
+// content. Two gl.epoch.v1 streams must agree record by record outside the
+// informational "timings" tails (same record count, every line tagged with
+// the schema and carrying the tail; the first differing record is named),
+// and per-scheduler sums over the union of both streams' metrics, counters
+// and gauges say what moved: deterministic differences are flagged DIFF,
+// informational drift beyond --threshold DRIFT. Exit 0 = identical, 1 = any
+// deterministic difference. Two Chrome traces are compared per span on self
+// CPU ms, sorted by absolute change with the span that moved most on the
+// first line; timings are informational (DESIGN.md §10), so that exits 0.
+// Mixed kinds, anything else and unreadable files exit 2. Bench --json
+// files are compared by tools/perf_check.py.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -194,50 +193,6 @@ std::vector<std::pair<std::string, double>> ExtractSection(
   return pairs;
 }
 
-// --- check -----------------------------------------------------------------
-
-// The deterministic prefix of a record: everything before the trailing
-// ,"timings":{...} section, re-closed. Empty string = malformed line.
-std::string DeterministicPrefix(const std::string& line) {
-  const std::size_t at = line.find(kTimingsMarker);
-  if (at == std::string::npos || line.back() != '}') return "";
-  return line.substr(0, at) + "}";
-}
-
-int Check(const std::string& path_a, const std::string& path_b) {
-  std::vector<std::string> a, b;
-  if (!ReadLines(path_a, a) || !ReadLines(path_b, b)) return 1;
-  if (a.size() != b.size()) {
-    std::printf("CHECK FAIL: %s has %zu records, %s has %zu\n", path_a.c_str(),
-                a.size(), path_b.c_str(), b.size());
-    return 1;
-  }
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    for (const auto* line : {&a[i], &b[i]}) {
-      if (line->rfind(kSchemaPrefix, 0) != 0) {
-        std::printf("CHECK FAIL: record %zu is not a gl.epoch.v1 line\n", i);
-        return 1;
-      }
-    }
-    const std::string na = DeterministicPrefix(a[i]);
-    const std::string nb = DeterministicPrefix(b[i]);
-    if (na.empty() || nb.empty()) {
-      std::printf("CHECK FAIL: record %zu has no timings section\n", i);
-      return 1;
-    }
-    if (na != nb) {
-      std::printf("CHECK FAIL: record %zu differs outside timings\n  a: %s\n"
-                  "  b: %s\n",
-                  i, na.c_str(), nb.c_str());
-      return 1;
-    }
-  }
-  std::printf("CHECK OK: %zu records, deterministic sections byte-identical "
-              "(timings ignored)\n",
-              a.size());
-  return 0;
-}
-
 // --- tables ----------------------------------------------------------------
 
 void PrintTables(const std::vector<std::string>& lines) {
@@ -258,7 +213,8 @@ void PrintTables(const std::vector<std::string>& lines) {
   gl::PrintBanner("deterministic counter totals (sum of per-epoch deltas)");
   for (const auto& [scheduler, counters] : by_scheduler) {
     if (counters.empty()) {
-      std::printf("%s: no counters section (parallel run?)\n",
+      std::printf("%s: no counter moved (or a parallel run, which logs "
+                  "none)\n",
                   scheduler.c_str());
       continue;
     }
@@ -448,13 +404,72 @@ void DiffRow(gl::Table& t, const std::string& name, double a, double b,
             gl::Table::Num(b - a, 3), flag});
 }
 
+// One row per name in either map; a name one side lacks reads 0 there.
+void DiffRows(gl::Table& t, const std::string& prefix,
+              const std::map<std::string, double>& a,
+              const std::map<std::string, double>& b, bool deterministic,
+              double threshold, DiffCounts& counts) {
+  std::map<std::string, std::pair<double, double>> rows;
+  for (const auto& [name, v] : a) rows[name].first = v;
+  for (const auto& [name, v] : b) rows[name].second = v;
+  for (const auto& [name, ab] : rows) {
+    DiffRow(t, prefix + name, ab.first, ab.second, deterministic, threshold,
+            counts);
+  }
+}
+
+// A record's deterministic prefix: everything before its "timings" tail.
+// Empty when the line is not a gl.epoch.v1 record with that tail.
+std::string DeterministicPrefix(const std::string& line) {
+  const std::size_t at = line.find(kTimingsMarker);
+  if (line.rfind(kSchemaPrefix, 0) != 0 || at == std::string::npos ||
+      line.back() != '}') {
+    return "";
+  }
+  return line.substr(0, at);
+}
+
+// The record-by-record contract of two same-seed streams: equal record
+// counts, every line a gl.epoch.v1 record with a timings tail, and records
+// byte-identical outside their tails. Prints the first violation, naming
+// the record and the field where the bytes part, and returns false.
+bool RecordsMatch(const std::vector<std::string>& a,
+                  const std::vector<std::string>& b) {
+  if (a.size() != b.size()) {
+    std::printf("records: A has %zu, B has %zu\n", a.size(), b.size());
+    return false;
+  }
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    const std::string pa = DeterministicPrefix(a[i]);
+    const std::string pb = DeterministicPrefix(b[i]);
+    if (pa.empty() || pb.empty()) {
+      std::printf("record %zu of %s is not a gl.epoch.v1 line with a "
+                  "timings tail\n",
+                  i, pa.empty() ? "A" : "B");
+      return false;
+    }
+    if (pa == pb) continue;
+    // Both start with the schema tag, so they part at some at > 0.
+    std::size_t at = 0;
+    while (at < pa.size() && at < pb.size() && pa[at] == pb[at]) ++at;
+    const std::size_t field = pa.find_last_of("{,", at - 1) + 1;
+    std::printf("record %zu (%s epoch %d) differs outside timings:\n"
+                "  A: ...%s\n  B: ...%s\n",
+                i, ExtractString(pa, "scheduler").c_str(),
+                static_cast<int>(ExtractNumber(pa, "epoch", -1.0)),
+                pa.substr(field, 96).c_str(), pb.substr(field, 96).c_str());
+    return false;
+  }
+  std::printf("records: %zu, byte-identical outside timings\n", a.size());
+  return true;
+}
+
 // Per-scheduler aggregate of one gl.epoch.v1 stream.
 struct SchedulerAgg {
   int epochs = 0;
   std::map<std::string, double> metrics;   // deterministic sums
   std::map<std::string, double> counters;  // deterministic sums
-  double wall_ms = 0.0;                    // informational sum
-  std::map<std::string, double> gauges;    // informational sums
+  std::map<std::string, double> info;      // per-epoch means of the timings
 };
 
 std::map<std::string, SchedulerAgg> AggregateJsonl(
@@ -471,166 +486,135 @@ std::map<std::string, SchedulerAgg> AggregateJsonl(
       agg.counters[name] += v;
     }
     const std::size_t timings_at = line.find(kTimingsMarker);
-    agg.wall_ms += ExtractNumber(
+    agg.info["wall_ms"] += ExtractNumber(
         line, "wall_ms", 0.0,
         timings_at == std::string::npos ? 0 : timings_at);
     for (const auto& [name, v] : ExtractSection(line, "gauges")) {
-      agg.gauges[name] += v;
+      agg.info[name] += v;
     }
+  }
+  for (auto& [scheduler, agg] : by_scheduler) {
+    for (auto& [name, v] : agg.info) v /= agg.epochs;
   }
   return by_scheduler;
 }
 
+// Two streams: the record-by-record contract first, then per-scheduler sums
+// over the union of both streams' schedulers, metrics, counters and gauges,
+// which say what moved. Exit 1 on any deterministic difference.
 int DiffJsonl(const std::vector<std::string>& a,
               const std::vector<std::string>& b, double threshold) {
-  const auto aggs_a = AggregateJsonl(a);
-  const auto aggs_b = AggregateJsonl(b);
   DiffCounts counts;
-  for (const auto& [scheduler, agg_a] : aggs_a) {
+  if (!RecordsMatch(a, b)) ++counts.determ_diffs;
+  auto aggs = AggregateJsonl(a);
+  const auto aggs_b = AggregateJsonl(b);
+  for (const auto& [scheduler, agg_b] : aggs_b) aggs.try_emplace(scheduler);
+  for (const auto& [scheduler, agg_a] : aggs) {
     const auto it = aggs_b.find(scheduler);
-    if (it == aggs_b.end()) {
-      std::printf("%s: only in A\n", scheduler.c_str());
+    if (agg_a.epochs == 0 || it == aggs_b.end()) {
+      std::printf("%s: only in %s\n", scheduler.c_str(),
+                  agg_a.epochs == 0 ? "B" : "A");
+      ++counts.determ_diffs;
       continue;
     }
-    const auto& agg_b = it->second;
+    const SchedulerAgg& agg_b = it->second;
     std::printf("%s — %d vs %d epochs\n", scheduler.c_str(), agg_a.epochs,
                 agg_b.epochs);
     gl::Table t({"metric", "A", "B", "delta", "flag"});
     DiffRow(t, "epochs", agg_a.epochs, agg_b.epochs, true, threshold, counts);
-    for (const auto& [name, va] : agg_a.metrics) {
-      const auto vb = agg_b.metrics.find(name);
-      DiffRow(t, name, va, vb == agg_b.metrics.end() ? 0.0 : vb->second, true,
-              threshold, counts);
-    }
-    for (const auto& [name, va] : agg_a.counters) {
-      const auto vb = agg_b.counters.find(name);
-      DiffRow(t, "counter " + name, va,
-              vb == agg_b.counters.end() ? 0.0 : vb->second, true, threshold,
-              counts);
-    }
-    DiffRow(t, "wall_ms (info)", agg_a.wall_ms, agg_b.wall_ms, false,
-            threshold, counts);
-    for (const auto& [name, va] : agg_a.gauges) {
-      const auto vb = agg_b.gauges.find(name);
-      if (vb == agg_b.gauges.end()) continue;
-      DiffRow(t, "gauge " + name + " (info)", va / agg_a.epochs,
-              vb->second / agg_b.epochs, false, threshold, counts);
-    }
+    DiffRows(t, "", agg_a.metrics, agg_b.metrics, true, threshold, counts);
+    DiffRows(t, "counter ", agg_a.counters, agg_b.counters, true, threshold,
+             counts);
+    DiffRows(t, "info ", agg_a.info, agg_b.info, false, threshold, counts);
     t.Print();
-  }
-  for (const auto& [scheduler, agg_b] : aggs_b) {
-    if (aggs_a.find(scheduler) == aggs_a.end()) {
-      std::printf("%s: only in B\n", scheduler.c_str());
-    }
   }
   std::printf("diff: %d deterministic difference(s), %d informational "
               "drift flag(s) beyond %.0f%%\n",
               counts.determ_diffs, counts.drift_flags, 100.0 * threshold);
-  // Deterministic sections must match byte-for-meaning between same-seed
-  // runs (DESIGN.md §8); drift in the informational tail never fails the
-  // diff — shared CI runners make wall time an unreliable signal.
+  // Drift in the informational tail never fails the diff: shared CI runners
+  // make wall time an unreliable signal (DESIGN.md §10).
   return counts.determ_diffs > 0 ? 1 : 0;
 }
 
-// One bench --json record; the telemetry fields are optional (older files
-// omit them) and compare only when present in both inputs.
-struct BenchRecord {
-  double wall_ms = 0.0;
-  double median_wall_ms = 0.0;
-  double parallel_efficiency = -1.0;  // < 0 = absent
-  double critical_path_ms = -1.0;
-  double peak_bytes = -1.0;
-};
-
-std::map<std::string, BenchRecord> ParseBenchJson(const std::string& text) {
-  std::map<std::string, BenchRecord> records;
-  const std::string pat = "{\"name\":\"";
-  std::size_t at = text.find(pat);
-  while (at != std::string::npos) {
-    const std::size_t next = text.find(pat, at + pat.size());
-    const std::string chunk =
-        text.substr(at, (next == std::string::npos ? text.size() : next) - at);
-    at = next;
-    const std::string key =
-        ExtractString(chunk, "name") + " t" +
-        std::to_string(static_cast<int>(ExtractNumber(chunk, "threads", 0.0)));
-    BenchRecord r;
-    r.wall_ms = ExtractNumber(chunk, "wall_ms", 0.0);
-    r.median_wall_ms = ExtractNumber(chunk, "median_wall_ms", 0.0);
-    r.parallel_efficiency = ExtractNumber(chunk, "parallel_efficiency", -1.0);
-    r.critical_path_ms = ExtractNumber(chunk, "critical_path_ms", -1.0);
-    r.peak_bytes = ExtractNumber(chunk, "peak_bytes", -1.0);
-    records[key] = r;
+// Two traces: per-span self CPU (obs::FlatProfileEntry::self_cpu_us), rows
+// sorted by absolute change, the span that moved most named on the first
+// line. Timings are informational, so this always exits 0.
+int DiffTraces(const ParsedTrace& a, const ParsedTrace& b) {
+  struct Row {
+    std::string name;
+    std::uint64_t count_a = 0, count_b = 0;
+    double ms_a = 0.0, ms_b = 0.0;
+  };
+  std::map<std::string, Row> by_name;
+  for (const auto& e : gl::obs::BuildProfile(a.events).flat) {
+    by_name[e.name].count_a = e.count;
+    by_name[e.name].ms_a = e.self_cpu_us / 1000.0;
   }
-  return records;
-}
-
-int DiffBench(const std::string& text_a, const std::string& text_b,
-              double threshold) {
-  const auto recs_a = ParseBenchJson(text_a);
-  const auto recs_b = ParseBenchJson(text_b);
-  DiffCounts counts;
-  gl::Table t({"configuration / metric", "A", "B", "delta", "flag"});
-  for (const auto& [key, ra] : recs_a) {
-    const auto it = recs_b.find(key);
-    if (it == recs_b.end()) {
-      std::printf("%s: only in A\n", key.c_str());
-      continue;
-    }
-    const auto& rb = it->second;
-    DiffRow(t, key + " median_wall_ms", ra.median_wall_ms, rb.median_wall_ms,
-            false, threshold, counts);
-    if (ra.parallel_efficiency >= 0 && rb.parallel_efficiency >= 0) {
-      DiffRow(t, key + " parallel_efficiency", ra.parallel_efficiency,
-              rb.parallel_efficiency, false, threshold, counts);
-    }
-    if (ra.critical_path_ms >= 0 && rb.critical_path_ms >= 0) {
-      DiffRow(t, key + " critical_path_ms", ra.critical_path_ms,
-              rb.critical_path_ms, false, threshold, counts);
-    }
-    if (ra.peak_bytes >= 0 && rb.peak_bytes >= 0) {
-      DiffRow(t, key + " peak_bytes", ra.peak_bytes, rb.peak_bytes, false,
-              threshold, counts);
-    }
+  for (const auto& e : gl::obs::BuildProfile(b.events).flat) {
+    by_name[e.name].count_b = e.count;
+    by_name[e.name].ms_b = e.self_cpu_us / 1000.0;
   }
-  for (const auto& [key, rb] : recs_b) {
-    if (recs_a.find(key) == recs_a.end()) {
-      std::printf("%s: only in B\n", key.c_str());
-    }
+  std::vector<Row> rows;
+  for (auto& [name, row] : by_name) {
+    row.name = name;
+    rows.push_back(row);
+  }
+  std::sort(rows.begin(), rows.end(), [](const Row& x, const Row& y) {
+    const double dx = std::fabs(x.ms_b - x.ms_a);
+    const double dy = std::fabs(y.ms_b - y.ms_a);
+    if (dx != dy) return dx > dy;
+    return x.name < y.name;
+  });
+  const Row& top = rows.front();
+  std::printf("moved most: %s self CPU %.3f ms in A -> %.3f ms in B "
+              "(%+.3f ms)\n",
+              top.name.c_str(), top.ms_a, top.ms_b, top.ms_b - top.ms_a);
+  gl::Table t({"span", "count A", "count B", "self CPU ms A",
+               "self CPU ms B", "delta ms"});
+  for (const auto& r : rows) {
+    t.AddRow({r.name, gl::Table::Int(static_cast<long long>(r.count_a)),
+              gl::Table::Int(static_cast<long long>(r.count_b)),
+              gl::Table::Num(r.ms_a, 3), gl::Table::Num(r.ms_b, 3),
+              gl::Table::Num(r.ms_b - r.ms_a, 3)});
   }
   t.Print();
-  std::printf("diff: %d informational drift flag(s) beyond %.0f%%\n",
-              counts.drift_flags, 100.0 * threshold);
   return 0;
+}
+
+// What a diff input is, told by its first bytes.
+enum class Artifact { kNone, kStream, kTrace };
+
+Artifact KindOf(const std::string& path) {
+  std::ifstream in(path);
+  if (!in) std::fprintf(stderr, "gl_report: cannot open %s\n", path.c_str());
+  std::string head(32, '\0');
+  in.read(head.data(), static_cast<std::streamsize>(head.size()));
+  head.resize(static_cast<std::size_t>(in.gcount()));
+  if (head.rfind(kSchemaPrefix, 0) == 0) return Artifact::kStream;
+  if (head.rfind("{\"traceEvents\":", 0) == 0) return Artifact::kTrace;
+  return Artifact::kNone;
 }
 
 int Diff(const std::string& path_a, const std::string& path_b,
          double threshold) {
-  std::vector<std::string> lines_a, lines_b;
-  if (!ReadLines(path_a, lines_a) || !ReadLines(path_b, lines_b)) return 2;
-  if (lines_a.empty() || lines_b.empty()) {
-    std::fprintf(stderr, "gl_report diff: empty input\n");
-    return 2;
-  }
-  const bool jsonl_a = lines_a.front().rfind(kSchemaPrefix, 0) == 0;
-  const bool jsonl_b = lines_b.front().rfind(kSchemaPrefix, 0) == 0;
-  if (jsonl_a != jsonl_b) {
+  const Artifact kind = KindOf(path_a);
+  if (kind == Artifact::kNone || KindOf(path_b) != kind) {
     std::fprintf(stderr,
-                 "gl_report diff: inputs are different kinds (one gl.epoch.v1 "
-                 "stream, one bench JSON)\n");
+                 "gl_report diff: %s and %s are not two gl.epoch.v1 streams "
+                 "or two Chrome traces\n",
+                 path_a.c_str(), path_b.c_str());
     return 2;
   }
-  if (jsonl_a) return DiffJsonl(lines_a, lines_b, threshold);
-  std::string text_a, text_b;
-  for (const auto& l : lines_a) text_a += l;
-  for (const auto& l : lines_b) text_b += l;
-  if (text_a.find('[') == std::string::npos ||
-      text_b.find('[') == std::string::npos) {
-    std::fprintf(stderr, "gl_report diff: inputs are neither gl.epoch.v1 "
-                         "streams nor bench JSON arrays\n");
-    return 2;
+  if (kind == Artifact::kTrace) {
+    ParsedTrace a, b;
+    if (!ParseChromeTrace(path_a, a) || !ParseChromeTrace(path_b, b)) {
+      return 2;
+    }
+    return DiffTraces(a, b);
   }
-  return DiffBench(text_a, text_b, threshold);
+  std::vector<std::string> a, b;
+  if (!ReadLines(path_a, a) || !ReadLines(path_b, b)) return 2;
+  return DiffJsonl(a, b, threshold);
 }
 
 // --- world flags -----------------------------------------------------------
@@ -764,7 +748,7 @@ gl::RunnerOptions HashedRunnerOptions(const gl::World& world,
   gl::RunnerOptions opts = world.runner;
   opts.record_state_hashes = true;
   opts.use_estimated_demands = args.estimated;
-  opts.obs.logger = logger;
+  opts.logger = logger;
   return opts;
 }
 
@@ -1034,12 +1018,11 @@ int Usage() {
       "  gl_report audit  [world flags] [--pee=F] [--pee-strict] "
       "[--fail-fast]\n"
       "  gl_report tables FILE.jsonl\n"
-      "  gl_report check  A.jsonl B.jsonl\n"
       "  gl_report profile TRACE.json [--root=NAME] [--top=N]\n"
       "  gl_report flame  TRACE.json [--out=PATH]\n"
       "  gl_report diff   A B [--threshold=FRACTION]   (default 0.10)\n"
       "                   two gl.epoch.v1 streams: exit 1 on a deterministic\n"
-      "                   difference; two bench --json files: always exit 0\n"
+      "                   difference; two traces: self CPU per span, exit 0\n"
       "world flags:\n"
       "  --scenario=twitter|azure|msr       (default twitter)\n"
       "  --topology=testbed16|fattree<k>|leafspine   (default: the "
@@ -1064,10 +1047,6 @@ int main(int argc, char** argv) {
     args.schedulers = cmd.schedulers;
     if (!ParseWorldArgs(argc, argv, cmd.flags, args)) return 2;
     return cmd.fn(args);
-  }
-  if (mode == "check") {
-    if (argc != 4) return Usage();
-    return Check(argv[2], argv[3]);
   }
   if (mode == "tables") {
     if (argc != 3) return Usage();
