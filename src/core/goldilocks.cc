@@ -105,36 +105,6 @@ class MembershipStamp {
   std::uint32_t generation_ = 0;
 };
 
-// Effective demand of a group assuming its members are colocated: CPU and
-// memory add up; each member's network demand is scaled by the fraction of
-// its flow weight that crosses the group boundary (colocated chatter never
-// reaches the NIC). Members with no modelled flows keep their full network
-// demand — their traffic goes somewhere we cannot see.
-Resource EffectiveGroupDemand(std::span<const ContainerId> members,
-                              std::span<const Resource> demands,
-                              const FlowAdjacency& adj,
-                              MembershipStamp& stamp) {
-  stamp.Begin(members);
-  Resource out;
-  for (const auto c : members) {
-    const auto ci = static_cast<std::size_t>(c.value());
-    const Resource& d = demands[ci];
-    out.cpu += d.cpu;
-    out.mem_gb += d.mem_gb;
-    const double total GL_UNITS(count) = adj.total_flows[ci];
-    if (total <= 0.0) {
-      out.net_mbps += d.net_mbps;
-      continue;
-    }
-    double external GL_UNITS(count) = 0.0;
-    for (std::size_t k = adj.offsets[ci]; k < adj.offsets[ci + 1]; ++k) {
-      if (!stamp.Contains(adj.peer[k])) external += adj.flows[k];
-    }
-    out.net_mbps += d.net_mbps * (external / total);
-  }
-  return out;
-}
-
 }  // namespace
 
 struct GoldilocksScheduler::PartitionCache {
@@ -146,30 +116,107 @@ struct GoldilocksScheduler::PartitionCache {
   // Server each group landed on last epoch (stability across reuse).
   std::vector<ServerId> group_server;
 
-  // Derived data, kept out of StateDigest: both are pure functions of
-  // inputs that the digest or the caller already pins.
+  // Derived data, kept out of StateDigest: each is a pure function of
+  // inputs that the digest or the caller already pins, and each is built
+  // once for the input it depends on, not once per epoch.
   //
-  // Flow adjacency of `adjacency_of`, built on the first Place for a
+  // Group id per container of `workload` (-1 outside every group), set with
+  // the grouping: last_grouping() and the repair path's previous labels.
+  std::vector<int> group_of;
+  // Flow adjacency of `adjacency_of`, built on first use for a
   // workload. A workload's edges never change under one pointer (the
   // grouping cache trusts the same key); the sizes catch a reused address.
   const Workload* adjacency_of = nullptr;
   std::size_t adjacency_containers = 0;
   std::size_t adjacency_edges = 0;
   FlowAdjacency adjacency;
+  // Per grouping and adjacency, rebuilt by EnsureDerived on first use
+  // after either changes (`derived` is false until then): each grouped
+  // container's NIC share, the fraction of its flow weight that leaves its
+  // group (1.0 with no modelled flows: its traffic goes somewhere we cannot
+  // see), and each group's sorted, distinct replica sets (the fault-domain
+  // check's input).
+  std::vector<double> nic_share GL_UNITS(dimensionless);
+  std::vector<std::vector<GroupId>> replica_sets;
+  bool derived = false;
   // Effective demand of groups[0 .. group_demand.size()) under this
   // epoch's demands. PartitionContainers resets it; the drift check fills
   // what it prices and AssignGroupsSymmetric the rest.
   std::vector<Resource> group_demand;
 
-  const FlowAdjacency& AdjacencyFor(const Workload& w) {
+  // Brings nic_share and replica_sets up to date for `w`, first
+  // rebuilding the flow adjacency unless it was built for `w`. They are
+  // rebuilt (the only MembershipStamp pass) on the first call after a new
+  // grouping or a new adjacency, so a caller that never reads them (the
+  // Virtual Cluster path after a repartition) never pays for them.
+  void EnsureDerived(const Workload& w) {
     if (adjacency_of != &w || adjacency_containers != w.containers.size() ||
         adjacency_edges != w.edges.size()) {
       adjacency = BuildFlowAdjacency(w);
       adjacency_of = &w;
       adjacency_containers = w.containers.size();
       adjacency_edges = w.edges.size();
+      derived = false;
     }
-    return adjacency;
+    if (derived) return;
+    nic_share.assign(w.containers.size(), 1.0);
+    MembershipStamp stamp(w.containers.size());
+    replica_sets.assign(groups.size(), {});
+    for (std::size_t g = 0; g < groups.size(); ++g) {
+      stamp.Begin(groups[g]);
+      auto& sets = replica_sets[g];
+      for (const auto c : groups[g]) {
+        const auto ci = static_cast<std::size_t>(c.value());
+        const GroupId rs = w.containers[ci].replica_set;
+        if (rs.valid()) sets.push_back(rs);
+        const double total GL_UNITS(count) = adjacency.total_flows[ci];
+        if (total <= 0.0) continue;
+        double external GL_UNITS(count) = 0.0;
+        for (std::size_t k = adjacency.offsets[ci];
+             k < adjacency.offsets[ci + 1]; ++k) {
+          if (!stamp.Contains(adjacency.peer[k])) external += adjacency.flows[k];
+        }
+        nic_share[ci] = external / total;
+      }
+      std::sort(sets.begin(), sets.end());
+      sets.erase(std::unique(sets.begin(), sets.end()), sets.end());
+    }
+    derived = true;
+  }
+
+  void Store(const Workload& w, std::uint64_t hash,
+             std::vector<std::vector<ContainerId>> new_groups,
+             std::vector<std::string> new_paths) {
+    workload = &w;
+    active_hash = hash;
+    epochs_since_partition = 0;
+    groups = std::move(new_groups);
+    paths = std::move(new_paths);
+    group_demand.clear();
+    group_server.assign(groups.size(), ServerId::invalid());
+    group_of.assign(w.containers.size(), -1);
+    for (std::size_t g = 0; g < groups.size(); ++g) {
+      for (const auto c : groups[g]) {
+        group_of[static_cast<std::size_t>(c.value())] = static_cast<int>(g);
+      }
+    }
+    derived = false;
+  }
+
+  // Effective demand of group `gi` with its members colocated: CPU and
+  // memory add up; each member's network demand is scaled by its NIC share
+  // (colocated chatter never reaches the NIC).
+  [[nodiscard]] Resource GroupDemand(std::size_t gi,
+                                     std::span<const Resource> demands) const {
+    Resource out;
+    for (const auto c : groups[gi]) {
+      const auto ci = static_cast<std::size_t>(c.value());
+      const Resource& d = demands[ci];
+      out.cpu += d.cpu;
+      out.mem_gb += d.mem_gb;
+      out.net_mbps += d.net_mbps * nic_share[ci];
+    }
+    return out;
   }
 };
 
@@ -177,6 +224,14 @@ GoldilocksScheduler::GoldilocksScheduler(GoldilocksOptions opts)
     : opts_(std::move(opts)), cache_(std::make_unique<PartitionCache>()) {}
 
 GoldilocksScheduler::~GoldilocksScheduler() = default;
+
+const std::vector<int>& GoldilocksScheduler::last_grouping() const {
+  return cache_->group_of;
+}
+
+int GoldilocksScheduler::last_num_groups() const {
+  return static_cast<int>(cache_->groups.size());
+}
 
 std::uint64_t GoldilocksScheduler::StateDigest() const {
   StateHasher h;
@@ -200,8 +255,6 @@ GoldilocksScheduler::PartitionContainers(const SchedulerInput& input) {
   const auto& topo = *input.topology;
   const Resource avg_cap = topo.average_server_capacity();
   const Resource ceiling = CeilingFor(avg_cap, opts_);
-  const FlowAdjacency& adj = cache_->AdjacencyFor(*input.workload);
-  MembershipStamp stamp(input.workload->containers.size());
   cache_->group_demand.clear();
 
   // Reuse the cached grouping when the container universe is unchanged, the
@@ -219,9 +272,9 @@ GoldilocksScheduler::PartitionContainers(const SchedulerInput& input) {
     // overflow container-by-container.
     const Resource drift_limit = ceiling * 1.5;
     bool acceptable = true;
-    for (const auto& group : cache_->groups) {
-      cache_->group_demand.push_back(
-          EffectiveGroupDemand(group, input.demands, adj, stamp));
+    cache_->EnsureDerived(*input.workload);
+    for (std::size_t gi = 0; gi < cache_->groups.size(); ++gi) {
+      cache_->group_demand.push_back(cache_->GroupDemand(gi, input.demands));
       if (!cache_->group_demand.back().FitsIn(drift_limit)) {
         acceptable = false;
         break;
@@ -282,14 +335,7 @@ GoldilocksScheduler::PartitionContainers(const SchedulerInput& input) {
   if (can_repair) {
     // Repair the previous grouping instead of relabelling from scratch.
     // Vertices map to their old group index (or -1 if newly active).
-    std::vector<int> container_to_old(
-        input.workload->containers.size(), -1);
-    for (std::size_t gi = 0; gi < cache_->groups.size(); ++gi) {
-      for (const auto c : cache_->groups[gi]) {
-        container_to_old[static_cast<std::size_t>(c.value())] =
-            static_cast<int>(gi);
-      }
-    }
+    const std::vector<int>& container_to_old = cache_->group_of;
     if (cache_->group_server.size() == cache_->groups.size()) {
       prev_server_of.assign(input.workload->containers.size(),
                             ServerId::invalid());
@@ -376,13 +422,8 @@ GoldilocksScheduler::PartitionContainers(const SchedulerInput& input) {
     paths = std::move(part.group_path);
   }
 
-  cache_->workload = input.workload;
-  cache_->active_hash = active_hash;
-  cache_->epochs_since_partition = 0;
-  cache_->groups = std::move(groups);
-  cache_->paths = std::move(paths);
-  cache_->group_demand.clear();
-  cache_->group_server.assign(cache_->groups.size(), ServerId::invalid());
+  cache_->Store(*input.workload, active_hash, std::move(groups),
+                std::move(paths));
   if (!prev_server_of.empty()) {
     // Majority vote over members' previous servers (ties to the lowest
     // server id). Placement treats the result as a preference, not a
@@ -409,9 +450,10 @@ GoldilocksScheduler::PartitionContainers(const SchedulerInput& input) {
 }
 
 Placement GoldilocksScheduler::AssignGroupsSymmetric(
-    const SchedulerInput& input,
-    const std::vector<std::vector<ContainerId>>& groups) const {
+    const SchedulerInput& input) const {
   const auto& topo = *input.topology;
+  const std::vector<std::vector<ContainerId>>& groups = cache_->groups;
+  cache_->EnsureDerived(*input.workload);
   PackingState state(topo);
   Placement p;
   p.server_of.assign(input.workload->containers.size(), ServerId::invalid());
@@ -419,13 +461,8 @@ Placement GoldilocksScheduler::AssignGroupsSymmetric(
   // Price every group the drift check did not reach (all of them after a
   // repartition); the fit tests and the booking below read these values.
   std::vector<Resource>& group_demand = cache_->group_demand;
-  if (group_demand.size() < groups.size()) {
-    const FlowAdjacency& adj = cache_->AdjacencyFor(*input.workload);
-    MembershipStamp stamp(input.workload->containers.size());
-    for (std::size_t gi = group_demand.size(); gi < groups.size(); ++gi) {
-      group_demand.push_back(
-          EffectiveGroupDemand(groups[gi], input.demands, adj, stamp));
-    }
+  for (std::size_t gi = group_demand.size(); gi < groups.size(); ++gi) {
+    group_demand.push_back(cache_->GroupDemand(gi, input.demands));
   }
 
   std::vector<ServerId> server_order = topo.ServersUnder(topo.root());
@@ -446,18 +483,7 @@ Placement GoldilocksScheduler::AssignGroupsSymmetric(
 
   // Fault domains (Sec. IV-C): groups carrying the same replica set must
   // land in different racks when possible, different servers at minimum.
-  std::vector<std::vector<GroupId>> group_sets(groups.size());
-  for (std::size_t g = 0; g < groups.size(); ++g) {
-    for (const auto c : groups[g]) {
-      const auto rs = input.workload->containers[
-          static_cast<std::size_t>(c.value())].replica_set;
-      if (rs.valid()) group_sets[g].push_back(rs);
-    }
-    std::sort(group_sets[g].begin(), group_sets[g].end());
-    group_sets[g].erase(
-        std::unique(group_sets[g].begin(), group_sets[g].end()),
-        group_sets[g].end());
-  }
+  const std::vector<std::vector<GroupId>>& group_sets = cache_->replica_sets;
   std::unordered_map<int, std::vector<GroupId>> rack_sets;    // rack node →
   std::unordered_map<int, std::vector<GroupId>> server_sets;  // server id →
   auto domain_conflict = [](const std::vector<GroupId>& a,
@@ -583,16 +609,6 @@ Placement GoldilocksScheduler::Place(const SchedulerInput& input) {
   GOLDILOCKS_CHECK(input.workload != nullptr && input.topology != nullptr);
   const auto& groups = PartitionContainers(input);
 
-  // Record the grouping for inspection (Fig. 7).
-  last_grouping_.assign(input.workload->containers.size(), -1);
-  last_num_groups_ = static_cast<int>(groups.size());
-  for (std::size_t g = 0; g < groups.size(); ++g) {
-    for (const auto c : groups[g]) {
-      last_grouping_[static_cast<std::size_t>(c.value())] =
-          static_cast<int>(g);
-    }
-  }
-
   if (opts_.use_virtual_clusters) {
     obs::TraceSpan vc_span("goldilocks.vc_reserve",
                            static_cast<std::int64_t>(groups.size()));
@@ -605,7 +621,7 @@ Placement GoldilocksScheduler::Place(const SchedulerInput& input) {
   }
   obs::TraceSpan assign_span("goldilocks.assign_symmetric",
                              static_cast<std::int64_t>(groups.size()));
-  return AssignGroupsSymmetric(input, groups);
+  return AssignGroupsSymmetric(input);
 }
 
 }  // namespace gl

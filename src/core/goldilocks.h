@@ -76,10 +76,9 @@ class GoldilocksScheduler final : public Scheduler {
 
   // Grouping produced by the last Place() call (group id per ContainerId,
   // -1 for inactive) — exposed for the Fig. 7 visualisations and tests.
-  [[nodiscard]] const std::vector<int>& last_grouping() const {
-    return last_grouping_;
-  }
-  [[nodiscard]] int last_num_groups() const { return last_num_groups_; }
+  // Recorded once per grouping, not once per call.
+  [[nodiscard]] const std::vector<int>& last_grouping() const;
+  [[nodiscard]] int last_num_groups() const;
 
  private:
   struct PartitionCache;
@@ -89,15 +88,12 @@ class GoldilocksScheduler final : public Scheduler {
   const std::vector<std::vector<ContainerId>>& PartitionContainers(
       const SchedulerInput& input);
 
-  Placement AssignGroupsSymmetric(
-      const SchedulerInput& input,
-      const std::vector<std::vector<ContainerId>>& groups) const;
+  // Lays the cached grouping onto servers.
+  Placement AssignGroupsSymmetric(const SchedulerInput& input) const;
 
   std::string name_ = "Goldilocks";
   GoldilocksOptions opts_;
   std::unique_ptr<PartitionCache> cache_;
-  std::vector<int> last_grouping_;
-  int last_num_groups_ = 0;
 };
 
 }  // namespace gl

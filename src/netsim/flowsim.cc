@@ -40,15 +40,13 @@ std::vector<int> FlowSimulator::Route(ServerId src, ServerId dst) const {
   std::vector<int> route;
   if (src == dst) return route;
   std::vector<int> down;  // collected in reverse while walking b upward
-  topo_.ForEachUplinkOnPath(
-      topo_.server_node(src), topo_.server_node(dst),
-      [&](NodeId n, int side) {
-        if (side == 0) {
-          route.push_back(UpIndex(n));
-        } else {
-          down.push_back(DownIndex(n));
-        }
-      });
+  topo_.ForEachUplinkBetween(src, dst, [&](NodeId n, int side) {
+    if (side == 0) {
+      route.push_back(UpIndex(n));
+    } else {
+      down.push_back(DownIndex(n));
+    }
+  });
   route.insert(route.end(), down.rbegin(), down.rend());
   return route;
 }

@@ -49,6 +49,10 @@ std::string RunLogger::EpochLine(const EpochRecord& rec) {
   w.Double(rec.mean_tct_ms);
   w.Key("p99_tct_ms");
   w.Double(rec.p99_tct_ms);
+  w.Key("queue_tct_ms");
+  w.Double(rec.queue_tct_ms);
+  w.Key("network_tct_ms");
+  w.Double(rec.network_tct_ms);
   w.Key("energy_per_request_j");
   w.Double(rec.energy_per_request_j);
   w.Key("migrations");

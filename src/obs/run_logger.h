@@ -54,6 +54,8 @@ struct EpochRecord {
   double avg_active_utilization = 0.0;  // dominant share, active servers
   double mean_tct_ms = 0.0;
   double p99_tct_ms = 0.0;
+  double queue_tct_ms = 0.0;    // mean_tct_ms's queueing term
+  double network_tct_ms = 0.0;  // mean_tct_ms's network round trip
   double energy_per_request_j = 0.0;
   int migrations = 0;
   int placed_containers = 0;

@@ -40,6 +40,11 @@ struct LatencyOptions {
 struct TctResult {
   double mean_ms GL_UNITS(ms) = 0.0;        // flow-weighted mean over query edges
   double p99_ms GL_UNITS(ms) = 0.0;         // unweighted p99 over query edges
+  // mean_ms split into its two terms, flow-weighted the same way: the
+  // responder's service time × queue factor, and the network round trip
+  // (2 × one-way hops). Their sum equals mean_ms up to rounding.
+  double queue_ms GL_UNITS(ms) = 0.0;
+  double network_ms GL_UNITS(ms) = 0.0;
   int query_edges = 0;
   double sla_violation_rate GL_UNITS(dimensionless) = 0.0;
 };

@@ -43,6 +43,8 @@ EpochMetrics ExperimentResult::Average() const {
     avg.avg_active_utilization += e.avg_active_utilization;
     avg.mean_tct_ms += e.mean_tct_ms;
     avg.p99_tct_ms += e.p99_tct_ms;
+    avg.queue_tct_ms += e.queue_tct_ms;
+    avg.network_tct_ms += e.network_tct_ms;
     avg.sla_violation_rate += e.sla_violation_rate;
     avg.rps += e.rps;
     avg.energy_per_request_j += e.energy_per_request_j;
@@ -62,6 +64,8 @@ EpochMetrics ExperimentResult::Average() const {
   avg.avg_active_utilization /= n;
   avg.mean_tct_ms /= n;
   avg.p99_tct_ms /= n;
+  avg.queue_tct_ms /= n;
+  avg.network_tct_ms /= n;
   avg.sla_violation_rate /= n;
   avg.rps /= n;
   avg.energy_per_request_j /= n;
@@ -197,6 +201,8 @@ ExperimentResult ExperimentRunner::Run(Scheduler& scheduler) const {
           latency.ComputeTct(workload, placement, demands, active, traffic);
       m.mean_tct_ms = tct.mean_ms;
       m.p99_tct_ms = tct.p99_ms;
+      m.queue_tct_ms = tct.queue_ms;
+      m.network_tct_ms = tct.network_ms;
       m.sla_violation_rate = tct.sla_violation_rate;
       m.rps = scenario_.TotalRpsAt(epoch);
       m.energy_per_request_j = (m.total_watts / 1000.0) * m.mean_tct_ms;
@@ -245,6 +251,8 @@ ExperimentResult ExperimentRunner::Run(Scheduler& scheduler) const {
       rec.avg_active_utilization = m.avg_active_utilization;
       rec.mean_tct_ms = m.mean_tct_ms;
       rec.p99_tct_ms = m.p99_tct_ms;
+      rec.queue_tct_ms = m.queue_tct_ms;
+      rec.network_tct_ms = m.network_tct_ms;
       rec.energy_per_request_j = m.energy_per_request_j;
       rec.migrations = m.migrations;
       rec.placed_containers = m.placed_containers;

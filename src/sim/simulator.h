@@ -88,6 +88,10 @@ struct EpochMetrics {
   double avg_active_utilization = 0.0;  // dominant-share, active servers
   double mean_tct_ms = 0.0;
   double p99_tct_ms = 0.0;
+  // mean_tct_ms split into server queueing and network round trip
+  // (TctResult::queue_ms and network_ms).
+  double queue_tct_ms = 0.0;
+  double network_tct_ms = 0.0;
   double sla_violation_rate = 0.0;
   double rps = 0.0;
   double energy_per_request_j = 0.0;  // P_total(kW) × mean TCT(ms)

@@ -19,7 +19,6 @@ NodeId Topology::AddSwitchNode(NodeId parent, int level, double uplink_mbps,
     nodes_[CheckedNode(parent)].children.push_back(id);
     GOLDILOCKS_CHECK_MSG(level < nodes_[CheckedNode(parent)].level,
                          "child level must be below parent level");
-    n.depth = nodes_[CheckedNode(parent)].depth + 1;
   } else {
     GOLDILOCKS_CHECK_MSG(!root_.valid(), "topology already has a root");
     root_ = id;
@@ -37,7 +36,6 @@ ServerId Topology::AddServer(NodeId rack, const Resource& capacity) {
   n.id = node_id;
   n.parent = rack;
   n.level = 0;
-  n.depth = nodes_[CheckedNode(rack)].depth + 1;
   n.uplink_capacity_mbps = capacity.net_mbps;
   n.physical_uplinks = 1;
   n.server = sid;
@@ -45,6 +43,11 @@ ServerId Topology::AddServer(NodeId rack, const Resource& capacity) {
   nodes_.push_back(std::move(n));
   server_nodes_.push_back(node_id);
   server_capacity_.push_back(capacity);
+  for (NodeId cur = node_id; node(cur).parent.valid();
+       cur = node(cur).parent) {
+    chain_nodes_.push_back(cur);
+  }
+  chain_offsets_.push_back(chain_nodes_.size());
   return sid;
 }
 
@@ -170,8 +173,7 @@ Resource Topology::average_server_capacity() const {
 
 int Topology::HopDistance(ServerId a, ServerId b) const {
   int hops = 0;
-  ForEachUplinkOnPath(server_node(a), server_node(b),
-                      [&hops](NodeId, int) { ++hops; });
+  ForEachUplinkBetween(a, b, [&hops](NodeId, int) { ++hops; });
   return hops;
 }
 

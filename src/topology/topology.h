@@ -32,7 +32,6 @@ class Topology {
     NodeId parent = NodeId::invalid();
     std::vector<NodeId> children;
     int level = 0;  // 0 = server; increases toward the root
-    int depth = 0;  // links between this node and the root
     // Aggregate capacity of all physical uplinks toward the parent (Mbps).
     double uplink_capacity_mbps GL_UNITS(bits_per_sec) = 0.0;
     // Bandwidth currently reserved on that uplink by placed Virtual Clusters.
@@ -128,29 +127,26 @@ class Topology {
   // Number of links on the shortest path between two servers (0 if equal).
   [[nodiscard]] int HopDistance(ServerId a, ServerId b) const;
 
-  // Calls fn(node, side) once per uplink on the tree path between nodes `a`
-  // and `b`: side 0 for the nodes on a's way up to the lowest common
+  // Calls fn(node, side) once per uplink on the tree path between servers
+  // `a` and `b`: side 0 for the nodes on a's way up to the lowest common
   // ancestor, 1 for b's. The deeper side climbs alone until both stand at
   // one depth; then both climb level by level, a's node before b's. Every
   // caller that sums per-hop values relies on this order for bit-identical
-  // results.
+  // results. Reads the servers' flat uplink chains, not parent pointers.
   template <typename Fn>
-  void ForEachUplinkOnPath(NodeId a, NodeId b, Fn&& fn) const {
-    const Node* na = &node(a);
-    const Node* nb = &node(b);
-    while (na->depth > nb->depth) {
-      fn(na->id, 0);
-      na = &node(na->parent);
-    }
-    while (nb->depth > na->depth) {
-      fn(nb->id, 1);
-      nb = &node(nb->parent);
-    }
-    while (na != nb) {
-      fn(na->id, 0);
-      fn(nb->id, 1);
-      na = &node(na->parent);
-      nb = &node(nb->parent);
+  void ForEachUplinkBetween(ServerId a, ServerId b, Fn&& fn) const {
+    const std::size_t ia = CheckedServer(a);
+    const std::size_t ib = CheckedServer(b);
+    const NodeId* ca = chain_nodes_.data() + chain_offsets_[ia];
+    const NodeId* cb = chain_nodes_.data() + chain_offsets_[ib];
+    const NodeId* const ea = chain_nodes_.data() + chain_offsets_[ia + 1];
+    const NodeId* const eb = chain_nodes_.data() + chain_offsets_[ib + 1];
+    while (ea - ca > eb - cb) fn(*ca++, 0);
+    while (eb - cb > ea - ca) fn(*cb++, 1);
+    // Equal lengths left, so both chains end together at the root's child.
+    while (ca != ea && *ca != *cb) {
+      fn(*ca++, 0);
+      fn(*cb++, 1);
     }
   }
 
@@ -198,6 +194,11 @@ class Topology {
 
   std::vector<Node> nodes_;
   std::vector<NodeId> server_nodes_;    // ServerId → leaf node
+  // Uplink chain of each server, flat: server s owns
+  // chain_nodes_[chain_offsets_[s] .. chain_offsets_[s + 1]), its leaf
+  // first and the root's child last (the root has no uplink).
+  std::vector<std::size_t> chain_offsets_{0};
+  std::vector<NodeId> chain_nodes_;
   std::vector<Resource> server_capacity_;
   NodeId root_ = NodeId::invalid();
   int num_levels_ = 0;

@@ -212,6 +212,9 @@ obs::EpochRecord MakeRecord() {
   rec.active_servers = 12;
   rec.total_watts = 5451.25;
   rec.avg_active_utilization = 0.625;
+  rec.p99_tct_ms = 1.5;
+  rec.queue_tct_ms = 0.75;
+  rec.network_tct_ms = 0.25;
   rec.counters = {{"partition.cut_edges_evaluated", 123}};
   rec.has_hash = true;
   rec.hash_placement = 0x1111;
@@ -227,6 +230,10 @@ TEST(RunLoggerTest, EpochLineLayout) {
   EXPECT_NE(line.find("\"epoch\":3"), std::string::npos);
   EXPECT_NE(line.find("\"total_watts\":5451.25,"
                       "\"avg_active_utilization\":0.625,"),
+            std::string::npos);
+  // The TCT split follows p99_tct_ms.
+  EXPECT_NE(line.find("\"p99_tct_ms\":1.5,\"queue_tct_ms\":0.75,"
+                      "\"network_tct_ms\":0.25,"),
             std::string::npos);
   EXPECT_NE(line.find("\"counters\":{\"partition.cut_edges_evaluated\":123}"),
             std::string::npos);

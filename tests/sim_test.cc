@@ -3,6 +3,8 @@
 #include <bit>
 #include <cstdint>
 #include <iterator>
+#include <memory>
+#include <span>
 
 #include "common/state_hash.h"
 #include "core/goldilocks.h"
@@ -492,6 +494,113 @@ TEST(Runner, AzureControllerEpochsBitIdentical) {
               kExpected[e].mean_tct_bits);
     EXPECT_EQ(std::bit_cast<std::uint64_t>(result.epochs[e].p99_tct_ms),
               kExpected[e].p99_tct_bits);
+  }
+}
+
+TEST(Runner, RepairEpochsBitIdentical) {
+  // Incremental repair every 4th epoch: twitter repairs a grouping it
+  // reused in between, and azure, whose live set changes almost every
+  // epoch, repairs nearly every epoch. The constants pin each epoch's
+  // hashes and TCT bit patterns, so the per-grouping caches must be rebuilt
+  // exactly on the repair path too.
+  struct Expected {
+    std::uint64_t placement, loads, power, rng, mean_tct_bits, p99_tct_bits;
+  };
+  constexpr Expected kTwitter[] = {
+      {0x8eab0325a7f45535ULL, 0xea96d0ff5a7ebd9cULL, 0x5aea3cbc87771b23ULL,
+       0x6b0b03a1420b7281ULL, 0x3fe9b426b295d377ULL, 0x3fe9c2a742a3d440ULL},
+      {0x8eab0325a7f45535ULL, 0xf94c324bd3b706a3ULL, 0xfe07703f5870933fULL,
+       0xd9f439e5a1ebc000ULL, 0x3feb390fc14d08ebULL, 0x3feba35391980fb0ULL},
+      {0x8eab0325a7f45535ULL, 0x4be2cad74e30d9ffULL, 0xa790ca9c5b41a4f7ULL,
+       0x481ecbf66f935483ULL, 0x3ff18eea5e9240c9ULL, 0x3ff3ae1843b2da79ULL},
+      {0x8eab0325a7f45535ULL, 0xeb391d1d4a1db9c0ULL, 0xb56f60c45a03a702ULL,
+       0x84313e1123b48702ULL, 0x4000e389c4fdc79cULL, 0x4004a421e5c06f12ULL},
+      {0x8eab0325a7f45535ULL, 0xc29f4fc126f09446ULL, 0x6b4b6d15fe7e77acULL,
+       0x6b0b03a1420b7281ULL, 0x401e1100fa364110ULL, 0x4023333333333334ULL},
+      {0x125286ddb76a6cf4ULL, 0x000f4baccf1b99a7ULL, 0xcf8eec83f2448ebcULL,
+       0xb5a8b9df31161344ULL, 0x40086a56ebc189b2ULL, 0x4028680fc5f6f46aULL},
+      {0xe557d6be03a0beb0ULL, 0x3b8ccb9631db90bdULL, 0x7ca66af810315a27ULL,
+       0x0fad1778648de226ULL, 0x4003c12f70255386ULL, 0x40195b8b8407d0ecULL},
+      {0xaeb8bdd6ad622676ULL, 0xb883f074573d4c14ULL, 0x5b07604f12510f84ULL,
+       0x354a1170ab06c391ULL, 0x400a4d2c53c2b0fcULL, 0x402a0c744b9f82c3ULL},
+      {0x25e4c23185135b77ULL, 0x6ca04a2e8ccb1303ULL, 0x9ca4d43f9e321610ULL,
+       0x740deaf75f106610ULL, 0x400bc30b2d9b3078ULL, 0x4023333333333334ULL},
+      {0xa9190a89dcdceff5ULL, 0x98ed57e1c3f71a85ULL, 0x95f5301bdc276f8dULL,
+       0x6c010a7ae8a1b293ULL, 0x3ff4f56063d318e4ULL, 0x4010b70104e71afaULL},
+      {0xa9190a89dcdceff5ULL, 0x565dc62d06184664ULL, 0xa3b07de00908d6a4ULL,
+       0x4692f798d745c012ULL, 0x3fec13509d8f3369ULL, 0x4010228d5639c32bULL},
+      {0xa9190a89dcdceff5ULL, 0x247072e31c21f349ULL, 0x206082531831fb30ULL,
+       0x354a1170ab06c391ULL, 0x3febc44f259668e6ULL, 0x40100e4e5ce2f5f5ULL},
+  };
+  constexpr Expected kAzure[] = {
+      {0x9fe4c077ca76388cULL, 0x59adef2cb18381ddULL, 0xab4f2771efaf65aaULL,
+       0xf9430b9a7e04d22bULL, 0x3ff41a48e829ad46ULL, 0x3ffd913aafd30ff0ULL},
+      {0x38f9711be2f98470ULL, 0xca6d7820864c02abULL, 0x5c1f8cef170811fdULL,
+       0x57982d65106228a5ULL, 0x3ff37838dd306ca1ULL, 0x3ffbf8f0e7e12785ULL},
+      {0xb6fbbcd84053a366ULL, 0x450eee7c0b0a5630ULL, 0x992f6f7212e8499aULL,
+       0x85082e2256ea4bdfULL, 0x3ff4079fa83260aaULL, 0x3ffeb64e4e96b207ULL},
+      {0x38f9711be2f98470ULL, 0x778f92aef86e10b1ULL, 0x64f2a148c3ae99feULL,
+       0x57982d65106228a5ULL, 0x3ff8ba7ed4c366c7ULL, 0x400459676a100c53ULL},
+      {0x71f590e817f92b6aULL, 0xe402fd8150d1bbccULL, 0xc4a0f48bd4c3fa53ULL,
+       0x788ffbed7cf98989ULL, 0x3fffc9fa4a59df2cULL, 0x400e4f9a35e202f0ULL},
+      {0x0982593c585a9525ULL, 0xc7adb0c9e8da77d6ULL, 0xc95e8020501f7773ULL,
+       0x5f9b47b231a3483fULL, 0x3ff9c533df1d1d27ULL, 0x400676e63d3706faULL},
+      {0x1d720c2933a0511dULL, 0xd9aeec5fe32184f7ULL, 0xbe1366ec868773f8ULL,
+       0xbaad66995fc27427ULL, 0x400923cef04120d5ULL, 0x40222b113e008884ULL},
+      {0x1d720c2933a0511dULL, 0x124f8c284a795f23ULL, 0x484bef1c4f4b856cULL,
+       0x82dd6f4964a568e6ULL, 0x3ff88036d4858facULL, 0x4008fabfab16050fULL},
+      {0x1da38a2af145481cULL, 0xf581b2ec776318e2ULL, 0x43f3375b0b6a6653ULL,
+       0x81eff25bfd171627ULL, 0x3ffe38b4808f2445ULL, 0x400fc66dcfacb35aULL},
+      {0xd879dce55ad3d1c4ULL, 0x3f7fd38e42e94f37ULL, 0xc6fe4539459850ccULL,
+       0x56ae2b119065bcb0ULL, 0x3ff5cbc087bbb421ULL, 0x4002cef48c2fe7e3ULL},
+      {0x3063f5cfc205e9d4ULL, 0xa48c024fedca8cceULL, 0x5c30a9b9fca37b06ULL,
+       0xbaa432bd16b7802fULL, 0x3ff4245954614552ULL, 0x400053c5180fe85fULL},
+      {0x1d720c2933a0511dULL, 0x3744726a47f42059ULL, 0xca5756ed5e94e9b2ULL,
+       0xbaad66995fc27427ULL, 0x3ff15e162bc7847eULL, 0x3ffa7b508cf2337cULL},
+  };
+  struct World {
+    std::unique_ptr<Scenario> scenario;
+    std::span<const Expected> expected;
+    std::uint64_t cache_hits;
+  };
+  TwitterScenarioOptions twitter;
+  twitter.num_epochs = 12;
+  AzureScenarioOptions azure;
+  azure.num_epochs = 12;
+  World worlds[] = {
+      {MakeTwitterCachingScenario(twitter), kTwitter, 8},
+      {MakeAzureMixScenario(azure), kAzure, 1},
+  };
+  const Topology topo = Topology::Testbed16();
+  RunnerOptions opts;
+  opts.record_state_hashes = true;
+  for (const auto& world : worlds) {
+    SCOPED_TRACE(world.scenario->name());
+    const ExperimentRunner runner(*world.scenario, topo, opts);
+    GoldilocksOptions gopts;
+    gopts.repartition_interval = 4;
+    gopts.incremental_repartition = true;
+    GoldilocksScheduler sched(gopts);
+    const obs::Counter& hits = obs::MetricsRegistry::Global().GetCounter(
+        "goldilocks.partition_cache_hits", obs::MetricKind::kDeterministic);
+    const std::uint64_t hits_before = hits.value();
+    const auto result = runner.Run(sched);
+    EXPECT_EQ(hits.value() - hits_before, world.cache_hits);
+    ASSERT_EQ(result.epochs.size(), world.expected.size());
+    ASSERT_EQ(result.state_hashes.size(), world.expected.size());
+    for (std::size_t e = 0; e < world.expected.size(); ++e) {
+      SCOPED_TRACE(e);
+      const auto& h = result.state_hashes[e];
+      const Expected& want = world.expected[e];
+      EXPECT_EQ(h.placement, want.placement);
+      EXPECT_EQ(h.loads, want.loads);
+      EXPECT_EQ(h.power, want.power);
+      EXPECT_EQ(h.rng, want.rng);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(result.epochs[e].mean_tct_ms),
+                want.mean_tct_bits);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(result.epochs[e].p99_tct_ms),
+                want.p99_tct_bits);
+    }
   }
 }
 

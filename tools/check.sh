@@ -111,6 +111,14 @@ if [[ "${STAGE}" == "all" || "${STAGE}" == "release" ]]; then
   for span in graph.build partition.refine.fm epoch.tct; do
     grep -q "^| ${span} " "${FIG13_PROFILE}"
   done
+  # Fig 13 output gate: four epochs of the bench (~3 s) must print exactly
+  # the committed tables. This is the one check that runs Goldilocks reuse
+  # epochs and all five policies at Fig 13 scale (gl_report run's msr
+  # world repartitions every epoch), so a change that moves any of their
+  # placements, powers or TCTs fails here.
+  echo "==> Fig 13 output gate (bench_fig13_large_scale, 4 epochs)"
+  GOLDILOCKS_FIG13_EPOCHS=4 ./build-check-release/bench/bench_fig13_large_scale \
+    | diff tests/golden/fig13_four_epochs.txt -
 fi
 
 if [[ "${STAGE}" == "all" || "${STAGE}" == "asan" ]]; then
