@@ -1,12 +1,13 @@
 // Asymmetric provisioning (Sec. IV): heterogeneous servers and a degraded
 // pod uplink. Goldilocks abstracts each container group as a Virtual
-// Cluster and reserves outbound bandwidth per equations (4)/(5); this
-// example shows the placement adapting around the failure.
+// Cluster and, on every uplink that carries less than the NICs beneath it,
+// keeps the outbound reservations of equations (4)/(5) within capacity;
+// this example shows the placement adapting around the failure and the
+// reservations it booked.
 #include <cstdio>
 
 #include "common/table.h"
 #include "core/goldilocks.h"
-#include "core/virtual_cluster.h"
 #include "workload/scenarios.h"
 
 int main() {
@@ -30,9 +31,7 @@ int main() {
   const auto demands = scenario->DemandsAt(20);
   const auto active = scenario->ActiveAt(20);
 
-  GoldilocksOptions opts;
-  opts.use_virtual_clusters = true;  // the Sec. IV placer
-  GoldilocksScheduler scheduler(opts);
+  GoldilocksScheduler scheduler;
   SchedulerInput input;
   input.workload = &scenario->workload();
   input.demands = demands;
@@ -44,8 +43,9 @@ int main() {
               p.num_placed(), scenario->workload().size(),
               p.NumActiveServers(), scheduler.last_num_groups());
 
-  // Where did the load go? Per-pod breakdown.
-  Table t({"pod", "uplink Mbps", "containers", "servers used"});
+  // Where did the load go, and what does each pod's uplink carry?
+  Table t({"pod", "uplink Mbps", "checked", "reserved Mbps", "containers",
+           "servers used"});
   for (const auto pod : topo.NodesAtLevel(2)) {
     int containers = 0, servers_used = 0;
     for (const auto s : topo.ServersUnder(pod)) {
@@ -56,30 +56,16 @@ int main() {
       containers += here;
       servers_used += here > 0;
     }
+    const double reserved =
+        p.uplink_reserved_mbps.empty()
+            ? 0.0
+            : p.uplink_reserved_mbps[static_cast<std::size_t>(pod.value())];
     t.AddRow({Table::Int(pod.value()),
               Table::Num(topo.uplink_capacity(pod), 0),
-              Table::Int(containers), Table::Int(servers_used)});
+              topo.uplink_checked(pod) ? "yes" : "no",
+              Table::Num(reserved, 0), Table::Int(containers),
+              Table::Int(servers_used)});
   }
   t.Print();
-
-  // The same placement through the raw VC placer exposes reservations.
-  VirtualClusterOptions vc_opts;
-  VirtualClusterPlacer placer(topo, vc_opts);
-  std::vector<std::vector<ContainerId>> one_group_per_server;
-  // Reuse Goldilocks' grouping for the demo.
-  std::vector<std::vector<ContainerId>> groups(
-      static_cast<std::size_t>(scheduler.last_num_groups()));
-  for (std::size_t c = 0; c < scheduler.last_grouping().size(); ++c) {
-    const int g = scheduler.last_grouping()[c];
-    if (g >= 0) {
-      groups[static_cast<std::size_t>(g)].push_back(
-          ContainerId{static_cast<int>(c)});
-    }
-  }
-  placer.PlaceGroups(groups, demands, scenario->workload().containers.size());
-  std::printf(
-      "\nVC placement: %d whole, %d split, %d bandwidth violations\n",
-      placer.stats().groups_placed_whole, placer.stats().groups_split,
-      placer.stats().bandwidth_violations);
   return 0;
 }

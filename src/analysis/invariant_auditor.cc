@@ -137,9 +137,9 @@ InvariantAuditor::InvariantAuditor(AuditOptions opts) : opts_(opts) {}
 AuditReport InvariantAuditor::AuditAll(const SystemView& view) const {
   obs::TraceSpan span("audit.all");
   AuditReport report;
-  if (view.topology != nullptr) {
-    AuditTopology(*view.topology, report);
-    AuditBandwidth(*view.topology, report);
+  if (view.topology != nullptr) AuditTopology(*view.topology, report);
+  if (view.placement != nullptr && view.topology != nullptr) {
+    AuditBandwidth(*view.placement, *view.topology, report);
   }
   if (view.placement != nullptr && view.topology != nullptr &&
       !view.demands.empty()) {
@@ -297,22 +297,31 @@ void InvariantAuditor::AuditTopology(const Topology& topo,
   }
 }
 
-void InvariantAuditor::AuditBandwidth(const Topology& topo,
+void InvariantAuditor::AuditBandwidth(const Placement& placement,
+                                      const Topology& topo,
                                       AuditReport& out) const {
+  const auto& reserved_mbps = placement.uplink_reserved_mbps;
+  if (reserved_mbps.empty()) return;  // no uplink was checked
   Collector add(out, opts_.max_findings_per_class);
+  if (reserved_mbps.size() != static_cast<std::size_t>(topo.num_nodes())) {
+    add.Add(AuditSeverity::kError, AuditClass::kBandwidth, "placement",
+            Format("%.0f uplink reservations for %.0f topology nodes",
+                   static_cast<double>(reserved_mbps.size()),
+                   topo.num_nodes()));
+    return;
+  }
   for (int i = 0; i < topo.num_nodes(); ++i) {
-    const NodeId id{i};
-    const double reserved = topo.uplink_reserved(id);
-    const double capacity = topo.uplink_capacity(id);
+    const double reserved = reserved_mbps[static_cast<std::size_t>(i)];
+    const double capacity = topo.uplink_capacity(NodeId{i});
     if (!std::isfinite(reserved) || reserved < -kResourceEps) {
-      add.Add(AuditSeverity::kError, AuditClass::kBandwidth, "topology",
+      add.Add(AuditSeverity::kError, AuditClass::kBandwidth, "placement",
               "uplink reservation is negative or non-finite", {i});
       continue;
     }
     // The root has no uplink; factories give it capacity 0 and nothing may
     // reserve on it.
     if (!WithinCap(reserved, capacity)) {
-      add.Add(AuditSeverity::kError, AuditClass::kBandwidth, "topology",
+      add.Add(AuditSeverity::kError, AuditClass::kBandwidth, "placement",
               Format("uplink over-reserved: %.1f Mbps reserved on "
                      "%.1f Mbps of capacity",
                      reserved, capacity),

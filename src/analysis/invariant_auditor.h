@@ -26,9 +26,10 @@
 //                     Energy Efficiency ceiling (memory has its own
 //                     ceiling). Overcommit policies (E-PVM) violate this on
 //                     purpose, so it defaults to a warning.
-//   bandwidth       — every DCN uplink has non-negative residual capacity
-//                     given the Virtual-Cluster reservations booked on it,
-//                     and no reservation is negative or non-finite.
+//   bandwidth       — the Eq. (4)/(5) reservations a placement carries
+//                     (Placement::uplink_reserved_mbps) fit every uplink's
+//                     (possibly degraded) capacity, and none is negative or
+//                     non-finite.
 //   replica-domains — containers sharing a replica_set occupy distinct
 //                     fault domains (distinct servers at level 0; racks at
 //                     level 1, ...).
@@ -143,7 +144,8 @@ class InvariantAuditor {
 
   // Individual invariant families; each appends findings to `out`.
   void AuditTopology(const Topology& topo, AuditReport& out) const;
-  void AuditBandwidth(const Topology& topo, AuditReport& out) const;
+  void AuditBandwidth(const Placement& placement, const Topology& topo,
+                      AuditReport& out) const;
   // Conservation + capacity + PEE cap for one placement.
   void AuditPlacement(const Placement& placement,
                       std::span<const Resource> demands,

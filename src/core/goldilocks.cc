@@ -8,7 +8,7 @@
 #include "common/rng.h"
 #include "common/stable_map.h"
 #include "common/state_hash.h"
-#include "core/virtual_cluster.h"
+#include "core/uplink_reservations.h"
 #include "graph/incremental.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -22,11 +22,24 @@ obs::Counter& PeeCapRejections() {
   return c;
 }
 
+// Memory is packed to full capacity: RAM draws little dynamic power and does
+// not burst, so it is not tied to the PEE point.
+constexpr double kMemoryCeiling GL_UNITS(dimensionless) = 1.0;
+// Groups are formed against ceiling × (1 - kGroupHeadroom) so a cached
+// grouping survives epoch-to-epoch demand growth (the reuse check and the
+// final placement still enforce the full ceiling).
+constexpr double kGroupHeadroom GL_UNITS(dimensionless) = 0.10;
+// A group stays on its current server while the server remains below this
+// fraction of *full* capacity (CPU/network): moderate drift is absorbed by
+// the PEE headroom instead of triggering migration; beyond it the group is
+// re-placed. Memory is always allowed to 100%.
+constexpr double kStabilityCeiling GL_UNITS(dimensionless) = 0.85;
+
 // Per-dimension packing ceiling: CPU and network stop at the PEE point,
-// memory at its own headroom ceiling.
+// memory at its own ceiling.
 Resource CeilingFor(const Resource& capacity, const GoldilocksOptions& opts) {
   return Resource{.cpu = capacity.cpu * opts.pee_utilization,
-                  .mem_gb = capacity.mem_gb * opts.memory_ceiling,
+                  .mem_gb = capacity.mem_gb * kMemoryCeiling,
                   .net_mbps = capacity.net_mbps * opts.pee_utilization};
 }
 
@@ -147,8 +160,7 @@ struct GoldilocksScheduler::PartitionCache {
   // Brings nic_share and replica_sets up to date for `w`, first
   // rebuilding the flow adjacency unless it was built for `w`. They are
   // rebuilt (the only MembershipStamp pass) on the first call after a new
-  // grouping or a new adjacency, so a caller that never reads them (the
-  // Virtual Cluster path after a repartition) never pays for them.
+  // grouping or a new adjacency.
   void EnsureDerived(const Workload& w) {
     if (adjacency_of != &w || adjacency_containers != w.containers.size() ||
         adjacency_edges != w.edges.size()) {
@@ -297,7 +309,7 @@ GoldilocksScheduler::PartitionContainers(const SchedulerInput& input) {
       *input.workload, input.demands, input.active, avg_cap);
   // Groups are sized against a margin-reduced ceiling so they survive
   // epoch-to-epoch demand growth without a full repartition.
-  Resource relaxed = ceiling * (1.0 - opts_.group_headroom);
+  Resource relaxed = ceiling * (1.0 - kGroupHeadroom);
   relaxed.net_mbps *= kPartitionNetRelax;
   const auto fits = [&relaxed](const Resource& demand, int count) {
     (void)count;
@@ -449,8 +461,9 @@ GoldilocksScheduler::PartitionContainers(const SchedulerInput& input) {
   return cache_->groups;
 }
 
+template <bool kCheckUplinks>
 Placement GoldilocksScheduler::AssignGroupsSymmetric(
-    const SchedulerInput& input) const {
+    const SchedulerInput& input, UplinkReservations* uplinks) const {
   const auto& topo = *input.topology;
   const std::vector<std::vector<ContainerId>>& groups = cache_->groups;
   cache_->EnsureDerived(*input.workload);
@@ -512,11 +525,22 @@ Placement GoldilocksScheduler::AssignGroupsSymmetric(
     return true;
   };
 
+  // Eq. (4)/(5) (Sec. IV): may `bw` more of group gi be booked beneath
+  // server s? Constant true, and compiled away, where no uplink is checked.
+  const auto uplinks_fit = [uplinks](std::size_t gi, ServerId s,
+                                     double bw GL_UNITS(bits_per_sec)) {
+    return !kCheckUplinks || uplinks->Admits(gi, s, bw);
+  };
+
   auto place_on = [&](const std::vector<ContainerId>& group, ServerId s,
                       std::size_t gi) {
     // Book the *effective* demand: colocated traffic never hits the NIC.
-    // CPU and memory are booked per container (exact).
+    // CPU and memory are booked per container (exact). Uplinks book the
+    // raw ΣB_i, as Eq. (4)/(5) do.
     state.Add(s, group_demand[gi]);
+    if constexpr (kCheckUplinks) {
+      uplinks->Commit(gi, s, uplinks->group_bandwidth(gi));
+    }
     for (const auto c : group) {
       p.server_of[static_cast<std::size_t>(c.value())] = s;
     }
@@ -537,6 +561,8 @@ Placement GoldilocksScheduler::AssignGroupsSymmetric(
     const auto& group = groups[gi];
     if (group.empty()) continue;
     const Resource& eff = group_demand[gi];
+    const double group_bw GL_UNITS(bits_per_sec) =
+        kCheckUplinks ? uplinks->group_bandwidth(gi) : 0.0;
 
     // Stability: keep the group on last epoch's server while the server
     // stays below the stability ceiling — moderate growth is exactly what
@@ -547,11 +573,11 @@ Placement GoldilocksScheduler::AssignGroupsSymmetric(
       const ServerId prev = cache_->group_server[gi];
       const Resource& cap = topo.server_capacity(prev);
       const Resource stay_limit{
-          .cpu = cap.cpu * opts_.stability_ceiling,
+          .cpu = cap.cpu * kStabilityCeiling,
           .mem_gb = cap.mem_gb,
-          .net_mbps = cap.net_mbps * opts_.stability_ceiling};
+          .net_mbps = cap.net_mbps * kStabilityCeiling};
       if ((state.load(prev) + eff).FitsIn(stay_limit) &&
-          allowed(gi, prev, 0)) {
+          allowed(gi, prev, 0) && uplinks_fit(gi, prev, group_bw)) {
         place_on(group, prev, gi);
         continue;
       }
@@ -565,7 +591,8 @@ Placement GoldilocksScheduler::AssignGroupsSymmetric(
         const ServerId s = server_order[(cursor + k) % server_order.size()];
         if (!allowed(gi, s, pass)) continue;
         const Resource ceiling = CeilingFor(topo.server_capacity(s), opts_);
-        if ((state.load(s) + eff).FitsIn(ceiling)) {
+        if ((state.load(s) + eff).FitsIn(ceiling) &&
+            uplinks_fit(gi, s, group_bw)) {
           chosen = s;
           cursor = (cursor + k) % server_order.size();
           break;
@@ -579,9 +606,12 @@ Placement GoldilocksScheduler::AssignGroupsSymmetric(
     }
     // The group fits no single server (its NIC demand passed only the
     // relaxed partition check, demands grew since partitioning, or an
-    // oversized singleton): spill container-by-container, first at the PEE
-    // ceiling, then at full capacity as a last resort. Spilled containers
-    // are alone, so their full network demand applies.
+    // oversized singleton), or no server whose uplinks can carry it: spill
+    // container-by-container, first at the PEE ceiling, then at full
+    // capacity as a last resort. Spilled containers are alone, so their
+    // full network demand applies. With a checked uplink, a third pass at
+    // full capacity ignores Eq. (4)/(5), so placement never fails on
+    // bandwidth; the over-reservation is AuditBandwidth's to report.
     for (const auto c : group) {
       const auto& d = input.demands[static_cast<std::size_t>(c.value())];
       ServerId fallback = ServerId::invalid();
@@ -589,16 +619,31 @@ Placement GoldilocksScheduler::AssignGroupsSymmetric(
            k < server_order.size() && !fallback.valid(); ++k) {
         const ServerId s = server_order[(cursor + k) % server_order.size()];
         const Resource ceiling = CeilingFor(topo.server_capacity(s), opts_);
-        if ((state.load(s) + d).FitsIn(ceiling)) fallback = s;
+        if ((state.load(s) + d).FitsIn(ceiling) &&
+            uplinks_fit(gi, s, d.net_mbps)) {
+          fallback = s;
+        }
       }
       for (std::size_t k = 0;
            k < server_order.size() && !fallback.valid(); ++k) {
         const ServerId s = server_order[(cursor + k) % server_order.size()];
-        if (state.Fits(s, d, 1.0)) fallback = s;
+        if (state.Fits(s, d, 1.0) && uplinks_fit(gi, s, d.net_mbps)) {
+          fallback = s;
+        }
+      }
+      if constexpr (kCheckUplinks) {
+        for (std::size_t k = 0;
+             k < server_order.size() && !fallback.valid(); ++k) {
+          const ServerId s = server_order[(cursor + k) % server_order.size()];
+          if (state.Fits(s, d, 1.0)) fallback = s;
+        }
       }
       if (fallback.valid()) {
         state.Add(fallback, d);
         p.server_of[static_cast<std::size_t>(c.value())] = fallback;
+        if constexpr (kCheckUplinks) {
+          uplinks->Commit(gi, fallback, d.net_mbps);
+        }
       }
     }
   }
@@ -608,20 +653,15 @@ Placement GoldilocksScheduler::AssignGroupsSymmetric(
 Placement GoldilocksScheduler::Place(const SchedulerInput& input) {
   GOLDILOCKS_CHECK(input.workload != nullptr && input.topology != nullptr);
   const auto& groups = PartitionContainers(input);
-
-  if (opts_.use_virtual_clusters) {
-    obs::TraceSpan vc_span("goldilocks.vc_reserve",
-                           static_cast<std::int64_t>(groups.size()));
-    VirtualClusterOptions vc_opts;
-    vc_opts.pee_utilization = opts_.pee_utilization;
-    vc_opts.memory_ceiling = opts_.memory_ceiling;
-    VirtualClusterPlacer placer(*input.topology, vc_opts);
-    return placer.PlaceGroups(groups, input.demands,
-                              input.workload->containers.size());
-  }
   obs::TraceSpan assign_span("goldilocks.assign_symmetric",
                              static_cast<std::int64_t>(groups.size()));
-  return AssignGroupsSymmetric(input);
+  if (!input.topology->has_checked_uplinks()) {
+    return AssignGroupsSymmetric<false>(input, nullptr);
+  }
+  UplinkReservations uplinks(*input.topology, groups, input.demands);
+  Placement p = AssignGroupsSymmetric<true>(input, &uplinks);
+  p.uplink_reserved_mbps = uplinks.PerNode();
+  return p;
 }
 
 }  // namespace gl

@@ -14,8 +14,12 @@
 //      the paper, computed directly on the topology tree. A group that fits
 //      no server is spilled container by container.
 //
-// Options cover the paper's ablations (PEE ceiling, locality on/off) and the
-// asymmetric path (Sec. IV) via the Virtual Cluster placer.
+// Asymmetric topologies (Sec. IV) run the same walk. Servers are fitted
+// against their own capacities, and where an uplink carries less than the
+// NICs beneath it, every placement must also keep the Eq. (4)/(5)
+// reservations (core/uplink_reservations.h) within that uplink; the
+// placement carries the reservations it booked. Options cover the paper's
+// ablations (PEE ceiling, locality on/off).
 #pragma once
 
 #include <cstdint>
@@ -31,26 +35,10 @@ namespace gl {
 struct GoldilocksOptions {
   // Packing ceiling at the Peak Energy Efficiency point (CPU & network).
   double pee_utilization = 0.70;
-  // Memory ceiling (full capacity by default: RAM draws little dynamic
-  // power and does not burst, so it is not tied to the PEE point; lower it
-  // to keep kernel/page-cache headroom).
-  double memory_ceiling = 1.0;
-  // Groups are formed against ceiling × (1 - group_headroom) so a cached
-  // grouping survives epoch-to-epoch demand growth (the reuse check and the
-  // final placement still enforce the full ceiling).
-  double group_headroom GL_UNITS(dimensionless) = 0.10;
-  // A group stays on its current server while the server remains below
-  // this fraction of *full* capacity (CPU/network): moderate drift is
-  // absorbed by the PEE headroom instead of triggering migration; beyond
-  // it the group is re-placed. Memory is always allowed to 100%.
-  double stability_ceiling = 0.85;
   // Ablation hook: when false, groups are assigned to servers in a
-  // demand-size order with no relation to the recursion tree, destroying
-  // inter-group locality while keeping identical packing.
+  // deterministic shuffled order with no relation to the recursion tree,
+  // destroying inter-group locality while keeping identical packing.
   bool locality_order = true;
-  // Use the Sec. IV Virtual Cluster placer (required for asymmetric
-  // topologies / heterogeneous servers; optional for symmetric ones).
-  bool use_virtual_clusters = false;
   // Epochs between full re-partitions; between them the previous grouping
   // is re-packed with fresh demands (and re-partitioned anyway if any group
   // outgrew a server).
@@ -62,6 +50,8 @@ struct GoldilocksOptions {
   bool incremental_repartition = false;
   PartitionOptions partition;
 };
+
+class UplinkReservations;
 
 class GoldilocksScheduler final : public Scheduler {
  public:
@@ -88,8 +78,12 @@ class GoldilocksScheduler final : public Scheduler {
   const std::vector<std::vector<ContainerId>>& PartitionContainers(
       const SchedulerInput& input);
 
-  // Lays the cached grouping onto servers.
-  Placement AssignGroupsSymmetric(const SchedulerInput& input) const;
+  // Lays the cached grouping onto servers. With kCheckUplinks, every
+  // placement must also pass `uplinks`' Eq. (4)/(5) check and is booked
+  // there; without, the walk never touches `uplinks`.
+  template <bool kCheckUplinks>
+  Placement AssignGroupsSymmetric(const SchedulerInput& input,
+                                  UplinkReservations* uplinks) const;
 
   std::string name_ = "Goldilocks";
   GoldilocksOptions opts_;

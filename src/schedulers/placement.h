@@ -15,6 +15,10 @@ struct Placement {
   // Indexed by ContainerId; invalid() = not placed (inactive container or
   // admission failure).
   std::vector<ServerId> server_of;
+  // Eq. (4)/(5) bandwidth the placement reserves on each node's uplink,
+  // indexed by NodeId: filled on the topology's checked uplinks, 0 on the
+  // rest, and empty when no uplink was checked.
+  std::vector<double> uplink_reserved_mbps GL_UNITS(bits_per_sec);
 
   [[nodiscard]] ServerId of(ContainerId c) const {
     const auto i = static_cast<std::size_t>(c.value());

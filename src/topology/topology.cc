@@ -25,6 +25,7 @@ NodeId Topology::AddSwitchNode(NodeId parent, int level, double uplink_mbps,
   }
   nodes_.push_back(std::move(n));
   num_levels_ = std::max(num_levels_, level + 1);
+  num_checked_uplinks_ += uplink_checked(id) ? 1 : 0;
   return id;
 }
 
@@ -48,7 +49,24 @@ ServerId Topology::AddServer(NodeId rack, const Resource& capacity) {
     chain_nodes_.push_back(cur);
   }
   chain_offsets_.push_back(chain_nodes_.size());
+  AddNicBelow(CheckedServer(sid), capacity.net_mbps);
   return sid;
+}
+
+void Topology::set_server_capacity(ServerId s, const Resource& c) {
+  const std::size_t i = CheckedServer(s);
+  AddNicBelow(i, c.net_mbps - server_capacity_[i].net_mbps);
+  server_capacity_[i] = c;
+}
+
+void Topology::AddNicBelow(std::size_t s,
+                           double delta_mbps GL_UNITS(bits_per_sec)) {
+  for (std::size_t k = chain_offsets_[s]; k < chain_offsets_[s + 1]; ++k) {
+    const NodeId id = chain_nodes_[k];
+    num_checked_uplinks_ -= uplink_checked(id) ? 1 : 0;
+    nodes_[CheckedNode(id)].nic_below_mbps += delta_mbps;
+    num_checked_uplinks_ += uplink_checked(id) ? 1 : 0;
+  }
 }
 
 Topology Topology::FatTree(int k, const Resource& server_capacity,
@@ -223,27 +241,14 @@ NodeId Topology::AncestorAt(NodeId id, int level) const {
   return NodeId::invalid();
 }
 
-void Topology::Reserve(NodeId id, double mbps GL_UNITS(bits_per_sec)) {
-  GOLDILOCKS_CHECK_GE(mbps, 0.0);
-  auto& n = nodes_[CheckedNode(id)];
-  n.uplink_reserved_mbps += mbps;
-}
-
-void Topology::Release(NodeId id, double mbps GL_UNITS(bits_per_sec)) {
-  auto& n = nodes_[CheckedNode(id)];
-  n.uplink_reserved_mbps = std::max(0.0, n.uplink_reserved_mbps - mbps);
-}
-
-void Topology::ClearReservations() {
-  for (auto& n : nodes_) n.uplink_reserved_mbps = 0.0;
-}
-
 void Topology::DegradeUplink(NodeId id,
                              double factor GL_UNITS(dimensionless)) {
   GOLDILOCKS_CHECK(factor >= 0.0 && factor <= 1.0);
+  num_checked_uplinks_ -= uplink_checked(id) ? 1 : 0;
   auto& n = nodes_[CheckedNode(id)];
   n.uplink_capacity_mbps *= factor;
   n.physical_uplinks = static_cast<int>(n.physical_uplinks * factor);
+  num_checked_uplinks_ += uplink_checked(id) ? 1 : 0;
 }
 
 }  // namespace gl

@@ -14,6 +14,8 @@
 // Asymmetry (Sec. IV) enters in two ways:
 //   * heterogeneous servers — per-server capacity vectors are mutable;
 //   * link/switch failures — uplink capacities can be degraded per node.
+// Either can leave an uplink below the NICs beneath it; such an uplink is
+// *checked* (uplink_checked), the only kind on which Eq. (4)/(5) can bind.
 #pragma once
 
 #include <string>
@@ -34,8 +36,8 @@ class Topology {
     int level = 0;  // 0 = server; increases toward the root
     // Aggregate capacity of all physical uplinks toward the parent (Mbps).
     double uplink_capacity_mbps GL_UNITS(bits_per_sec) = 0.0;
-    // Bandwidth currently reserved on that uplink by placed Virtual Clusters.
-    double uplink_reserved_mbps GL_UNITS(bits_per_sec) = 0.0;
+    // Summed NIC capacity of the servers beneath (a leaf: its own NIC).
+    double nic_below_mbps GL_UNITS(bits_per_sec) = 0.0;
     // Physical switches this hierarchy node stands for (0 for servers).
     int physical_switches = 0;
     // Physical links the uplink bundle stands for.
@@ -118,9 +120,7 @@ class Topology {
     return server_capacity_[CheckedServer(s)];
   }
   // Heterogeneity hook: replace one server's capacity (Sec. IV).
-  void set_server_capacity(ServerId s, const Resource& c) {
-    server_capacity_[CheckedServer(s)] = c;
-  }
+  void set_server_capacity(ServerId s, const Resource& c);
   [[nodiscard]] Resource total_server_capacity() const;
   [[nodiscard]] Resource average_server_capacity() const;
 
@@ -165,18 +165,20 @@ class Topology {
       GL_UNITS(bits_per_sec) {
     return nodes_[CheckedNode(id)].uplink_capacity_mbps;
   }
-  [[nodiscard]] double uplink_reserved(NodeId id) const
-      GL_UNITS(bits_per_sec) {
-    return nodes_[CheckedNode(id)].uplink_reserved_mbps;
-  }
-  [[nodiscard]] double uplink_residual(NodeId id) const
-      GL_UNITS(bits_per_sec) {
+  // True when the uplink of `id` carries less than the summed NICs of the
+  // servers beneath it, so Eq. (4)/(5) reservations can bind on it. A
+  // full-bisection uplink cannot bind before those NICs do, and packing
+  // already checks them. The root has no uplink and is never checked.
+  [[nodiscard]] bool uplink_checked(NodeId id) const {
     const auto& n = nodes_[CheckedNode(id)];
-    return n.uplink_capacity_mbps - n.uplink_reserved_mbps;
+    return n.parent.valid() &&
+           !WithinCap(n.nic_below_mbps, n.uplink_capacity_mbps);
   }
-  void Reserve(NodeId id, double mbps GL_UNITS(bits_per_sec));
-  void Release(NodeId id, double mbps GL_UNITS(bits_per_sec));
-  void ClearReservations();
+  // Kept up to date by AddServer, set_server_capacity and DegradeUplink, so
+  // asking costs nothing on a topology without a checked uplink.
+  [[nodiscard]] bool has_checked_uplinks() const {
+    return num_checked_uplinks_ > 0;
+  }
 
   // Failure injection: scales the uplink capacity of `id` by `factor`
   // (e.g. 0.5 = half the uplinks of this substructure failed).
@@ -192,6 +194,9 @@ class Topology {
     return static_cast<std::size_t>(s.value());
   }
 
+  // Adds `delta_mbps` of NIC capacity beneath every uplink of server s.
+  void AddNicBelow(std::size_t s, double delta_mbps GL_UNITS(bits_per_sec));
+
   std::vector<Node> nodes_;
   std::vector<NodeId> server_nodes_;    // ServerId → leaf node
   // Uplink chain of each server, flat: server s owns
@@ -202,6 +207,7 @@ class Topology {
   std::vector<Resource> server_capacity_;
   NodeId root_ = NodeId::invalid();
   int num_levels_ = 0;
+  int num_checked_uplinks_ = 0;
 };
 
 }  // namespace gl

@@ -104,7 +104,7 @@ TEST(Goldilocks, RespectsPeeCeiling) {
     const auto& cap = f.topo.server_capacity(ServerId{s});
     const auto& l = loads[static_cast<std::size_t>(s)];
     EXPECT_LE(l.cpu, cap.cpu * opts.pee_utilization * 1.02);
-    EXPECT_LE(l.mem_gb, cap.mem_gb * opts.memory_ceiling * 1.02);
+    EXPECT_LE(l.mem_gb, cap.mem_gb * 1.02);
   }
 }
 
@@ -411,6 +411,200 @@ TEST(Goldilocks, HandlesAzureChurn) {
       EXPECT_EQ(p.server_of[i].valid(), active[i] != 0) << "epoch " << e;
     }
   }
+}
+
+TEST(Goldilocks, NoReservationsOnFullBisectionTopologies) {
+  Fixture f;
+  for (const Topology& topo :
+       {Topology::FatTree(4, kCap, 1000.0), Topology::Testbed16()}) {
+    ASSERT_FALSE(topo.has_checked_uplinks());
+    SchedulerInput input = f.input;
+    input.topology = &topo;
+    GoldilocksScheduler sched;
+    const Placement p = sched.Place(input);
+    EXPECT_EQ(p.num_placed(), 176);
+    EXPECT_TRUE(p.uplink_reserved_mbps.empty());
+  }
+}
+
+// --- Sec. IV: asymmetric topologies ---------------------------------------------------
+//
+// Each group is a Virtual Cluster whose Eq. (4)/(5) reservation must fit
+// every checked uplink above its server (core/uplink_reservations.h).
+
+// `services` services of `per_service` identical containers; each service
+// is a clique of heavy flows, and consecutive services share one light flow.
+struct ServiceWorld {
+  ServiceWorld(int services, int per_service, const Resource& demand) {
+    for (int sv = 0; sv < services; ++sv) {
+      const int first = w.size();
+      for (int i = 0; i < per_service; ++i) {
+        Container c;
+        c.id = ContainerId{w.size()};
+        c.demand = demand;
+        c.service = sv;
+        w.containers.push_back(c);
+        for (int j = first; j < c.id.value(); ++j) {
+          w.edges.push_back({ContainerId{j}, c.id, 100.0});
+        }
+      }
+      if (sv > 0) w.edges.push_back({ContainerId{first - 1},
+                                     ContainerId{first}, 1.0});
+    }
+    demands.assign(w.containers.size(), demand);
+    active.assign(w.containers.size(), 1);
+  }
+  Placement Place(const Topology& topo) {
+    SchedulerInput input;
+    input.workload = &w;
+    input.demands = demands;
+    input.active = active;
+    input.topology = &topo;
+    GoldilocksScheduler sched;
+    return sched.Place(input);
+  }
+  Workload w;
+  std::vector<Resource> demands;
+  std::vector<std::uint8_t> active;
+};
+
+NodeId AncestorOf(const Topology& topo, ServerId s, int level) {
+  return topo.AncestorAt(topo.server_node(s), level);
+}
+
+// Every reservation a placement carries fits its uplink.
+void ExpectReservationsWithinCapacity(const Topology& topo,
+                                      const Placement& p) {
+  for (std::size_t n = 0; n < p.uplink_reserved_mbps.size(); ++n) {
+    EXPECT_LE(p.uplink_reserved_mbps[n],
+              topo.uplink_capacity(NodeId{static_cast<int>(n)}) + 1e-6)
+        << "node " << n;
+  }
+}
+
+TEST(VirtualCluster, PlacesSmallGroupOnOneRack) {
+  // A pod at half its uplinks makes the walk check Eq. (4)/(5). A group
+  // that fits one server lands whole on it, the smallest subtree, and with
+  // no other group its reservation is min(ΣB, 0) = 0.
+  Topology topo = Topology::FatTree(4, kCap, 1000.0);
+  const NodeId pod0 = topo.NodesAtLevel(2).front();
+  topo.DegradeUplink(pod0, 0.5);
+  ServiceWorld world(1, 2, {.cpu = 500, .mem_gb = 8, .net_mbps = 100});
+  const Placement p = world.Place(topo);
+  ASSERT_TRUE(p.server_of[0].valid());
+  EXPECT_EQ(p.server_of[0], p.server_of[1]);
+  ASSERT_EQ(p.uplink_reserved_mbps.size(),
+            static_cast<std::size_t>(topo.num_nodes()));
+  EXPECT_DOUBLE_EQ(p.uplink_reserved_mbps[static_cast<std::size_t>(
+                       pod0.value())], 0.0);
+}
+
+TEST(VirtualCluster, RespectsServerCeilings) {
+  // One spine under every pair of servers: each leaf uplink is checked.
+  const Topology topo = Topology::LeafSpine(4, 2, 1, kCap, 1000.0);
+  ASSERT_TRUE(topo.has_checked_uplinks());
+  ServiceWorld world(4, 2, {.cpu = 1000, .mem_gb = 10, .net_mbps = 100});
+  const Placement p = world.Place(topo);
+  EXPECT_EQ(p.num_placed(), 8);
+  const auto loads = ServerLoads(p, world.demands, topo.num_servers());
+  for (const auto& load : loads) {
+    EXPECT_LE(load.cpu, kCap.cpu * GoldilocksOptions{}.pee_utilization + 1e-6);
+  }
+  ExpectReservationsWithinCapacity(topo, p);
+}
+
+TEST(VirtualCluster, BandwidthConstraintForcesSpread) {
+  // 100 Mbps leaf uplinks over two 100 Mbps servers. Each 3-container
+  // service fits one server's CPU, but its ΣB = 120 Mbps cannot sit behind
+  // one leaf while the other service is pending or placed elsewhere, so
+  // Eq. (4)/(5) spreads its containers over leaves.
+  const Topology topo = Topology::LeafSpine(8, 2, 1, kCap, 100.0);
+  ServiceWorld world(2, 3, {.cpu = 600, .mem_gb = 2, .net_mbps = 40});
+  const Placement p = world.Place(topo);
+  EXPECT_EQ(p.num_placed(), 6);
+  std::set<int> leaves;
+  for (const auto s : p.server_of) {
+    leaves.insert(AncestorOf(topo, s, 1).value());
+  }
+  EXPECT_GE(leaves.size(), 3u);
+  ASSERT_FALSE(p.uplink_reserved_mbps.empty());
+  ExpectReservationsWithinCapacity(topo, p);
+}
+
+TEST(VirtualCluster, HeterogeneousServersUsed) {
+  Topology topo = Topology::LeafSpine(4, 2, 2, kCap, 1000.0);
+  // Shrink half of the servers.
+  for (int s = 0; s < topo.num_servers(); s += 2) {
+    topo.set_server_capacity(ServerId{s}, kCap * 0.25);
+  }
+  ServiceWorld world(1, 4, {.cpu = 1500, .mem_gb = 8, .net_mbps = 50});
+  const Placement p = world.Place(topo);
+  // cpu 1500 fits only the big servers (small ceiling = 0.25·3200·0.7=560).
+  for (std::size_t i = 0; i < 4; ++i) {
+    ASSERT_TRUE(p.server_of[i].valid());
+    EXPECT_EQ(p.server_of[i].value() % 2, 1) << "landed on a small server";
+  }
+}
+
+TEST(VirtualCluster, DegradedUplinkAvoided) {
+  // Pod 0 keeps 1% of its uplinks (40 Mbps). Two services of four
+  // containers, each service one server's worth of CPU, send 300 Mbps per
+  // container and talk to each other: either one in pod 0 would reserve
+  // its full ΣB = 1200 Mbps there, so both leave for healthy pods. A walk
+  // blind to the uplink puts both on pod 0's first servers.
+  Topology topo = Topology::FatTree(4, kCap, 1000.0);
+  const NodeId pod0 = topo.NodesAtLevel(2).front();
+  topo.DegradeUplink(pod0, 0.01);
+  ServiceWorld world(2, 4, {.cpu = 500, .mem_gb = 2, .net_mbps = 300});
+  const Placement p = world.Place(topo);
+  EXPECT_EQ(p.num_placed(), 8);
+  for (const auto s : p.server_of) EXPECT_NE(AncestorOf(topo, s, 2), pod0);
+  ASSERT_FALSE(p.uplink_reserved_mbps.empty());
+  ExpectReservationsWithinCapacity(topo, p);
+}
+
+TEST(VirtualCluster, LocalitySiblingsShareSubtree) {
+  // Four pair-sized groups fill servers left-most first, so the sibling
+  // groups share the first pod.
+  const Topology topo = Topology::FatTree(4, kCap, 10000.0);
+  ServiceWorld world(4, 2, {.cpu = 1000, .mem_gb = 4, .net_mbps = 10});
+  const Placement p = world.Place(topo);
+  const NodeId pod_of_0 = AncestorOf(topo, p.server_of[0], 2);
+  for (const auto s : p.server_of) EXPECT_EQ(AncestorOf(topo, s, 2), pod_of_0);
+  EXPECT_TRUE(p.uplink_reserved_mbps.empty());
+}
+
+TEST(VirtualCluster, GoldilocksEndToEndOnAsymmetricTopology) {
+  // Full pipeline: heterogeneous servers + degraded link via the scheduler.
+  Topology topo = Topology::FatTree(4, kCap, 1000.0);
+  for (int s = 0; s < topo.num_servers(); s += 3) {
+    topo.set_server_capacity(ServerId{s}, kCap * 0.5);
+  }
+  topo.DegradeUplink(topo.NodesAtLevel(2)[1], 0.5);
+  ASSERT_TRUE(topo.uplink_checked(topo.NodesAtLevel(2)[1]));
+
+  const auto scenario = MakeTwitterCachingScenario();
+  const auto demands = scenario->DemandsAt(10);
+  const auto active = scenario->ActiveAt(10);
+  SchedulerInput input;
+  input.workload = &scenario->workload();
+  input.demands = demands;
+  input.active = active;
+  input.topology = &topo;
+
+  GoldilocksOptions opts;
+  GoldilocksScheduler sched(opts);
+  const auto p = sched.Place(input);
+  EXPECT_EQ(p.num_placed(), 176);
+  // Ceilings hold per heterogeneous capacity.
+  const auto loads = ServerLoads(p, demands, topo.num_servers());
+  for (int s = 0; s < topo.num_servers(); ++s) {
+    const auto& cap = topo.server_capacity(ServerId{s});
+    EXPECT_LE(loads[static_cast<std::size_t>(s)].cpu,
+              cap.cpu * opts.pee_utilization * 1.02);
+  }
+  ASSERT_FALSE(p.uplink_reserved_mbps.empty());
+  ExpectReservationsWithinCapacity(topo, p);
 }
 
 }  // namespace

@@ -3,8 +3,9 @@
 // The contract under test: a clean system state produces zero findings, and
 // every invariant class the auditor claims to check is actually detected
 // when that class is violated on purpose. Each corruption is injected
-// through public mutation APIs (placement vectors, Topology::Reserve /
-// set_server_capacity, CsrGraphBuilder::AddEdge, custom power curves);
+// through public mutation APIs (placement vectors and reservations,
+// DegradeUplink / set_server_capacity, CsrGraphBuilder::AddEdge, custom
+// power curves);
 // graph self-loops and asymmetric adjacency cannot be constructed through
 // the builder (AddEdge is symmetric and drops self-loops), so those auditor
 // checks are defense-in-depth and not exercised here.
@@ -68,6 +69,14 @@ TestState MakePlacedState(std::uint64_t seed = 0) {
   input.topology = &st.topo;
   st.placement = scheduler.Place(input);
   return st;
+}
+
+// Adds `mbps` to the Eq. (4)/(5) reservation the placement carries on
+// `node`'s uplink (Testbed16 checks no uplink, so Place books none).
+void Reserve(TestState& st, NodeId node, double mbps) {
+  auto& reserved = st.placement.uplink_reserved_mbps;
+  reserved.resize(static_cast<std::size_t>(st.topo.num_nodes()), 0.0);
+  reserved[static_cast<std::size_t>(node.value())] += mbps;
 }
 
 SystemView ViewOf(const TestState& st) {
@@ -175,7 +184,7 @@ TEST(InvariantAuditor, DetectsPeeCapViolationAsWarning) {
 TEST(InvariantAuditor, DetectsOverReservedUplink) {
   TestState st = MakePlacedState();
   const NodeId leaf = st.topo.NodesAtLevel(1).front();
-  st.topo.Reserve(leaf, st.topo.uplink_capacity(leaf) + 100.0);
+  Reserve(st, leaf, st.topo.uplink_capacity(leaf) + 100.0);
   const AuditReport report = InvariantAuditor().AuditAll(ViewOf(st));
   EXPECT_TRUE(report.Has(AuditClass::kBandwidth)) << report.ToString();
   EXPECT_GT(report.errors(), 0);
@@ -186,7 +195,7 @@ TEST(InvariantAuditor, DetectsOverReservationAfterLinkDegradation) {
   // uplink loses half its physical links — the auditor must notice.
   TestState st = MakePlacedState();
   const NodeId leaf = st.topo.NodesAtLevel(1).front();
-  st.topo.Reserve(leaf, 0.9 * st.topo.uplink_capacity(leaf));
+  Reserve(st, leaf, 0.9 * st.topo.uplink_capacity(leaf));
   ASSERT_TRUE(InvariantAuditor().AuditAll(ViewOf(st)).clean());
   st.topo.DegradeUplink(leaf, 0.5);
   const AuditReport report = InvariantAuditor().AuditAll(ViewOf(st));
@@ -379,8 +388,8 @@ TEST(InvariantAuditorProperty, RandomCorruptionsAreAlwaysCaught) {
       case 4: {  // over-reserved uplink
         const auto leaves = st.topo.NodesAtLevel(1);
         const NodeId leaf = leaves[rng.NextBelow(leaves.size())];
-        st.topo.Reserve(leaf, st.topo.uplink_capacity(leaf) +
-                                  rng.Uniform(1.0, 1000.0));
+        Reserve(st, leaf,
+                st.topo.uplink_capacity(leaf) + rng.Uniform(1.0, 1000.0));
         expected = AuditClass::kBandwidth;
         break;
       }
@@ -404,6 +413,35 @@ TEST(AuditHooks, EpochControllerAccumulatesCleanReport) {
   controller.Step(st.workload, st.demands, st.active);
   EXPECT_EQ(controller.audit_report().errors(), 0)
       << controller.audit_report().ToString();
+}
+
+TEST(AuditHooks, EpochControllerAuditsPlacementReservations) {
+  // A fat-tree(4) whose first pod keeps a quarter of its uplinks, so that
+  // uplink is checked: each Step's placement books Eq. (4)/(5) reservations
+  // within it, and the audit reads them.
+  const Resource cap{.cpu = 3200, .mem_gb = 64, .net_mbps = 1000};
+  Topology topo = Topology::FatTree(4, cap, 1000.0);
+  const NodeId pod = topo.NodesAtLevel(2).front();
+  topo.DegradeUplink(pod, 0.25);
+  const auto scenario = MakeTwitterCachingScenario();
+  const auto demands = scenario->DemandsAt(30);
+  const auto active = scenario->ActiveAt(30);
+  EpochController controller(std::make_unique<GoldilocksScheduler>(), topo);
+  controller.EnableAudit();
+  const EpochDecision decision =
+      controller.Step(scenario->workload(), demands, active);
+  const auto& reserved = decision.placement.uplink_reserved_mbps;
+  ASSERT_EQ(reserved.size(), static_cast<std::size_t>(topo.num_nodes()));
+  EXPECT_GT(reserved[static_cast<std::size_t>(pod.value())], 0.0);
+  EXPECT_FALSE(controller.audit_report().Has(AuditClass::kBandwidth))
+      << controller.audit_report().ToString();
+
+  // The pod loses most of what was left under the same placement.
+  topo.DegradeUplink(pod, 0.1);
+  AuditReport report;
+  InvariantAuditor().AuditBandwidth(decision.placement, topo, report);
+  EXPECT_TRUE(report.Has(AuditClass::kBandwidth)) << report.ToString();
+  EXPECT_GT(report.errors(), 0);
 }
 
 TEST(AuditHooks, ExperimentRunnerAuditsEveryEpoch) {

@@ -135,26 +135,39 @@ TEST(TopologyCapacity, Heterogeneity) {
   EXPECT_DOUBLE_EQ(t.average_server_capacity().cpu, kCap.cpu * 0.875);
 }
 
-// --- reservations & failures -------------------------------------------------------
+// --- checked uplinks & failures -------------------------------------------------------
 
-TEST(TopologyBandwidth, ReserveRelease) {
-  Topology t = Topology::LeafSpine(2, 2, 2, kCap, 1000.0);
-  const NodeId leaf = t.AncestorAt(t.server_node(ServerId{0}), 1);
-  EXPECT_DOUBLE_EQ(t.uplink_residual(leaf), 2000.0);
-  t.Reserve(leaf, 500.0);
-  EXPECT_DOUBLE_EQ(t.uplink_residual(leaf), 1500.0);
-  t.Release(leaf, 200.0);
-  EXPECT_DOUBLE_EQ(t.uplink_residual(leaf), 1700.0);
-  t.ClearReservations();
-  EXPECT_DOUBLE_EQ(t.uplink_residual(leaf), 2000.0);
-}
+TEST(TopologyBandwidth, CheckedUplinksFollowTheNicsBelow) {
+  // Full-bisection factories check nothing.
+  EXPECT_FALSE(Topology::FatTree(4, kCap, 1000.0).has_checked_uplinks());
+  EXPECT_FALSE(Topology::Testbed16().has_checked_uplinks());
+  EXPECT_FALSE(
+      Topology::LeafSpine(4, 2, 2, kCap, 1000.0).has_checked_uplinks());
+  // Four 1G servers under two 1G spines: every leaf uplink is 2:1.
+  const Topology oversubscribed = Topology::LeafSpine(2, 4, 2, kCap, 1000.0);
+  for (const auto leaf : oversubscribed.NodesAtLevel(1)) {
+    EXPECT_TRUE(oversubscribed.uplink_checked(leaf));
+  }
+  EXPECT_FALSE(oversubscribed.uplink_checked(oversubscribed.root()));
 
-TEST(TopologyBandwidth, ReleaseClampsAtZero) {
-  Topology t = Topology::LeafSpine(2, 2, 2, kCap, 1000.0);
-  const NodeId leaf = t.AncestorAt(t.server_node(ServerId{0}), 1);
-  t.Reserve(leaf, 100.0);
-  t.Release(leaf, 500.0);
-  EXPECT_DOUBLE_EQ(t.uplink_reserved(leaf), 0.0);
+  Topology t = Topology::FatTree(4, kCap, 1000.0);
+  const NodeId pod = t.NodesAtLevel(2)[1];
+  const NodeId rack = t.AncestorAt(t.server_node(ServerId{0}), 1);
+  EXPECT_DOUBLE_EQ(t.node(pod).nic_below_mbps, 4000.0);
+  t.DegradeUplink(pod, 0.5);
+  EXPECT_TRUE(t.uplink_checked(pod));
+  EXPECT_TRUE(t.has_checked_uplinks());
+  // Smaller NICs beneath can bring an uplink back within its capacity.
+  for (const auto s : t.ServersUnder(pod)) t.set_server_capacity(s, kCap * 0.5);
+  EXPECT_DOUBLE_EQ(t.node(pod).nic_below_mbps, 2000.0);
+  EXPECT_FALSE(t.uplink_checked(pod));
+  EXPECT_FALSE(t.has_checked_uplinks());
+  // Faster NICs can overrun a healthy rack uplink.
+  Resource fast = kCap;
+  fast.net_mbps = 1500.0;
+  t.set_server_capacity(ServerId{0}, fast);
+  EXPECT_TRUE(t.uplink_checked(rack));
+  EXPECT_TRUE(t.has_checked_uplinks());
 }
 
 TEST(TopologyFailure, DegradeUplink) {

@@ -941,10 +941,10 @@ int Audit(const WorldArgs& args) {
   const gl::InvariantAuditor auditor(audit_opts);
 
   // Static state first: the topology tree and the shipped power models are
-  // audited once, before any placement runs.
+  // audited once, before any placement runs. Bandwidth reservations travel
+  // with each placement, so the per-epoch audits below check them.
   gl::AuditReport static_report;
   auditor.AuditTopology(topo, static_report);
-  auditor.AuditBandwidth(topo, static_report);
   const gl::ServerPowerModel models[] = {
       gl::ServerPowerModel::Dell2018(), gl::ServerPowerModel::DellR940(),
       gl::ServerPowerModel::Linear2010(), gl::ServerPowerModel::Facebook1S(),
