@@ -463,7 +463,9 @@ GoldilocksScheduler::PartitionContainers(const SchedulerInput& input) {
 
 template <bool kCheckUplinks>
 Placement GoldilocksScheduler::AssignGroupsSymmetric(
-    const SchedulerInput& input, UplinkReservations* uplinks) const {
+    const SchedulerInput& input, UplinkReservations* uplinks,
+    std::span<const std::size_t> first,
+    std::vector<std::size_t>* stranded) const {
   const auto& topo = *input.topology;
   const std::vector<std::vector<ContainerId>>& groups = cache_->groups;
   cache_->EnsureDerived(*input.workload);
@@ -489,6 +491,14 @@ Placement GoldilocksScheduler::AssignGroupsSymmetric(
     for (std::size_t i = group_order.size(); i > 1; --i) {
       std::swap(group_order[i - 1], group_order[rng.NextBelow(i)]);
     }
+  }
+  // `first` (ascending) walks ahead of the rest, which keep their order.
+  if (!first.empty()) {
+    std::stable_partition(group_order.begin(), group_order.end(),
+                          [first](std::size_t gi) {
+                            return std::binary_search(first.begin(),
+                                                      first.end(), gi);
+                          });
   }
 
   const bool use_preferred =
@@ -644,9 +654,23 @@ Placement GoldilocksScheduler::AssignGroupsSymmetric(
         if constexpr (kCheckUplinks) {
           uplinks->Commit(gi, fallback, d.net_mbps);
         }
+      } else if (stranded->empty() || stranded->back() != gi) {
+        stranded->push_back(gi);
       }
     }
   }
+  return p;
+}
+
+Placement GoldilocksScheduler::AssignGroups(
+    const SchedulerInput& input, std::span<const std::size_t> first,
+    std::vector<std::size_t>* stranded) const {
+  if (!input.topology->has_checked_uplinks()) {
+    return AssignGroupsSymmetric<false>(input, nullptr, first, stranded);
+  }
+  UplinkReservations uplinks(*input.topology, cache_->groups, input.demands);
+  Placement p = AssignGroupsSymmetric<true>(input, &uplinks, first, stranded);
+  p.uplink_reserved_mbps = uplinks.PerNode();
   return p;
 }
 
@@ -655,12 +679,21 @@ Placement GoldilocksScheduler::Place(const SchedulerInput& input) {
   const auto& groups = PartitionContainers(input);
   obs::TraceSpan assign_span("goldilocks.assign_symmetric",
                              static_cast<std::int64_t>(groups.size()));
-  if (!input.topology->has_checked_uplinks()) {
-    return AssignGroupsSymmetric<false>(input, nullptr);
-  }
-  UplinkReservations uplinks(*input.topology, groups, input.demands);
-  Placement p = AssignGroupsSymmetric<true>(input, &uplinks);
-  p.uplink_reserved_mbps = uplinks.PerNode();
+  const std::vector<ServerId> pins = cache_->group_server;
+  std::vector<std::size_t> stranded;
+  Placement p = AssignGroups(input, {}, &stranded);
+  if (stranded.empty()) return p;
+  // The walk only moves forward, so once it has touched every server a
+  // container that fits only a near-empty one finds none. Walk again from
+  // the same pins with the stranded groups first, while every server is
+  // still empty, and keep that walk only if it places more.
+  std::sort(stranded.begin(), stranded.end());
+  std::vector<ServerId> first_pins = std::move(cache_->group_server);
+  cache_->group_server = pins;
+  std::vector<std::size_t> still_stranded;
+  Placement retry = AssignGroups(input, stranded, &still_stranded);
+  if (retry.num_placed() > p.num_placed()) return retry;
+  cache_->group_server = std::move(first_pins);
   return p;
 }
 

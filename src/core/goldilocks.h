@@ -12,7 +12,9 @@
 //      it fits on. Sibling groups land on adjacent servers — the same rack
 //      or pod — which is exactly the capacity-graph max-cut assignment of
 //      the paper, computed directly on the topology tree. A group that fits
-//      no server is spilled container by container.
+//      no server is spilled container by container. If a container is left
+//      with no server, a second walk lays its group first and is kept if
+//      it places more.
 //
 // Asymmetric topologies (Sec. IV) run the same walk. Servers are fitted
 // against their own capacities, and where an uplink carries less than the
@@ -25,6 +27,8 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
+#include <vector>
 
 #include "core/graph_builder.h"
 #include "graph/partitioner.h"
@@ -78,12 +82,21 @@ class GoldilocksScheduler final : public Scheduler {
   const std::vector<std::vector<ContainerId>>& PartitionContainers(
       const SchedulerInput& input);
 
-  // Lays the cached grouping onto servers. With kCheckUplinks, every
-  // placement must also pass `uplinks`' Eq. (4)/(5) check and is booked
-  // there; without, the walk never touches `uplinks`.
+  // Lays the cached grouping onto servers, the groups in `first`
+  // (ascending ids) ahead of the rest, and appends to `stranded` each group
+  // that left a container unplaced. Books Eq. (4)/(5) reservations where the
+  // topology has a checked uplink.
+  Placement AssignGroups(const SchedulerInput& input,
+                         std::span<const std::size_t> first,
+                         std::vector<std::size_t>* stranded) const;
+  // The walk itself. With kCheckUplinks, every placement must also pass
+  // `uplinks`' Eq. (4)/(5) check and is booked there; without, the walk
+  // never touches `uplinks`.
   template <bool kCheckUplinks>
   Placement AssignGroupsSymmetric(const SchedulerInput& input,
-                                  UplinkReservations* uplinks) const;
+                                  UplinkReservations* uplinks,
+                                  std::span<const std::size_t> first,
+                                  std::vector<std::size_t>* stranded) const;
 
   std::string name_ = "Goldilocks";
   GoldilocksOptions opts_;

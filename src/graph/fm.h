@@ -15,6 +15,7 @@
 // (tests/csr_test.cc).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -22,6 +23,37 @@
 #include "graph/csr.h"
 
 namespace gl {
+
+struct PartitionOptions;
+struct PartitionScratch;
+
+// Balance bookkeeping for an asymmetric split: side 0 should carry
+// `target_fraction` of the total weight, within (1 + tolerance).
+struct BalanceBounds {
+  double total = 0.0;
+  double target0 = 0.0;
+  double lo0 = 0.0;
+  double hi0 = 0.0;
+
+  BalanceBounds(double total_weight, double target_fraction, double tol) {
+    total = total_weight;
+    target0 = total * target_fraction;
+    const double hi1 = total * (1.0 - target_fraction) * (1.0 + tol);
+    hi0 = std::min(total, total * target_fraction * (1.0 + tol));
+    lo0 = std::max(0.0, total - hi1);
+    if (lo0 > hi0) lo0 = hi0;  // degenerate tolerance; collapse to a point
+  }
+
+  [[nodiscard]] bool Feasible(double w0) const {
+    return w0 >= lo0 - 1e-9 && w0 <= hi0 + 1e-9;
+  }
+  // Distance from the feasible interval (0 when inside).
+  [[nodiscard]] double Violation(double w0) const {
+    if (w0 < lo0) return lo0 - w0;
+    if (w0 > hi0) return w0 - hi0;
+    return 0.0;
+  }
+};
 
 class FmEngine {
  public:
@@ -117,5 +149,15 @@ class FmEngine {
   double initial_cut_ = 0.0;
   std::uint64_t arcs_scanned_ = 0;
 };
+
+// Single-stream FM refinement of a bisection (partitioner.cc): at most
+// opts.refine_passes passes, each rolled back to its best prefix. `w0` is
+// side 0's balance weight and is kept up to date; `cut` is re-priced from
+// `side` on entry. The last pass's moves, rolled-back ones included, are
+// left in s.move_seq. Adds to partition.cut_edges_evaluated and
+// partition.bisection_rejections.
+void FmRefine(const CsrGraph& g, const BalanceBounds& bounds,
+              const PartitionOptions& opts, std::vector<std::uint8_t>& side,
+              double& cut, double& w0, PartitionScratch& s);
 
 }  // namespace gl

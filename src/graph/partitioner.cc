@@ -105,36 +105,6 @@ void PublishPoolStats(const ThreadPoolStats& stats) {
 // heavy-edge matching plus staged parallel contraction, bit-identical at
 // every thread width.
 
-// ---------------------------------------------------------------------------
-// Balance bookkeeping for an asymmetric split: side 0 should carry
-// `target_fraction` of the total weight, within (1 + tolerance).
-// ---------------------------------------------------------------------------
-struct BalanceBounds {
-  double total = 0.0;
-  double target0 = 0.0;
-  double lo0 = 0.0;
-  double hi0 = 0.0;
-
-  BalanceBounds(double total_weight, double target_fraction, double tol) {
-    total = total_weight;
-    target0 = total * target_fraction;
-    const double hi1 = total * (1.0 - target_fraction) * (1.0 + tol);
-    hi0 = std::min(total, total * target_fraction * (1.0 + tol));
-    lo0 = std::max(0.0, total - hi1);
-    if (lo0 > hi0) lo0 = hi0;  // degenerate tolerance; collapse to a point
-  }
-
-  [[nodiscard]] bool Feasible(double w0) const {
-    return w0 >= lo0 - 1e-9 && w0 <= hi0 + 1e-9;
-  }
-  // Distance from the feasible interval (0 when inside).
-  [[nodiscard]] double Violation(double w0) const {
-    if (w0 < lo0) return lo0 - w0;
-    if (w0 > hi0) return w0 - hi0;
-    return 0.0;
-  }
-};
-
 // Anti-affinity arcs are the only ones that make a cut negative.
 bool HasNegativeArc(const CsrGraph& g) {
   for (VertexIndex v = 0; v < g.num_vertices(); ++v) {
@@ -161,7 +131,8 @@ void GrowInitialPartition(const CsrGraph& g, const BalanceBounds& bounds,
   *w0_out = 0.0;
   if (n == 0) return;
 
-  s.heap.Reset(sn);
+  LazyMaxHeap& heap = s.queues[0];
+  heap.Reset(sn);
   s.in_region.assign(sn, 0);
   s.grow_key.resize(sn);
   double w0 = 0.0;
@@ -178,14 +149,14 @@ void GrowInitialPartition(const CsrGraph& g, const BalanceBounds& bounds,
     s.in_region[vi] = 1;
     side[vi] = 0;
     w0 += g.balance_weight(v);
-    s.heap.Invalidate(v);
+    heap.Invalidate(v);
     const auto [to, ws] = g.arc_range(v);
     for (std::size_t i = 0; i < to.size(); ++i) {
       const auto u = static_cast<std::size_t>(to[i]);
       if (s.in_region[u]) continue;
       // Edge i flips from region-external to region-internal for to[i].
       s.grow_key[u] += 2.0 * ws[i];
-      s.heap.Push(to[i], s.grow_key[u]);
+      heap.Push(to[i], s.grow_key[u]);
     }
   };
 
@@ -221,7 +192,7 @@ void GrowInitialPartition(const CsrGraph& g, const BalanceBounds& bounds,
   while (w0 < bounds.target0) {
     VertexIndex v;
     double priority;
-    if (s.heap.Pop(&v, &priority)) {
+    if (heap.Pop(&v, &priority)) {
       if (s.in_region[static_cast<std::size_t>(v)]) continue;
       absorb(v);
     } else if (!seed_new_component()) {
@@ -269,10 +240,18 @@ double FmPriorityFactor(VertexIndex v, std::uint64_t salt) {
 // FmPriorityFactor — move bookkeeping always uses the engine's exact gains,
 // so trials explore different move orders while pricing every cut
 // identically.
+//
+// Each side has its own queue (METIS' per-part queues): an unlocked vertex
+// sits in queues[side[v]], and moved vertices are locked for the pass, so a
+// queued vertex never changes sides. Each step takes the higher of the two
+// live tops, side 0 on ties. When the balance bound blocks that top, the
+// other side's top moves instead and the blocked vertex stays queued for
+// when the balance shifts back; only when neither top may move is the
+// higher one popped as a rejection.
 void FmPassLoop(const CsrGraph& g, const BalanceBounds& bounds,
                 const PartitionOptions& opts, int max_passes,
                 FmEngine& engine, std::vector<std::uint8_t>& side,
-                double& cut, double& w0, LazyMaxHeap& heap,
+                double& cut, double& w0, FmQueues& queues,
                 std::vector<std::uint8_t>& moved,
                 std::vector<VertexIndex>& move_seq,
                 const std::vector<VertexIndex>* seed_order,
@@ -288,21 +267,32 @@ void FmPassLoop(const CsrGraph& g, const BalanceBounds& bounds,
   // are large enough that cutting exploration short costs real quality.
   const bool big = n > 2 * opts.coarsen_target;
 
+  // Permit a move if it stays feasible, or strictly improves an infeasible
+  // balance (restoration mode).
+  const auto may_move = [&](VertexIndex v) {
+    const double bw = g.balance_weight(v);
+    const double new_w0 =
+        side[static_cast<std::size_t>(v)] == 0 ? w0 - bw : w0 + bw;
+    const double new_violation = bounds.Violation(new_w0);
+    return !(new_violation > 1e-12 && new_violation >= bounds.Violation(w0));
+  };
+
   for (int pass = 0; pass < max_passes; ++pass) {
     // Boundary seeding: when the balance is feasible, only candidates with
     // positive gain or cut adjacency are worth queueing — the classic
     // boundary-FM move set. A vertex with cross-cut weight has
     // gain(v) + degree(v) = 2*w_cross > 0; one whose move strictly improves
     // the cut has gain(v) > 0. Everything else is interior with nothing to
-    // offer at seed time — it enters the heap the moment a neighbor's move
-    // makes it relevant. An infeasible balance needs arbitrary vertices to
-    // restore it, so restoration passes seed everyone.
+    // offer at seed time — it enters its side's queue the moment a
+    // neighbor's move makes it relevant. An infeasible balance needs
+    // arbitrary vertices to restore it, so restoration passes seed everyone.
     const bool seed_all = bounds.Violation(w0) > 1e-12;
-    heap.Reset(sn);
+    queues[0].Reset(sn);
+    queues[1].Reset(sn);
     const auto push = [&](VertexIndex v, double gv) {
-      heap.Push(v, perturb_salt != nullptr
-                       ? gv * FmPriorityFactor(v, *perturb_salt)
-                       : gv);
+      queues[side[static_cast<std::size_t>(v)]].Push(
+          v, perturb_salt != nullptr ? gv * FmPriorityFactor(v, *perturb_salt)
+                                     : gv);
     };
     const auto push_seed = [&](VertexIndex v) {
       const double gv = engine.gain(v);
@@ -325,31 +315,37 @@ void FmPassLoop(const CsrGraph& g, const BalanceBounds& bounds,
     std::size_t best_prefix = 0;
     int stall = 0;
 
-    VertexIndex v;
-    double priority;
-    while (heap.Pop(&v, &priority)) {
-      if (moved[static_cast<std::size_t>(v)]) continue;
-      const double bw = g.balance_weight(v);
-      const bool from0 = side[static_cast<std::size_t>(v)] == 0;
-      const double new_w0 = from0 ? w0 - bw : w0 + bw;
-      const double cur_violation = bounds.Violation(w0);
-      const double new_violation = bounds.Violation(new_w0);
-      // Permit the move if it stays feasible, or strictly improves an
-      // infeasible balance (restoration mode).
-      if (new_violation > 1e-12 && new_violation >= cur_violation) {
-        ++*moves_rejected;
-        continue;
+    VertexIndex top[2] = {0, 0};
+    double priority[2] = {0.0, 0.0};
+    bool live[2] = {false, false};
+    while (true) {
+      live[0] = queues[0].Peek(&top[0], &priority[0]);
+      live[1] = queues[1].Peek(&top[1], &priority[1]);
+      if (!live[0] && !live[1]) break;
+      const int first =
+          (!live[1] || (live[0] && priority[0] >= priority[1])) ? 0 : 1;
+      int from = first;
+      if (!may_move(top[first])) {
+        if (!live[first ^ 1] || !may_move(top[first ^ 1])) {
+          queues[first].PopTop();
+          ++*moves_rejected;
+          continue;
+        }
+        from = first ^ 1;
       }
+      queues[from].PopTop();
+      const VertexIndex v = top[from];
+      const double bw = g.balance_weight(v);
 
       moved[static_cast<std::size_t>(v)] = 1;
       move_seq.push_back(v);
       cut -= engine.gain(v);
-      w0 = new_w0;
+      w0 += side[static_cast<std::size_t>(v)] == 0 ? -bw : bw;
       engine.Flip(v);
 
       // Re-queue the unlocked neighbors at their updated gains; locked
       // neighbors keep exact gains too (Flip maintains them all) but stay
-      // out of the heap for this pass.
+      // out of the queues for this pass.
       const auto to = g.arcs(v);
       for (std::size_t i = 0; i < to.size(); ++i) {
         if (!moved[static_cast<std::size_t>(to[i])]) {
@@ -395,6 +391,8 @@ void FmPassLoop(const CsrGraph& g, const BalanceBounds& bounds,
   }
 }
 
+}  // namespace
+
 void FmRefine(const CsrGraph& g, const BalanceBounds& bounds,
               const PartitionOptions& opts, std::vector<std::uint8_t>& side,
               double& cut, double& w0, PartitionScratch& s) {
@@ -406,11 +404,13 @@ void FmRefine(const CsrGraph& g, const BalanceBounds& bounds,
   cut = engine.initial_cut();
   std::uint64_t moves_rejected = 0;
   FmPassLoop(g, bounds, opts, opts.refine_passes, engine, side, cut, w0,
-             s.heap, s.moved, s.move_seq, /*seed_order=*/nullptr,
+             s.queues, s.moved, s.move_seq, /*seed_order=*/nullptr,
              /*perturb_salt=*/nullptr, &moves_rejected);
   CutEdgesCounter().Add(engine.arcs_scanned());
   FmRejectionsCounter().Add(moves_rejected);
 }
+
+namespace {
 
 // Whether a level of `n` vertices runs the multi-trial FM, the only reader
 // of its level salt; every other level refines single-stream.
@@ -513,7 +513,7 @@ void FmRefineMultiTrial(const CsrGraph& g, const BalanceBounds& bounds,
     // priorities): the winner can only match or improve on classic FM.
     const std::uint64_t trial_salt = rng.NextU64();
     FmPassLoop(g, bounds, opts, passes_per_trial, engine, tr.side, trial_cut,
-               trial_w0, tr.heap, tr.moved, tr.move_seq, &tr.seed_order,
+               trial_w0, tr.queues, tr.moved, tr.move_seq, &tr.seed_order,
                t > 0 ? &trial_salt : nullptr, &tr.rejections);
     tr.cut = trial_cut;
     tr.w0 = trial_w0;

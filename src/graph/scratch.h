@@ -15,6 +15,7 @@
 // ParallelFor slot).
 #pragma once
 
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <deque>
@@ -56,23 +57,36 @@ class LazyMaxHeap {
     return !std::isnan(current_[static_cast<std::size_t>(v)]);
   }
 
-  // Pops the highest-priority live entry; false when only stale entries (or
-  // nothing) remain. Popping consumes the vertex: it reads as absent until
-  // pushed again.
-  bool Pop(VertexIndex* v, double* priority) {
+  // Reports the highest-priority live entry without consuming it; false
+  // when only stale entries (or nothing) remain. Stale entries on top are
+  // discarded on the way, exactly as Pop discards them.
+  bool Peek(VertexIndex* v, double* priority) {
     while (!heap_.empty()) {
-      const Entry top = heap_.front();
-      heap_.front() = heap_.back();
-      heap_.pop_back();
-      if (!heap_.empty()) SiftDown(0);
+      const Entry& top = heap_.front();
       if (current_[static_cast<std::size_t>(top.v)] == top.priority) {
-        current_[static_cast<std::size_t>(top.v)] = kAbsent;
         *v = top.v;
         *priority = top.priority;
         return true;
       }
+      RemoveTop();
     }
     return false;
+  }
+
+  // Consumes the entry the last successful Peek reported: the vertex reads
+  // as absent until pushed again.
+  void PopTop() {
+    GOLDILOCKS_CHECK(!heap_.empty());
+    current_[static_cast<std::size_t>(heap_.front().v)] = kAbsent;
+    RemoveTop();
+  }
+
+  // Pops the highest-priority live entry (Peek, then PopTop); false when
+  // only stale entries (or nothing) remain.
+  bool Pop(VertexIndex* v, double* priority) {
+    if (!Peek(v, priority)) return false;
+    PopTop();
+    return true;
   }
 
   // Retained footprint in bytes (capacities). Observability only.
@@ -90,6 +104,12 @@ class LazyMaxHeap {
   // NaN sentinel compares unequal to everything, including itself — no
   // finite priority can collide with it.
   static constexpr double kAbsent = std::numeric_limits<double>::quiet_NaN();
+
+  void RemoveTop() {
+    heap_.front() = heap_.back();
+    heap_.pop_back();
+    if (!heap_.empty()) SiftDown(0);
+  }
 
   void SiftUp(std::size_t i) {
     while (i > 0) {
@@ -181,6 +201,10 @@ class GroupAccumulator {
   std::uint64_t grow_events_ = 0;
 };
 
+// FM's move queues, one per side: queues[s] holds the unlocked vertices
+// on side s (partitioner.cc, FmPassLoop).
+using FmQueues = std::array<LazyMaxHeap, 2>;
+
 // Per-trial working set for multi-trial FM (partitioner.cc). Each trial owns
 // a full copy of the refinement state so trials can run concurrently on pool
 // threads without sharing anything mutable; every buffer is re-initialized
@@ -189,7 +213,7 @@ class GroupAccumulator {
 struct FmTrialScratch {
   std::vector<std::uint8_t> side;
   std::vector<double> gain;
-  LazyMaxHeap heap;
+  FmQueues queues;
   std::vector<std::uint8_t> moved;
   std::vector<VertexIndex> move_seq;
   std::vector<VertexIndex> seed_order;  // boundary-seed push order
@@ -202,7 +226,8 @@ struct FmTrialScratch {
 
   [[nodiscard]] std::size_t ApproxBytes() const {
     return obs::VectorFootprintBytes(side) + obs::VectorFootprintBytes(gain) +
-           heap.ApproxBytes() + obs::VectorFootprintBytes(moved) +
+           queues[0].ApproxBytes() + queues[1].ApproxBytes() +
+           obs::VectorFootprintBytes(moved) +
            obs::VectorFootprintBytes(move_seq) +
            obs::VectorFootprintBytes(seed_order);
   }
@@ -251,8 +276,8 @@ struct PartitionScratch {
   std::vector<double> pad_w;
   std::vector<GroupAccumulator> dedup;
 
-  // Initial partition growth + FM refinement.
-  LazyMaxHeap heap;
+  // Initial partition growth + FM refinement. Growing uses queues[0].
+  FmQueues queues;
   std::vector<double> gain;
   std::vector<double> grow_key;
   std::vector<std::uint8_t> side;
@@ -310,7 +335,7 @@ struct PartitionScratch {
     bytes += obs::VectorFootprintBytes(pad_col);
     bytes += obs::VectorFootprintBytes(pad_w);
     for (const auto& d : dedup) bytes += d.ApproxBytes();
-    bytes += heap.ApproxBytes();
+    bytes += queues[0].ApproxBytes() + queues[1].ApproxBytes();
     bytes += obs::VectorFootprintBytes(gain);
     bytes += obs::VectorFootprintBytes(grow_key);
     bytes += obs::VectorFootprintBytes(side);

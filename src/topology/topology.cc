@@ -55,7 +55,17 @@ ServerId Topology::AddServer(NodeId rack, const Resource& capacity) {
 
 void Topology::set_server_capacity(ServerId s, const Resource& c) {
   const std::size_t i = CheckedServer(s);
-  AddNicBelow(i, c.net_mbps - server_capacity_[i].net_mbps);
+  const double old_nic GL_UNITS(bits_per_sec) = server_capacity_[i].net_mbps;
+  // The server's own link follows its NIC, keeping any degradation: an
+  // undegraded link stays equal to the NIC.
+  const NodeId leaf = server_nodes_[i];
+  Node& n = nodes_[CheckedNode(leaf)];
+  num_checked_uplinks_ -= uplink_checked(leaf) ? 1 : 0;
+  n.uplink_capacity_mbps = old_nic > 0.0
+                               ? n.uplink_capacity_mbps / old_nic * c.net_mbps
+                               : c.net_mbps;
+  num_checked_uplinks_ += uplink_checked(leaf) ? 1 : 0;
+  AddNicBelow(i, c.net_mbps - old_nic);
   server_capacity_[i] = c;
 }
 

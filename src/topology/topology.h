@@ -119,7 +119,8 @@ class Topology {
   [[nodiscard]] const Resource& server_capacity(ServerId s) const {
     return server_capacity_[CheckedServer(s)];
   }
-  // Heterogeneity hook: replace one server's capacity (Sec. IV).
+  // Heterogeneity hook: replace one server's capacity (Sec. IV). The
+  // server's own link follows the new NIC, keeping its ratio to the old one.
   void set_server_capacity(ServerId s, const Resource& c);
   [[nodiscard]] Resource total_server_capacity() const;
   [[nodiscard]] Resource average_server_capacity() const;

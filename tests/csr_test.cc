@@ -1,10 +1,12 @@
 // Tests for the CSR graph (DESIGN.md §11): the edge-list builder's order
 // contract against a naive adjacency-list reference, graph accounting and
-// induced subgraphs, arena storage reuse, the lazy-deletion heap, the FM
+// induced subgraphs, arena storage reuse, the lazy-deletion heap (Pop is
+// Peek then PopTop, which FM's per-side queues use apart), the FM
 // incremental-gain engine, and the zero-copy recursion contract (no
 // InducedSubgraph materialization on the partitioning path).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -331,6 +333,92 @@ TEST(LazyMaxHeapTest, InvalidateRemovesAndResetReuses) {
 
   heap.Reset(3);  // reused storage must start empty
   EXPECT_FALSE(heap.Pop(&v, &p));
+}
+
+TEST(LazyMaxHeapTest, PeekDiscardsStaleTopsAndConsumesNothing) {
+  LazyMaxHeap heap;
+  heap.Reset(4);
+  heap.Push(0, 1.0);
+  heap.Push(1, 5.0);
+  heap.Push(2, 3.0);
+  heap.Push(1, 2.0);  // the 5.0 entry on top is now stale
+
+  VertexIndex v = -1;
+  double p = 0.0;
+  ASSERT_TRUE(heap.Peek(&v, &p));
+  EXPECT_EQ(v, 2);
+  EXPECT_DOUBLE_EQ(p, 3.0);
+  // A second Peek sees the same entry: nothing was consumed.
+  ASSERT_TRUE(heap.Peek(&v, &p));
+  EXPECT_EQ(v, 2);
+  EXPECT_TRUE(heap.Contains(2));
+
+  // PopTop consumes exactly the peeked entry and nothing else.
+  heap.PopTop();
+  EXPECT_FALSE(heap.Contains(2));
+  EXPECT_TRUE(heap.Contains(0));
+  EXPECT_TRUE(heap.Contains(1));
+  ASSERT_TRUE(heap.Peek(&v, &p));
+  EXPECT_EQ(v, 1);
+  EXPECT_DOUBLE_EQ(p, 2.0);
+  heap.PopTop();
+  ASSERT_TRUE(heap.Peek(&v, &p));
+  EXPECT_EQ(v, 0);
+  heap.Invalidate(0);
+  EXPECT_FALSE(heap.Peek(&v, &p));  // only stale entries remain
+}
+
+TEST(LazyMaxHeapTest, PopEqualsPeekThenPopTopUnderTies) {
+  // One random stream of pushes, invalidations and pops over few distinct
+  // priorities, so ties are everywhere. `a` pops with Pop; `b` peeks one to
+  // three times before each PopTop. Both must pop the same vertices in the
+  // same order, and each pop must take a live entry of the highest live
+  // priority.
+  constexpr int kN = 40;
+  Rng rng(0x5eedu);
+  LazyMaxHeap a;
+  LazyMaxHeap b;
+  a.Reset(kN);
+  b.Reset(kN);
+  std::vector<double> live(kN, -1.0);  // -1 = absent
+  int pops = 0;
+  for (int step = 0; step < 4000; ++step) {
+    const auto op = rng.NextBelow(10);
+    const auto v = static_cast<VertexIndex>(rng.NextBelow(kN));
+    if (op < 5) {
+      const double prio = static_cast<double>(rng.NextBelow(4));
+      a.Push(v, prio);
+      b.Push(v, prio);
+      live[static_cast<std::size_t>(v)] = prio;
+    } else if (op < 6) {
+      a.Invalidate(v);
+      b.Invalidate(v);
+      live[static_cast<std::size_t>(v)] = -1.0;
+    } else {
+      VertexIndex va = -1;
+      VertexIndex vb = -1;
+      double pa = 0.0;
+      double pb = 0.0;
+      const bool got_a = a.Pop(&va, &pa);
+      bool got_b = false;
+      const auto peeks = 1 + rng.NextBelow(3);
+      for (std::uint64_t k = 0; k < peeks; ++k) got_b = b.Peek(&vb, &pb);
+      if (got_b) b.PopTop();
+      ASSERT_EQ(got_a, got_b);
+      const double best = *std::max_element(live.begin(), live.end());
+      if (!got_a) {
+        EXPECT_EQ(best, -1.0);
+        continue;
+      }
+      ++pops;
+      ASSERT_EQ(va, vb);
+      ASSERT_EQ(pa, pb);
+      EXPECT_EQ(live[static_cast<std::size_t>(va)], pa);
+      EXPECT_EQ(pa, best);
+      live[static_cast<std::size_t>(va)] = -1.0;
+    }
+  }
+  EXPECT_GT(pops, 1000);
 }
 
 // --- FmEngine: incremental gains -------------------------------------------

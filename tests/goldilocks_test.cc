@@ -413,6 +413,38 @@ TEST(Goldilocks, HandlesAzureChurn) {
   }
 }
 
+TEST(Goldilocks, StrandedGroupWalksAgainFirst) {
+  // On the testbed, Azure mix epochs 2164 and 2306 form 22 and 21 groups
+  // for 16 servers. The locality-order walk has touched every server
+  // before it reaches the group holding container 27 alone (57 GB of a
+  // 64 GB server), and no server has that much memory left. The second
+  // walk lays that group first, onto server 0 while it is empty, and every
+  // active container is placed.
+  AzureScenarioOptions sopts;
+  sopts.num_epochs = 3000;
+  const auto scenario = MakeAzureMixScenario(sopts);
+  const Topology topo = Topology::Testbed16();
+  for (const int e : {2164, 2306}) {
+    SCOPED_TRACE(e);
+    const auto demands = scenario->DemandsAt(e);
+    const auto active = scenario->ActiveAt(e);
+    ASSERT_EQ(active[27], 1);
+    ASSERT_EQ(demands[27].mem_gb, 57.0);
+    SchedulerInput input;
+    input.workload = &scenario->workload();
+    input.demands = demands;
+    input.active = active;
+    input.topology = &topo;
+    GoldilocksScheduler sched;
+    const auto p = sched.Place(input);
+    EXPECT_GT(sched.last_num_groups(), topo.num_servers());
+    for (std::size_t i = 0; i < p.server_of.size(); ++i) {
+      EXPECT_EQ(p.server_of[i].valid(), active[i] != 0) << "container " << i;
+    }
+    EXPECT_EQ(p.server_of[27], ServerId{0});
+  }
+}
+
 TEST(Goldilocks, NoReservationsOnFullBisectionTopologies) {
   Fixture f;
   for (const Topology& topo :

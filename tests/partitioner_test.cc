@@ -1,13 +1,20 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <numeric>
 #include <set>
+#include <vector>
 
 #include "common/rng.h"
+#include "core/graph_builder.h"
+#include "graph/fm.h"
 #include "graph/partitioner.h"
 #include "graph/refine.h"
+#include "graph/scratch.h"
 #include "obs/metrics.h"
+#include "workload/scenarios.h"
 
 namespace gl {
 namespace {
@@ -619,6 +626,192 @@ TEST(BisectTrialStop, LevelsThatReadTheirSaltKeepEveryTrial) {
   EXPECT_TRUE(s.bis.balanced);
   EXPECT_EQ(m.skipped, 0u);
   EXPECT_GT(s.skipped, 0u);
+}
+
+// --- FM: one queue per side ---------------------------------------------------------
+
+// Deltas of FM's deterministic work counters across one call.
+struct FmWork {
+  std::uint64_t rejections = 0;
+  std::uint64_t arcs = 0;
+};
+
+template <typename Fn>
+FmWork CountFmWork(Fn&& fn) {
+  auto& reg = obs::MetricsRegistry::Global();
+  const obs::Counter& rejections = reg.GetCounter(
+      "partition.bisection_rejections", obs::MetricKind::kDeterministic);
+  const obs::Counter& arcs = reg.GetCounter(
+      "partition.cut_edges_evaluated", obs::MetricKind::kDeterministic);
+  const std::uint64_t rejections_before = rejections.value();
+  const std::uint64_t arcs_before = arcs.value();
+  fn();
+  return {rejections.value() - rejections_before, arcs.value() - arcs_before};
+}
+
+double SideZeroWeight(const CsrGraph& g, const std::vector<std::uint8_t>& side) {
+  double w0 = 0.0;
+  for (VertexIndex v = 0; v < g.num_vertices(); ++v) {
+    if (side[static_cast<std::size_t>(v)] == 0) w0 += g.balance_weight(v);
+  }
+  return w0;
+}
+
+TEST(FmQueues, BlockedTopWaitsWhileTheOtherSideMoves) {
+  // Unit weights; side 0 = {a, q, f0, z0} (4), side 1 = {b, p, f1, z1..z3}
+  // (6). With tolerance 0.2 side 0 must keep 4..6, so it sits at its lower
+  // bound. Edges: a-p 10, b-q 3, q-f0 5, p-f1 20, f0-f1 1; the z's are
+  // isolated filler. a has the best gain (10) but moving it first would
+  // leave side 0 at 3. b (gain 3) moves first, then a fits: the cut falls
+  // 14 -> 11 -> 1, leaving only f0-f1 cut. A single queue would pop a as a
+  // rejection and lose it for the pass.
+  enum : VertexIndex { a, q, f0, z0, b, p, f1, z1, z2, z3 };
+  CsrGraphBuilder builder;
+  for (int i = 0; i < 10; ++i) {
+    builder.AddVertex(Resource{.cpu = 1, .mem_gb = 1, .net_mbps = 1}, 1.0);
+  }
+  builder.AddEdge(a, p, 10.0);
+  builder.AddEdge(b, q, 3.0);
+  builder.AddEdge(q, f0, 5.0);
+  builder.AddEdge(p, f1, 20.0);
+  builder.AddEdge(f0, f1, 1.0);
+  const CsrGraph g = builder.Build();
+  std::vector<std::uint8_t> side = {0, 0, 0, 0, 1, 1, 1, 1, 1, 1};
+
+  PartitionOptions opts;
+  opts.balance_tolerance = 0.2;
+  opts.refine_passes = 1;
+  const BalanceBounds bounds(g.total_balance_weight(), 0.5,
+                             opts.balance_tolerance);
+  PartitionScratch s;
+  double cut = 0.0;
+  double w0 = 4.0;
+  const FmWork work = CountFmWork(
+      [&] { FmRefine(g, bounds, opts, side, cut, w0, s); });
+
+  ASSERT_GE(s.move_seq.size(), 2u);
+  EXPECT_EQ(s.move_seq[0], b);
+  EXPECT_EQ(s.move_seq[1], a);  // the blocked vertex, later in the pass
+  EXPECT_EQ(work.rejections, 0u);
+  EXPECT_EQ(cut, 1.0);
+  EXPECT_EQ(w0, 4.0);
+  EXPECT_EQ(side, (std::vector<std::uint8_t>{1, 0, 0, 0, 0, 1, 1, 1, 1, 1}));
+  EXPECT_EQ(g.CutWeight(side), 1.0);
+}
+
+// Random graph with anti-affinity arcs and a few heavy vertices.
+CsrGraph MixedSignGraph(int n, std::uint64_t seed) {
+  Rng rng(seed);
+  CsrGraphBuilder builder;
+  for (int i = 0; i < n; ++i) {
+    const double bw =
+        rng.NextBelow(16) == 0 ? rng.Uniform(6.0, 12.0) : rng.Uniform(0.5, 2.0);
+    builder.AddVertex(Resource{.cpu = 1, .mem_gb = 1, .net_mbps = 1}, bw);
+  }
+  for (int e = 0; e < 3 * n; ++e) {
+    const auto u = static_cast<VertexIndex>(rng.NextBelow(n));
+    const auto v = static_cast<VertexIndex>(rng.NextBelow(n));
+    if (u == v) continue;
+    const double w = rng.NextBelow(8) == 0 ? -rng.Uniform(1.0, 20.0)
+                                           : rng.Uniform(0.5, 5.0);
+    builder.AddEdge(u, v, w);
+  }
+  return builder.Build();
+}
+
+TEST(FmQueues, AcceptedMovesNeverWorsenTheBalance) {
+  // Every pass's moves, rolled-back ones included, replayed from the pass's
+  // start: from a feasible start each one stays feasible, and from an
+  // infeasible one the violation never grows.
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    SCOPED_TRACE(seed);
+    const CsrGraph g = MixedSignGraph(160, seed);
+    const auto n = static_cast<std::size_t>(g.num_vertices());
+    PartitionOptions opts;
+    opts.refine_passes = 1;
+    const BalanceBounds bounds(g.total_balance_weight(), 0.5,
+                               opts.balance_tolerance);
+    Rng rng(seed * 977);
+    std::vector<std::uint8_t> side(n, 1);
+    // Odd seeds start feasible (greedy fill of side 0 in a random order),
+    // even seeds with side 0 at a tenth of the total.
+    const double fill = seed % 2 == 1 ? bounds.target0 : 0.1 * bounds.total;
+    std::vector<VertexIndex> order(n);
+    std::iota(order.begin(), order.end(), 0);
+    for (std::size_t i = n; i > 1; --i) {
+      std::swap(order[i - 1], order[rng.NextBelow(i)]);
+    }
+    double w0 = 0.0;
+    for (const auto v : order) {
+      if (w0 + g.balance_weight(v) <= fill) {
+        side[static_cast<std::size_t>(v)] = 0;
+        w0 += g.balance_weight(v);
+      }
+    }
+    ASSERT_EQ(bounds.Violation(w0) == 0.0, seed % 2 == 1);
+
+    PartitionScratch s;
+    double cut = 0.0;
+    std::size_t moves = 0;
+    for (int pass = 0; pass < 6; ++pass) {
+      const std::vector<std::uint8_t> start = side;
+      double replay_w0 = w0;
+      FmRefine(g, bounds, opts, side, cut, w0, s);
+      for (const auto v : s.move_seq) {
+        const double before = bounds.Violation(replay_w0);
+        replay_w0 += start[static_cast<std::size_t>(v)] == 0
+                         ? -g.balance_weight(v)
+                         : g.balance_weight(v);
+        const double after = bounds.Violation(replay_w0);
+        if (before <= 1e-12) {
+          EXPECT_LE(after, 1e-12);
+        } else {
+          EXPECT_TRUE(after < before || after <= 1e-12);
+        }
+      }
+      moves += s.move_seq.size();
+      EXPECT_NEAR(w0, SideZeroWeight(g, side), 1e-9);
+      EXPECT_NEAR(cut, g.CutWeight(side), 1e-6);
+    }
+    EXPECT_GT(moves, 0u);
+    EXPECT_LE(bounds.Violation(w0), 1e-12);
+  }
+}
+
+TEST(FmQueues, MsrRecursivePartitionWorkIsPinned) {
+  // A reduced Fig 13 container graph (500 trace vertices, 4,500
+  // containers): above parallel_min_vertices, so its first bisection runs
+  // the multi-trial levels. The rejection count is the number of pops where
+  // neither side's top may move; a queue that drains balance-blocked
+  // vertices instead shows up here.
+  MsrScenarioOptions mopts;
+  mopts.trace_vertices = 500;
+  const auto scenario = MakeMsrLargeScaleScenario(mopts);
+  const auto demands = scenario->DemandsAt(0);
+  const auto active = scenario->ActiveAt(0);
+  const Resource server{.cpu = 7200, .mem_gb = 1536, .net_mbps = 10000};
+  const ContainerGraph cg =
+      BuildContainerGraph(scenario->workload(), demands, active, server);
+  ASSERT_EQ(cg.graph.num_vertices(), 4500);
+  PartitionOptions opts;
+  ASSERT_GE(cg.graph.num_vertices(), opts.parallel_min_vertices);
+  // Goldilocks' grouping ceiling: 70% CPU/network less 10% headroom, the
+  // network relaxed 8x, memory whole.
+  const Resource ceiling{.cpu = 7200 * 0.63, .mem_gb = 1536 * 0.9,
+                         .net_mbps = 10000 * 0.63 * 8};
+  const auto fits = [&ceiling](const Resource& d, int) {
+    return d.FitsIn(ceiling);
+  };
+  for (const int threads : {1, 8}) {
+    SCOPED_TRACE(threads);
+    opts.threads = threads;
+    RecursivePartitionResult part;
+    const FmWork work = CountFmWork(
+        [&] { part = RecursivePartition(cg.graph, fits, opts); });
+    EXPECT_EQ(part.num_groups, 165);
+    EXPECT_EQ(work.rejections, 1744u);
+    EXPECT_EQ(work.arcs, 580824u);
+  }
 }
 
 }  // namespace

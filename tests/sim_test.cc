@@ -335,22 +335,22 @@ TEST(Runner, ReuseEpochsBitIdentical) {
        0x481ecbf66f935483ULL, 0x3ff18eea5e9240c9ULL, 0x3ff3ae1843b2da79ULL},
       {0x8eab0325a7f45535ULL, 0xeb391d1d4a1db9c0ULL, 0xb56f60c45a03a702ULL,
        0x84313e1123b48702ULL, 0x4000e389c4fdc79cULL, 0x4004a421e5c06f12ULL},
-      {0x2eeaa4578bdff135ULL, 0x0e09b727033920b9ULL, 0x59bffb3c1ba39ac4ULL,
-       0x4b3a39318763f8dcULL, 0x3ff8b7f6588242d5ULL, 0x4014ecd0d70f497aULL},
-      {0x2eeaa4578bdff135ULL, 0xa6d218f9d04b08b1ULL, 0x2468b727bef59b1cULL,
-       0x3b10af6667b0a19dULL, 0x4011dcb6732d2c2dULL, 0x4029bb2a728e6732ULL},
-      {0x0ee37570dacf1ddfULL, 0xe23a2ba5c1d3fba2ULL, 0x483d59fc07836a9fULL,
-       0x9ea7f339ad9f6e58ULL, 0x400a2477259acba7ULL, 0x40285fef25b06df8ULL},
-      {0x3d3b20be5b3e035eULL, 0xadf3e34e293b8a35ULL, 0xb49908bc1121b378ULL,
-       0x4deab35c40ca7537ULL, 0x400b458405949074ULL, 0x402a06eee1144530ULL},
-      {0xb5842cb1e4da1c54ULL, 0x0c1f15bfea74eacfULL, 0x6cb72753eb63a118ULL,
-       0x26bac3f96692d44cULL, 0x3ffca2229d1538f8ULL, 0x4016eb60ae24f68dULL},
-      {0xb5842cb1e4da1c54ULL, 0x06876a68dff92c25ULL, 0x78cf803cca21780dULL,
-       0x33c77c5d79a5e9edULL, 0x3ff057e929340215ULL, 0x4010c72831092809ULL},
-      {0xb5842cb1e4da1c54ULL, 0xfb81fff587ab2127ULL, 0xb4683e9626337b70ULL,
-       0xddb72fd4028d198eULL, 0x3feeac29cafe9d9fULL, 0x40102da4c3199fd8ULL},
-      {0xb5842cb1e4da1c54ULL, 0x3d2be958c609e162ULL, 0x3c7f766972aec2c4ULL,
-       0x7e8c4fddb96a652fULL, 0x3fee8ea9815b5df4ULL, 0x4010159fdcd06b3cULL},
+      {0xe311ebeef132f315ULL, 0x81fc8dfc68b4cdbfULL, 0x59bffb3c1ba39ac4ULL,
+       0x79e7f5852eec5b89ULL, 0x3ff8c9575ab1301aULL, 0x401509c508dad996ULL},
+      {0xe311ebeef132f315ULL, 0x8412712b09b494adULL, 0xc33e0b534fe517b0ULL,
+       0x6c863c6a6f7523c8ULL, 0x40106a7bf5b7699dULL, 0x402812f9b99af8afULL},
+      {0x68b6388efa59bdb8ULL, 0xeef83439c368c7cfULL, 0x0716a4a5979b9592ULL,
+       0x1f35b070b142a0adULL, 0x4008257375cd2547ULL, 0x402a8210ef216976ULL},
+      {0x730d050bd8c2dc59ULL, 0xaeefee7c63c01b8bULL, 0x247bef544bf6136cULL,
+       0x7ff93117f4ecdcb1ULL, 0x4002f7ed76dbc287ULL, 0x401875a3b1cbcb9fULL},
+      {0x0220d220cd4cce15ULL, 0x25cd06b1d341cbfbULL, 0x81b82783c6a4e9e0ULL,
+       0xb6015693a9d96bf1ULL, 0x3ffcee6e9663a8bcULL, 0x401914417f62d284ULL},
+      {0xe43448fd651b65f6ULL, 0x69e08c19f80f8b78ULL, 0xddcb465b29749879ULL,
+       0x1cb43c009ff9bbb6ULL, 0x3ff25046b037caf3ULL, 0x4012a01aaf1a6200ULL},
+      {0xe43448fd651b65f6ULL, 0x220eb1656dc0db80ULL, 0xb4683e9626337b70ULL,
+       0x7550973d0f9a8217ULL, 0x3fef962de742427bULL, 0x40105582b77c06c1ULL},
+      {0xb64dfaf287140255ULL, 0x544dab522f04c332ULL, 0x75c5c9dfae9f7e4bULL,
+       0x9d14766f69e0ed3dULL, 0x3feb405487480322ULL, 0x401010b4dee4dca9ULL},
   };
   TwitterScenarioOptions sopts;
   sopts.num_epochs = 12;
@@ -366,7 +366,7 @@ TEST(Runner, ReuseEpochsBitIdentical) {
       "goldilocks.partition_cache_hits", obs::MetricKind::kDeterministic);
   const std::uint64_t hits_before = hits.value();
   const auto result = runner.Run(sched);
-  EXPECT_EQ(hits.value() - hits_before, 9u);  // the reuse path ran
+  EXPECT_EQ(hits.value() - hits_before, 8u);  // the reuse path ran
   ASSERT_EQ(result.epochs.size(), std::size(kExpected));
   ASSERT_EQ(result.state_hashes.size(), std::size(kExpected));
   for (std::size_t e = 0; e < std::size(kExpected); ++e) {
@@ -400,71 +400,71 @@ TEST(Runner, AzureControllerEpochsBitIdentical) {
       {0xc65a1c25e155a0a4ULL, 0x6ef411866a6d5ac2ULL, 0x371c244b4faa1b49ULL,
        0xbe456578dd486241ULL, 0x24f82d0d3e5287aeULL, 0x3ff545d5b61a4f2bULL,
        0x3fffacd6b8f0ac24ULL},
-      {0xf41bf7f526ad7edaULL, 0xecf4c279db2084ecULL, 0x88ba873d2a7dad07ULL,
-       0x3968ae53e01529e5ULL, 0x4650326332e043dcULL, 0x3fefaf891c206381ULL,
-       0x3ff0d4e417c8bdc3ULL},
+      {0x43adbdf18087d75dULL, 0xf52174b8402beb4cULL, 0xe8bab4ae39e612e0ULL,
+       0xcf841a1460f4f8b4ULL, 0x0dcae14a5c3a561dULL, 0x3fec00d9aad7935eULL,
+       0x3fee6708097cec5dULL},
       {0xe5dddc6bb9db2642ULL, 0x014603f8db2aba25ULL, 0xac426b13ade9d9e6ULL,
-       0x5e7ad3fb9887ce0bULL, 0x05889a1a3bb8444eULL, 0x3fef5d9c18a7c7ecULL,
+       0x7eb32147afb32dfcULL, 0x05889a1a3bb8444eULL, 0x3fef5d9c18a7c7ecULL,
        0x3ff13acc14517de3ULL},
-      {0x96accfc6a375f8e4ULL, 0x258e46870f64262eULL, 0x2f29f1e3942e54ffULL,
-       0xf00cf88b437564a4ULL, 0xa68d15093c94d22eULL, 0x3ff3eb18432cf46dULL,
+      {0x486e8faf3bb749c6ULL, 0xa70c492430608087ULL, 0x087e028cfbbc59a7ULL,
+       0xbbe5ff2b9accec0dULL, 0x8b03977e0c7fcaceULL, 0x3ff3e60e5f5055e3ULL,
        0x3ffc7cf20ed140acULL},
-      {0xfaee1eeb684f9546ULL, 0x639e28b965b96064ULL, 0x85bb805bc51cf4f4ULL,
-       0x93768c6c70a7c2d5ULL, 0x89a9d375aca66345ULL, 0x3ff04ae50b83f988ULL,
+      {0x061e7a85d9621afdULL, 0xfa3e29f549d79fabULL, 0x7044a3f8ac81eb7fULL,
+       0x6bf4d710a8682d3dULL, 0xc68b1838b9012a66ULL, 0x3ff050c8a16b5256ULL,
        0x3ff3781aeb57017dULL},
       {0x64eb65c160a61399ULL, 0x0e7f2269329da3f0ULL, 0xe923747874f259eeULL,
-       0x83682523584e4ff8ULL, 0xb98400059a84bfc4ULL, 0x3feef732454219e8ULL,
+       0xeb46b83b176e7346ULL, 0xb98400059a84bfc4ULL, 0x3feef732454219e8ULL,
        0x3ff4a0635a31fcf8ULL},
-      {0xd7c43b3599141ee8ULL, 0x37d6671bcc389884ULL, 0x3a864acfefe80387ULL,
-       0x9d4456e3f2400abbULL, 0x472973ae661731ffULL, 0x3ff74cd910700362ULL,
-       0x40033e6db4fc793fULL},
-      {0xf41bf7f526ad7edaULL, 0xd9b71f94ae4bafe5ULL, 0x8785a6ef4b156d00ULL,
-       0xd9dd2b1c4704aa53ULL, 0xfdb6cf0c09ed12e0ULL, 0x3ff3a769e5f2d5ffULL,
-       0x3ff601ddc00db8a5ULL},
-      {0x35f241c46a55c3c7ULL, 0xe9ec2d6258cb4b99ULL, 0x83ccc41dc9a2f1d2ULL,
-       0xf3f1990187ba080cULL, 0x44fc4b6193b43467ULL, 0x3ff0cee66568c808ULL,
-       0x3ff3637db3521650ULL},
-      {0xe02b165d2324eca6ULL, 0x3659665a6db2ebd5ULL, 0xa7d99e8b6b192d6eULL,
-       0xe84dec82a3140b03ULL, 0x58f2662833b62690ULL, 0x3ff52bbaf0e31c08ULL,
-       0x3fffd485f4d2fa8dULL},
-      {0xea4b4b5f9850a9a6ULL, 0x83aee6c3eefe6b71ULL, 0xff001d17f4b311b4ULL,
-       0x930873ba01cd8965ULL, 0xa26e104bec63208bULL, 0x3fee8a055fef4624ULL,
-       0x3ff007a481cf3b40ULL},
-      {0x26b4e14037ba5cbbULL, 0xa2db60f2c72f6407ULL, 0xf343bc3cef3cbc76ULL,
-       0x95415ab4859a46e0ULL, 0x103a444a271676ddULL, 0x3fee5ae188decc93ULL,
-       0x3ff490be125b1619ULL},
-      {0xed7e6079a609c008ULL, 0x2f9a78d33c11b32dULL, 0x9da7a50705fae383ULL,
-       0xb45ec4c4bfb29ecfULL, 0x0de4444402f327f3ULL, 0x3fec732482938d9fULL,
+      {0x15e7cb59f984a6ebULL, 0x8bb6312508f5dab1ULL, 0x943c0c07e59ebc0eULL,
+       0xb7ecb44673852f92ULL, 0x64d53d0cb9acf5c6ULL, 0x3ff19f8bb3feec23ULL,
+       0x3ff32dad2f25a1dbULL},
+      {0x2b08f63efadd61ddULL, 0x6625c8a3a5448c3aULL, 0x0bb6ccedf2d52c2cULL,
+       0x0b34c844ad4eff04ULL, 0xc91444da3c137eddULL, 0x3ff00ae6ccc86cd1ULL,
+       0x3ff3953a9f7257f7ULL},
+      {0xd2915335cb7c9ac2ULL, 0x1e136dea6826d8abULL, 0x83ccc41dc9a2f1d2ULL,
+       0xe20eb4a424b4115eULL, 0x78e5ec9f9a4927c8ULL, 0x3fef8bc11ac8ff89ULL,
+       0x3ff0c74dcaf403a5ULL},
+      {0xd2915335cb7c9ac2ULL, 0x8417221b982abaccULL, 0xa7d99e8b6b192d6eULL,
+       0x81d23fd7003c2305ULL, 0x78e5ec9f9a4927c8ULL, 0x3fef2112863818e4ULL,
+       0x3ff0bc16ea026a55ULL},
+      {0x42b3320bbcc11f99ULL, 0x3358e1c764955d4cULL, 0xabd0157ecb803220ULL,
+       0x8980c609b56faf35ULL, 0x539bdc387edd997bULL, 0x3fed4dd21aacfe4aULL,
+       0x3feedf9713a48578ULL},
+      {0x709bed6d8883b7bbULL, 0x8ec5418e80504067ULL, 0xf343bc3cef3cbc76ULL,
+       0xf1e833e7bdfea481ULL, 0x1b6ee92ee0756a7dULL, 0x3fee5511a4aea0ddULL,
+       0x3ff47a387e206cb8ULL},
+      {0x9adf68fe2e3cd448ULL, 0xd7cd87a762eba958ULL, 0xa5db2d42789a3947ULL,
+       0xeeef88bee161f3fdULL, 0xd3fca46e8c148d3aULL, 0x3fec58afc83e332dULL,
        0x3fedf03469f2960cULL},
-      {0xa92de17422df3618ULL, 0xe07675533a506ffeULL, 0x93deda855202e33eULL,
-       0x08170e9df0d8fd0eULL, 0xa03db056506a7b06ULL, 0x3fee2094083a9e1dULL,
-       0x3ff3c3bd81dad9dcULL},
-      {0xf651585daf5d5e88ULL, 0x256224e6382fb08fULL, 0x7a67148f0a63961fULL,
-       0x3a70db0fe8bab155ULL, 0xba37e933f1f17b39ULL, 0x3fec5368c339372bULL,
+      {0x46c61d2a3bdb9918ULL, 0xf334d558729c832cULL, 0x93deda855202e33eULL,
+       0x4683e9b71635ce3dULL, 0xdfa547cd60e12026ULL, 0x3fee21e5edc1d747ULL,
+       0x3ff3c8dadb46d755ULL},
+      {0x75ff4d8b2f004b2bULL, 0xc92792ec89dea3c7ULL, 0x6ce29ea5186983d2ULL,
+       0xd8cbd0a7b104f4fdULL, 0x09998464a23dd6c0ULL, 0x3fecb98a74d1cee4ULL,
        0x3fedd9fb1edb52afULL},
-      {0x5e46559a49f13f6dULL, 0x7cc0727062afabd7ULL, 0xfacf3b1cb20a8557ULL,
-       0x70320f4b10a15fd0ULL, 0xc8c0918a2793783eULL, 0x3feed570d322eff7ULL,
-       0x400999c3afa9dbd6ULL},
-      {0xf6fad4225009d78cULL, 0x7efd384ad27d324fULL, 0x46dae971b5208f37ULL,
-       0xebe7b320c2400fecULL, 0x90958b4a1ad37972ULL, 0x3fee71a1c1884e54ULL,
-       0x40098913c020b99dULL},
-      {0x3f09b8024ce1748fULL, 0x679a5a3a5c3836baULL, 0x77fc9d609cccb9d0ULL,
-       0x49aeb94b88cebee3ULL, 0xc4e68452fcd50a7aULL, 0x3feba6589a288838ULL,
-       0x3ff0a72ee0a590c9ULL},
-      {0x62d11a977f697baaULL, 0xaa36053384af0934ULL, 0x340fc10678f62978ULL,
-       0x168a13d7ea94ceccULL, 0xe829c0f4996dbe68ULL, 0x3feaffbebe7748fbULL,
+      {0x4c11d0220dcd13cdULL, 0x2b8c8bbded3a582bULL, 0xfacf3b1cb20a8557ULL,
+       0x03f4a3ce7b46a340ULL, 0xa5ae8c634fee2ab6ULL, 0x3feb23d287d3e15fULL,
+       0x3fedd3d587085ee2ULL},
+      {0x693eb2c158fcba0cULL, 0xdaf92e09c32339bfULL, 0x46dae971b5208f37ULL,
+       0x9354328c03fca47aULL, 0xf3f9fcfb90dbf354ULL, 0x3fead0ed85536819ULL,
+       0x3fed3cc6e7098e84ULL},
+      {0xa7402aa25c4a468fULL, 0xbd6f162f075e1161ULL, 0x77fc9d609cccb9d0ULL,
+       0xaa4ed263307bdb5aULL, 0x083a25137075404fULL, 0x3feb051b992017fdULL,
+       0x3fece5b2ba100fffULL},
+      {0xcf1cb689989c3ceaULL, 0xd2f54229562fb218ULL, 0x340fc10678f62978ULL,
+       0x28672440f883552cULL, 0x25432d4f60ac2b4eULL, 0x3feafbc48505bee8ULL,
        0x3febc074876e5effULL},
       {0xac75a35a720977cdULL, 0x52474f1f0c8d34b0ULL, 0x20527a30c06018eaULL,
-       0xddb6d80ecba73de4ULL, 0x9d0029b12fac6819ULL, 0x3febde4720349277ULL,
+       0x5ee97bdb3b8330a8ULL, 0x12ca7bf2151ea319ULL, 0x3febde4720349277ULL,
        0x3fed9b8818c75830ULL},
       {0xad312ce65bb52cf5ULL, 0xf6c636b660a14eefULL, 0x85ff9b9920551b72ULL,
        0x49cbd0131018ae8aULL, 0x4bf95b1a19122271ULL, 0x3fed1b2a43cab241ULL,
        0x3ff3642c4cf5cbb7ULL},
-      {0x4d82aa23375ba147ULL, 0x6f53e16e16260948ULL, 0xc5b9c0e08557b3e3ULL,
-       0x3f13eb3fed14814cULL, 0x24ab411517462032ULL, 0x3fecb0fc2f957ab6ULL,
+      {0xb1ef6611ad451dc1ULL, 0x021fd36a71f16c3eULL, 0xc5b9c0e08557b3e3ULL,
+       0x9517bc6979c1d231ULL, 0x69f0fcbe51ce259dULL, 0x3feca49b8d8aa77aULL,
        0x3ff178a12121f313ULL},
-      {0x35a0f727b0730375ULL, 0x7866e17f73077b0fULL, 0xb7988ac0751ac2f3ULL,
-       0xc7a78b744ec12449ULL, 0x1cf61daf51f17c0dULL, 0x3febd720ec50eecaULL,
+      {0xd1769e1dd63add96ULL, 0x90ad9e49c9c069e6ULL, 0xb7988ac0751ac2f3ULL,
+       0x4c56bde3bdfd96aaULL, 0xe6c86836071735d7ULL, 0x3feb8945d84d8b32ULL,
        0x3fee6a0cc1dcbb0cULL},
   };
   AzureScenarioOptions sopts;

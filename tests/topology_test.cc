@@ -162,11 +162,34 @@ TEST(TopologyBandwidth, CheckedUplinksFollowTheNicsBelow) {
   EXPECT_DOUBLE_EQ(t.node(pod).nic_below_mbps, 2000.0);
   EXPECT_FALSE(t.uplink_checked(pod));
   EXPECT_FALSE(t.has_checked_uplinks());
-  // Faster NICs can overrun a healthy rack uplink.
+  // A half-size server's own link is half-size too, and not checked.
+  const NodeId half_leaf = t.server_node(t.ServersUnder(pod)[0]);
+  EXPECT_DOUBLE_EQ(t.uplink_capacity(half_leaf), 500.0);
+  EXPECT_FALSE(t.uplink_checked(half_leaf));
+  // Faster NICs can overrun a healthy rack uplink; the server's own link
+  // follows its NIC, so the leaf itself is not checked.
   Resource fast = kCap;
   fast.net_mbps = 1500.0;
   t.set_server_capacity(ServerId{0}, fast);
+  const NodeId fast_leaf = t.server_node(ServerId{0});
+  EXPECT_DOUBLE_EQ(t.uplink_capacity(fast_leaf), 1500.0);
+  EXPECT_FALSE(t.uplink_checked(fast_leaf));
   EXPECT_TRUE(t.uplink_checked(rack));
+  EXPECT_TRUE(t.has_checked_uplinks());
+  // A degraded server link keeps its ratio to the NIC: checked before and
+  // after, and counted once.
+  t.set_server_capacity(ServerId{0}, kCap);
+  EXPECT_FALSE(t.has_checked_uplinks());
+  t.DegradeUplink(fast_leaf, 0.5);
+  EXPECT_TRUE(t.uplink_checked(fast_leaf));
+  t.set_server_capacity(ServerId{0}, fast);
+  EXPECT_DOUBLE_EQ(t.uplink_capacity(fast_leaf), 750.0);
+  EXPECT_TRUE(t.uplink_checked(fast_leaf));
+  EXPECT_TRUE(t.uplink_checked(rack));
+  t.set_server_capacity(ServerId{0}, kCap);
+  EXPECT_DOUBLE_EQ(t.uplink_capacity(fast_leaf), 500.0);
+  EXPECT_TRUE(t.uplink_checked(fast_leaf));
+  EXPECT_FALSE(t.uplink_checked(rack));
   EXPECT_TRUE(t.has_checked_uplinks());
 }
 
