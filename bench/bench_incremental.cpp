@@ -21,7 +21,7 @@ int main() {
   const Resource ceiling{.cpu = avg.cpu * 0.63,
                          .mem_gb = avg.mem_gb * 0.9,
                          .net_mbps = avg.net_mbps * 8.0};
-  const auto fits = [&](const Resource& d, int) { return d.FitsIn(ceiling); };
+  const auto fits = [&](const Resource& d) { return d.FitsIn(ceiling); };
 
   PrintBanner("Incremental vs full repartitioning as demand drifts");
   Table t({"epoch", "mode", "groups", "cut", "moved vertices"});

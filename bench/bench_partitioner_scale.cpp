@@ -74,7 +74,7 @@ void BM_RecursivePartitionToServers(benchmark::State& state) {
   const Resource ceiling{.cpu = 2240, .mem_gb = 57, .net_mbps = 700};
   for (auto _ : state) {
     auto r = RecursivePartition(
-        g, [&](const Resource& d, int) { return d.FitsIn(ceiling); }, {});
+        g, [&](const Resource& d) { return d.FitsIn(ceiling); }, {});
     benchmark::DoNotOptimize(r.num_groups);
   }
   state.SetComplexityN(n);
@@ -131,7 +131,7 @@ double InfoGauge(const char* name, double fallback) {
 bool RunThreadScalingSweep(const char* json_path, int repeat,
                            const char* trace_path) {
   const Resource ceiling{.cpu = 2240, .mem_gb = 57, .net_mbps = 700};
-  const auto fits = [&](const Resource& d, int) { return d.FitsIn(ceiling); };
+  const auto fits = [&](const Resource& d) { return d.FitsIn(ceiling); };
   std::vector<bench::ScaleRecord> records;
   for (const int n : {2000, 10000, 50000}) {
     const CsrGraph g = MakeWorkloadLikeGraph(n, 7);

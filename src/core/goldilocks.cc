@@ -126,7 +126,8 @@ struct GoldilocksScheduler::PartitionCache {
   int epochs_since_partition = 0;
   std::vector<std::vector<ContainerId>> groups;  // in locality order
   std::vector<std::string> paths;                // recursion path per group
-  // Server each group landed on last epoch (stability across reuse).
+  // Server each group landed on last epoch (stability across reuse). Store
+  // sizes it to `groups`, and Place restores it at that size.
   std::vector<ServerId> group_server;
 
   // Derived data, kept out of StateDigest: each is a pure function of
@@ -311,8 +312,7 @@ GoldilocksScheduler::PartitionContainers(const SchedulerInput& input) {
   // epoch-to-epoch demand growth without a full repartition.
   Resource relaxed = ceiling * (1.0 - kGroupHeadroom);
   relaxed.net_mbps *= kPartitionNetRelax;
-  const auto fits = [&relaxed](const Resource& demand, int count) {
-    (void)count;
+  const auto fits = [&relaxed](const Resource& demand) {
     const bool ok = demand.FitsIn(relaxed);
     // Every "group too big for the PEE-capped ceiling" verdict forces
     // another bisection level — the count explains recursion depth.
@@ -348,14 +348,12 @@ GoldilocksScheduler::PartitionContainers(const SchedulerInput& input) {
     // Repair the previous grouping instead of relabelling from scratch.
     // Vertices map to their old group index (or -1 if newly active).
     const std::vector<int>& container_to_old = cache_->group_of;
-    if (cache_->group_server.size() == cache_->groups.size()) {
-      prev_server_of.assign(input.workload->containers.size(),
-                            ServerId::invalid());
-      for (std::size_t gi = 0; gi < cache_->groups.size(); ++gi) {
-        for (const auto c : cache_->groups[gi]) {
-          prev_server_of[static_cast<std::size_t>(c.value())] =
-              cache_->group_server[gi];
-        }
+    prev_server_of.assign(input.workload->containers.size(),
+                          ServerId::invalid());
+    for (std::size_t gi = 0; gi < cache_->groups.size(); ++gi) {
+      for (const auto c : cache_->groups[gi]) {
+        prev_server_of[static_cast<std::size_t>(c.value())] =
+            cache_->group_server[gi];
       }
     }
     std::vector<int> previous(
@@ -501,9 +499,6 @@ Placement GoldilocksScheduler::AssignGroupsSymmetric(
                           });
   }
 
-  const bool use_preferred =
-      cache_->group_server.size() == groups.size();
-
   // Fault domains (Sec. IV-C): groups carrying the same replica set must
   // land in different racks when possible, different servers at minimum.
   const std::vector<std::vector<GroupId>>& group_sets = cache_->replica_sets;
@@ -554,7 +549,7 @@ Placement GoldilocksScheduler::AssignGroupsSymmetric(
     for (const auto c : group) {
       p.server_of[static_cast<std::size_t>(c.value())] = s;
     }
-    if (use_preferred) cache_->group_server[gi] = s;
+    cache_->group_server[gi] = s;
     if (!group_sets[gi].empty()) {
       auto& ss = server_sets[s.value()];
       ss.insert(ss.end(), group_sets[gi].begin(), group_sets[gi].end());
@@ -579,7 +574,7 @@ Placement GoldilocksScheduler::AssignGroupsSymmetric(
     // the PEE headroom is for; migrating to restore the 70% target would
     // cost more than it saves (Sec. IV-C). Memory does not drift, so only
     // CPU/network are capped.
-    if (use_preferred && cache_->group_server[gi].valid()) {
+    if (cache_->group_server[gi].valid()) {
       const ServerId prev = cache_->group_server[gi];
       const Resource& cap = topo.server_capacity(prev);
       const Resource stay_limit{

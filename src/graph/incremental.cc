@@ -94,7 +94,7 @@ IncrementalResult IncrementalRepartition(const CsrGraph& g,
       if (w <= best_w) continue;
       const Resource after = s.demand[static_cast<std::size_t>(ng)] +
                              g.demand(v);
-      if (fits(after, s.count[static_cast<std::size_t>(ng)] + 1)) {
+      if (fits(after)) {
         best = ng;
         best_w = w;
       }
@@ -106,8 +106,7 @@ IncrementalResult IncrementalRepartition(const CsrGraph& g,
   // Shed boundary vertices from overfull groups into fitting neighbours;
   // split what cannot be repaired by shedding.
   auto group_feasible = [&](int gid) {
-    return fits(s.demand[static_cast<std::size_t>(gid)],
-                s.count[static_cast<std::size_t>(gid)]) ||
+    return fits(s.demand[static_cast<std::size_t>(gid)]) ||
            s.count[static_cast<std::size_t>(gid)] <= 1;
   };
   for (int pass = 0; pass < 3; ++pass) {
@@ -142,9 +141,7 @@ IncrementalResult IncrementalRepartition(const CsrGraph& g,
         if (s.group_of[static_cast<std::size_t>(c.v)] != gid) continue;
         const Resource after =
             s.demand[static_cast<std::size_t>(c.target)] + g.demand(c.v);
-        if (!fits(after, s.count[static_cast<std::size_t>(c.target)] + 1)) {
-          continue;
-        }
+        if (!fits(after)) continue;
         s.Assign(g, c.v, c.target);
       }
       if (group_feasible(gid)) continue;
@@ -198,7 +195,7 @@ IncrementalResult IncrementalRepartition(const CsrGraph& g,
         if (gain <= best_gain) continue;
         const Resource after =
             s.demand[static_cast<std::size_t>(ng)] + g.demand(v);
-        if (fits(after, s.count[static_cast<std::size_t>(ng)] + 1)) {
+        if (fits(after)) {
           best = ng;
           best_gain = gain;
         }

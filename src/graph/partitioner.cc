@@ -131,7 +131,7 @@ void GrowInitialPartition(const CsrGraph& g, const BalanceBounds& bounds,
   *w0_out = 0.0;
   if (n == 0) return;
 
-  LazyMaxHeap& heap = s.queues[0];
+  FmQueues& heap = s.queues;
   heap.Reset(sn);
   s.in_region.assign(sn, 0);
   s.grow_key.resize(sn);
@@ -156,7 +156,7 @@ void GrowInitialPartition(const CsrGraph& g, const BalanceBounds& bounds,
       if (s.in_region[u]) continue;
       // Edge i flips from region-external to region-internal for to[i].
       s.grow_key[u] += 2.0 * ws[i];
-      heap.Push(to[i], s.grow_key[u]);
+      heap.Push(0, to[i], s.grow_key[u]);
     }
   };
 
@@ -192,7 +192,7 @@ void GrowInitialPartition(const CsrGraph& g, const BalanceBounds& bounds,
   while (w0 < bounds.target0) {
     VertexIndex v;
     double priority;
-    if (heap.Pop(&v, &priority)) {
+    if (heap.Pop(0, &v, &priority)) {
       if (s.in_region[static_cast<std::size_t>(v)]) continue;
       absorb(v);
     } else if (!seed_new_component()) {
@@ -242,12 +242,12 @@ double FmPriorityFactor(VertexIndex v, std::uint64_t salt) {
 // identically.
 //
 // Each side has its own queue (METIS' per-part queues): an unlocked vertex
-// sits in queues[side[v]], and moved vertices are locked for the pass, so a
-// queued vertex never changes sides. Each step takes the higher of the two
-// live tops, side 0 on ties. When the balance bound blocks that top, the
-// other side's top moves instead and the blocked vertex stays queued for
-// when the balance shifts back; only when neither top may move is the
-// higher one popped as a rejection.
+// sits in queue side[v], and moved vertices are locked for the pass, so a
+// queued vertex never changes sides and one priority table serves both.
+// Each step takes the higher of the two live tops, side 0 on ties. When the
+// balance bound blocks that top, the other side's top moves instead and the
+// blocked vertex stays queued for when the balance shifts back; only when
+// neither top may move is the higher one popped as a rejection.
 void FmPassLoop(const CsrGraph& g, const BalanceBounds& bounds,
                 const PartitionOptions& opts, int max_passes,
                 FmEngine& engine, std::vector<std::uint8_t>& side,
@@ -287,12 +287,12 @@ void FmPassLoop(const CsrGraph& g, const BalanceBounds& bounds,
     // neighbor's move makes it relevant. An infeasible balance needs
     // arbitrary vertices to restore it, so restoration passes seed everyone.
     const bool seed_all = bounds.Violation(w0) > 1e-12;
-    queues[0].Reset(sn);
-    queues[1].Reset(sn);
+    queues.Reset(sn);
     const auto push = [&](VertexIndex v, double gv) {
-      queues[side[static_cast<std::size_t>(v)]].Push(
-          v, perturb_salt != nullptr ? gv * FmPriorityFactor(v, *perturb_salt)
-                                     : gv);
+      queues.Push(side[static_cast<std::size_t>(v)], v,
+                  perturb_salt != nullptr
+                      ? gv * FmPriorityFactor(v, *perturb_salt)
+                      : gv);
     };
     const auto push_seed = [&](VertexIndex v) {
       const double gv = engine.gain(v);
@@ -319,21 +319,21 @@ void FmPassLoop(const CsrGraph& g, const BalanceBounds& bounds,
     double priority[2] = {0.0, 0.0};
     bool live[2] = {false, false};
     while (true) {
-      live[0] = queues[0].Peek(&top[0], &priority[0]);
-      live[1] = queues[1].Peek(&top[1], &priority[1]);
+      live[0] = queues.Peek(0, &top[0], &priority[0]);
+      live[1] = queues.Peek(1, &top[1], &priority[1]);
       if (!live[0] && !live[1]) break;
       const int first =
           (!live[1] || (live[0] && priority[0] >= priority[1])) ? 0 : 1;
       int from = first;
       if (!may_move(top[first])) {
         if (!live[first ^ 1] || !may_move(top[first ^ 1])) {
-          queues[first].PopTop();
+          queues.PopTop(first);
           ++*moves_rejected;
           continue;
         }
         from = first ^ 1;
       }
-      queues[from].PopTop();
+      queues.PopTop(from);
       const VertexIndex v = top[from];
       const double bw = g.balance_weight(v);
 
@@ -832,32 +832,27 @@ bool HasNegativeInternalEdge(const RangeCtx& ctx, std::size_t lo,
 
 bool FitTerminal(const RangeCtx& ctx, std::size_t lo, std::size_t hi,
                  const Resource& demand) {
-  const int count = static_cast<int>(hi - lo);
-  return ((*ctx.fits)(demand, count) && !HasNegativeInternalEdge(ctx, lo, hi)) ||
-         count == 1;
+  return ((*ctx.fits)(demand) && !HasNegativeInternalEdge(ctx, lo, hi)) ||
+         hi - lo == 1;
 }
 
-void RecordFitLeaf(const RangeCtx& ctx, std::size_t lo, std::size_t hi,
-                   const Resource& demand, const std::string& path,
-                   RecursivePartitionResult& out) {
-  const int count = static_cast<int>(hi - lo);
-  const int gid = out.num_groups++;
-  for (std::size_t pos = lo; pos < hi; ++pos) {
-    out.group_of[static_cast<std::size_t>(ctx.perm[pos])] = gid;
-  }
-  out.group_path.push_back(path);
-  out.group_demand.push_back(demand);
-  out.group_size.push_back(count);
-  if (!(*ctx.fits)(demand, count)) out.oversized_groups.push_back(gid);
+// Split target of a range that does not fit: carve off whole server-units
+// so leaves fill servers tightly instead of landing at ~50-70% from plain
+// halving.
+double FitFraction(const RangeCtx& ctx, const Resource& demand) {
+  if (!*ctx.units) return 0.5;
+  const double u = std::max(1.0 + 1e-9, (*ctx.units)(demand));
+  return std::clamp(std::ceil(u / 2.0) / u, 0.25, 0.75);
 }
 
-// Bisects a range in place: extracts its CSR view, bisects it, then
-// stable-partitions the range's slice of `perm` by side. Returns the
-// bisection's cut weight; `*mid` is the start of the side-1 child and
-// `child_seeds` the children's seed chain (same chain as always).
+// Bisects a range in place, giving side 0 `fraction` of its balance
+// weight: extracts its CSR view, bisects it, then stable-partitions the
+// range's slice of `perm` by side. Returns the bisection's cut weight;
+// `*mid` is the start of the side-1 child and `child_seeds` the children's
+// seed chain (same chain as always).
 double SplitRange(RangeCtx& ctx, std::size_t lo, std::size_t hi,
-                  const Resource& demand, std::size_t depth,
-                  std::uint64_t seed, ThreadPool* pool, PartitionScratch& s,
+                  double fraction, std::size_t depth, std::uint64_t seed,
+                  ThreadPool* pool, PartitionScratch& s,
                   std::uint64_t child_seeds[2], std::size_t* mid) {
   // One span per recursion level; arg = depth in the recursion tree.
   obs::TraceSpan split_span("partition.split",
@@ -865,13 +860,6 @@ double SplitRange(RangeCtx& ctx, std::size_t lo, std::size_t hi,
   const std::size_t count = hi - lo;
   PartitionOptions sub = *ctx.opts;
   sub.seed = seed;
-  // Proportional split target: carve off whole server-units so leaves fill
-  // servers tightly instead of landing at ~50-70% from plain halving.
-  double fraction = 0.5;
-  if (*ctx.units) {
-    const double u = std::max(1.0 + 1e-9, (*ctx.units)(demand));
-    fraction = std::clamp(std::ceil(u / 2.0) / u, 0.25, 0.75);
-  }
   ExtractSub(ctx, lo, hi, s.sub);
   const auto bis = BisectCsr(s.sub, sub, fraction, pool, s, s.node_side);
 
@@ -908,230 +896,175 @@ double SplitRange(RangeCtx& ctx, std::size_t lo, std::size_t hi,
   return bis.cut_weight;
 }
 
-// Serial recursion. Cut contributions are appended to `cuts` in preorder
-// (node before its subtrees) instead of summed in place, so the final
-// left-fold reproduces one canonical summation order no matter how the
-// subtrees were scheduled across threads.
+// The recursion as position-keyed records, appended in whatever order its
+// nodes run. Each node owns one contiguous range of `perm`: a leaf's range
+// is a group reached by `path`, and a split bisected the range that starts
+// at `lo`, `depth` levels down.
+struct Leaf {
+  std::size_t lo = 0;
+  std::size_t hi = 0;
+  std::string path;
+};
+struct Split {
+  std::size_t lo = 0;
+  std::size_t depth = 0;
+  double cut = 0.0;
+};
+struct Records {
+  std::vector<Leaf> leaves;
+  std::vector<Split> splits;
+};
+
+// Serial recursion over the subtree rooted at [lo, hi).
 void FitRecurse(RangeCtx& ctx, std::size_t lo, std::size_t hi,
                 const std::string& path, std::uint64_t seed,
-                PartitionScratch& s, RecursivePartitionResult& out,
-                std::vector<double>& cuts) {
-  if (lo == hi) return;
+                PartitionScratch& s, Records& rec) {
   const Resource demand = RangeDemand(ctx, lo, hi);
   if (FitTerminal(ctx, lo, hi, demand)) {
-    RecordFitLeaf(ctx, lo, hi, demand, path, out);
+    rec.leaves.push_back({lo, hi, path});
     return;
   }
   std::size_t mid = lo;
   std::uint64_t child_seeds[2];
   // Serial subtrees never see the pool: a worker task re-entering the pool
   // would deadlock, and the frontier already carries the parallelism.
-  cuts.push_back(SplitRange(ctx, lo, hi, demand, path.size(), seed,
-                            /*pool=*/nullptr, s, child_seeds, &mid));
-  FitRecurse(ctx, lo, mid, path + '0', child_seeds[0], s, out, cuts);
-  FitRecurse(ctx, mid, hi, path + '1', child_seeds[1], s, out, cuts);
+  const double cut =
+      SplitRange(ctx, lo, hi, FitFraction(ctx, demand), path.size(), seed,
+                 /*pool=*/nullptr, s, child_seeds, &mid);
+  rec.splits.push_back({lo, path.size(), cut});
+  FitRecurse(ctx, lo, mid, path + '0', child_seeds[0], s, rec);
+  FitRecurse(ctx, mid, hi, path + '1', child_seeds[1], s, rec);
 }
 
-// Parallel driver: expands the top of the recursion tree breadth-first —
-// splitting every non-terminal frontier node, each level's splits running
-// concurrently on disjoint position ranges — until the frontier carries at
-// least opts.threads sub-problems, then solves each frontier subtree
-// serially on the pool and merges the per-task results in preorder.
-// Preorder merging reproduces the serial group numbering exactly, and the
-// preorder cut fold reproduces the serial summation order, so the result is
-// bit-identical at every thread count. Every concurrent unit gets its own
-// scratch arena; results don't depend on arena history (DESIGN.md §11).
-RecursivePartitionResult RecursivePartitionParallel(
-    RangeCtx& ctx, const Resource& root_demand,
-    RecursivePartitionResult out) {
+// Builds the result from records in any order. A node's subtree lies
+// inside its range; its left child starts at the same `lo` one level
+// deeper and its right child at the split point. So ascending `lo` is the
+// leaves' preorder and ascending (lo, depth) the splits', and numbering the
+// groups and left-folding the cuts in that order reproduces the serial
+// recursion bit for bit, whichever thread recorded what (DESIGN.md §9).
+void Assemble(const RangeCtx& ctx, Records& rec,
+              RecursivePartitionResult& out) {
+  std::sort(rec.leaves.begin(), rec.leaves.end(),
+            [](const Leaf& a, const Leaf& b) { return a.lo < b.lo; });
+  std::sort(rec.splits.begin(), rec.splits.end(),
+            [](const Split& a, const Split& b) {
+              return a.lo != b.lo ? a.lo < b.lo : a.depth < b.depth;
+            });
+  for (Leaf& leaf : rec.leaves) {
+    for (std::size_t pos = leaf.lo; pos < leaf.hi; ++pos) {
+      out.group_of[static_cast<std::size_t>(ctx.perm[pos])] = out.num_groups;
+    }
+    ++out.num_groups;
+    out.group_path.push_back(std::move(leaf.path));
+  }
+  for (const Split& split : rec.splits) out.cut_weight += split.cut;
+}
+
+// Parallel driver: expands the top of the recursion breadth-first —
+// splitting every non-terminal range of the frontier, each round's splits
+// running concurrently on disjoint position ranges — until the frontier
+// carries at least 4 × opts.threads ranges, then solves each frontier
+// subtree serially on the pool. Every concurrent unit records into its own
+// slot and gets its own scratch arena; results don't depend on arena
+// history (DESIGN.md §11).
+void RecurseParallel(RangeCtx& ctx, Records& rec) {
   const auto n = static_cast<std::size_t>(ctx.g->num_vertices());
   obs::TraceSpan span("partition.parallel", static_cast<std::int64_t>(n));
   const PartitionOptions& opts = *ctx.opts;
-  struct ExpandNode {
+  struct Pending {
     std::size_t lo = 0;
     std::size_t hi = 0;
     std::string path;
     std::uint64_t seed = 0;
     Resource demand;
-    double cut = 0.0;
-    int left = -1;  // < 0: unexpanded (frontier task or terminal)
-    int right = -1;
   };
 
   ThreadPool pool(opts.threads);
   std::size_t scratch_peak = 0;  // max arena high-water over all arenas
-
-  // Root is split in place on the calling thread, with the pool driving the
-  // split's own coarsening and refinement — at depth 0 the whole-graph
-  // bisection IS the serial wall, so this is where intra-bisection
-  // parallelism pays the most.
-  std::vector<ExpandNode> tree(3);
-  {
-    PartitionScratch s;
-    std::size_t mid = 0;
-    std::uint64_t child_seeds[2];
-    tree[0].lo = 0;
-    tree[0].hi = n;
-    tree[0].seed = opts.seed;
-    tree[0].demand = root_demand;
-    tree[0].cut = SplitRange(ctx, 0, n, root_demand, 0, opts.seed, &pool, s,
-                             child_seeds, &mid);
-    scratch_peak = std::max(scratch_peak, s.peak_bytes);
-    tree[0].left = 1;
-    tree[0].right = 2;
-    tree[1] = {0,   mid, "0", child_seeds[0], RangeDemand(ctx, 0, mid),
-               0.0, -1,  -1};
-    tree[2] = {mid, n,   "1", child_seeds[1], RangeDemand(ctx, mid, n),
-               0.0, -1,  -1};
-  }
-  std::vector<int> frontier = {1, 2};
+  // Pending ranges, left to right; the root's split is the first round.
+  std::vector<Pending> frontier = {
+      {0, n, "", opts.seed, RangeDemand(ctx, 0, n)}};
 
   // Oversubscribe the frontier 4×: worker subtrees differ wildly in cost,
   // and more, smaller subtrees let fast lanes keep absorbing work instead
   // of idling behind the largest one. Expansion depth is result-neutral —
-  // per-node seeds derive from the recursion path and the merge below is
-  // preorder — so the target only shapes scheduling.
+  // seeds derive from the recursion path and Assemble orders the records
+  // by position — so the target only shapes scheduling.
   while (static_cast<int>(frontier.size()) < 4 * opts.threads) {
-    std::vector<int> splittable;
-    for (const int idx : frontier) {
-      const auto& nd = tree[static_cast<std::size_t>(idx)];
+    std::vector<std::size_t> splittable;
+    for (std::size_t k = 0; k < frontier.size(); ++k) {
+      const Pending& nd = frontier[k];
       if (nd.hi - nd.lo > 1 && !FitTerminal(ctx, nd.lo, nd.hi, nd.demand)) {
-        splittable.push_back(idx);
+        splittable.push_back(k);
       }
     }
     if (splittable.empty()) break;
 
-    struct SplitOut {
-      double cut = 0.0;
-      std::size_t mid = 0;
-      std::uint64_t child_seeds[2] = {0, 0};
-    };
-    std::vector<SplitOut> splits(splittable.size());
+    // Split j records its cut in cuts[j] and its halves in halves[2j, 2j+1].
+    std::vector<Split> cuts(splittable.size());
+    std::vector<Pending> halves(2 * splittable.size());
     std::vector<PartitionScratch> scratch(splittable.size());
+    const auto split = [&](std::size_t j, ThreadPool* inner) {
+      const Pending& nd = frontier[splittable[j]];
+      std::size_t mid = nd.lo;
+      std::uint64_t child_seeds[2];
+      cuts[j] = {nd.lo, nd.path.size(),
+                 SplitRange(ctx, nd.lo, nd.hi, FitFraction(ctx, nd.demand),
+                            nd.path.size(), nd.seed, inner, scratch[j],
+                            child_seeds, &mid)};
+      halves[2 * j] = {nd.lo, mid, nd.path + '0', child_seeds[0],
+                       RangeDemand(ctx, nd.lo, mid)};
+      halves[2 * j + 1] = {mid, nd.hi, nd.path + '1', child_seeds[1],
+                           RangeDemand(ctx, mid, nd.hi)};
+    };
     if (splittable.size() == 1) {
-      // A lone expansion split runs on the calling thread with the pool
-      // inside the bisection (calling it from a pool task would re-enter
-      // ParallelFor); with several, the splits themselves are the
+      // A lone split — the root's among them, where the whole-graph
+      // bisection is the serial wall — runs on the calling thread with the
+      // pool inside the bisection (calling it from a pool task would
+      // re-enter ParallelFor); with several, the splits themselves are the
       // parallelism.
-      const auto& nd = tree[static_cast<std::size_t>(splittable[0])];
-      splits[0].cut =
-          SplitRange(ctx, nd.lo, nd.hi, nd.demand, nd.path.size(), nd.seed,
-                     &pool, scratch[0], splits[0].child_seeds,
-                     &splits[0].mid);
+      split(0, &pool);
     } else {
-      pool.ParallelFor(splittable.size(), [&](std::size_t k) {
-        const auto& nd = tree[static_cast<std::size_t>(splittable[k])];
-        splits[k].cut = SplitRange(ctx, nd.lo, nd.hi, nd.demand,
-                                   nd.path.size(), nd.seed, /*pool=*/nullptr,
-                                   scratch[k], splits[k].child_seeds,
-                                   &splits[k].mid);
-      });
+      pool.ParallelFor(splittable.size(),
+                       [&](std::size_t j) { split(j, /*inner=*/nullptr); });
     }
     for (const auto& s : scratch) {
       scratch_peak = std::max(scratch_peak, s.peak_bytes);
     }
+    rec.splits.insert(rec.splits.end(), cuts.begin(), cuts.end());
 
-    // Graft the children in, preserving the frontier's DFS order.
-    std::vector<int> next_frontier;
-    std::size_t k = 0;
-    for (const int idx : frontier) {
-      if (k < splittable.size() && splittable[k] == idx) {
-        const int left = static_cast<int>(tree.size());
-        const int right = left + 1;
-        std::size_t lo = 0;
-        std::size_t hi = 0;
-        std::string path;
-        {
-          // Scoped: push_back below may reallocate and dangle this reference.
-          auto& nd = tree[static_cast<std::size_t>(idx)];
-          nd.cut = splits[k].cut;
-          nd.left = left;
-          nd.right = right;
-          lo = nd.lo;
-          hi = nd.hi;
-          path = nd.path;
-        }
-        const std::size_t mid = splits[k].mid;
-        tree.push_back({lo,  mid, path + '0', splits[k].child_seeds[0],
-                        RangeDemand(ctx, lo, mid), 0.0, -1, -1});
-        tree.push_back({mid, hi,  path + '1', splits[k].child_seeds[1],
-                        RangeDemand(ctx, mid, hi), 0.0, -1, -1});
-        next_frontier.push_back(left);
-        next_frontier.push_back(right);
-        ++k;
+    // Each split's two halves take its frontier slot, in order.
+    std::vector<Pending> next;
+    for (std::size_t k = 0, j = 0; k < frontier.size(); ++k) {
+      if (j < splittable.size() && splittable[j] == k) {
+        next.push_back(std::move(halves[2 * j]));
+        next.push_back(std::move(halves[2 * j + 1]));
+        ++j;
       } else {
-        next_frontier.push_back(idx);
+        next.push_back(std::move(frontier[k]));
       }
     }
-    frontier = std::move(next_frontier);
+    frontier = std::move(next);
   }
 
-  // Solve each frontier subtree serially, into task-local results.
-  struct TaskResult {
-    RecursivePartitionResult out;
-    std::vector<double> cuts;
-  };
-  std::vector<TaskResult> results(frontier.size());
+  // Solve each frontier subtree serially, into slot-local records.
+  std::vector<Records> slots(frontier.size());
   std::vector<PartitionScratch> scratch(frontier.size());
   pool.ParallelFor(frontier.size(), [&](std::size_t k) {
     // Per-worker subtree span; arg = frontier slot (stable across runs).
     obs::TraceSpan worker_span("partition.worker",
                                static_cast<std::int64_t>(k));
-    const auto& nd = tree[static_cast<std::size_t>(frontier[k])];
-    results[k].out.group_of.assign(n, -1);
-    FitRecurse(ctx, nd.lo, nd.hi, nd.path, nd.seed, scratch[k],
-               results[k].out, results[k].cuts);
+    const Pending& nd = frontier[k];
+    FitRecurse(ctx, nd.lo, nd.hi, nd.path, nd.seed, scratch[k], slots[k]);
   });
-  for (const auto& s : scratch) {
-    scratch_peak = std::max(scratch_peak, s.peak_bytes);
+  for (std::size_t k = 0; k < frontier.size(); ++k) {
+    scratch_peak = std::max(scratch_peak, scratch[k].peak_bytes);
+    for (Leaf& leaf : slots[k].leaves) rec.leaves.push_back(std::move(leaf));
+    rec.splits.insert(rec.splits.end(), slots[k].splits.begin(),
+                      slots[k].splits.end());
   }
   PublishScratchPeak(scratch_peak);
   PublishPoolStats(pool.Stats());
-
-  // Preorder merge on the calling thread: group ids, paths and cut terms
-  // land in exactly the order the serial recursion would have produced.
-  std::vector<int> task_of(tree.size(), -1);
-  for (std::size_t k = 0; k < frontier.size(); ++k) {
-    task_of[static_cast<std::size_t>(frontier[k])] = static_cast<int>(k);
-  }
-  double cut_weight = 0.0;
-  // Explicit stack; the expansion tree is only ~log2(threads) deep but the
-  // iterative form costs nothing.
-  std::vector<int> stack = {0};
-  while (!stack.empty()) {
-    const int idx = stack.back();
-    stack.pop_back();
-    const auto& nd = tree[static_cast<std::size_t>(idx)];
-    if (nd.left < 0) {
-      const auto& tr = results[static_cast<std::size_t>(
-          task_of[static_cast<std::size_t>(idx)])];
-      const int base = out.num_groups;
-      for (std::size_t pos = nd.lo; pos < nd.hi; ++pos) {
-        const auto id = static_cast<std::size_t>(ctx.perm[pos]);
-        const int local = tr.out.group_of[id];
-        if (local >= 0) out.group_of[id] = base + local;
-      }
-      out.num_groups += tr.out.num_groups;
-      out.group_path.insert(out.group_path.end(), tr.out.group_path.begin(),
-                            tr.out.group_path.end());
-      out.group_demand.insert(out.group_demand.end(),
-                              tr.out.group_demand.begin(),
-                              tr.out.group_demand.end());
-      out.group_size.insert(out.group_size.end(), tr.out.group_size.begin(),
-                            tr.out.group_size.end());
-      for (const int og : tr.out.oversized_groups) {
-        out.oversized_groups.push_back(base + og);
-      }
-      for (const double c : tr.cuts) cut_weight += c;
-      continue;
-    }
-    cut_weight += nd.cut;
-    // Right pushed first so the left subtree is visited first (preorder).
-    stack.push_back(nd.right);
-    stack.push_back(nd.left);
-  }
-  out.cut_weight = cut_weight;
-  return out;
 }
 
 void InitRangeCtx(RangeCtx& ctx, const CsrGraph& g,
@@ -1149,8 +1082,8 @@ void InitRangeCtx(RangeCtx& ctx, const CsrGraph& g,
 }
 
 void KWayRecurse(RangeCtx& ctx, std::size_t lo, std::size_t hi, int k,
-                 int first_group, std::uint64_t seed, PartitionScratch& s,
-                 KWayResult& out) {
+                 int first_group, std::size_t depth, std::uint64_t seed,
+                 PartitionScratch& s, KWayResult& out) {
   if (k == 1 || hi - lo <= 1) {
     for (std::size_t pos = lo; pos < hi; ++pos) {
       out.group_of[static_cast<std::size_t>(ctx.perm[pos])] = first_group;
@@ -1158,31 +1091,15 @@ void KWayRecurse(RangeCtx& ctx, std::size_t lo, std::size_t hi, int k,
     return;
   }
   const int k0 = (k + 1) / 2;
-  PartitionOptions sub = *ctx.opts;
-  sub.seed = seed;
-  ExtractSub(ctx, lo, hi, s.sub);
-  const auto bis =
-      BisectCsr(s.sub, sub, static_cast<double>(k0) / static_cast<double>(k),
-                /*pool=*/nullptr, s, s.node_side);
-  out.cut_weight += bis.cut_weight;
-
-  s.split_zero.clear();
-  s.split_one.clear();
-  const std::size_t count = hi - lo;
-  for (std::size_t i = 0; i < count; ++i) {
-    (s.node_side[i] == 0 ? s.split_zero : s.split_one)
-        .push_back(ctx.perm[lo + i]);
-  }
-  std::size_t pos = lo;
-  for (const auto v : s.split_zero) ctx.Place(v, pos++);
-  for (const auto v : s.split_one) ctx.Place(v, pos++);
-  const std::size_t mid = lo + s.split_zero.size();
-
-  Rng salt(seed);
-  const auto s1 = salt.NextU64();
-  const auto s2 = salt.NextU64();
-  KWayRecurse(ctx, lo, mid, k0, first_group, s1, s, out);
-  KWayRecurse(ctx, mid, hi, k - k0, first_group + k0, s2, s, out);
+  std::size_t mid = lo;
+  std::uint64_t child_seeds[2];
+  out.cut_weight +=
+      SplitRange(ctx, lo, hi, static_cast<double>(k0) / static_cast<double>(k),
+                 depth, seed, /*pool=*/nullptr, s, child_seeds, &mid);
+  KWayRecurse(ctx, lo, mid, k0, first_group, depth + 1, child_seeds[0], s,
+              out);
+  KWayRecurse(ctx, mid, hi, k - k0, first_group + k0, depth + 1,
+              child_seeds[1], s, out);
 }
 
 }  // namespace
@@ -1197,7 +1114,7 @@ KWayResult KWayPartition(const CsrGraph& g, int k,
   InitRangeCtx(ctx, g, opts);
   PartitionScratch scratch;
   KWayRecurse(ctx, 0, static_cast<std::size_t>(g.num_vertices()), k, 0,
-              opts.seed, scratch, out);
+              /*depth=*/0, opts.seed, scratch, out);
   if (opts.kway_refine_passes > 0 && k > 1) {
     RefineKWay(g, out.group_of, k, opts);
     out.cut_weight = g.CutWeightKWay(out.group_of);
@@ -1295,18 +1212,15 @@ RecursivePartitionResult RecursivePartition(const CsrGraph& g,
   InitRangeCtx(ctx, g, opts);
   ctx.fits = &fits;
   ctx.units = &units;
-
-  const Resource root_demand = RangeDemand(ctx, 0, n);
-  if (opts.threads > 1 && n > 1 && !FitTerminal(ctx, 0, n, root_demand)) {
-    return RecursivePartitionParallel(ctx, root_demand, std::move(out));
+  Records rec;
+  if (opts.threads > 1 && n > 1) {
+    RecurseParallel(ctx, rec);
+  } else {
+    PartitionScratch scratch;
+    FitRecurse(ctx, 0, n, "", opts.seed, scratch, rec);
+    PublishScratchPeak(scratch.peak_bytes);
   }
-  PartitionScratch scratch;
-  std::vector<double> cuts;
-  FitRecurse(ctx, 0, n, "", opts.seed, scratch, out, cuts);
-  PublishScratchPeak(scratch.peak_bytes);
-  double cut_weight = 0.0;
-  for (const double c : cuts) cut_weight += c;
-  out.cut_weight = cut_weight;
+  Assemble(ctx, rec, out);
   return out;
 }
 

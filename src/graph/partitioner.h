@@ -62,7 +62,7 @@ struct PartitionOptions {
   std::uint64_t seed = 0x5eed;
   // Worker threads for RecursivePartition's fan-out (1 = serial). Results
   // are bit-identical for every value: sub-partitions are seeded from the
-  // recursion path and merged in child-index (preorder) order.
+  // recursion path and assembled in position (preorder) order.
   int threads = 1;
 };
 
@@ -99,12 +99,16 @@ double RefineKWay(const CsrGraph& g, std::vector<int>& group_of, int k,
                   const PartitionOptions& opts);
 
 // Predicate deciding whether a container group with the given aggregate
-// demand and cardinality can stop splitting (equation (2) of the paper).
-using FitPredicate = std::function<bool(const Resource& demand, int count)>;
+// demand can stop splitting (equation (2) of the paper). A single vertex
+// stops regardless; one that fails the predicate is a container larger than
+// any server, which the caller must reject or special-case.
+using FitPredicate = std::function<bool(const Resource& demand)>;
 
 // Group ids follow the recursion tree's leaves in preorder, left ('0')
 // child first, so ascending group id is locality order: group_path strictly
-// increases with the id, and adjacent ids are locality siblings.
+// increases with the id, and adjacent ids are locality siblings. Serial and
+// parallel runs build this in one place from position-keyed records of the
+// recursion, so every field is bit-identical at every thread count.
 struct RecursivePartitionResult {
   std::vector<int> group_of;  // per-vertex group id in [0, num_groups)
   int num_groups = 0;
@@ -113,12 +117,7 @@ struct RecursivePartitionResult {
   // communicate more; placing them adjacently preserves locality (the paper
   // puts sibling groups in the same rack).
   std::vector<std::string> group_path;
-  std::vector<Resource> group_demand;
-  std::vector<int> group_size;
-  // Groups of a single vertex that still fail the fit predicate (container
-  // larger than any server); the caller must reject or special-case these.
-  std::vector<int> oversized_groups;
-  double cut_weight = 0.0;
+  double cut_weight = 0.0;  // bisection cuts summed in preorder
 };
 
 // Optional sizing hint: how many server-capacity units a group's aggregate

@@ -30,23 +30,34 @@
 
 namespace gl {
 
-// Max-heap with lazy deletion and reusable storage. Push records the
-// priority as current; stale entries (pushed before a later Push or
-// Invalidate for the same vertex) are skipped at Pop. Priorities compare on
-// value only, so ties pop in heap order — deterministic for a given push
-// sequence, which is all the FM contract requires (DESIGN.md §8).
-class LazyMaxHeap {
+// FM's move queues: two max-heaps with lazy deletion and reusable storage,
+// over one table of current priorities. Queue s holds the unlocked
+// vertices on side s (partitioner.cc, FmPassLoop), and growing the initial
+// partition uses queue 0. FM pushes a vertex into its own side's queue and
+// locks it once it moves, so a vertex is live in at most one queue and one
+// table serves both. An entry is live while its priority is its vertex's
+// current one: a later PopTop, Invalidate or Push at another priority of
+// the vertex, in either queue, leaves it stale for Peek to skip. Priorities
+// compare on value only, so ties pop in heap order — deterministic for a
+// given push sequence, which is all the FM contract requires (DESIGN.md §8).
+class FmQueues {
  public:
-  // Prepares for a universe of n vertices; keeps capacity.
+  // Empties both queues for a universe of n vertices; keeps capacity.
   void Reset(std::size_t n) {
     current_.assign(n, kAbsent);
-    heap_.clear();
+    for (Heap& heap : heaps_) heap.clear();
   }
 
-  void Push(VertexIndex v, double priority) {
+  void Push(int q, VertexIndex v, double priority) {
     current_[static_cast<std::size_t>(v)] = priority;
-    heap_.push_back(Entry{priority, v});
-    SiftUp(heap_.size() - 1);
+    Heap& heap = heaps_[static_cast<std::size_t>(q)];
+    heap.push_back(Entry{priority, v});
+    for (std::size_t i = heap.size() - 1; i > 0;) {  // sift up
+      const std::size_t p = (i - 1) / 2;
+      if (heap[p].priority >= heap[i].priority) break;
+      std::swap(heap[p], heap[i]);
+      i = p;
+    }
   }
 
   void Invalidate(VertexIndex v) {
@@ -57,41 +68,44 @@ class LazyMaxHeap {
     return !std::isnan(current_[static_cast<std::size_t>(v)]);
   }
 
-  // Reports the highest-priority live entry without consuming it; false
-  // when only stale entries (or nothing) remain. Stale entries on top are
-  // discarded on the way, exactly as Pop discards them.
-  bool Peek(VertexIndex* v, double* priority) {
-    while (!heap_.empty()) {
-      const Entry& top = heap_.front();
+  // Reports queue q's highest-priority live entry without consuming it;
+  // false when only stale entries (or nothing) remain. Stale entries on top
+  // are discarded on the way, exactly as Pop discards them.
+  bool Peek(int q, VertexIndex* v, double* priority) {
+    Heap& heap = heaps_[static_cast<std::size_t>(q)];
+    while (!heap.empty()) {
+      const Entry& top = heap.front();
       if (current_[static_cast<std::size_t>(top.v)] == top.priority) {
         *v = top.v;
         *priority = top.priority;
         return true;
       }
-      RemoveTop();
+      RemoveTop(heap);
     }
     return false;
   }
 
-  // Consumes the entry the last successful Peek reported: the vertex reads
-  // as absent until pushed again.
-  void PopTop() {
-    GOLDILOCKS_CHECK(!heap_.empty());
-    current_[static_cast<std::size_t>(heap_.front().v)] = kAbsent;
-    RemoveTop();
+  // Consumes the entry the last successful Peek of queue q reported: the
+  // vertex reads as absent until pushed again.
+  void PopTop(int q) {
+    Heap& heap = heaps_[static_cast<std::size_t>(q)];
+    GOLDILOCKS_CHECK(!heap.empty());
+    current_[static_cast<std::size_t>(heap.front().v)] = kAbsent;
+    RemoveTop(heap);
   }
 
-  // Pops the highest-priority live entry (Peek, then PopTop); false when
-  // only stale entries (or nothing) remain.
-  bool Pop(VertexIndex* v, double* priority) {
-    if (!Peek(v, priority)) return false;
-    PopTop();
+  // Pops queue q's highest-priority live entry (Peek, then PopTop); false
+  // when only stale entries (or nothing) remain.
+  bool Pop(int q, VertexIndex* v, double* priority) {
+    if (!Peek(q, v, priority)) return false;
+    PopTop(q);
     return true;
   }
 
   // Retained footprint in bytes (capacities). Observability only.
   [[nodiscard]] std::size_t ApproxBytes() const {
-    return obs::VectorFootprintBytes(heap_) +
+    return obs::VectorFootprintBytes(heaps_[0]) +
+           obs::VectorFootprintBytes(heaps_[1]) +
            obs::VectorFootprintBytes(current_);
   }
 
@@ -100,41 +114,29 @@ class LazyMaxHeap {
     double priority;
     VertexIndex v;
   };
+  using Heap = std::vector<Entry>;
 
   // NaN sentinel compares unequal to everything, including itself — no
   // finite priority can collide with it.
   static constexpr double kAbsent = std::numeric_limits<double>::quiet_NaN();
 
-  void RemoveTop() {
-    heap_.front() = heap_.back();
-    heap_.pop_back();
-    if (!heap_.empty()) SiftDown(0);
-  }
-
-  void SiftUp(std::size_t i) {
-    while (i > 0) {
-      const std::size_t p = (i - 1) / 2;
-      if (heap_[p].priority >= heap_[i].priority) break;
-      std::swap(heap_[p], heap_[i]);
-      i = p;
-    }
-  }
-
-  void SiftDown(std::size_t i) {
-    const std::size_t n = heap_.size();
-    while (true) {
+  static void RemoveTop(Heap& heap) {
+    heap.front() = heap.back();
+    heap.pop_back();
+    const std::size_t n = heap.size();
+    for (std::size_t i = 0;;) {  // sift down
       std::size_t largest = i;
       const std::size_t l = 2 * i + 1;
       const std::size_t r = 2 * i + 2;
-      if (l < n && heap_[l].priority > heap_[largest].priority) largest = l;
-      if (r < n && heap_[r].priority > heap_[largest].priority) largest = r;
+      if (l < n && heap[l].priority > heap[largest].priority) largest = l;
+      if (r < n && heap[r].priority > heap[largest].priority) largest = r;
       if (largest == i) break;
-      std::swap(heap_[i], heap_[largest]);
+      std::swap(heap[i], heap[largest]);
       i = largest;
     }
   }
 
-  std::vector<Entry> heap_;
+  std::array<Heap, 2> heaps_;
   std::vector<double> current_;
 };
 
@@ -201,10 +203,6 @@ class GroupAccumulator {
   std::uint64_t grow_events_ = 0;
 };
 
-// FM's move queues, one per side: queues[s] holds the unlocked vertices
-// on side s (partitioner.cc, FmPassLoop).
-using FmQueues = std::array<LazyMaxHeap, 2>;
-
 // Per-trial working set for multi-trial FM (partitioner.cc). Each trial owns
 // a full copy of the refinement state so trials can run concurrently on pool
 // threads without sharing anything mutable; every buffer is re-initialized
@@ -226,8 +224,7 @@ struct FmTrialScratch {
 
   [[nodiscard]] std::size_t ApproxBytes() const {
     return obs::VectorFootprintBytes(side) + obs::VectorFootprintBytes(gain) +
-           queues[0].ApproxBytes() + queues[1].ApproxBytes() +
-           obs::VectorFootprintBytes(moved) +
+           queues.ApproxBytes() + obs::VectorFootprintBytes(moved) +
            obs::VectorFootprintBytes(move_seq) +
            obs::VectorFootprintBytes(seed_order);
   }
@@ -276,7 +273,7 @@ struct PartitionScratch {
   std::vector<double> pad_w;
   std::vector<GroupAccumulator> dedup;
 
-  // Initial partition growth + FM refinement. Growing uses queues[0].
+  // Initial partition growth + FM refinement. Growing uses queue 0.
   FmQueues queues;
   std::vector<double> gain;
   std::vector<double> grow_key;
@@ -335,7 +332,7 @@ struct PartitionScratch {
     bytes += obs::VectorFootprintBytes(pad_col);
     bytes += obs::VectorFootprintBytes(pad_w);
     for (const auto& d : dedup) bytes += d.ApproxBytes();
-    bytes += queues[0].ApproxBytes() + queues[1].ApproxBytes();
+    bytes += queues.ApproxBytes();
     bytes += obs::VectorFootprintBytes(gain);
     bytes += obs::VectorFootprintBytes(grow_key);
     bytes += obs::VectorFootprintBytes(side);

@@ -1,9 +1,9 @@
 // Tests for the CSR graph (DESIGN.md §11): the edge-list builder's order
 // contract against a naive adjacency-list reference, graph accounting and
-// induced subgraphs, arena storage reuse, the lazy-deletion heap (Pop is
-// Peek then PopTop, which FM's per-side queues use apart), the FM
-// incremental-gain engine, and the zero-copy recursion contract (no
-// InducedSubgraph materialization on the partitioning path).
+// induced subgraphs, arena storage reuse, FM's lazy-deletion queues (Pop is
+// Peek then PopTop, which FM uses apart, and both queues share one priority
+// table), the FM incremental-gain engine, and the zero-copy recursion
+// contract (no InducedSubgraph materialization on the partitioning path).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -291,81 +291,81 @@ TEST(GraphTest, EmptyGraph) {
   EXPECT_DOUBLE_EQ(g.total_positive_edge_weight(), 0.0);
 }
 
-// --- LazyMaxHeap -----------------------------------------------------------
+// --- FmQueues: two lazy-deletion max-heaps over one priority table ---------
 
 TEST(LazyMaxHeapTest, PopsMaxAndSkipsStaleEntries) {
-  LazyMaxHeap heap;
+  FmQueues heap;
   heap.Reset(4);
-  heap.Push(0, 1.0);
-  heap.Push(1, 5.0);
-  heap.Push(2, 3.0);
+  heap.Push(0, 0, 1.0);
+  heap.Push(0, 1, 5.0);
+  heap.Push(0, 2, 3.0);
   // Re-push vertex 1 with a lower priority: the old 5.0 entry is stale and
   // must be skipped even though it sits on top of the heap.
-  heap.Push(1, 2.0);
+  heap.Push(0, 1, 2.0);
 
   VertexIndex v = -1;
   double p = 0.0;
-  ASSERT_TRUE(heap.Pop(&v, &p));
+  ASSERT_TRUE(heap.Pop(0, &v, &p));
   EXPECT_EQ(v, 2);
   EXPECT_DOUBLE_EQ(p, 3.0);
-  ASSERT_TRUE(heap.Pop(&v, &p));
+  ASSERT_TRUE(heap.Pop(0, &v, &p));
   EXPECT_EQ(v, 1);
   EXPECT_DOUBLE_EQ(p, 2.0);
-  ASSERT_TRUE(heap.Pop(&v, &p));
+  ASSERT_TRUE(heap.Pop(0, &v, &p));
   EXPECT_EQ(v, 0);
-  EXPECT_FALSE(heap.Pop(&v, &p));  // only stale entries remain
+  EXPECT_FALSE(heap.Pop(0, &v, &p));  // only stale entries remain
 }
 
 TEST(LazyMaxHeapTest, InvalidateRemovesAndResetReuses) {
-  LazyMaxHeap heap;
+  FmQueues heap;
   heap.Reset(3);
-  heap.Push(0, 10.0);
-  heap.Push(1, 20.0);
+  heap.Push(0, 0, 10.0);
+  heap.Push(0, 1, 20.0);
   EXPECT_TRUE(heap.Contains(1));
   heap.Invalidate(1);
   EXPECT_FALSE(heap.Contains(1));
 
   VertexIndex v = -1;
   double p = 0.0;
-  ASSERT_TRUE(heap.Pop(&v, &p));
+  ASSERT_TRUE(heap.Pop(0, &v, &p));
   EXPECT_EQ(v, 0);
-  EXPECT_FALSE(heap.Pop(&v, &p));
+  EXPECT_FALSE(heap.Pop(0, &v, &p));
 
   heap.Reset(3);  // reused storage must start empty
-  EXPECT_FALSE(heap.Pop(&v, &p));
+  EXPECT_FALSE(heap.Pop(0, &v, &p));
 }
 
 TEST(LazyMaxHeapTest, PeekDiscardsStaleTopsAndConsumesNothing) {
-  LazyMaxHeap heap;
+  FmQueues heap;
   heap.Reset(4);
-  heap.Push(0, 1.0);
-  heap.Push(1, 5.0);
-  heap.Push(2, 3.0);
-  heap.Push(1, 2.0);  // the 5.0 entry on top is now stale
+  heap.Push(0, 0, 1.0);
+  heap.Push(0, 1, 5.0);
+  heap.Push(0, 2, 3.0);
+  heap.Push(0, 1, 2.0);  // the 5.0 entry on top is now stale
 
   VertexIndex v = -1;
   double p = 0.0;
-  ASSERT_TRUE(heap.Peek(&v, &p));
+  ASSERT_TRUE(heap.Peek(0, &v, &p));
   EXPECT_EQ(v, 2);
   EXPECT_DOUBLE_EQ(p, 3.0);
   // A second Peek sees the same entry: nothing was consumed.
-  ASSERT_TRUE(heap.Peek(&v, &p));
+  ASSERT_TRUE(heap.Peek(0, &v, &p));
   EXPECT_EQ(v, 2);
   EXPECT_TRUE(heap.Contains(2));
 
   // PopTop consumes exactly the peeked entry and nothing else.
-  heap.PopTop();
+  heap.PopTop(0);
   EXPECT_FALSE(heap.Contains(2));
   EXPECT_TRUE(heap.Contains(0));
   EXPECT_TRUE(heap.Contains(1));
-  ASSERT_TRUE(heap.Peek(&v, &p));
+  ASSERT_TRUE(heap.Peek(0, &v, &p));
   EXPECT_EQ(v, 1);
   EXPECT_DOUBLE_EQ(p, 2.0);
-  heap.PopTop();
-  ASSERT_TRUE(heap.Peek(&v, &p));
+  heap.PopTop(0);
+  ASSERT_TRUE(heap.Peek(0, &v, &p));
   EXPECT_EQ(v, 0);
   heap.Invalidate(0);
-  EXPECT_FALSE(heap.Peek(&v, &p));  // only stale entries remain
+  EXPECT_FALSE(heap.Peek(0, &v, &p));  // only stale entries remain
 }
 
 TEST(LazyMaxHeapTest, PopEqualsPeekThenPopTopUnderTies) {
@@ -376,8 +376,8 @@ TEST(LazyMaxHeapTest, PopEqualsPeekThenPopTopUnderTies) {
   // priority.
   constexpr int kN = 40;
   Rng rng(0x5eedu);
-  LazyMaxHeap a;
-  LazyMaxHeap b;
+  FmQueues a;
+  FmQueues b;
   a.Reset(kN);
   b.Reset(kN);
   std::vector<double> live(kN, -1.0);  // -1 = absent
@@ -387,8 +387,8 @@ TEST(LazyMaxHeapTest, PopEqualsPeekThenPopTopUnderTies) {
     const auto v = static_cast<VertexIndex>(rng.NextBelow(kN));
     if (op < 5) {
       const double prio = static_cast<double>(rng.NextBelow(4));
-      a.Push(v, prio);
-      b.Push(v, prio);
+      a.Push(0, v, prio);
+      b.Push(0, v, prio);
       live[static_cast<std::size_t>(v)] = prio;
     } else if (op < 6) {
       a.Invalidate(v);
@@ -399,11 +399,11 @@ TEST(LazyMaxHeapTest, PopEqualsPeekThenPopTopUnderTies) {
       VertexIndex vb = -1;
       double pa = 0.0;
       double pb = 0.0;
-      const bool got_a = a.Pop(&va, &pa);
+      const bool got_a = a.Pop(0, &va, &pa);
       bool got_b = false;
       const auto peeks = 1 + rng.NextBelow(3);
-      for (std::uint64_t k = 0; k < peeks; ++k) got_b = b.Peek(&vb, &pb);
-      if (got_b) b.PopTop();
+      for (std::uint64_t k = 0; k < peeks; ++k) got_b = b.Peek(0, &vb, &pb);
+      if (got_b) b.PopTop(0);
       ASSERT_EQ(got_a, got_b);
       const double best = *std::max_element(live.begin(), live.end());
       if (!got_a) {
@@ -419,6 +419,37 @@ TEST(LazyMaxHeapTest, PopEqualsPeekThenPopTopUnderTies) {
     }
   }
   EXPECT_GT(pops, 1000);
+}
+
+TEST(LazyMaxHeapTest, BothQueuesShareOnePriorityTable) {
+  FmQueues queues;
+  queues.Reset(3);
+  queues.Push(0, 0, 4.0);
+  queues.Push(0, 0, 6.0);  // the 4.0 entry is stale already
+  queues.Push(0, 1, 5.0);
+  queues.Push(1, 2, 1.0);
+
+  VertexIndex v = -1;
+  double p = 0.0;
+  ASSERT_TRUE(queues.Peek(0, &v, &p));
+  EXPECT_EQ(v, 0);
+  queues.PopTop(0);
+  EXPECT_FALSE(queues.Contains(0));  // popped from queue 0: absent from both
+
+  // Vertex 0 moves to queue 1 at a priority none of its queue-0 entries
+  // carries: they stay stale, so queue 0 holds only vertex 1.
+  queues.Push(1, 0, 3.0);
+  EXPECT_TRUE(queues.Contains(0));
+  ASSERT_TRUE(queues.Pop(0, &v, &p));
+  EXPECT_EQ(v, 1);
+  EXPECT_DOUBLE_EQ(p, 5.0);
+  EXPECT_FALSE(queues.Pop(0, &v, &p));
+  ASSERT_TRUE(queues.Pop(1, &v, &p));
+  EXPECT_EQ(v, 0);
+  EXPECT_DOUBLE_EQ(p, 3.0);
+  ASSERT_TRUE(queues.Pop(1, &v, &p));
+  EXPECT_EQ(v, 2);
+  EXPECT_FALSE(queues.Pop(1, &v, &p));
 }
 
 // --- FmEngine: incremental gains -------------------------------------------
@@ -547,7 +578,7 @@ TEST(CsrRecursionTest, RecursivePartitionBuildsNoInducedSubgraphs) {
   const auto builds_before = builds.value();
   const auto views_before = views.value();
   const auto r = RecursivePartition(
-      g, [&](const Resource& d, int) { return d.FitsIn(ceiling); }, {});
+      g, [&](const Resource& d) { return d.FitsIn(ceiling); }, {});
   EXPECT_GT(r.num_groups, 1);
 
   // The recursion must run entirely on zero-copy CSR views: many views

@@ -28,7 +28,7 @@ CsrGraphBuilder Cliques(int k, int size, double intra = 10.0,
 }
 
 FitPredicate CpuFit(double limit) {
-  return [limit](const Resource& d, int) { return d.cpu <= limit; };
+  return [limit](const Resource& d) { return d.cpu <= limit; };
 }
 
 TEST(Incremental, NoChangeNoMoves) {
@@ -96,7 +96,7 @@ TEST(Incremental, FarFewerMovesThanFreshPartition) {
 
   // A fresh recursive partition relabels arbitrarily; measure its diff.
   const auto fresh = RecursivePartition(
-      g, [](const Resource& d, int) { return d.cpu <= 75.0; }, {});
+      g, [](const Resource& d) { return d.cpu <= 75.0; }, {});
   int fresh_moves = 0;
   for (int v = 0; v < g.num_vertices(); ++v) {
     // Any vertex whose fresh group differs in membership from its previous

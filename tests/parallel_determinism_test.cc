@@ -6,6 +6,8 @@
 // executable form, and CI runs them under TSan so a data race in the
 // parallel paths fails the build even when it happens not to corrupt the
 // hashes.
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -105,9 +107,64 @@ TEST(ParallelDeterminism, RunManyMatchesSequentialRuns) {
   }
 }
 
-// Partitioner-level check: every field of the result — group numbering,
-// recursion paths, demands, sizes and the float cut weight — is exactly
-// equal, not merely hash-equal, at every thread count.
+// Services of 8 with heavy intra edges over vertices [lo, hi), plus
+// `sparse` light edges between random vertices of the same range.
+void AddServices(CsrGraphBuilder& builder, Rng& rng, int lo, int hi,
+                 int sparse) {
+  for (int s = lo; s + 8 <= hi; s += 8) {
+    for (int i = 1; i < 8; ++i) {
+      builder.AddEdge(s, s + i, rng.Uniform(100, 5000));
+    }
+  }
+  const auto span = static_cast<std::uint64_t>(hi - lo);
+  for (int e = 0; e < sparse; ++e) {
+    const auto a = static_cast<VertexIndex>(lo + rng.NextBelow(span));
+    const auto b = static_cast<VertexIndex>(lo + rng.NextBelow(span));
+    if (a != b) builder.AddEdge(a, b, rng.Uniform(1, 50));
+  }
+}
+
+// A pinned serial result: group count, a digest of group_of and
+// group_path, and the cut's bits, as the preorder recursion numbers and
+// sums them.
+struct SerialPin {
+  int num_groups;
+  std::uint64_t digest;
+  std::uint64_t cut_bits;
+};
+
+// Partitioner-level check: the serial result equals its pin, and every
+// field of the result — group numbering, recursion paths and the float cut
+// weight — is exactly equal, not merely hash-equal, at every thread count.
+// Widths 2, 3 and 8 stop the frontier at 8, 12 and 32 ranges, so different
+// splits run in the expansion rounds and in the frontier tasks, and their
+// records arrive in different orders.
+void ExpectRecursivePartitionThreadCountInvariant(const CsrGraph& g,
+                                                  const FitPredicate& fits,
+                                                  const SerialPin& pin) {
+  const auto serial = RecursivePartition(g, fits, PartitionOptions{});
+  StateHasher h;
+  for (const int gi : serial.group_of) h.MixI32(gi);
+  for (const auto& path : serial.group_path) {
+    for (const char c : path) h.MixI32(c);
+  }
+  EXPECT_EQ(serial.num_groups, pin.num_groups);
+  EXPECT_EQ(h.digest(), pin.digest);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(serial.cut_weight), pin.cut_bits)
+      << serial.cut_weight;
+  for (const int threads : {1, 2, 3, 8}) {
+    PartitionOptions popts;
+    popts.threads = threads;
+    const auto parallel = RecursivePartition(g, fits, popts);
+    EXPECT_EQ(parallel.group_of, serial.group_of) << "threads=" << threads;
+    EXPECT_EQ(parallel.num_groups, serial.num_groups);
+    EXPECT_EQ(parallel.group_path, serial.group_path);
+    // Bit-equality, not tolerance: the parallel fold replays the serial
+    // summation order.
+    EXPECT_EQ(parallel.cut_weight, serial.cut_weight) << "threads=" << threads;
+  }
+}
+
 TEST(ParallelDeterminism, RecursivePartitionIsExactlyThreadCountInvariant) {
   // Clustered graph shaped like a container graph: services of ~8 with
   // heavy intra edges, sparse light inter-service edges.
@@ -119,46 +176,49 @@ TEST(ParallelDeterminism, RecursivePartitionIsExactlyThreadCountInvariant) {
                                .net_mbps = rng.Uniform(5, 50)},
                       1.0);
   }
-  for (int s = 0; s + 8 <= kVertices; s += 8) {
-    for (int i = 1; i < 8; ++i) {
-      builder.AddEdge(s, s + i, rng.Uniform(100, 5000));
-    }
+  AddServices(builder, rng, 0, kVertices, kVertices / 2);
+  const Resource ceiling{.cpu = 2240, .mem_gb = 57, .net_mbps = 700};
+  ExpectRecursivePartitionThreadCountInvariant(
+      builder.Build(),
+      [&](const Resource& demand) { return demand.FitsIn(ceiling); },
+      {71, 0x95b10e61258ff793, 0x40f345cbc2481b97});
+}
+
+TEST(ParallelDeterminism, LopsidedRecursionIsExactlyThreadCountInvariant) {
+  // Two halves of equal balance weight, joined by a few light edges: a
+  // dense half whose CPU needs dozens of groups and a light half that fits
+  // after one more split. The dense half's subtree splits in the expansion
+  // rounds and in the frontier tasks while the light half's leaves wait in
+  // the frontier, so round splits, task splits and leaves interleave by
+  // position.
+  Rng rng(11);
+  CsrGraphBuilder builder;
+  constexpr int kHalf = 400;
+  for (int i = 0; i < 2 * kHalf; ++i) {
+    const double cpu = i < kHalf ? rng.Uniform(40, 60) : rng.Uniform(0.5, 1.5);
+    builder.AddVertex(Resource{.cpu = cpu, .mem_gb = 1, .net_mbps = 1}, 1.0);
   }
-  for (int e = 0; e < kVertices / 2; ++e) {
-    const auto a = static_cast<VertexIndex>(rng.NextBelow(kVertices));
-    const auto b = static_cast<VertexIndex>(rng.NextBelow(kVertices));
-    if (a != b) builder.AddEdge(a, b, rng.Uniform(1, 50));
+  AddServices(builder, rng, 0, kHalf, kHalf / 2);
+  AddServices(builder, rng, kHalf, 2 * kHalf, kHalf / 2);
+  for (int e = 0; e < 4; ++e) {
+    builder.AddEdge(static_cast<VertexIndex>(rng.NextBelow(kHalf)),
+                    static_cast<VertexIndex>(kHalf + rng.NextBelow(kHalf)),
+                    1.0);
   }
   const CsrGraph g = builder.Build();
-  const Resource ceiling{.cpu = 2240, .mem_gb = 57, .net_mbps = 700};
-  const auto fits = [&](const Resource& demand, int) {
-    return demand.FitsIn(ceiling);
-  };
+  const auto fits = [](const Resource& demand) { return demand.cpu <= 300; };
 
-  PartitionOptions opts;
-  const auto serial = RecursivePartition(g, fits, opts);
-  EXPECT_GT(serial.num_groups, 1);
-  for (const int threads : kThreadCounts) {
-    PartitionOptions popts;
-    popts.threads = threads;
-    const auto parallel = RecursivePartition(g, fits, popts);
-    EXPECT_EQ(parallel.group_of, serial.group_of) << "threads=" << threads;
-    EXPECT_EQ(parallel.num_groups, serial.num_groups);
-    EXPECT_EQ(parallel.group_path, serial.group_path);
-    EXPECT_EQ(parallel.group_size, serial.group_size);
-    EXPECT_EQ(parallel.oversized_groups, serial.oversized_groups);
-    ASSERT_EQ(parallel.group_demand.size(), serial.group_demand.size());
-    for (std::size_t i = 0; i < serial.group_demand.size(); ++i) {
-      EXPECT_EQ(parallel.group_demand[i].cpu, serial.group_demand[i].cpu);
-      EXPECT_EQ(parallel.group_demand[i].mem_gb,
-                serial.group_demand[i].mem_gb);
-      EXPECT_EQ(parallel.group_demand[i].net_mbps,
-                serial.group_demand[i].net_mbps);
-    }
-    // Bit-equality, not tolerance: the parallel fold replays the serial
-    // summation order.
-    EXPECT_EQ(parallel.cut_weight, serial.cut_weight) << "threads=" << threads;
+  const auto serial = RecursivePartition(g, fits, PartitionOptions{});
+  std::size_t shallowest = serial.group_path.front().size();
+  std::size_t deepest = 0;
+  for (const auto& path : serial.group_path) {
+    shallowest = std::min(shallowest, path.size());
+    deepest = std::max(deepest, path.size());
   }
+  EXPECT_LE(shallowest, 2u);
+  EXPECT_GE(deepest, 6u);
+  ExpectRecursivePartitionThreadCountInvariant(
+      g, fits, {104, 0x6fea8a88c2a49eb3, 0x4111707cc4491238});
 }
 
 // Intra-bisection check above the multi-trial gate (parallel_min_vertices):

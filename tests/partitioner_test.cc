@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <numeric>
@@ -8,12 +9,14 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/state_hash.h"
 #include "core/graph_builder.h"
 #include "graph/fm.h"
 #include "graph/partitioner.h"
 #include "graph/refine.h"
 #include "graph/scratch.h"
 #include "obs/metrics.h"
+#include "workload/msr_trace.h"
 #include "workload/scenarios.h"
 
 namespace gl {
@@ -220,6 +223,54 @@ TEST(KWay, KEqualsOneIsWholeGraph) {
   EXPECT_DOUBLE_EQ(r.cut_weight, 0.0);
 }
 
+TEST(KWay, Fig7SnapshotIsPinned) {
+  // bench_fig7_partitioning's Fig 7(b) graph: the induced subgraph of the
+  // first 100 vertices of the MSR search trace, split 5 ways. Group sizes,
+  // assignment and cut bits are pinned with the k-way pass on (what the
+  // bench prints) and off (the cut is the recursion's own preorder fold).
+  Rng rng(19);
+  MsrTraceOptions mopts;
+  mopts.num_vertices = 1000;
+  const auto trace = GenerateMsrSearchTrace(mopts, rng);
+  CsrGraphBuilder builder;
+  for (int v = 0; v < 100; ++v) {
+    builder.AddVertex(
+        trace.workload.containers[static_cast<std::size_t>(v)].demand, 1.0);
+  }
+  for (const auto& e : trace.workload.edges) {
+    if (e.a.value() < 100 && e.b.value() < 100) {
+      builder.AddEdge(e.a.value(), e.b.value(), e.flows);
+    }
+  }
+  const CsrGraph g = builder.Build();
+  struct Pin {
+    int kway_refine_passes;
+    std::vector<int> sizes;
+    std::uint64_t group_of_hash;
+    std::uint64_t cut_bits;
+  };
+  const Pin pins[] = {
+      {2, {23, 26, 18, 13, 20}, 0xd16e4ca90ad28106, 0x40b1d90000000000},
+      {0, {22, 26, 18, 16, 18}, 0x0038957fc796f845, 0x40b20f0000000000},
+  };
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE(pin.kway_refine_passes);
+    PartitionOptions opts;
+    opts.kway_refine_passes = pin.kway_refine_passes;
+    const auto r = KWayPartition(g, 5, opts);
+    std::vector<int> sizes(5, 0);
+    StateHasher h;
+    for (const int gi : r.group_of) {
+      ++sizes[static_cast<std::size_t>(gi)];
+      h.MixI32(gi);
+    }
+    EXPECT_EQ(sizes, pin.sizes);
+    EXPECT_EQ(h.digest(), pin.group_of_hash);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(r.cut_weight), pin.cut_bits)
+        << r.cut_weight;
+  }
+}
+
 TEST(KWay, BalancedAcrossGroups) {
   const CsrGraph g = RandomGraph(400, 5.0, 17);
   const int k = 5;
@@ -302,52 +353,57 @@ TEST(KWayRefine, KWayPartitionUsesIt) {
 
 // --- RecursivePartition -----------------------------------------------------------
 
+// Per-group demand and size, recomputed from the vertex assignment.
+std::vector<Resource> GroupDemands(const CsrGraph& g,
+                                   const RecursivePartitionResult& r) {
+  std::vector<Resource> demand(static_cast<std::size_t>(r.num_groups));
+  for (VertexIndex v = 0; v < g.num_vertices(); ++v) {
+    const int gi = r.group_of[static_cast<std::size_t>(v)];
+    demand[static_cast<std::size_t>(gi)] += g.demand(v);
+  }
+  return demand;
+}
+
+std::vector<int> GroupSizes(const RecursivePartitionResult& r) {
+  std::vector<int> size(static_cast<std::size_t>(r.num_groups), 0);
+  for (const int gi : r.group_of) ++size[static_cast<std::size_t>(gi)];
+  return size;
+}
+
 TEST(RecursivePartition, StopsWhenEverythingFits) {
   const CsrGraph g = Ring(16);
   const auto r = RecursivePartition(
-      g, [](const Resource&, int) { return true; }, {});
+      g, [](const Resource&) { return true; }, {});
   EXPECT_EQ(r.num_groups, 1);
-  EXPECT_TRUE(r.oversized_groups.empty());
+  EXPECT_EQ(r.group_of, std::vector<int>(16, 0));
 }
 
 TEST(RecursivePartition, SplitsUntilFit) {
   const CsrGraph g = Ring(64);  // total cpu 64
   const auto r = RecursivePartition(
-      g, [](const Resource& d, int) { return d.cpu <= 10.0; }, {});
+      g, [](const Resource& d) { return d.cpu <= 10.0; }, {});
   EXPECT_GE(r.num_groups, 7);  // 64/10 → at least 7 groups
-  for (int gi = 0; gi < r.num_groups; ++gi) {
-    EXPECT_LE(r.group_demand[static_cast<std::size_t>(gi)].cpu, 10.0 + 1e-9);
+  // Every group fits, so none is an oversized singleton either.
+  for (const Resource& d : GroupDemands(g, r)) {
+    EXPECT_LE(d.cpu, 10.0 + 1e-9);
   }
-  EXPECT_TRUE(r.oversized_groups.empty());
 }
 
 TEST(RecursivePartition, EveryVertexAssigned) {
   const CsrGraph g = RandomGraph(300, 5.0, 23);
   const auto r = RecursivePartition(
-      g, [](const Resource& d, int) { return d.cpu <= 100.0; }, {});
+      g, [](const Resource& d) { return d.cpu <= 100.0; }, {});
   for (const int gi : r.group_of) {
     EXPECT_GE(gi, 0);
     EXPECT_LT(gi, r.num_groups);
   }
-  // Group sizes sum to the vertex count.
+  // No group is empty, and group sizes sum to the vertex count.
   int total = 0;
-  for (const int s : r.group_size) total += s;
+  for (const int size : GroupSizes(r)) {
+    EXPECT_GT(size, 0);
+    total += size;
+  }
   EXPECT_EQ(total, g.num_vertices());
-}
-
-TEST(RecursivePartition, GroupDemandsConsistent) {
-  const CsrGraph g = RandomGraph(200, 4.0, 29);
-  const auto r = RecursivePartition(
-      g, [](const Resource& d, int) { return d.cpu <= 150.0; }, {});
-  std::vector<Resource> recomputed(static_cast<std::size_t>(r.num_groups));
-  for (VertexIndex v = 0; v < g.num_vertices(); ++v) {
-    recomputed[static_cast<std::size_t>(
-        r.group_of[static_cast<std::size_t>(v)])] += g.demand(v);
-  }
-  for (int gi = 0; gi < r.num_groups; ++gi) {
-    EXPECT_NEAR(recomputed[static_cast<std::size_t>(gi)].cpu,
-                r.group_demand[static_cast<std::size_t>(gi)].cpu, 1e-6);
-  }
 }
 
 TEST(RecursivePartition, OversizedSingletonFlagged) {
@@ -357,14 +413,18 @@ TEST(RecursivePartition, OversizedSingletonFlagged) {
   builder.AddEdge(0, 1, 1.0);
   const CsrGraph g = builder.Build();
   const auto r = RecursivePartition(
-      g, [](const Resource& d, int) { return d.cpu <= 10.0; }, {});
-  EXPECT_EQ(r.oversized_groups.size(), 1u);
+      g, [](const Resource& d) { return d.cpu <= 10.0; }, {});
+  // The container larger than any server stops splitting alone.
+  ASSERT_EQ(r.num_groups, 2);
+  EXPECT_EQ(GroupSizes(r)[static_cast<std::size_t>(r.group_of[0])], 1);
+  EXPECT_EQ(GroupDemands(g, r)[static_cast<std::size_t>(r.group_of[0])].cpu,
+            1000.0);
 }
 
 TEST(RecursivePartition, PathsEncodeHierarchy) {
   const CsrGraph g = Ring(32);
   const auto r = RecursivePartition(
-      g, [](const Resource& d, int) { return d.cpu <= 8.0; }, {});
+      g, [](const Resource& d) { return d.cpu <= 8.0; }, {});
   EXPECT_EQ(static_cast<int>(r.group_path.size()), r.num_groups);
   // Paths must be distinct and none may be a prefix of another (they are
   // leaves of the recursion tree).
@@ -382,7 +442,7 @@ TEST(RecursivePartition, PathsEncodeHierarchy) {
 TEST(RecursivePartition, LocalityOrderSortsByPath) {
   const CsrGraph g = Ring(32);
   const auto r = RecursivePartition(
-      g, [](const Resource& d, int) { return d.cpu <= 8.0; }, {});
+      g, [](const Resource& d) { return d.cpu <= 8.0; }, {});
   ASSERT_EQ(static_cast<int>(r.group_path.size()), r.num_groups);
   ASSERT_GT(r.num_groups, 1);
   for (std::size_t i = 1; i < r.group_path.size(); ++i) {
@@ -408,7 +468,7 @@ TEST(RecursivePartition, CliquesStayTogether) {
   for (int c = 0; c < 3; ++c) builder.AddEdge(c * 8, (c + 1) * 8, 1.0);
   const CsrGraph g = builder.Build();
   const auto r = RecursivePartition(
-      g, [](const Resource& d, int) { return d.cpu <= 100.0; }, {});
+      g, [](const Resource& d) { return d.cpu <= 100.0; }, {});
   for (int c = 0; c < 4; ++c) {
     const int expected = r.group_of[static_cast<std::size_t>(c * 8)];
     for (int i = 1; i < 8; ++i) {
@@ -426,7 +486,7 @@ TEST_P(RecursivePartitionSweep, HandlesSize) {
   const CsrGraph g = RandomGraph(n, 8.0, static_cast<std::uint64_t>(n));
   const double cap = g.total_demand().cpu / 20.0;
   const auto r = RecursivePartition(
-      g, [cap](const Resource& d, int) { return d.cpu <= cap; }, {});
+      g, [cap](const Resource& d) { return d.cpu <= cap; }, {});
   EXPECT_GE(r.num_groups, 15);
   EXPECT_NEAR(g.CutWeightKWay(r.group_of), r.cut_weight, 1e-6);
 }
@@ -799,7 +859,7 @@ TEST(FmQueues, MsrRecursivePartitionWorkIsPinned) {
   // network relaxed 8x, memory whole.
   const Resource ceiling{.cpu = 7200 * 0.63, .mem_gb = 1536 * 0.9,
                          .net_mbps = 10000 * 0.63 * 8};
-  const auto fits = [&ceiling](const Resource& d, int) {
+  const auto fits = [&ceiling](const Resource& d) {
     return d.FitsIn(ceiling);
   };
   for (const int threads : {1, 8}) {

@@ -140,7 +140,10 @@ if [[ "${STAGE}" == "tsan" ]]; then
   # n=6000 graph above the parallel_min_vertices gate) -- so a data race
   # fails this stage even when it happens not to corrupt the state hashes.
   # ctest's gl_report_replay_threads8 and gl_report_replay_azure_threads8
-  # replay every scheduler with the partitioner at 8 threads.
+  # replay every scheduler with the partitioner at 8 threads, and
+  # gl_report_replay_msr_threads8 replays Goldilocks on the Fig 13 world,
+  # whose bisections are large enough to run the pooled coarsening and FM
+  # trials and whose frontier subtrees run on the pool (~20 s under TSan).
   export TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1"
   run_stage "TSan" build-check-tsan \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo -DGOLDILOCKS_WERROR=ON \
