@@ -10,6 +10,7 @@
 #include "common/state_hash.h"
 #include "core/uplink_reservations.h"
 #include "graph/incremental.h"
+#include "graph/scratch.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -158,6 +159,43 @@ struct GoldilocksScheduler::PartitionCache {
   // what it prices and AssignGroupsSymmetric the rest.
   std::vector<Resource> group_demand;
 
+  // Once per communication graph: the container graph of the last
+  // repartition, and the root bisection's coarsening of its arcs. A
+  // graph's arcs follow from the workload's edges and replica labels,
+  // which never change under one pointer (the adjacency's key), and from
+  // the active set. So while `graph_of`, its sizes and the active mask,
+  // compared byte for byte, equal this epoch's, a repartition refreshes
+  // the graph's demand and balance columns instead of rebuilding it, the
+  // graph keeps its structure stamp, and `memo` spares the root its
+  // coarsening.
+  const Workload* graph_of = nullptr;
+  std::size_t graph_containers = 0;
+  std::size_t graph_edges = 0;
+  std::vector<std::uint8_t> graph_active;
+  ContainerGraph graph;
+  PartitionMemo memo;
+
+  // The container graph for this epoch's input: built, or refreshed when
+  // the last one has the same arcs.
+  const ContainerGraph& Graph(const SchedulerInput& input,
+                              const Resource& avg_cap) {
+    const Workload& w = *input.workload;
+    if (graph_of == &w && graph_containers == w.containers.size() &&
+        graph_edges == w.edges.size() &&
+        std::equal(graph_active.begin(), graph_active.end(),
+                   input.active.begin(), input.active.end())) {
+      RefreshContainerGraph(graph, input.demands, avg_cap);
+    } else {
+      graph = {};  // the old graph goes before the new one is built
+      graph = BuildContainerGraph(w, input.demands, input.active, avg_cap);
+      graph_of = &w;
+      graph_containers = w.containers.size();
+      graph_edges = w.edges.size();
+      graph_active.assign(input.active.begin(), input.active.end());
+    }
+    return graph;
+  }
+
   // Brings nic_share and replica_sets up to date for `w`, first
   // rebuilding the flow adjacency unless it was built for `w`. They are
   // rebuilt (the only MembershipStamp pass) on the first call after a new
@@ -246,6 +284,10 @@ int GoldilocksScheduler::last_num_groups() const {
   return static_cast<int>(cache_->groups.size());
 }
 
+std::uint64_t GoldilocksScheduler::partition_memo_hits() const {
+  return cache_->memo.hits;
+}
+
 std::uint64_t GoldilocksScheduler::StateDigest() const {
   StateHasher h;
   h.MixU64(cache_->active_hash);
@@ -306,8 +348,7 @@ GoldilocksScheduler::PartitionContainers(const SchedulerInput& input) {
                           input.workload->containers.size()));
 
   // --- full re-partition -----------------------------------------------------
-  const ContainerGraph cg = BuildContainerGraph(
-      *input.workload, input.demands, input.active, avg_cap);
+  const ContainerGraph& cg = cache_->Graph(input, avg_cap);
   // Groups are sized against a margin-reduced ceiling so they survive
   // epoch-to-epoch demand growth without a full repartition.
   Resource relaxed = ceiling * (1.0 - kGroupHeadroom);
@@ -418,8 +459,8 @@ GoldilocksScheduler::PartitionContainers(const SchedulerInput& input) {
     groups = std::move(g2);
     paths = std::move(p2);
   } else {
-    RecursivePartitionResult part =
-        RecursivePartition(cg.graph, fits, opts_.partition, units);
+    RecursivePartitionResult part = RecursivePartition(
+        cg.graph, fits, opts_.partition, units, &cache_->memo);
 
     // Groups as container-id lists. Group ids are already in locality order
     // (RecursivePartitionResult).

@@ -73,6 +73,9 @@ class GoldilocksScheduler final : public Scheduler {
   // Recorded once per grouping, not once per call.
   [[nodiscard]] const std::vector<int>& last_grouping() const;
   [[nodiscard]] int last_num_groups() const;
+  // Repartitions whose root bisection reused the coarsening kept from an
+  // earlier one (PartitionMemo) — exposed for tests.
+  [[nodiscard]] std::uint64_t partition_memo_hits() const;
 
  private:
   struct PartitionCache;

@@ -9,6 +9,21 @@
 #include "obs/trace.h"
 
 namespace gl {
+namespace {
+
+// Both graph paths count the vertices they weighted and the anti-affinity
+// edges the graph holds, so a run's counters do not depend on whether a
+// repartition built its graph or refreshed a kept one.
+void CountGraph(const ContainerGraph& cg) {
+  static obs::Counter& vertices = obs::MetricsRegistry::Global().GetCounter(
+      "graph.vertices_built", obs::MetricKind::kDeterministic);
+  static obs::Counter& edges = obs::MetricsRegistry::Global().GetCounter(
+      "graph.anti_affinity_edges", obs::MetricKind::kDeterministic);
+  vertices.Add(static_cast<std::uint64_t>(cg.graph.num_vertices()));
+  edges.Add(cg.anti_affinity_edges);
+}
+
+}  // namespace
 
 ContainerGraph BuildContainerGraph(const Workload& workload,
                                    std::span<const Resource> demands,
@@ -58,7 +73,6 @@ ContainerGraph BuildContainerGraph(const Workload& workload,
                    [](const auto& a, const auto& b) {
                      return a.first < b.first;
                    });
-  std::uint64_t anti_affinity_edges = 0;
   for (std::size_t lo = 0; lo < replica_members.size();) {
     std::size_t hi = lo + 1;
     while (hi < replica_members.size() &&
@@ -69,19 +83,30 @@ ContainerGraph BuildContainerGraph(const Workload& workload,
       for (std::size_t j = i + 1; j < hi; ++j) {
         graph.AddEdge(replica_members[i].second, replica_members[j].second,
                       opts.replica_anti_affinity);
-        ++anti_affinity_edges;
+        ++cg.anti_affinity_edges;
       }
     }
     lo = hi;
   }
   cg.graph = graph.Build();
-  static obs::Counter& vertices = obs::MetricsRegistry::Global().GetCounter(
-      "graph.vertices_built", obs::MetricKind::kDeterministic);
-  static obs::Counter& edges = obs::MetricsRegistry::Global().GetCounter(
-      "graph.anti_affinity_edges", obs::MetricKind::kDeterministic);
-  vertices.Add(static_cast<std::uint64_t>(cg.graph.num_vertices()));
-  edges.Add(anti_affinity_edges);
+  CountGraph(cg);
   return cg;
+}
+
+void RefreshContainerGraph(ContainerGraph& cg,
+                           std::span<const Resource> demands,
+                           const Resource& reference_capacity) {
+  GOLDILOCKS_CHECK(demands.size() == cg.container_to_vertex.size());
+  obs::TraceSpan span("graph.build",
+                      static_cast<std::int64_t>(demands.size()));
+  for (VertexIndex v = 0; v < cg.graph.num_vertices(); ++v) {
+    const Resource& d = demands[static_cast<std::size_t>(
+        cg.vertex_to_container[static_cast<std::size_t>(v)].value())];
+    cg.graph.SetDemand(v, d);
+    cg.graph.SetBalanceWeight(v, d.NormalizedL1(reference_capacity));
+  }
+  cg.graph.EndColumnRefresh();
+  CountGraph(cg);
 }
 
 }  // namespace gl

@@ -25,6 +25,8 @@ struct ContainerGraph {
   std::vector<ContainerId> vertex_to_container;
   // ContainerId value → vertex index, -1 if inactive.
   std::vector<VertexIndex> container_to_vertex;
+  // Replica anti-affinity edges added.
+  std::uint64_t anti_affinity_edges = 0;
 };
 
 struct ContainerGraphOptions {
@@ -38,5 +40,15 @@ ContainerGraph BuildContainerGraph(const Workload& workload,
                                    std::span<const std::uint8_t> active,
                                    const Resource& reference_capacity,
                                    const ContainerGraphOptions& opts = {});
+
+// Gives a graph that BuildContainerGraph built new demands: each vertex's
+// demand and balance weight become what a build from `demands` would set,
+// and the totals are re-summed in vertex order. The arcs, which depend only
+// on the workload's edges and replica labels and on the active set, stay,
+// and so does the graph's structure stamp. Adds to the same counters as a
+// build.
+void RefreshContainerGraph(ContainerGraph& cg,
+                           std::span<const Resource> demands,
+                           const Resource& reference_capacity);
 
 }  // namespace gl

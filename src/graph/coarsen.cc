@@ -368,4 +368,37 @@ void ContractByMatching(const CsrGraph& fine, ThreadPool* pool,
   coarse.EndIndexedBuild();
 }
 
+void RecordClusterMembers(const PartitionScratch& s, ClusterMembers& out) {
+  const std::size_t snc = s.rep.size();
+  out.off.resize(snc + 1);
+  out.ids.clear();
+  for (std::size_t c = 0; c < snc; ++c) {
+    out.off[c] = out.ids.size();
+    const auto v = s.rep[c];
+    const auto m = s.match[static_cast<std::size_t>(v)];
+    out.ids.push_back(v);
+    if (m != v) out.ids.push_back(m);
+    for (std::size_t i = s.mem_off[c]; i < s.mem_off[c + 1]; ++i) {
+      out.ids.push_back(s.mem[i]);
+    }
+  }
+  out.off[snc] = out.ids.size();
+}
+
+void ResumCoarseBalance(const CsrGraph& fine, const ClusterMembers& members,
+                        CsrGraph& coarse) {
+  GOLDILOCKS_CHECK_EQ(members.off.size(),
+                      static_cast<std::size_t>(coarse.num_vertices()) + 1);
+  for (VertexIndex c = 0; c < coarse.num_vertices(); ++c) {
+    const auto sc = static_cast<std::size_t>(c);
+    std::size_t i = members.off[sc];
+    double bw = fine.balance_weight(members.ids[i]);
+    for (++i; i < members.off[sc + 1]; ++i) {
+      bw += fine.balance_weight(members.ids[i]);
+    }
+    coarse.SetBalanceWeight(c, bw);
+  }
+  coarse.EndColumnRefresh();
+}
+
 }  // namespace gl

@@ -66,4 +66,16 @@ void ContractByMatching(const CsrGraph& fine, ThreadPool* pool,
                         std::vector<VertexIndex>& fine_to_coarse,
                         PartitionScratch& s);
 
+// Right after ContractByMatching: the fine vertices each coarse vertex
+// merged, in the order their balance weights were summed.
+void RecordClusterMembers(const PartitionScratch& s, ClusterMembers& out);
+
+// Sets `coarse`'s balance weights from `fine`'s through `members`: each
+// coarse vertex's in member order, then the total in vertex order, the
+// sums ContractByMatching and EndIndexedBuild compute. So after a column
+// refresh of `fine`, `coarse` holds the doubles a new contraction would.
+// Arcs, degrees and the structure stamp stay.
+void ResumCoarseBalance(const CsrGraph& fine, const ClusterMembers& members,
+                        CsrGraph& coarse);
+
 }  // namespace gl

@@ -1,10 +1,19 @@
 #include "graph/csr.h"
 
+#include <atomic>
 #include <utility>
 
 #include "obs/metrics.h"
 
 namespace gl {
+
+std::uint64_t CsrGraph::NextStructureStamp() {
+  // Behind an accessor, so no mutable state sits at namespace scope
+  // (gl_analyze GL007). Stamps are compared for equality only, never
+  // hashed, so the order threads draw them in is unobservable.
+  static std::atomic<std::uint64_t> next{1};
+  return next.fetch_add(1, std::memory_order_relaxed);
+}
 
 void CsrGraphBuilder::Reserve(VertexIndex expected_vertices) {
   const auto n = static_cast<std::size_t>(
@@ -88,8 +97,8 @@ CsrGraph CsrGraphBuilder::Build() {
 CsrGraph InducedSubgraph(const CsrGraph& g,
                          std::span<const VertexIndex> vertices,
                          std::vector<VertexIndex>* old_to_new) {
-  // The partitioner's recursion works on zero-copy CSR views and must never
-  // land here; the scratch-arena test pins this counter at zero across
+  // The partitioner's recursion works on CSR views filtered from the
+  // parent's and must never land here; the scratch-arena test pins this counter at zero across
   // RecursivePartition (DESIGN.md §11).
   static obs::Counter& builds = obs::MetricsRegistry::Global().GetCounter(
       "graph.induced_subgraph_builds", obs::MetricKind::kDeterministic);

@@ -24,6 +24,13 @@
 // Only the builder fills demands. Coarse levels and range views leave the
 // demand column empty: the recursion sums the original graph's demands per
 // index range when it emits groups.
+//
+// Every build issues the graph a new structure stamp, unique in the
+// process; a column refresh (SetBalanceWeight/SetDemand/EndColumnRefresh)
+// changes vertex weights and keeps it. Equal stamps therefore mean equal
+// rows, targets and arc weights, which is what lets work that reads only
+// those (the root bisection's coarsening, PartitionMemo) be kept for the
+// next call on the same graph.
 #pragma once
 
 #include <cstdint>
@@ -53,6 +60,7 @@ class CsrGraph {
     demand_.clear();
     total_balance_ = 0.0;
     total_demand_ = {};
+    structure_stamp_ = 0;
   }
 
   // Streaming build: BeginBuild, then one BeginRow per vertex in index
@@ -96,6 +104,7 @@ class CsrGraph {
       for (std::size_t i = row_[v]; i < row_[v + 1]; ++i) s += w_[i];
       deg_[v] = s;
     }
+    structure_stamp_ = NextStructureStamp();
   }
 
   // Indexed (random-access) build for parallel writers (graph/coarsen.cc):
@@ -143,6 +152,32 @@ class CsrGraph {
       GOLDILOCKS_CHECK(row_[v] <= row_[v + 1]);  // offsets must be monotone
       total_balance_ += balance_[v];
     }
+    structure_stamp_ = NextStructureStamp();
+  }
+
+  // Column refresh of a built graph: vertex weights change, arcs do not.
+  // Set the new weights, then EndColumnRefresh re-sums both totals in
+  // vertex order, the order every build sums them in. The structure stamp
+  // stays.
+  void SetBalanceWeight(VertexIndex v, double balance_weight) {
+    balance_[Checked(v)] = balance_weight;
+  }
+  void SetDemand(VertexIndex v, const Resource& demand) {
+    const auto s = Checked(v);
+    GOLDILOCKS_CHECK_LT(s, demand_.size());
+    demand_[s] = demand;
+  }
+  void EndColumnRefresh() {
+    total_balance_ = 0.0;
+    for (const double b : balance_) total_balance_ += b;
+    total_demand_ = {};
+    for (const Resource& d : demand_) total_demand_ += d;
+  }
+
+  // Identity of the rows, targets and arc weights: issued by every build,
+  // kept by a column refresh and by copies; 0 on a graph never built.
+  [[nodiscard]] std::uint64_t structure_stamp() const {
+    return structure_stamp_;
   }
 
   [[nodiscard]] VertexIndex num_vertices() const {
@@ -233,6 +268,9 @@ class CsrGraph {
  private:
   friend class CsrGraphBuilder;  // merges repeats, fills the demand column
 
+  // Process-wide source of structure stamps, never 0.
+  static std::uint64_t NextStructureStamp();
+
   [[nodiscard]] std::size_t Checked(VertexIndex v) const {
     GOLDILOCKS_CHECK_GE(v, 0);
     GOLDILOCKS_CHECK_LT(v, num_vertices());
@@ -263,6 +301,7 @@ class CsrGraph {
   std::vector<Resource> demand_;  // per vertex, or empty (see header)
   double total_balance_ = 0.0;
   Resource total_demand_;
+  std::uint64_t structure_stamp_ = 0;
 };
 
 // Edge-list builder: add vertices and edges in any order, then Build() once.
@@ -313,8 +352,8 @@ class CsrGraphBuilder {
 // vertices[i]); `old_to_new` (optional out) maps original index → new index
 // or -1. Edges are re-added in row order of `vertices`, each once from its
 // smaller original endpoint, so the result is a pure function of the input
-// order. Materializes a copy: the partitioner's recursion uses zero-copy
-// range views instead.
+// order. Goes through the builder: the partitioner's recursion filters each
+// child's view from its parent's instead.
 [[nodiscard]] CsrGraph InducedSubgraph(
     const CsrGraph& g, std::span<const VertexIndex> vertices,
     std::vector<VertexIndex>* old_to_new = nullptr);

@@ -23,7 +23,8 @@
 // The kernel runs entirely on flat CSR storage (graph/csr.h) with reusable
 // scratch arenas (graph/scratch.h): coarse levels are written into arena
 // storage, the recursion partitions index ranges of one global permutation
-// instead of materializing InducedSubgraph copies, and FM maintains gains
+// and hands each child a view filtered from its parent's instead of
+// materializing InducedSubgraph copies, and FM maintains gains
 // incrementally across passes (graph/fm.h). DESIGN.md §11 documents the
 // layout and why determinism survives the rewrite.
 
@@ -59,7 +60,7 @@ obs::Counter& DegenerateSplitsCounter() {
   return c;
 }
 
-// Zero-copy subgraph views extracted into scratch (one per recursion split);
+// Recursion splits, one per bisected view (the root's is the input graph);
 // the recursion path never calls InducedSubgraph, which the arena test
 // checks against graph.induced_subgraph_builds.
 obs::Counter& SubgraphViewsCounter() {
@@ -79,9 +80,12 @@ obs::Counter& ScratchGrowthCounter() {
 
 // Publishes the memory and pool-utilization telemetry of one partition call
 // on the informational side of the registry (never hashed, DESIGN.md §10).
-void PublishScratchPeak(std::size_t peak_bytes) {
+// A memoized root coarsens into the caller's memo, not an arena, so its
+// levels count too.
+void PublishScratchPeak(std::size_t peak_bytes, const PartitionMemo* memo) {
   static obs::Gauge& g = obs::MetricsRegistry::Global().GetGauge(
       "partition.scratch_peak_bytes", obs::MetricKind::kInformational);
+  if (memo != nullptr) peak_bytes += memo->hierarchy.ApproxBytes();
   g.Set(static_cast<double>(peak_bytes));
 }
 
@@ -391,23 +395,40 @@ void FmPassLoop(const CsrGraph& g, const BalanceBounds& bounds,
   }
 }
 
-}  // namespace
+// What one FM run adds to partition.cut_edges_evaluated and
+// partition.bisection_rejections.
+struct FmWork {
+  std::uint64_t arcs = 0;
+  std::uint64_t rejections = 0;
+};
 
-void FmRefine(const CsrGraph& g, const BalanceBounds& bounds,
-              const PartitionOptions& opts, std::vector<std::uint8_t>& side,
-              double& cut, double& w0, PartitionScratch& s) {
+// FmRefine, returning its counter increments instead of adding them.
+FmWork FmRefineWork(const CsrGraph& g, const BalanceBounds& bounds,
+                    const PartitionOptions& opts,
+                    std::vector<std::uint8_t>& side, double& cut, double& w0,
+                    PartitionScratch& s) {
   FmEngine engine;
   engine.Attach(g, &side, &s.gain);
   // The Attach scan prices the incoming assignment; the caller's stale (or
   // carried) value is replaced wholesale, which also re-canonicalizes any
   // accumulated rounding drift once per level.
   cut = engine.initial_cut();
-  std::uint64_t moves_rejected = 0;
+  FmWork work;
   FmPassLoop(g, bounds, opts, opts.refine_passes, engine, side, cut, w0,
              s.queues, s.moved, s.move_seq, /*seed_order=*/nullptr,
-             /*perturb_salt=*/nullptr, &moves_rejected);
-  CutEdgesCounter().Add(engine.arcs_scanned());
-  FmRejectionsCounter().Add(moves_rejected);
+             /*perturb_salt=*/nullptr, &work.rejections);
+  work.arcs = engine.arcs_scanned();
+  return work;
+}
+
+}  // namespace
+
+void FmRefine(const CsrGraph& g, const BalanceBounds& bounds,
+              const PartitionOptions& opts, std::vector<std::uint8_t>& side,
+              double& cut, double& w0, PartitionScratch& s) {
+  const FmWork work = FmRefineWork(g, bounds, opts, side, cut, w0, s);
+  CutEdgesCounter().Add(work.arcs);
+  FmRejectionsCounter().Add(work.rejections);
 }
 
 namespace {
@@ -428,9 +449,10 @@ bool MultiTrialLevel(VertexIndex n, const PartitionOptions& opts) {
 // the common starting point are computed once by a chunked scan whose
 // per-chunk partial cuts fold in chunk order (one canonical summation order
 // at every width); each trial then copies that state and maintains it
-// incrementally. Trials are embarrassingly parallel: every mutable buffer is
-// trial-owned, so the batch runs on the pool when one is available and
-// back-to-back otherwise, with bit-identical results either way.
+// incrementally. Trials are embarrassingly parallel: each running trial owns
+// its working set and each trial its result, so the batch runs on the pool
+// when one is available and back-to-back otherwise, with bit-identical
+// results either way.
 // ---------------------------------------------------------------------------
 void FmRefineMultiTrial(const CsrGraph& g, const BalanceBounds& bounds,
                         const PartitionOptions& opts, ThreadPool* pool,
@@ -475,7 +497,18 @@ void FmRefineMultiTrial(const CsrGraph& g, const BalanceBounds& bounds,
   const double cut0 = cross_total / 4.0;
 
   const auto trials = static_cast<std::size_t>(opts.fm_trials);
-  if (s.fm_trials.size() < trials) s.fm_trials.resize(trials);
+  // One working set per trial that runs at a time: up to min(trials,
+  // width) side by side on a pool, one after another without. Working set
+  // b runs the block of trials [b * per_set, (b + 1) * per_set) in order;
+  // each trial keeps only its result sides and outcome for the fold.
+  const std::size_t sets =
+      pool != nullptr
+          ? std::min(trials, static_cast<std::size_t>(pool->num_threads()))
+          : 1;
+  const std::size_t per_set = (trials + sets - 1) / sets;
+  const std::size_t blocks = (trials + per_set - 1) / per_set;
+  if (s.fm_sets.size() < blocks) s.fm_sets.resize(blocks);
+  if (s.fm_results.size() < trials) s.fm_results.resize(trials);
   s.trial_outcomes.resize(trials);
   // Every trial gets the full pass budget: trials exist to buy quality with
   // width, and a trial cut short mid-climb is worth little. The extra work
@@ -485,21 +518,21 @@ void FmRefineMultiTrial(const CsrGraph& g, const BalanceBounds& bounds,
   const int passes_per_trial = opts.refine_passes;
   const Rng trial_base(level_salt);
 
-  const auto run_trial = [&](std::size_t t) {
+  const auto run_trial = [&](std::size_t t, FmTrialScratch& tr) {
     // Trials are parallel lanes whenever a pool is attached: the profiler
     // treats them as alternatives even when a narrow machine ran them
     // back-to-back on one worker.
     obs::TraceSpan trial_span("partition.refine.trial",
                               static_cast<std::int64_t>(t),
                               /*parallel_lane=*/pool != nullptr);
-    FmTrialScratch& tr = s.fm_trials[t];
-    tr.side.assign(side.begin(), side.end());
+    FmTrialResult& res = s.fm_results[t];
+    res.side.assign(side.begin(), side.end());
     tr.gain.assign(s.gain.begin(), s.gain.end());
     FmEngine engine;
-    engine.AttachPrecomputed(g, &tr.side, &tr.gain, cut0);
+    engine.AttachPrecomputed(g, &res.side, &tr.gain, cut0);
     double trial_cut = cut0;
     double trial_w0 = w0;
-    tr.rejections = 0;
+    res.rejections = 0;
 
     Rng rng = trial_base.Fork(static_cast<std::uint64_t>(t));
     tr.seed_order.resize(sn);
@@ -512,36 +545,41 @@ void FmRefineMultiTrial(const CsrGraph& g, const BalanceBounds& bounds,
     // Trial 0 is the un-perturbed stream (identity order, exact
     // priorities): the winner can only match or improve on classic FM.
     const std::uint64_t trial_salt = rng.NextU64();
-    FmPassLoop(g, bounds, opts, passes_per_trial, engine, tr.side, trial_cut,
-               trial_w0, tr.queues, tr.moved, tr.move_seq, &tr.seed_order,
-               t > 0 ? &trial_salt : nullptr, &tr.rejections);
-    tr.cut = trial_cut;
-    tr.w0 = trial_w0;
-    tr.arcs_scanned = engine.arcs_scanned();
+    FmPassLoop(g, bounds, opts, passes_per_trial, engine, res.side,
+               trial_cut, trial_w0, tr.queues, tr.moved, tr.move_seq,
+               &tr.seed_order, t > 0 ? &trial_salt : nullptr,
+               &res.rejections);
+    res.cut = trial_cut;
+    res.w0 = trial_w0;
+    res.arcs_scanned = engine.arcs_scanned();
+  };
+  const auto run_block = [&](std::size_t b) {
+    const std::size_t end = std::min(trials, (b + 1) * per_set);
+    for (std::size_t t = b * per_set; t < end; ++t) run_trial(t, s.fm_sets[b]);
   };
   if (pool != nullptr) {
-    pool->ParallelFor(trials, run_trial);
+    pool->ParallelFor(blocks, run_block);
   } else {
-    for (std::size_t t = 0; t < trials; ++t) run_trial(t);
+    run_block(0);
   }
 
   // Canonical serial fold over the trial outcomes; counters accumulate in
   // trial order, and the shared precompute scan is charged exactly once —
   // the deterministic totals never depend on scheduling or width.
   for (std::size_t t = 0; t < trials; ++t) {
-    s.trial_outcomes[t] = {bounds.Violation(s.fm_trials[t].w0),
-                           s.fm_trials[t].cut};
+    s.trial_outcomes[t] = {bounds.Violation(s.fm_results[t].w0),
+                           s.fm_results[t].cut};
   }
   const std::size_t win = PickFmWinner(s.trial_outcomes);
-  const FmTrialScratch& winner = s.fm_trials[win];
-  side.assign(winner.side.begin(), winner.side.end());
+  FmTrialResult& winner = s.fm_results[win];
+  side.swap(winner.side);
   cut = winner.cut;
   w0 = winner.w0;
   std::uint64_t arcs = g.num_arcs();
   std::uint64_t rejections = 0;
   for (std::size_t t = 0; t < trials; ++t) {
-    arcs += s.fm_trials[t].arcs_scanned;
-    rejections += s.fm_trials[t].rejections;
+    arcs += s.fm_results[t].arcs_scanned;
+    rejections += s.fm_results[t].rejections;
   }
   CutEdgesCounter().Add(arcs);
   FmRejectionsCounter().Add(rejections);
@@ -549,9 +587,10 @@ void FmRefineMultiTrial(const CsrGraph& g, const BalanceBounds& bounds,
 
 // ---------------------------------------------------------------------------
 // Multilevel bisection on a CSR graph, entirely in arena storage: coarsen
-// into s.levels, grow + refine on the coarsest, project back through the
-// level maps refining at every level. Writes the finest-level sides into
-// `side_out` (any scratch buffer other than s.side).
+// into the arena's hierarchy (or the memo's, for a root), grow + refine on
+// the coarsest, project back through the level maps refining at every
+// level. Writes the finest-level sides into `side_out` (any scratch buffer
+// other than s.side).
 // ---------------------------------------------------------------------------
 
 struct CsrBisection {
@@ -560,10 +599,35 @@ struct CsrBisection {
   bool balanced = false;
 };
 
+// Whether `memo` holds the coarsening of `g` under `opts` (PartitionMemo).
+// The stamp is issued by builds only, so equal stamps mean equal arcs.
+bool MemoHolds(const PartitionMemo& memo, const CsrGraph& g,
+               const PartitionOptions& opts) {
+  return memo.structure != 0 && memo.structure == g.structure_stamp() &&
+         memo.seed == opts.seed && memo.coarsen_target == opts.coarsen_target;
+}
+
+// The earlier growing trial of the current bisection that started from the
+// sides in s.trial_side with the same w0 bits, or null.
+const GrowTrial* SameGrowStart(const PartitionScratch& s, std::size_t n,
+                               double w0) {
+  for (std::size_t t = 0; t < s.grow_trials.size(); ++t) {
+    if (std::bit_cast<std::uint64_t>(s.grow_trials[t].start_w0) ==
+            std::bit_cast<std::uint64_t>(w0) &&
+        std::equal(s.trial_side.begin(), s.trial_side.end(),
+                   s.grow_starts.begin() +
+                       static_cast<std::ptrdiff_t>(t * n))) {
+      return &s.grow_trials[t];
+    }
+  }
+  return nullptr;
+}
+
 CsrBisection BisectCsr(const CsrGraph& g, const PartitionOptions& opts,
                        double target_fraction, ThreadPool* pool,
                        PartitionScratch& s,
-                       std::vector<std::uint8_t>& side_out) {
+                       std::vector<std::uint8_t>& side_out,
+                       PartitionMemo* memo = nullptr) {
   const auto n = g.num_vertices();
   CsrBisection out;
   side_out.assign(static_cast<std::size_t>(n), 0);
@@ -587,30 +651,54 @@ CsrBisection BisectCsr(const CsrGraph& g, const PartitionOptions& opts,
 
   // Coarsen until the target size or the matching stalls (e.g. star graphs):
   // coarsening must shrink meaningfully or refinement costs outweigh the
-  // benefit. Levels live in the arena deque, so pointers into it are stable
-  // while it grows and storage is reused across calls.
+  // benefit. Levels live in a deque, so pointers into it are stable while
+  // it grows and storage is reused across calls. A root with a memo
+  // coarsens into the memo, and when the memo already holds this graph's
+  // coarsening it only re-sums the coarse balance weights and resumes the
+  // stream where coarsening left it.
+  CoarseHierarchy& h = memo != nullptr ? memo->hierarchy : s.hierarchy;
   auto& levels = s.level_chain;
   levels.clear();
   levels.push_back(&g);
-  std::size_t li = 0;
-  while (levels.back()->num_vertices() > opts.coarsen_target) {
-    // One span per level, stall checks included; arg = level index.
-    obs::TraceSpan coarsen_span("partition.coarsen",
-                                static_cast<std::int64_t>(li));
-    if (s.levels.size() <= li) {
-      s.levels.emplace_back();
-      s.level_maps.emplace_back();
+  if (memo != nullptr && MemoHolds(*memo, g, opts)) {
+    for (std::size_t li = 0; li < memo->depth; ++li) {
+      ResumCoarseBalance(*levels.back(), memo->members[li], h.levels[li]);
+      levels.push_back(&h.levels[li]);
     }
-    CsrGraph& coarse = s.levels[li];
-    const CsrGraph& fine = *levels.back();
-    HeavyEdgeMatch(fine, level_pool(fine), rng, s);
-    ContractByMatching(fine, level_pool(fine), coarse, s.level_maps[li], s);
-    if (coarse.num_vertices() >
-        static_cast<VertexIndex>(0.95 * fine.num_vertices())) {
-      break;
+    rng = memo->rng;
+    ++memo->hits;
+  } else {
+    std::size_t li = 0;
+    while (levels.back()->num_vertices() > opts.coarsen_target) {
+      // One span per level, stall checks included; arg = level index.
+      obs::TraceSpan coarsen_span("partition.coarsen",
+                                  static_cast<std::int64_t>(li));
+      if (h.levels.size() <= li) {
+        h.levels.emplace_back();
+        h.maps.emplace_back();
+      }
+      CsrGraph& coarse = h.levels[li];
+      const CsrGraph& fine = *levels.back();
+      HeavyEdgeMatch(fine, level_pool(fine), rng, s);
+      ContractByMatching(fine, level_pool(fine), coarse, h.maps[li], s);
+      if (coarse.num_vertices() >
+          static_cast<VertexIndex>(0.95 * fine.num_vertices())) {
+        break;
+      }
+      if (memo != nullptr) {
+        if (memo->members.size() <= li) memo->members.emplace_back();
+        RecordClusterMembers(s, memo->members[li]);
+      }
+      levels.push_back(&coarse);
+      ++li;
     }
-    levels.push_back(&coarse);
-    ++li;
+    if (memo != nullptr) {
+      memo->structure = g.structure_stamp();
+      memo->seed = opts.seed;
+      memo->coarsen_target = opts.coarsen_target;
+      memo->depth = li;
+      memo->rng = rng;
+    }
   }
 
   // Several growing trials on the coarsest graph; keep the best after a
@@ -640,11 +728,47 @@ CsrBisection BisectCsr(const CsrGraph& g, const PartitionOptions& opts,
   std::optional<bool> negative_arc;
   const int trials = std::max(1, opts.initial_trials);
   int skipped = 0;
+  // FmRefine reads only the graph, bounds, options, sides and w0 (it
+  // re-initializes every buffer first), so a trial that grows the sides
+  // and w0 bits an earlier trial of this bisection grew takes that trial's
+  // result and adds its counter increments again (DESIGN.md §11). Growing
+  // still runs for every trial, so the stream advances as before.
+  const auto cn = static_cast<std::size_t>(coarsest.num_vertices());
+  s.grow_trials.clear();
+  s.grow_starts.clear();
+  s.grow_results.clear();
+  FmWork grow_work;
   for (int t = 0; t < trials; ++t) {
     double w0 = 0.0;
     GrowInitialPartition(coarsest, coarse_bounds, rng, s, s.trial_side, &w0);
-    double cut = 0.0;  // FmRefine derives it from the Attach scan
-    FmRefine(coarsest, coarse_bounds, quick, s.trial_side, cut, w0, s);
+    const GrowTrial* done = SameGrowStart(s, cn, w0);
+    if (done != nullptr) {
+      const auto from = static_cast<std::ptrdiff_t>(
+          static_cast<std::size_t>(done - s.grow_trials.data()) * cn);
+      std::copy(s.grow_results.begin() + from,
+                s.grow_results.begin() + from +
+                    static_cast<std::ptrdiff_t>(cn),
+                s.trial_side.begin());
+    } else {
+      s.grow_starts.insert(s.grow_starts.end(), s.trial_side.begin(),
+                           s.trial_side.end());
+      GrowTrial trial;
+      trial.start_w0 = w0;
+      // FmRefine derives the cut from its Attach scan.
+      const FmWork work = FmRefineWork(coarsest, coarse_bounds, quick,
+                                       s.trial_side, trial.cut, w0, s);
+      trial.w0 = w0;
+      trial.arcs_scanned = work.arcs;
+      trial.rejections = work.rejections;
+      s.grow_trials.push_back(trial);
+      s.grow_results.insert(s.grow_results.end(), s.trial_side.begin(),
+                            s.trial_side.end());
+      done = &s.grow_trials.back();
+    }
+    const double cut = done->cut;
+    w0 = done->w0;
+    grow_work.arcs += done->arcs_scanned;
+    grow_work.rejections += done->rejections;
     const bool better =
         !have_best ||
         coarse_bounds.Violation(w0) < coarse_bounds.Violation(best_w0) - 1e-12 ||
@@ -667,6 +791,8 @@ CsrBisection BisectCsr(const CsrGraph& g, const PartitionOptions& opts,
     }
   }
   InitialTrialsSkippedCounter().Add(static_cast<std::uint64_t>(skipped));
+  CutEdgesCounter().Add(grow_work.arcs);
+  FmRejectionsCounter().Add(grow_work.rejections);
 
   // Project through the hierarchy, refining at every level. Each level
   // draws its refinement salt from the bisection's serial stream, so the
@@ -677,7 +803,7 @@ CsrBisection BisectCsr(const CsrGraph& g, const PartitionOptions& opts,
   double w0 = best_w0;
   for (std::size_t lvl = levels.size() - 1; lvl > 0; --lvl) {
     const CsrGraph& fine = *levels[lvl - 1];
-    const auto& map = s.level_maps[lvl - 1];
+    const auto& map = h.maps[lvl - 1];
     const auto fn = static_cast<std::size_t>(fine.num_vertices());
     s.fine_side.resize(fn);
     for (std::size_t v = 0; v < fn; ++v) {
@@ -746,62 +872,66 @@ Bisection Bisect(const CsrGraph& g, const PartitionOptions& opts,
 namespace {
 
 // ---------------------------------------------------------------------------
-// Zero-copy recursion: one global permutation instead of subgraph copies.
+// Recursion over views: one global permutation, and per split the CSR views
+// of its children filtered from its own.
 //
-// `perm` maps position → vertex id and `where` maps vertex id → position;
-// a sub-problem is a contiguous position range [lo, hi). Splitting a range
-// stable-partitions its slice of `perm` by bisection side, so a child range
-// preserves its parent's relative order, exactly as an induced subgraph of
-// the parent's view would number it. CSR views of a range are extracted into
-// scratch only for the bisection itself and recycled immediately.
-//
-// `where` is the one array read across range boundaries (the membership
-// test for neighbors), so under the parallel driver it is written by one
-// task while others read it. The entries are relaxed atomics: concurrent
-// writers only ever move a vertex within their own disjoint range, so a
-// racing reader gets either the old or the new position — both on the same
-// side of the membership test — and results stay bit-identical at every
-// thread count (DESIGN.md §9).
+// `perm` maps position → vertex id; a sub-problem is a contiguous position
+// range [lo, hi). Splitting a range stable-partitions its slice of `perm` by
+// bisection side, so a child range keeps its parent's relative order. The
+// root bisects the input graph itself, and a child's view is its parent's
+// view filtered to the child (FilterView): local id i is the i-th vertex of
+// the range, so views, demands and records all speak in positions. Each
+// task writes only its own ranges of `perm`, and views are private to the
+// node (serial) or the frontier entry (parallel) that owns them, so no
+// array is shared across ranges (DESIGN.md §9).
 // ---------------------------------------------------------------------------
 struct RangeCtx {
   const CsrGraph* g = nullptr;
   const PartitionOptions* opts = nullptr;
   const FitPredicate* fits = nullptr;
   const CapacityUnitsFn* units = nullptr;
+  // The root split's coarsening, kept by the caller across calls; or null.
+  PartitionMemo* memo = nullptr;
+  // Whether `g` has an anti-affinity arc. Only then does a fit check read
+  // a range's arcs.
+  bool negative = false;
   std::vector<VertexIndex> perm;
-  std::vector<std::atomic<VertexIndex>> where;
-
-  [[nodiscard]] VertexIndex PositionOf(VertexIndex v) const {
-    return where[static_cast<std::size_t>(v)].load(std::memory_order_relaxed);
-  }
-  void Place(VertexIndex v, std::size_t pos) {
-    GOLDILOCKS_CHECK(pos < perm.size());
-    perm[pos] = v;
-    where[static_cast<std::size_t>(v)].store(static_cast<VertexIndex>(pos),
-                                             std::memory_order_relaxed);
-  }
 };
 
-// CSR view of a position range, extracted into scratch. Local id = position
-// - lo, so local order is the range's (stable) order. No demand column, no
-// per-row allocations once the arena is warm.
-void ExtractSub(const RangeCtx& ctx, std::size_t lo, std::size_t hi,
-                CsrGraph& sub) {
-  GOLDILOCKS_CHECK(lo <= hi && hi <= ctx.perm.size());
-  sub.BeginBuild(static_cast<VertexIndex>(hi - lo), 0);
-  for (std::size_t pos = lo; pos < hi; ++pos) {
-    const auto v = ctx.perm[pos];
-    sub.BeginRow(ctx.g->balance_weight(v));
-    const auto [to, ws] = ctx.g->arc_range(v);
-    for (std::size_t i = 0; i < to.size(); ++i) {
-      const auto p = static_cast<std::size_t>(ctx.PositionOf(to[i]));
-      if (p >= lo && p < hi) {
-        sub.PushArc(static_cast<VertexIndex>(p - lo), ws[i]);
-      }
+// The view of one child of a split: the rows of `parent`'s vertices that
+// `side` puts on side `keep`, in order, each filtered to the arcs whose
+// target is on that side too and renumbered to its rank there. A parent
+// row is the input row filtered to the parent's range, so this is the input
+// row filtered to the child's range, which is what an extraction from the
+// input graph would build: the same targets and weights in the same order,
+// hence the same degree sums and total balance weight. Sized exactly
+// before it is filled.
+void FilterView(const CsrGraph& parent, std::span<const std::uint8_t> side,
+                std::uint8_t keep, std::vector<VertexIndex>& rank,
+                CsrGraph& child) {
+  const auto pn = parent.num_vertices();
+  GOLDILOCKS_CHECK_EQ(side.size(), static_cast<std::size_t>(pn));
+  rank.resize(side.size());
+  VertexIndex vertices = 0;
+  std::size_t arcs = 0;
+  for (VertexIndex v = 0; v < pn; ++v) {
+    if (side[static_cast<std::size_t>(v)] != keep) continue;
+    rank[static_cast<std::size_t>(v)] = vertices++;
+    for (const auto u : parent.arcs(v)) {
+      if (side[static_cast<std::size_t>(u)] == keep) ++arcs;
     }
   }
-  sub.EndBuild();
-  SubgraphViewsCounter().Increment();
+  child.BeginBuild(vertices, arcs);
+  for (VertexIndex v = 0; v < pn; ++v) {
+    if (side[static_cast<std::size_t>(v)] != keep) continue;
+    child.BeginRow(parent.balance_weight(v));
+    const auto [to, ws] = parent.arc_range(v);
+    for (std::size_t i = 0; i < to.size(); ++i) {
+      const auto u = static_cast<std::size_t>(to[i]);
+      if (side[u] == keep) child.PushArc(rank[u], ws[i]);
+    }
+  }
+  child.EndBuild();
 }
 
 // Demand of a range, summed in position order — the same order the old
@@ -814,26 +944,18 @@ Resource RangeDemand(const RangeCtx& ctx, std::size_t lo, std::size_t hi) {
   return d;
 }
 
-// A group may only become terminal if it contains no anti-affinity
-// (negative) edge: replicas must end up in different groups (Sec. IV-C).
-bool HasNegativeInternalEdge(const RangeCtx& ctx, std::size_t lo,
-                             std::size_t hi) {
-  for (std::size_t pos = lo; pos < hi; ++pos) {
-    const auto v = ctx.perm[pos];
-    const auto [to, ws] = ctx.g->arc_range(v);
-    for (std::size_t i = 0; i < to.size(); ++i) {
-      if (ws[i] >= 0.0) continue;
-      const auto p = static_cast<std::size_t>(ctx.PositionOf(to[i]));
-      if (p >= lo && p < hi) return true;
-    }
-  }
-  return false;
-}
-
-bool FitTerminal(const RangeCtx& ctx, std::size_t lo, std::size_t hi,
-                 const Resource& demand) {
-  return ((*ctx.fits)(demand) && !HasNegativeInternalEdge(ctx, lo, hi)) ||
-         hi - lo == 1;
+// Whether the range [lo, hi) must split. One vertex never does; any other
+// range does unless its demand fits and it holds no anti-affinity arc, so
+// that replicas end up in different groups (Sec. IV-C). Calls `fits` once.
+// `view()` returns the range's view; it is called only when `g` has an
+// anti-affinity arc and the demand fits, so that no other range that stays
+// whole ever has a view built.
+template <typename ViewFn>
+bool MustSplit(const RangeCtx& ctx, std::size_t lo, std::size_t hi,
+               const Resource& demand, ViewFn&& view) {
+  const bool fit = (*ctx.fits)(demand);
+  if (hi - lo == 1) return false;
+  return !fit || (ctx.negative && HasNegativeArc(view()));
 }
 
 // Split target of a range that does not fit: carve off whole server-units
@@ -845,47 +967,52 @@ double FitFraction(const RangeCtx& ctx, const Resource& demand) {
   return std::clamp(std::ceil(u / 2.0) / u, 0.25, 0.75);
 }
 
-// Bisects a range in place, giving side 0 `fraction` of its balance
-// weight: extracts its CSR view, bisects it, then stable-partitions the
-// range's slice of `perm` by side. Returns the bisection's cut weight;
-// `*mid` is the start of the side-1 child and `child_seeds` the children's
-// seed chain (same chain as always).
+// Bisects the range [lo, hi), whose view is `view`, giving side 0
+// `fraction` of its balance weight. Writes each position's side into
+// `side`, then stable-partitions the range's slice of `perm` by it. Returns
+// the bisection's cut weight; `*mid` is the start of the side-1 child and
+// `child_seeds` the children's seed chain (same chain as always). The root
+// split coarsens through ctx.memo.
 double SplitRange(RangeCtx& ctx, std::size_t lo, std::size_t hi,
-                  double fraction, std::size_t depth, std::uint64_t seed,
-                  ThreadPool* pool, PartitionScratch& s,
+                  const CsrGraph& view, double fraction, std::size_t depth,
+                  std::uint64_t seed, ThreadPool* pool, PartitionScratch& s,
+                  std::vector<std::uint8_t>& side,
                   std::uint64_t child_seeds[2], std::size_t* mid) {
   // One span per recursion level; arg = depth in the recursion tree.
   obs::TraceSpan split_span("partition.split",
                             static_cast<std::int64_t>(depth));
   const std::size_t count = hi - lo;
+  GOLDILOCKS_CHECK_EQ(static_cast<std::size_t>(view.num_vertices()), count);
   PartitionOptions sub = *ctx.opts;
   sub.seed = seed;
-  ExtractSub(ctx, lo, hi, s.sub);
-  const auto bis = BisectCsr(s.sub, sub, fraction, pool, s, s.node_side);
+  PartitionMemo* memo = count == ctx.perm.size() ? ctx.memo : nullptr;
+  const auto bis = BisectCsr(view, sub, fraction, pool, s, side, memo);
+  SubgraphViewsCounter().Increment();
 
-  s.split_zero.clear();
-  s.split_one.clear();
-  for (std::size_t i = 0; i < count; ++i) {
-    (s.node_side[i] == 0 ? s.split_zero : s.split_one)
-        .push_back(ctx.perm[lo + i]);
-  }
   // Defensive: if the bisection degenerated (all vertices one side — can
   // happen with pathological weights), force an arbitrary split so the
   // recursion always terminates.
-  if (s.split_zero.empty() || s.split_one.empty()) {
+  const auto zeros = static_cast<std::size_t>(
+      std::count(side.begin(), side.end(), std::uint8_t{0}));
+  if (zeros == 0 || zeros == count) {
     DegenerateSplitsCounter().Increment();
-    s.split_zero.clear();
-    s.split_one.clear();
-    for (std::size_t i = 0; i < count; ++i) {
-      (i < count / 2 ? s.split_zero : s.split_one)
-          .push_back(ctx.perm[lo + i]);
-    }
+    for (std::size_t i = 0; i < count; ++i) side[i] = i < count / 2 ? 0 : 1;
   }
 
+  // Stable split: side-0 vertices move up in order, side-1 ones follow.
   std::size_t pos = lo;
-  for (const auto v : s.split_zero) ctx.Place(v, pos++);
-  for (const auto v : s.split_one) ctx.Place(v, pos++);
-  *mid = lo + s.split_zero.size();
+  s.split_one.clear();
+  for (std::size_t i = 0; i < count; ++i) {
+    const auto v = ctx.perm[lo + i];
+    if (side[i] == 0) {
+      ctx.perm[pos++] = v;
+    } else {
+      s.split_one.push_back(v);
+    }
+  }
+  *mid = pos;
+  std::copy(s.split_one.begin(), s.split_one.end(),
+            ctx.perm.begin() + static_cast<std::ptrdiff_t>(pos));
 
   Rng salt(seed);
   child_seeds[0] = salt.NextU64();
@@ -915,25 +1042,47 @@ struct Records {
   std::vector<Split> splits;
 };
 
-// Serial recursion over the subtree rooted at [lo, hi).
-void FitRecurse(RangeCtx& ctx, std::size_t lo, std::size_t hi,
-                const std::string& path, std::uint64_t seed,
-                PartitionScratch& s, Records& rec) {
-  const Resource demand = RangeDemand(ctx, lo, hi);
-  if (FitTerminal(ctx, lo, hi, demand)) {
-    rec.leaves.push_back({lo, hi, path});
-    return;
-  }
+// The scratch slot of recursion depth `depth` (PartitionScratch::depths).
+RecursionDepth& DepthSlot(PartitionScratch& s, std::size_t depth) {
+  if (s.depths.size() <= depth) s.depths.resize(depth + 1);
+  return s.depths[depth];
+}
+
+// Serial recursion below the range [lo, hi), which must split and whose
+// view is `view`. A child's view is filtered into this depth's slot only
+// when the child needs it, the right child's after the left subtree has
+// returned, so at most one view per depth is alive.
+void SplitRecurse(RangeCtx& ctx, std::size_t lo, std::size_t hi,
+                  const std::string& path, std::uint64_t seed,
+                  const Resource& demand, const CsrGraph& view,
+                  PartitionScratch& s, Records& rec) {
+  const std::size_t depth = path.size();
+  RecursionDepth& slot = DepthSlot(s, depth);
   std::size_t mid = lo;
   std::uint64_t child_seeds[2];
   // Serial subtrees never see the pool: a worker task re-entering the pool
   // would deadlock, and the frontier already carries the parallelism.
-  const double cut =
-      SplitRange(ctx, lo, hi, FitFraction(ctx, demand), path.size(), seed,
-                 /*pool=*/nullptr, s, child_seeds, &mid);
-  rec.splits.push_back({lo, path.size(), cut});
-  FitRecurse(ctx, lo, mid, path + '0', child_seeds[0], s, rec);
-  FitRecurse(ctx, mid, hi, path + '1', child_seeds[1], s, rec);
+  rec.splits.push_back(
+      {lo, depth,
+       SplitRange(ctx, lo, hi, view, FitFraction(ctx, demand), depth, seed,
+                  /*pool=*/nullptr, s, slot.side, child_seeds, &mid)});
+  const std::size_t bound[3] = {lo, mid, hi};
+  for (std::uint8_t c = 0; c < 2; ++c) {
+    const Resource child_demand = RangeDemand(ctx, bound[c], bound[c + 1]);
+    bool built = false;
+    const auto child_view = [&]() -> const CsrGraph& {
+      if (!built) FilterView(view, slot.side, c, s.view_rank, slot.child);
+      built = true;
+      return slot.child;
+    };
+    std::string child_path = path + static_cast<char>('0' + c);
+    if (MustSplit(ctx, bound[c], bound[c + 1], child_demand, child_view)) {
+      SplitRecurse(ctx, bound[c], bound[c + 1], child_path, child_seeds[c],
+                   child_demand, child_view(), s, rec);
+    } else {
+      rec.leaves.push_back({bound[c], bound[c + 1], std::move(child_path)});
+    }
+  }
 }
 
 // Builds the result from records in any order. A node's subtree lies
@@ -961,14 +1110,17 @@ void Assemble(const RangeCtx& ctx, Records& rec,
 }
 
 // Parallel driver: expands the top of the recursion breadth-first —
-// splitting every non-terminal range of the frontier, each round's splits
-// running concurrently on disjoint position ranges — until the frontier
-// carries at least 4 × opts.threads ranges, then solves each frontier
-// subtree serially on the pool. Every concurrent unit records into its own
-// slot and gets its own scratch arena; results don't depend on arena
-// history (DESIGN.md §11).
-void RecurseParallel(RangeCtx& ctx, Records& rec) {
-  const auto n = static_cast<std::size_t>(ctx.g->num_vertices());
+// splitting every range of the frontier that must split, each round's
+// splits running concurrently on disjoint position ranges — until the
+// frontier carries at least 4 × opts.threads ranges, then solves each
+// frontier subtree serially on the pool. Each frontier entry carries its
+// own view (the root's is the input graph) and its verdict, so `fits` runs
+// once per range as in the serial recursion. Every concurrent unit records
+// into its own slot and gets its own scratch arena; results don't depend on
+// arena history (DESIGN.md §11).
+void RecurseParallel(RangeCtx& ctx, const Resource& root_demand,
+                     Records& rec) {
+  const std::size_t n = ctx.perm.size();
   obs::TraceSpan span("partition.parallel", static_cast<std::int64_t>(n));
   const PartitionOptions& opts = *ctx.opts;
   struct Pending {
@@ -977,13 +1129,18 @@ void RecurseParallel(RangeCtx& ctx, Records& rec) {
     std::string path;
     std::uint64_t seed = 0;
     Resource demand;
+    bool must_split = false;
+    CsrGraph view;  // set when the range must split, except at the root
+  };
+  const auto view_of = [&](const Pending& nd) -> const CsrGraph& {
+    return nd.hi - nd.lo == n ? *ctx.g : nd.view;
   };
 
   ThreadPool pool(opts.threads);
   std::size_t scratch_peak = 0;  // max arena high-water over all arenas
   // Pending ranges, left to right; the root's split is the first round.
-  std::vector<Pending> frontier = {
-      {0, n, "", opts.seed, RangeDemand(ctx, 0, n)}};
+  std::vector<Pending> frontier(1);
+  frontier[0] = {0, n, "", opts.seed, root_demand, true, {}};
 
   // Oversubscribe the frontier 4×: worker subtrees differ wildly in cost,
   // and more, smaller subtrees let fast lanes keep absorbing work instead
@@ -993,10 +1150,7 @@ void RecurseParallel(RangeCtx& ctx, Records& rec) {
   while (static_cast<int>(frontier.size()) < 4 * opts.threads) {
     std::vector<std::size_t> splittable;
     for (std::size_t k = 0; k < frontier.size(); ++k) {
-      const Pending& nd = frontier[k];
-      if (nd.hi - nd.lo > 1 && !FitTerminal(ctx, nd.lo, nd.hi, nd.demand)) {
-        splittable.push_back(k);
-      }
+      if (frontier[k].must_split) splittable.push_back(k);
     }
     if (splittable.empty()) break;
 
@@ -1006,23 +1160,45 @@ void RecurseParallel(RangeCtx& ctx, Records& rec) {
     std::vector<PartitionScratch> scratch(splittable.size());
     const auto split = [&](std::size_t j, ThreadPool* inner) {
       const Pending& nd = frontier[splittable[j]];
+      const CsrGraph& view = view_of(nd);
+      PartitionScratch& s = scratch[j];
+      std::vector<std::uint8_t>& side = DepthSlot(s, 0).side;
       std::size_t mid = nd.lo;
       std::uint64_t child_seeds[2];
       cuts[j] = {nd.lo, nd.path.size(),
-                 SplitRange(ctx, nd.lo, nd.hi, FitFraction(ctx, nd.demand),
-                            nd.path.size(), nd.seed, inner, scratch[j],
-                            child_seeds, &mid)};
-      halves[2 * j] = {nd.lo, mid, nd.path + '0', child_seeds[0],
-                       RangeDemand(ctx, nd.lo, mid)};
-      halves[2 * j + 1] = {mid, nd.hi, nd.path + '1', child_seeds[1],
-                           RangeDemand(ctx, mid, nd.hi)};
+                 SplitRange(ctx, nd.lo, nd.hi, view,
+                            FitFraction(ctx, nd.demand), nd.path.size(),
+                            nd.seed, inner, s, side, child_seeds, &mid)};
+      const std::size_t bound[3] = {nd.lo, mid, nd.hi};
+      for (std::uint8_t c = 0; c < 2; ++c) {
+        Pending& half = halves[2 * j + c];
+        half.lo = bound[c];
+        half.hi = bound[c + 1];
+        half.path = nd.path + static_cast<char>('0' + c);
+        half.seed = child_seeds[c];
+        half.demand = RangeDemand(ctx, half.lo, half.hi);
+        bool built = false;
+        const auto child_view = [&]() -> const CsrGraph& {
+          if (!built) FilterView(view, side, c, s.view_rank, half.view);
+          built = true;
+          return half.view;
+        };
+        half.must_split = MustSplit(ctx, half.lo, half.hi, half.demand,
+                                    child_view);
+        if (half.must_split) {
+          child_view();
+        } else {
+          half.view = CsrGraph();  // it served the anti-affinity check only
+        }
+      }
     };
     if (splittable.size() == 1) {
       // A lone split — the root's among them, where the whole-graph
       // bisection is the serial wall — runs on the calling thread with the
       // pool inside the bisection (calling it from a pool task would
       // re-enter ParallelFor); with several, the splits themselves are the
-      // parallelism.
+      // parallelism. So the root's split, the only one that touches
+      // ctx.memo, always runs on the caller's thread.
       split(0, &pool);
     } else {
       pool.ParallelFor(splittable.size(),
@@ -1055,7 +1231,12 @@ void RecurseParallel(RangeCtx& ctx, Records& rec) {
     obs::TraceSpan worker_span("partition.worker",
                                static_cast<std::int64_t>(k));
     const Pending& nd = frontier[k];
-    FitRecurse(ctx, nd.lo, nd.hi, nd.path, nd.seed, scratch[k], slots[k]);
+    if (nd.must_split) {
+      SplitRecurse(ctx, nd.lo, nd.hi, nd.path, nd.seed, nd.demand,
+                   view_of(nd), scratch[k], slots[k]);
+    } else {
+      slots[k].leaves.push_back({nd.lo, nd.hi, nd.path});
+    }
   });
   for (std::size_t k = 0; k < frontier.size(); ++k) {
     scratch_peak = std::max(scratch_peak, scratch[k].peak_bytes);
@@ -1063,7 +1244,7 @@ void RecurseParallel(RangeCtx& ctx, Records& rec) {
     rec.splits.insert(rec.splits.end(), slots[k].splits.begin(),
                       slots[k].splits.end());
   }
-  PublishScratchPeak(scratch_peak);
+  PublishScratchPeak(scratch_peak, ctx.memo);
   PublishPoolStats(pool.Stats());
 }
 
@@ -1071,35 +1252,41 @@ void InitRangeCtx(RangeCtx& ctx, const CsrGraph& g,
                   const PartitionOptions& opts) {
   ctx.g = &g;
   ctx.opts = &opts;
-  const auto n = static_cast<std::size_t>(g.num_vertices());
-  ctx.perm.resize(n);
+  ctx.perm.resize(static_cast<std::size_t>(g.num_vertices()));
   std::iota(ctx.perm.begin(), ctx.perm.end(), 0);
-  ctx.where = std::vector<std::atomic<VertexIndex>>(n);
-  for (std::size_t v = 0; v < n; ++v) {
-    ctx.where[v].store(static_cast<VertexIndex>(v),
-                       std::memory_order_relaxed);
-  }
 }
 
+// k-way recursion over the same views: the range [lo, hi), whose view is
+// `view`, becomes groups [first_group, first_group + k).
 void KWayRecurse(RangeCtx& ctx, std::size_t lo, std::size_t hi, int k,
                  int first_group, std::size_t depth, std::uint64_t seed,
-                 PartitionScratch& s, KWayResult& out) {
+                 const CsrGraph& view, PartitionScratch& s,
+                 KWayResult& out) {
   if (k == 1 || hi - lo <= 1) {
     for (std::size_t pos = lo; pos < hi; ++pos) {
       out.group_of[static_cast<std::size_t>(ctx.perm[pos])] = first_group;
     }
     return;
   }
+  RecursionDepth& slot = DepthSlot(s, depth);
   const int k0 = (k + 1) / 2;
   std::size_t mid = lo;
   std::uint64_t child_seeds[2];
   out.cut_weight +=
-      SplitRange(ctx, lo, hi, static_cast<double>(k0) / static_cast<double>(k),
-                 depth, seed, /*pool=*/nullptr, s, child_seeds, &mid);
-  KWayRecurse(ctx, lo, mid, k0, first_group, depth + 1, child_seeds[0], s,
-              out);
-  KWayRecurse(ctx, mid, hi, k - k0, first_group + k0, depth + 1,
-              child_seeds[1], s, out);
+      SplitRange(ctx, lo, hi, view,
+                 static_cast<double>(k0) / static_cast<double>(k), depth,
+                 seed, /*pool=*/nullptr, s, slot.side, child_seeds, &mid);
+  const std::size_t bound[3] = {lo, mid, hi};
+  const int parts[2] = {k0, k - k0};
+  const int first[2] = {first_group, first_group + k0};
+  for (std::uint8_t c = 0; c < 2; ++c) {
+    // A child that stays whole needs no view.
+    if (parts[c] > 1 && bound[c + 1] - bound[c] > 1) {
+      FilterView(view, slot.side, c, s.view_rank, slot.child);
+    }
+    KWayRecurse(ctx, bound[c], bound[c + 1], parts[c], first[c], depth + 1,
+                child_seeds[c], slot.child, s, out);
+  }
 }
 
 }  // namespace
@@ -1114,7 +1301,7 @@ KWayResult KWayPartition(const CsrGraph& g, int k,
   InitRangeCtx(ctx, g, opts);
   PartitionScratch scratch;
   KWayRecurse(ctx, 0, static_cast<std::size_t>(g.num_vertices()), k, 0,
-              /*depth=*/0, opts.seed, scratch, out);
+              /*depth=*/0, opts.seed, g, scratch, out);
   if (opts.kway_refine_passes > 0 && k > 1) {
     RefineKWay(g, out.group_of, k, opts);
     out.cut_weight = g.CutWeightKWay(out.group_of);
@@ -1200,7 +1387,8 @@ double RefineKWay(const CsrGraph& g, std::vector<int>& group_of, int k,
 RecursivePartitionResult RecursivePartition(const CsrGraph& g,
                                             const FitPredicate& fits,
                                             const PartitionOptions& opts,
-                                            const CapacityUnitsFn& units) {
+                                            const CapacityUnitsFn& units,
+                                            PartitionMemo* memo) {
   obs::TraceSpan span("partition.recursive",
                       static_cast<std::int64_t>(g.num_vertices()));
   RecursivePartitionResult out;
@@ -1212,13 +1400,19 @@ RecursivePartitionResult RecursivePartition(const CsrGraph& g,
   InitRangeCtx(ctx, g, opts);
   ctx.fits = &fits;
   ctx.units = &units;
+  ctx.memo = memo;
+  ctx.negative = HasNegativeArc(g);
   Records rec;
-  if (opts.threads > 1 && n > 1) {
-    RecurseParallel(ctx, rec);
+  const Resource demand = RangeDemand(ctx, 0, n);
+  if (!MustSplit(ctx, 0, n, demand,
+                 [&]() -> const CsrGraph& { return g; })) {
+    rec.leaves.push_back({0, n, ""});
+  } else if (opts.threads > 1) {
+    RecurseParallel(ctx, demand, rec);
   } else {
     PartitionScratch scratch;
-    FitRecurse(ctx, 0, n, "", opts.seed, scratch, rec);
-    PublishScratchPeak(scratch.peak_bytes);
+    SplitRecurse(ctx, 0, n, "", opts.seed, demand, g, scratch, rec);
+    PublishScratchPeak(scratch.peak_bytes, memo);
   }
   Assemble(ctx, rec, out);
   return out;

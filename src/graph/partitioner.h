@@ -127,8 +127,15 @@ struct RecursivePartitionResult {
 // rather than the ~50–70% that plain halving produces.
 using CapacityUnitsFn = std::function<double(const Resource& demand)>;
 
+// The root bisection's coarsening, kept between calls (graph/scratch.h).
+struct PartitionMemo;
+
+// With a memo, the root split coarsens through it: a later call on a graph
+// with the same structure stamp, seed and coarsen_target skips the root's
+// coarsening and re-sums its coarse balance weights, with a result
+// bit-identical to a call without the memo (DESIGN.md §11).
 RecursivePartitionResult RecursivePartition(
     const CsrGraph& g, const FitPredicate& fits, const PartitionOptions& opts,
-    const CapacityUnitsFn& units = nullptr);
+    const CapacityUnitsFn& units = nullptr, PartitionMemo* memo = nullptr);
 
 }  // namespace gl

@@ -13,6 +13,10 @@
 // Nothing here is thread-safe; an arena belongs to exactly one thread at a
 // time. The parallel driver enforces that by construction (one arena per
 // ParallelFor slot).
+//
+// One piece outlives a call: PartitionMemo, which a caller that
+// repartitions the same graph keeps to hold the root bisection's
+// coarsening.
 #pragma once
 
 #include <array>
@@ -24,6 +28,7 @@
 #include <vector>
 
 #include "common/check.h"
+#include "common/rng.h"
 #include "graph/csr.h"
 #include "graph/refine.h"
 #include "obs/memory.h"
@@ -203,31 +208,99 @@ class GroupAccumulator {
   std::uint64_t grow_events_ = 0;
 };
 
-// Per-trial working set for multi-trial FM (partitioner.cc). Each trial owns
-// a full copy of the refinement state so trials can run concurrently on pool
-// threads without sharing anything mutable; every buffer is re-initialized
-// (assign/Reset) by the trial before use, so a warm trial slot and a fresh
-// one behave identically.
+// Working memory of one running multi-trial FM instance (partitioner.cc).
+// There is one per concurrently running trial, not one per trial, so trials
+// on pool threads share nothing mutable. A trial re-initializes every
+// buffer (assign/Reset) before use, so which working set it runs on never
+// shows in its result.
 struct FmTrialScratch {
-  std::vector<std::uint8_t> side;
   std::vector<double> gain;
   FmQueues queues;
   std::vector<std::uint8_t> moved;
   std::vector<VertexIndex> move_seq;
   std::vector<VertexIndex> seed_order;  // boundary-seed push order
 
-  // Trial outputs, read by the serial winner fold after the batch joins.
+  [[nodiscard]] std::size_t ApproxBytes() const {
+    return obs::VectorFootprintBytes(gain) + queues.ApproxBytes() +
+           obs::VectorFootprintBytes(moved) +
+           obs::VectorFootprintBytes(move_seq) +
+           obs::VectorFootprintBytes(seed_order);
+  }
+};
+
+// One multi-trial FM trial's result, read by the serial winner fold after
+// the batch joins.
+struct FmTrialResult {
+  std::vector<std::uint8_t> side;
   double cut = 0.0;
   double w0 = 0.0;
   std::uint64_t arcs_scanned = 0;
   std::uint64_t rejections = 0;
+};
+
+// A growing trial of one bisection (partitioner.cc, BisectCsr): the w0 its
+// grown sides start from, and its quick-FM result with the work counters
+// it added. The sides themselves live in PartitionScratch's flat
+// grow_starts/grow_results, n bytes per distinct start.
+struct GrowTrial {
+  double start_w0 = 0.0;
+  double cut = 0.0;
+  double w0 = 0.0;
+  std::uint64_t arcs_scanned = 0;
+  std::uint64_t rejections = 0;
+};
+
+// A bisection's coarsening hierarchy: coarse level i lives in levels[i] and
+// maps fine vertex v of the level below to maps[i][v]. Deques, so growing
+// the hierarchy never moves (and never invalidates pointers to) built
+// levels.
+struct CoarseHierarchy {
+  std::deque<CsrGraph> levels;
+  std::deque<std::vector<VertexIndex>> maps;
 
   [[nodiscard]] std::size_t ApproxBytes() const {
-    return obs::VectorFootprintBytes(side) + obs::VectorFootprintBytes(gain) +
-           queues.ApproxBytes() + obs::VectorFootprintBytes(moved) +
-           obs::VectorFootprintBytes(move_seq) +
-           obs::VectorFootprintBytes(seed_order);
+    std::size_t bytes = 0;
+    for (const auto& level : levels) bytes += level.ApproxBytes();
+    for (const auto& map : maps) bytes += obs::VectorFootprintBytes(map);
+    return bytes;
   }
+};
+
+// The fine vertices one coarse level merged into each coarse vertex, in the
+// order ContractByMatching summed their balance weights: the
+// representative, its partner when matched, then the absorbed singletons
+// ascending. Coarse vertex c owns ids[off[c] .. off[c+1]).
+struct ClusterMembers {
+  std::vector<std::size_t> off;
+  std::vector<VertexIndex> ids;
+};
+
+// The root bisection's coarsening, which a RecursivePartition caller keeps
+// from one call to the next (DESIGN.md §11). Matching reads only a graph's
+// arcs and the bisection's RNG, contraction reads balance weights only to
+// sum them, and the root bisects with Rng(opts.seed) in every call. So on
+// a graph with the same structure stamp, seed and coarsen_target, the
+// matchings, coarse arcs, degrees, maps and the RNG state after coarsening
+// repeat, and a hit only re-sums each coarse balance weight from its
+// members in contraction order. Only the root split uses it, and that
+// split runs on the calling thread at every width.
+struct PartitionMemo {
+  // Key: what the hierarchy was coarsened from. structure == 0 is empty.
+  std::uint64_t structure = 0;  // CsrGraph::structure_stamp()
+  std::uint64_t seed = 0;
+  int coarsen_target = 0;
+
+  CoarseHierarchy hierarchy;  // the root coarsens here, never copied
+  std::vector<ClusterMembers> members;  // per level of the chain
+  std::size_t depth = 0;  // levels the root bisection refines through
+  Rng rng;  // the root bisection's stream once coarsening has drawn
+  std::uint64_t hits = 0;  // calls that reused the hierarchy
+};
+
+// One depth of the recursion (partitioner.cc): see PartitionScratch::depths.
+struct RecursionDepth {
+  std::vector<std::uint8_t> side;
+  CsrGraph child;
 };
 
 // The partitioner's working memory. One arena serves a whole serial
@@ -235,11 +308,8 @@ struct FmTrialScratch {
 // subtree its own. Buffers are grouped by the phase that owns them; phases
 // never overlap, so none alias.
 struct PartitionScratch {
-  // Multilevel hierarchy: coarse level i lives in levels[i] and maps fine
-  // vertex v of the level below to level_maps[i][v]. A deque so growing the
-  // hierarchy never moves (and never invalidates pointers to) built levels.
-  std::deque<CsrGraph> levels;
-  std::deque<std::vector<VertexIndex>> level_maps;
+  // Multilevel hierarchy of every bisection but a memoized root's.
+  CoarseHierarchy hierarchy;
 
   // Pointer chain from the finest graph through the built levels, rebuilt by
   // every bisection. Lives here (not as a BisectCsr local) so the steady
@@ -286,20 +356,30 @@ struct PartitionScratch {
   std::vector<VertexIndex> move_seq;
   std::vector<std::uint64_t> outside_bits;  // growing: vertices not absorbed
 
-  // Multi-trial FM (partitioner.cc): per-trial working sets, the shared
-  // chunked-precompute partial sums (folded in chunk order, one canonical
-  // summation order at every width), and the per-trial outcomes the winner
-  // fold reads. Sized to the trial count once and reused across levels.
-  std::vector<FmTrialScratch> fm_trials;
+  // The current bisection's distinct growing trials: their records, and
+  // their grown and refined sides, n bytes per trial, trial after trial.
+  std::vector<GrowTrial> grow_trials;
+  std::vector<std::uint8_t> grow_starts;
+  std::vector<std::uint8_t> grow_results;
+
+  // Multi-trial FM (partitioner.cc): one working set per concurrently
+  // running trial, the shared chunked-precompute partial sums (folded in
+  // chunk order, one canonical summation order at every width), and each
+  // trial's result and outcome for the winner fold. Sized once and reused
+  // across levels.
+  std::vector<FmTrialScratch> fm_sets;
+  std::vector<FmTrialResult> fm_results;
   std::vector<double> chunk_partials;
   std::vector<FmTrialOutcome> trial_outcomes;
 
-  // Zero-copy recursion over index ranges (partitioner.cc): the CSR view of
-  // the current range plus the stable split buffers.
-  CsrGraph sub;
-  std::vector<VertexIndex> split_zero;
+  // Recursion over index ranges (partitioner.cc): per depth, the sides of
+  // that depth's split and the one child view alive below it, which is the
+  // left child's until its subtree returns and then the right child's, both
+  // filtered from the split's own view. `view_rank` numbers a child's
+  // vertices while one is filtered; `split_one` stages the stable split.
+  std::deque<RecursionDepth> depths;
+  std::vector<VertexIndex> view_rank;
   std::vector<VertexIndex> split_one;
-  std::vector<std::uint8_t> node_side;
 
   // ---- memory observability (DESIGN.md §10; informational only) ---------
 
@@ -310,11 +390,7 @@ struct PartitionScratch {
 
   // Retained footprint right now: the sum of every buffer's capacity.
   [[nodiscard]] std::size_t ApproxBytes() const {
-    std::size_t bytes = 0;
-    for (const auto& level : levels) bytes += level.ApproxBytes();
-    for (const auto& map : level_maps) {
-      bytes += obs::VectorFootprintBytes(map);
-    }
+    std::size_t bytes = hierarchy.ApproxBytes();
     bytes += obs::VectorFootprintBytes(level_chain);
     bytes += obs::VectorFootprintBytes(match);
     bytes += obs::VectorFootprintBytes(order);
@@ -343,13 +419,20 @@ struct PartitionScratch {
     bytes += obs::VectorFootprintBytes(moved);
     bytes += obs::VectorFootprintBytes(move_seq);
     bytes += obs::VectorFootprintBytes(outside_bits);
-    for (const auto& t : fm_trials) bytes += t.ApproxBytes();
+    bytes += obs::VectorFootprintBytes(grow_trials);
+    bytes += obs::VectorFootprintBytes(grow_starts);
+    bytes += obs::VectorFootprintBytes(grow_results);
+    for (const auto& t : fm_sets) bytes += t.ApproxBytes();
+    for (const auto& r : fm_results) {
+      bytes += obs::VectorFootprintBytes(r.side);
+    }
     bytes += obs::VectorFootprintBytes(chunk_partials);
     bytes += obs::VectorFootprintBytes(trial_outcomes);
-    bytes += sub.ApproxBytes();
-    bytes += obs::VectorFootprintBytes(split_zero);
+    for (const auto& d : depths) {
+      bytes += obs::VectorFootprintBytes(d.side) + d.child.ApproxBytes();
+    }
+    bytes += obs::VectorFootprintBytes(view_rank);
     bytes += obs::VectorFootprintBytes(split_one);
-    bytes += obs::VectorFootprintBytes(node_side);
     return bytes;
   }
 

@@ -2,11 +2,12 @@
 // contract against a naive adjacency-list reference, graph accounting and
 // induced subgraphs, arena storage reuse, FM's lazy-deletion queues (Pop is
 // Peek then PopTop, which FM uses apart, and both queues share one priority
-// table), the FM incremental-gain engine, and the zero-copy recursion
-// contract (no InducedSubgraph materialization on the partitioning path).
+// table), the FM incremental-gain engine, and the recursion's view contract
+// (no InducedSubgraph materialization on the partitioning path).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -150,6 +151,43 @@ TEST(CsrGraphTest, ArenaReuseKeepsStorageAndResults) {
     EXPECT_EQ(csr.arc_data(), storage);
     EXPECT_DOUBLE_EQ(csr.CutWeight(side), first_cut);
   }
+}
+
+TEST(CsrGraphTest, StructureStampFollowsBuildsNotColumns) {
+  // Every build issues a new stamp, a copy and a column refresh keep it,
+  // and Clear empties it. A refresh re-sums the totals in vertex order, so
+  // a refreshed graph's totals equal a build's from the same weights.
+  CsrGraph g = RandomGraph(64, 3, true);
+  const std::uint64_t stamp = g.structure_stamp();
+  EXPECT_NE(stamp, 0u);
+  const CsrGraph copy = g;
+  EXPECT_EQ(copy.structure_stamp(), stamp);
+  EXPECT_NE(RandomGraph(64, 3, true).structure_stamp(), stamp);
+
+  CsrGraphBuilder rebuilt;
+  for (VertexIndex v = 0; v < g.num_vertices(); ++v) {
+    const Resource d{.cpu = 3.0 + v, .mem_gb = 0.5, .net_mbps = 0.1 * v};
+    const double bw = 0.3 + 0.01 * v;
+    g.SetDemand(v, d);
+    g.SetBalanceWeight(v, bw);
+    rebuilt.AddVertex(d, bw);
+  }
+  g.EndColumnRefresh();
+  EXPECT_EQ(g.structure_stamp(), stamp);
+  const CsrGraph fresh = rebuilt.Build();
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(g.total_balance_weight()),
+            std::bit_cast<std::uint64_t>(fresh.total_balance_weight()));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(g.total_demand().cpu),
+            std::bit_cast<std::uint64_t>(fresh.total_demand().cpu));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(g.total_demand().net_mbps),
+            std::bit_cast<std::uint64_t>(fresh.total_demand().net_mbps));
+
+  CsrGraph streamed;
+  StreamCopy(g, streamed);
+  EXPECT_NE(streamed.structure_stamp(), 0u);
+  EXPECT_NE(streamed.structure_stamp(), stamp);
+  streamed.Clear();
+  EXPECT_EQ(streamed.structure_stamp(), 0u);
 }
 
 TEST(CsrGraphTest, InducedSubgraphRowOrder) {
@@ -565,7 +603,7 @@ TEST(GroupAccumulatorTest, EpochWrapNeverResurrectsOldSums) {
   EXPECT_DOUBLE_EQ(acc.Get(2), 0.0);
 }
 
-// --- Zero-copy recursion contract -------------------------------------------
+// --- Recursion over views ---------------------------------------------------
 
 TEST(CsrRecursionTest, RecursivePartitionBuildsNoInducedSubgraphs) {
   auto& builds = obs::MetricsRegistry::Global().GetCounter(
@@ -581,8 +619,8 @@ TEST(CsrRecursionTest, RecursivePartitionBuildsNoInducedSubgraphs) {
       g, [&](const Resource& d) { return d.FitsIn(ceiling); }, {});
   EXPECT_GT(r.num_groups, 1);
 
-  // The recursion must run entirely on zero-copy CSR views: many views
-  // extracted, zero induced subgraphs materialized.
+  // The recursion must run entirely on CSR views: one per split, zero
+  // induced subgraphs materialized.
   EXPECT_EQ(builds.value() - builds_before, 0u);
   EXPECT_GT(views.value() - views_before, 0u);
 }

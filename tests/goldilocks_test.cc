@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <set>
 
 #include "core/goldilocks.h"
@@ -81,6 +83,40 @@ TEST(GraphBuilder, ReplicaAntiAffinityEdges) {
   // A negative clique over the 3 replicas.
   EXPECT_EQ(cg.graph.num_edges(), 3u);
   for (const double w : cg.graph.arc_weights(0)) EXPECT_LT(w, 0.0);
+}
+
+TEST(GraphBuilder, RefreshEqualsABuildFromTheNewDemands) {
+  // A kept graph given the next epoch's demands holds the weights and
+  // totals a new build computes, bit for bit, and keeps its arcs and its
+  // structure stamp.
+  Fixture f(30);
+  ContainerGraph kept =
+      BuildContainerGraph(*f.input.workload, f.demands, f.active, kCap);
+  const std::uint64_t stamp = kept.graph.structure_stamp();
+  const auto next = f.scenario->DemandsAt(31);
+  RefreshContainerGraph(kept, next, kCap);
+  const ContainerGraph built =
+      BuildContainerGraph(*f.input.workload, next, f.active, kCap);
+  EXPECT_EQ(kept.graph.structure_stamp(), stamp);
+  EXPECT_NE(built.graph.structure_stamp(), stamp);
+  EXPECT_EQ(kept.anti_affinity_edges, built.anti_affinity_edges);
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  const auto same = [&](const Resource& a, const Resource& b) {
+    return bits(a.cpu) == bits(b.cpu) && bits(a.mem_gb) == bits(b.mem_gb) &&
+           bits(a.net_mbps) == bits(b.net_mbps);
+  };
+  ASSERT_EQ(kept.graph.num_vertices(), built.graph.num_vertices());
+  for (VertexIndex v = 0; v < kept.graph.num_vertices(); ++v) {
+    EXPECT_EQ(bits(kept.graph.balance_weight(v)),
+              bits(built.graph.balance_weight(v)));
+    EXPECT_TRUE(same(kept.graph.demand(v), built.graph.demand(v)));
+    EXPECT_TRUE(std::ranges::equal(kept.graph.arcs(v), built.graph.arcs(v)));
+    EXPECT_TRUE(std::ranges::equal(kept.graph.arc_weights(v),
+                                   built.graph.arc_weights(v)));
+  }
+  EXPECT_EQ(bits(kept.graph.total_balance_weight()),
+            bits(built.graph.total_balance_weight()));
+  EXPECT_TRUE(same(kept.graph.total_demand(), built.graph.total_demand()));
 }
 
 // --- Goldilocks placement --------------------------------------------------------------
@@ -207,6 +243,43 @@ TEST(Goldilocks, RepartitionIntervalIsStable) {
   in2.demands = d2;
   const auto p2 = sched.Place(in2);
   EXPECT_EQ(p2.MigrationsFrom(p1), 0);
+}
+
+TEST(Goldilocks, WarmSchedulerRepartitionsLikeAFreshOne) {
+  // Repartitioning every epoch over one active set, a scheduler refreshes
+  // the container graph it kept and reuses the root's coarsening. Its third
+  // epoch must group and place exactly as a fresh scheduler does from the
+  // same demands.
+  MsrScenarioOptions mopts;
+  mopts.trace_vertices = 200;
+  const auto scenario = MakeMsrLargeScaleScenario(mopts);
+  const Topology topo = Topology::FatTree(
+      8, Resource{.cpu = 7200, .mem_gb = 1536, .net_mbps = 10000}, 10000.0);
+  const auto active = scenario->ActiveAt(0);
+  for (int epoch = 1; epoch < 3; ++epoch) {
+    ASSERT_EQ(scenario->ActiveAt(epoch), active);
+  }
+  const auto place = [&](GoldilocksScheduler& sched, int epoch) {
+    const auto demands = scenario->DemandsAt(epoch);
+    SchedulerInput input;
+    input.workload = &scenario->workload();
+    input.demands = demands;
+    input.active = active;
+    input.topology = &topo;
+    return sched.Place(input);
+  };
+  GoldilocksScheduler warm;
+  for (int epoch = 0; epoch < 2; ++epoch) place(warm, epoch);
+  EXPECT_EQ(warm.partition_memo_hits(), 1u);
+  const Placement warm_placement = place(warm, 2);
+  EXPECT_EQ(warm.partition_memo_hits(), 2u);
+  GoldilocksScheduler fresh;
+  const Placement fresh_placement = place(fresh, 2);
+  EXPECT_EQ(fresh.partition_memo_hits(), 0u);
+  EXPECT_GT(warm.last_num_groups(), 1);
+  EXPECT_EQ(warm.last_grouping(), fresh.last_grouping());
+  EXPECT_EQ(warm_placement.server_of, fresh_placement.server_of);
+  EXPECT_EQ(warm.StateDigest(), fresh.StateDigest());
 }
 
 TEST(Goldilocks, ReplicasLandOnDifferentServers) {

@@ -874,5 +874,276 @@ TEST(FmQueues, MsrRecursivePartitionWorkIsPinned) {
   }
 }
 
+// --- Each piece of a repartition done once per input ------------------------
+
+// Vertex weights of a clustered graph: demands drawn from `seed`, balance
+// weights normalized against a server, as the container graph's are.
+struct VertexWeights {
+  std::vector<Resource> demand;
+  std::vector<double> balance;
+};
+
+constexpr Resource kClusterServer{.cpu = 400, .mem_gb = 64, .net_mbps = 1000};
+
+VertexWeights ClusteredWeights(int n, std::uint64_t seed) {
+  Rng rng(seed);
+  VertexWeights w;
+  for (int i = 0; i < n; ++i) {
+    w.demand.push_back(Resource{.cpu = rng.Uniform(5, 60),
+                                .mem_gb = rng.Uniform(0.5, 4),
+                                .net_mbps = rng.Uniform(5, 50)});
+    w.balance.push_back(w.demand.back().NormalizedL1(kClusterServer));
+  }
+  return w;
+}
+
+// Services of 8 with heavy integer flows inside and sparse light ones
+// between them: the shape of a container graph. The arcs never depend on
+// `w`. With `replica_sets`, every 320 vertices hold one three-member
+// anti-affinity clique across three services, as Goldilocks' replica sets.
+CsrGraph ClusteredGraph(const VertexWeights& w, bool replica_sets) {
+  const auto n = static_cast<int>(w.demand.size());
+  CsrGraphBuilder builder;
+  for (int i = 0; i < n; ++i) {
+    builder.AddVertex(w.demand[static_cast<std::size_t>(i)],
+                      w.balance[static_cast<std::size_t>(i)]);
+  }
+  Rng rng(0xc1);
+  for (int s = 0; s + 8 <= n; s += 8) {
+    for (int i = 1; i < 8; ++i) {
+      builder.AddEdge(s, s + i, std::floor(rng.Uniform(100, 5000)));
+    }
+  }
+  for (int e = 0; e < n / 2; ++e) {
+    const auto a = static_cast<VertexIndex>(rng.NextBelow(n));
+    const auto b = static_cast<VertexIndex>(rng.NextBelow(n));
+    if (a != b) builder.AddEdge(a, b, std::floor(rng.Uniform(1, 50)));
+  }
+  if (replica_sets) {
+    for (int base = 0; base + 320 <= n; base += 320) {
+      const int members[3] = {base + 3, base + 107, base + 221};
+      for (int i = 0; i < 3; ++i) {
+        for (int j = i + 1; j < 3; ++j) {
+          builder.AddEdge(members[i], members[j], -1.0e5);
+        }
+      }
+    }
+  }
+  return builder.Build();
+}
+
+// Goldilocks' fit predicate and capacity units against one group ceiling.
+const Resource kClusterCeiling{.cpu = 1500, .mem_gb = 60, .net_mbps = 4000};
+
+bool ClusterFits(const Resource& d) { return d.FitsIn(kClusterCeiling); }
+
+double ClusterUnits(const Resource& d) {
+  return std::max({d.cpu / kClusterCeiling.cpu,
+                   d.mem_gb / kClusterCeiling.mem_gb,
+                   d.net_mbps / kClusterCeiling.net_mbps});
+}
+
+// One RecursivePartition with the deterministic counters it moved.
+struct CountedPartition {
+  RecursivePartitionResult result;
+  std::vector<obs::CounterValue> counters;
+};
+
+CountedPartition PartitionCounted(const CsrGraph& g,
+                                  const PartitionOptions& opts) {
+  auto& reg = obs::MetricsRegistry::Global();
+  const auto before = reg.SnapshotCounters(obs::MetricKind::kDeterministic);
+  CountedPartition out;
+  out.result = RecursivePartition(g, ClusterFits, opts, ClusterUnits);
+  out.counters = obs::MetricsRegistry::DeltaCounters(
+      before, reg.SnapshotCounters(obs::MetricKind::kDeterministic));
+  return out;
+}
+
+std::uint64_t CounterDelta(const CountedPartition& p, std::string_view name) {
+  for (const auto& c : p.counters) {
+    if (c.name == name) return c.value;
+  }
+  return 0;
+}
+
+// A pinned result: group count, a digest of group_of and group_path, the
+// cut's bits, and FM's two work counters.
+struct PartitionPin {
+  int num_groups;
+  std::uint64_t digest;
+  std::uint64_t cut_bits;
+  std::uint64_t arcs;
+  std::uint64_t rejections;
+};
+
+void ExpectPinned(const CountedPartition& p, const PartitionPin& pin) {
+  StateHasher h;
+  for (const int gi : p.result.group_of) h.MixI32(gi);
+  for (const auto& path : p.result.group_path) {
+    h.MixU64(path.size());
+    for (const char c : path) h.MixI32(c);
+  }
+  EXPECT_EQ(p.result.num_groups, pin.num_groups);
+  EXPECT_EQ(h.digest(), pin.digest);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(p.result.cut_weight), pin.cut_bits)
+      << p.result.cut_weight;
+  EXPECT_EQ(CounterDelta(p, "partition.cut_edges_evaluated"), pin.arcs);
+  EXPECT_EQ(CounterDelta(p, "partition.bisection_rejections"),
+            pin.rejections);
+}
+
+TEST(RecursivePartition, ClusteredWorkIsPinned) {
+  // 4,800 vertices: above parallel_min_vertices, so the root runs the
+  // multi-trial levels, and many growing trials start from sides that an
+  // earlier trial of the same bisection already refined. The FM counters
+  // add every trial's work, replayed or not.
+  const CsrGraph g = ClusteredGraph(ClusteredWeights(4800, 2), false);
+  PartitionOptions opts;
+  ASSERT_GE(g.num_vertices(), opts.parallel_min_vertices);
+  const CountedPartition p = PartitionCounted(g, opts);
+  ExpectPinned(p, {280, 0x69ee9647f10c5e04, 0x40fb5e4000000000, 449205, 61});
+  EXPECT_EQ(CounterDelta(p, "graph.induced_subgraph_builds"), 0u);
+  EXPECT_EQ(CounterDelta(p, "partition.subgraph_views"), 279u);
+}
+
+TEST(RecursivePartition, AntiAffinityRecursionIsPinned) {
+  // Replica cliques keep a group that fits from stopping until the
+  // recursion has separated its replicas: the terminal check reads the
+  // range's arcs.
+  const CsrGraph g = ClusteredGraph(ClusteredWeights(2400, 3), true);
+  const CountedPartition p = PartitionCounted(g, PartitionOptions{});
+  ExpectPinned(p, {135, 0xc516bcbb8db48d52, 0xc13f12b700000000, 247253, 21});
+  for (int base = 0; base + 320 <= 2400; base += 320) {
+    const auto& group = p.result.group_of;
+    EXPECT_NE(group[static_cast<std::size_t>(base + 3)],
+              group[static_cast<std::size_t>(base + 107)]);
+    EXPECT_NE(group[static_cast<std::size_t>(base + 3)],
+              group[static_cast<std::size_t>(base + 221)]);
+    EXPECT_NE(group[static_cast<std::size_t>(base + 107)],
+              group[static_cast<std::size_t>(base + 221)]);
+  }
+  PartitionOptions wide;
+  wide.threads = 8;
+  const CountedPartition q = PartitionCounted(g, wide);
+  EXPECT_EQ(q.result.group_of, p.result.group_of);
+  EXPECT_EQ(q.result.group_path, p.result.group_path);
+  EXPECT_EQ(q.result.cut_weight, p.result.cut_weight);
+}
+
+// Sets every vertex weight of `g`, a ClusteredGraph, to `w` by column
+// refresh: the arcs and the structure stamp stay.
+void RefreshWeights(CsrGraph& g, const VertexWeights& w) {
+  for (VertexIndex v = 0; v < g.num_vertices(); ++v) {
+    g.SetDemand(v, w.demand[static_cast<std::size_t>(v)]);
+    g.SetBalanceWeight(v, w.balance[static_cast<std::size_t>(v)]);
+  }
+  g.EndColumnRefresh();
+}
+
+void ExpectSamePartition(const CountedPartition& a, const CountedPartition& b) {
+  EXPECT_EQ(a.result.group_of, b.result.group_of);
+  EXPECT_EQ(a.result.group_path, b.result.group_path);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.result.cut_weight),
+            std::bit_cast<std::uint64_t>(b.result.cut_weight));
+  ASSERT_EQ(a.counters.size(), b.counters.size());
+  for (std::size_t i = 0; i < a.counters.size(); ++i) {
+    EXPECT_EQ(a.counters[i].name, b.counters[i].name);
+    EXPECT_EQ(a.counters[i].value, b.counters[i].value) << a.counters[i].name;
+  }
+}
+
+CountedPartition PartitionCounted(const CsrGraph& g,
+                                  const PartitionOptions& opts,
+                                  PartitionMemo* memo) {
+  auto& reg = obs::MetricsRegistry::Global();
+  const auto before = reg.SnapshotCounters(obs::MetricKind::kDeterministic);
+  CountedPartition out;
+  out.result = RecursivePartition(g, ClusterFits, opts, ClusterUnits, memo);
+  out.counters = obs::MetricsRegistry::DeltaCounters(
+      before, reg.SnapshotCounters(obs::MetricKind::kDeterministic));
+  return out;
+}
+
+TEST(PartitionMemo, HitEqualsAMemoLessPartition) {
+  // The root's coarsening of weights A, re-summed for weights B, must give
+  // exactly the partition a memo-less call gives on B: groups, paths, cut
+  // bits and every deterministic counter. B's partition is pinned, at the
+  // multi-trial size, so the salts drawn after the restored stream count.
+  const VertexWeights a = ClusteredWeights(4800, 2);
+  const VertexWeights b = ClusteredWeights(4800, 5);
+  for (const int threads : {1, 8}) {
+    SCOPED_TRACE(threads);
+    PartitionOptions opts;
+    opts.threads = threads;
+    const CountedPartition fresh =
+        PartitionCounted(ClusteredGraph(b, false), opts);
+    ExpectPinned(fresh,
+                 {279, 0x4236420e9db0e58f, 0x41009cc000000000, 460076, 77});
+    EXPECT_EQ(CounterDelta(fresh, "partition.subgraph_views"), 278u);
+
+    CsrGraph g = ClusteredGraph(a, false);
+    const std::uint64_t stamp = g.structure_stamp();
+    PartitionMemo memo;
+    const CountedPartition warm = PartitionCounted(g, opts, &memo);
+    ExpectSamePartition(warm, PartitionCounted(g, opts));
+    EXPECT_EQ(memo.hits, 0u);
+    EXPECT_GE(memo.depth, 3u);
+
+    RefreshWeights(g, b);
+    EXPECT_EQ(g.structure_stamp(), stamp);
+    const CountedPartition hit = PartitionCounted(g, opts, &memo);
+    EXPECT_EQ(memo.hits, 1u);
+    ExpectSamePartition(hit, fresh);
+  }
+}
+
+TEST(PartitionMemo, ChangedArcWeightMisses) {
+  // A graph built again with one arc weight changed has a new structure
+  // stamp, so a memo warmed on the first is not used.
+  const VertexWeights w = ClusteredWeights(2400, 2);
+  const CsrGraph g = ClusteredGraph(w, false);
+  CsrGraphBuilder builder;
+  for (VertexIndex v = 0; v < g.num_vertices(); ++v) {
+    builder.AddVertex(g.demand(v), g.balance_weight(v));
+  }
+  bool changed = false;
+  for (VertexIndex v = 0; v < g.num_vertices(); ++v) {
+    const auto [to, ws] = g.arc_range(v);
+    for (std::size_t i = 0; i < to.size(); ++i) {
+      if (to[i] <= v) continue;
+      builder.AddEdge(v, to[i], changed ? ws[i] : ws[i] + 1.0);
+      changed = true;
+    }
+  }
+  const CsrGraph other = builder.Build();
+  ASSERT_EQ(other.num_arcs(), g.num_arcs());
+  EXPECT_NE(other.structure_stamp(), g.structure_stamp());
+
+  PartitionMemo memo;
+  PartitionCounted(g, PartitionOptions{}, &memo);
+  const CountedPartition with_memo =
+      PartitionCounted(other, PartitionOptions{}, &memo);
+  EXPECT_EQ(memo.hits, 0u);
+  ExpectSamePartition(with_memo, PartitionCounted(other, PartitionOptions{}));
+
+  // The memo now holds `other` under the default options: another
+  // coarsening target or another seed alone misses too.
+  PartitionOptions coarser;
+  coarser.coarsen_target = 48;
+  const CountedPartition retargeted = PartitionCounted(other, coarser, &memo);
+  EXPECT_EQ(memo.hits, 0u);
+  ExpectSamePartition(retargeted, PartitionCounted(other, coarser));
+  PartitionCounted(other, PartitionOptions{}, &memo);
+  PartitionOptions reseeded;
+  reseeded.seed = 7;
+  const CountedPartition resown = PartitionCounted(other, reseeded, &memo);
+  EXPECT_EQ(memo.hits, 0u);
+  ExpectSamePartition(resown, PartitionCounted(other, reseeded));
+  // And the same key hits.
+  PartitionCounted(other, reseeded, &memo);
+  EXPECT_EQ(memo.hits, 1u);
+}
+
 }  // namespace
 }  // namespace gl
